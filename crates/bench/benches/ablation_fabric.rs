@@ -152,7 +152,7 @@ fn run_fleet_at(scale: usize) -> FleetRun {
         }),
     };
 
-    let solo = run_fleet_sim(&[steady.clone()], &cfg);
+    let solo = run_fleet_sim(std::slice::from_ref(&steady), &cfg);
     let solo_p99_ns = solo.reports[0].wait_p99_ns;
 
     let cluster = ClusterBuilder::new().build().unwrap();

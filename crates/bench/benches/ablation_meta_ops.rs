@@ -2,10 +2,13 @@
 //! lease-protected local reads.
 //!
 //! Runs the real in-process stack through a metadata-heavy workload
-//! twice over two switches: group commit on/off × read lease on/off.
-//! The write phase is a burst of concurrent creates landing on one meta
-//! partition inside a single Raft round window (the shape a container
-//! fleet produces at startup); the read phase is a steady-state stat
+//! over a 2 × 2: write arrival burst/serial × read lease on/off. Every
+//! meta write is group-committed, so what the first axis varies is how
+//! many writes a Raft round window finds queued: the burst lands all its
+//! creates on one meta partition inside a single window (the shape a
+//! container fleet produces at startup) and they ride one frame; the
+//! serial arm issues blocking creates one at a time, so each frame holds
+//! one op and costs its own round. The read phase is a steady-state stat
 //! loop. Reported: Raft rounds consumed per create, how each read was
 //! classified (lease fast path vs quorum barrier), and wall time.
 //! Besides the human-readable table, the bench writes a JSON record with
@@ -14,12 +17,9 @@
 //! `target/ablation_meta_ops.json`) for regression tracking and CI
 //! artifact upload.
 //!
-//! With batching off, concurrency cannot help the commit path — every
-//! command is its own log entry, so the burst is driven as sequential
-//! proposals (the rounds-per-create cost is identical and the comparison
-//! stays honest). With the lease off (`lease_ticks = 0`), every read
-//! pays a ReadIndex-style quorum barrier: a heartbeat round trip before
-//! the local tree may answer.
+//! With the lease off (`lease_ticks = 0`), every read pays a
+//! ReadIndex-style quorum barrier: a heartbeat round trip before the
+//! local tree may answer.
 
 use std::sync::Arc;
 
@@ -28,12 +28,14 @@ use cfs::{
     MetricsSnapshot, PartitionId, RaftConfig,
 };
 
-const SCHEMA_VERSION: u32 = 1;
+const SCHEMA_VERSION: u32 = 2;
 const CREATES: u64 = 64;
 const STATS: u64 = 200;
 
 struct Run {
-    batching: bool,
+    /// All creates queued inside one round window (one frame) rather than
+    /// issued one blocking write at a time (one frame each).
+    burst: bool,
     lease: bool,
     raft_rounds: u64,
     lease_reads: u64,
@@ -46,10 +48,10 @@ struct Run {
 impl Run {
     fn to_json(&self) -> String {
         format!(
-            "{{\"batching\":{},\"lease\":{},\"creates\":{CREATES},\
+            "{{\"burst\":{},\"lease\":{},\"creates\":{CREATES},\
              \"raft_rounds\":{},\"stat_reads\":{STATS},\"lease_reads\":{},\
              \"quorum_reads\":{},\"elapsed_ms\":{:.3},\"metrics_snapshot\":{}}}",
-            self.batching,
+            self.burst,
             self.lease,
             self.raft_rounds,
             self.lease_reads,
@@ -74,7 +76,7 @@ fn meta_partition_leader(cluster: &Cluster) -> (PartitionId, Arc<MetaNode>) {
     panic!("no meta partition leader");
 }
 
-fn run(batching: bool, lease: bool) -> Run {
+fn run(burst: bool, lease: bool) -> Run {
     let raft_config = RaftConfig {
         lease_ticks: if lease {
             RaftConfig::default().lease_ticks
@@ -91,24 +93,21 @@ fn run(batching: bool, lease: bool) -> Run {
     let client = cluster.mount("meta-ops").unwrap();
     let root = client.root();
     let ino = client.create(root, "probe").unwrap().id;
-    for n in cluster.meta_nodes() {
-        n.set_batching(batching);
-    }
     cluster.settle(200);
     let (pid, leader) = meta_partition_leader(&cluster);
 
     let before = cluster.metrics_snapshot();
     let t0 = std::time::Instant::now();
 
-    // Write burst. With group commit the whole burst is queued before the
-    // next raft round and rides one frame; without it each create is its
-    // own proposal, so concurrency cannot coalesce anything.
+    // Write phase. The burst is queued whole before the next raft round
+    // and rides one frame; serial blocking writes each wait for their own
+    // frame to commit, so nothing is left to coalesce.
     let cmd = |i: u64| MetaCommand::CreateInode {
         file_type: FileType::File,
         link_target: vec![],
         now_ns: i,
     };
-    if batching {
+    if burst {
         let tickets: Vec<u64> = (0..CREATES)
             .map(|i| leader.enqueue_write(pid, &cmd(i)).unwrap())
             .collect();
@@ -133,7 +132,7 @@ fn run(batching: bool, lease: bool) -> Run {
     let elapsed = t0.elapsed();
     let metrics = cluster.metrics_snapshot().diff(&before);
     Run {
-        batching,
+        burst,
         lease,
         raft_rounds: metrics.counter("raft.proposals"),
         lease_reads: metrics.counter("meta.lease_reads"),
@@ -146,13 +145,13 @@ fn run(batching: bool, lease: bool) -> Run {
 fn main() {
     println!("\n== Ablation A5: metadata hot path (S2.1.3) ==");
     println!("{CREATES} concurrent creates on one partition + {STATS} steady-state stats\n");
-    println!("batching  lease   raft rounds   rounds/create   lease reads   quorum reads     ms");
+    println!("   burst  lease   raft rounds   rounds/create   lease reads   quorum reads     ms");
     let mut runs = Vec::new();
-    for (batching, lease) in [(true, true), (true, false), (false, true), (false, false)] {
-        let r = run(batching, lease);
+    for (burst, lease) in [(true, true), (true, false), (false, true), (false, false)] {
+        let r = run(burst, lease);
         println!(
             "{:>8}  {:>5}   {:>11}   {:>13.3}   {:>11}   {:>12}   {:>4.0}",
-            r.batching,
+            r.burst,
             r.lease,
             r.raft_rounds,
             r.raft_rounds as f64 / CREATES as f64,
@@ -160,8 +159,8 @@ fn main() {
             r.quorum_reads,
             r.elapsed_ms
         );
-        // Each switch must actually do its job, in both directions.
-        if batching {
+        // Each axis must actually do its job, in both directions.
+        if burst {
             assert!(
                 r.raft_rounds < CREATES / 4,
                 "group commit must coalesce the burst ({} rounds for {CREATES} creates)",
@@ -170,7 +169,7 @@ fn main() {
         } else {
             assert!(
                 r.raft_rounds >= CREATES,
-                "without batching every create is its own round ({} rounds)",
+                "a serial create is alone in its frame: one round each ({} rounds)",
                 r.raft_rounds
             );
         }
@@ -203,7 +202,7 @@ fn main() {
     let full = &runs[0];
     let bare = &runs[3];
     println!(
-        "\nconclusion: group commit spends {:.2} raft rounds/create vs {:.2} unbatched,",
+        "\nconclusion: group commit spends {:.2} raft rounds/create on a burst vs {:.2} one at a time,",
         full.raft_rounds as f64 / CREATES as f64,
         bare.raft_rounds as f64 / CREATES as f64
     );

@@ -149,7 +149,7 @@ fn main() {
     // sets every placement stays set-local and fan-out is set-bounded.
     assert_eq!(confined.fallbacks, 0, "a placement spilled across sets");
     assert!(
-        confined.peers_max <= confined.set_size - 1,
+        confined.peers_max < confined.set_size,
         "set-confined fan-out {} exceeds set bound {}",
         confined.peers_max,
         confined.set_size - 1

@@ -19,8 +19,12 @@ use cfs_data::DataResponse;
 use cfs_net::Network;
 use cfs_raft::{RaftConfig, RaftHub};
 use cfs_types::crc::crc32;
+use cfs_types::testutil::TempDir;
 
-fn cluster() -> (
+/// Three data nodes, one per engine directory in `dirs`.
+fn cluster(
+    dirs: &[TempDir],
+) -> (
     RaftHub,
     Network<DataRequest, cfs_types::Result<DataResponse>>,
     Vec<Arc<DataNode>>,
@@ -28,14 +32,17 @@ fn cluster() -> (
     let hub = RaftHub::new();
     let net: Network<DataRequest, cfs_types::Result<DataResponse>> = Network::new();
     let nodes: Vec<Arc<DataNode>> = (1..=3u64)
-        .map(|i| {
-            DataNode::new(
+        .zip(dirs)
+        .map(|(i, dir)| {
+            DataNode::open(
                 NodeId(i),
                 hub.clone(),
                 net.clone(),
+                dir.path(),
                 RaftConfig::default(),
                 5,
             )
+            .unwrap()
         })
         .collect();
     for n in &nodes {
@@ -46,7 +53,10 @@ fn cluster() -> (
 }
 
 fn main() {
-    let (hub, net, nodes) = cluster();
+    let dirs: Vec<TempDir> = (0..3)
+        .map(|_| TempDir::new("bench-repl").unwrap())
+        .collect();
+    let (hub, net, nodes) = cluster(&dirs);
     let members: Vec<NodeId> = nodes.iter().map(|n| n.id()).collect();
     for n in &nodes {
         n.create_partition(PartitionId(1), VolumeId(1), members.clone(), 1 << 26, 0)

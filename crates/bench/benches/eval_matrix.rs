@@ -20,8 +20,11 @@
 //!  * per-scenario `MetricsSnapshot` JSON under `target/eval/`
 //!    (override: `BENCH_EVAL_SNAPSHOT_DIR`) for CI artifact upload.
 //!
-//! `CFS_BENCH_FULL=1` runs the 4x-longer simulator windows, as in the
-//! individual fig benches.
+//! Naming tables on the command line (`cargo bench -p bench --bench
+//! eval_matrix -- fig6 table3`) prints just those paper tables: no
+//! scenarios run and no JSON is written.
+//!
+//! `CFS_BENCH_FULL=1` runs the 4x-longer simulator windows.
 
 use std::fmt::Write as _;
 
@@ -38,6 +41,19 @@ const STORM_FILES: usize = 8;
 const STORM_PACKETS: u64 = 32;
 const STORM_EPOCHS: usize = 4;
 const PACKET: u64 = 4096;
+
+/// One paper table: filter name, printed title, generator.
+type PaperTable = (&'static str, &'static str, fn(bool) -> Vec<Cell>);
+
+/// The paper's evaluation, CFS vs Ceph on the Table-1 cluster.
+const PAPER: [PaperTable; 6] = [
+    ("table3", "Table 3: metadata, 8 clients x 64 procs", table3),
+    ("fig6", "Figure 6: metadata, single client", fig6),
+    ("fig7", "Figure 7: metadata, multi client", fig7),
+    ("fig8", "Figure 8: large files, single client", fig8),
+    ("fig9", "Figure 9: large files, multi client", fig9),
+    ("fig10", "Figure 10: small files", fig10),
+];
 
 fn cells_json(cells: &[Cell]) -> String {
     let mut out = String::from("[");
@@ -133,7 +149,11 @@ fn scenario_cluster(coalesce: bool, read_cache: bool) -> (Cluster, cfs::Client) 
             "eval",
             ClientOptions {
                 coalesce_small_writes: coalesce,
-                read_cache,
+                read_cache_capacity: if read_cache {
+                    ClientOptions::default().read_cache_capacity
+                } else {
+                    0
+                },
                 ..ClientOptions::default()
             },
         )
@@ -246,29 +266,41 @@ fn read_storm(read_cache: bool) -> ScenarioRun {
 
 fn main() {
     let quick = std::env::var("CFS_BENCH_FULL").is_err();
+    // Tables named on the command line (cargo's own `--bench` flag is not
+    // a name): print those and stop.
+    let named: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| !a.starts_with('-'))
+        .collect();
+    if !named.is_empty() {
+        for name in &named {
+            let Some((_, title, table)) = PAPER.iter().find(|(key, ..)| key == name) else {
+                let known: Vec<&str> = PAPER.iter().map(|(key, ..)| *key).collect();
+                eprintln!("unknown table {name:?}; known: {}", known.join(" "));
+                std::process::exit(2);
+            };
+            let cells = table(quick);
+            println!("{}", render(title, &cells));
+            println!("mean improvement: {:.0}%", mean_improvement(&cells));
+        }
+        return;
+    }
     // Scenario-only mode for fast smoke runs (CI per-PR); the paper
     // matrix cells come out empty but the schema stays identical.
     let scenarios_only = std::env::var("CFS_EVAL_SCENARIOS_ONLY").is_ok();
 
-    // ------------------------------------------------------------------
-    // The paper's evaluation, CFS vs Ceph on the Table-1 cluster.
-    // ------------------------------------------------------------------
-    let paper = |f: fn(bool) -> Vec<Cell>| if scenarios_only { Vec::new() } else { f(quick) };
     if !scenarios_only {
         println!("running the paper matrix (quick={quick})...");
     }
-    let t3 = paper(table3);
-    println!("{}", render("Table 3: metadata, 8 clients x 64 procs", &t3));
-    let f6 = paper(fig6);
-    println!("{}", render("Figure 6: metadata, single client", &f6));
-    let f7 = paper(fig7);
-    println!("{}", render("Figure 7: metadata, multi client", &f7));
-    let f8 = paper(fig8);
-    println!("{}", render("Figure 8: large files, single client", &f8));
-    let f9 = paper(fig9);
-    println!("{}", render("Figure 9: large files, multi client", &f9));
-    let f10 = paper(fig10);
-    println!("{}", render("Figure 10: small files", &f10));
+    let [t3, f6, f7, f8, f9, f10] = PAPER.map(|(_, title, table)| {
+        let cells = if scenarios_only {
+            Vec::new()
+        } else {
+            table(quick)
+        };
+        println!("{}", render(title, &cells));
+        cells
+    });
 
     // ------------------------------------------------------------------
     // Scenario diversity on the real stack.

@@ -1,11 +1,10 @@
 //! Criterion microbenchmarks of the substrate data structures: the
-//! copy-on-write B-tree, extent store, WAL-backed KV store, binary codec,
+//! copy-on-write B-tree, extent store, binary codec,
 //! and a full Raft propose→commit cycle on the in-process hub.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use cfs_btree::BTree;
-use cfs_kvwal::{KvStore, KvStoreOptions};
 use cfs_store::ExtentStore;
 use cfs_types::codec::{Decode, Encode};
 use cfs_types::testutil::TempDir;
@@ -82,28 +81,6 @@ fn bench_extent_store(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_kvwal(c: &mut Criterion) {
-    let mut g = c.benchmark_group("kvwal");
-    let dir = TempDir::new("bench-kv").unwrap();
-    let mut kv = KvStore::open(
-        dir.path(),
-        KvStoreOptions {
-            sync_on_append: false,
-            auto_compact_after: 0,
-            keep_snapshots: 2,
-        },
-    )
-    .unwrap();
-    let mut i = 0u64;
-    g.bench_function("put_small", |b| {
-        b.iter(|| {
-            i += 1;
-            kv.put(&i.to_le_bytes(), b"value-bytes").unwrap();
-        })
-    });
-    g.finish();
-}
-
 fn bench_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("codec");
     let mut ino = Inode::new(InodeId(42), FileType::File, 123456789);
@@ -133,8 +110,14 @@ fn bench_raft_cycle(c: &mut Criterion) {
     use cfs_types::{NodeId, PartitionId, VolumeId};
 
     let hub = RaftHub::new();
+    let dirs: Vec<TempDir> = (0..3)
+        .map(|_| TempDir::new("bench-raft").unwrap())
+        .collect();
     let nodes: Vec<_> = (1..=3u64)
-        .map(|i| MetaNode::new(NodeId(i), hub.clone(), RaftConfig::default(), 9))
+        .zip(&dirs)
+        .map(|(i, dir)| {
+            MetaNode::open(NodeId(i), hub.clone(), dir.path(), RaftConfig::default(), 9).unwrap()
+        })
         .collect();
     let cfg = MetaPartitionConfig {
         partition_id: PartitionId(1),
@@ -172,7 +155,6 @@ criterion_group!(
     benches,
     bench_btree,
     bench_extent_store,
-    bench_kvwal,
     bench_codec,
     bench_raft_cycle
 );

@@ -14,7 +14,7 @@ use std::collections::HashSet;
 use cfs_meta::{IntentContext, MetaCommand, MetaRequest, MetaResponse, MetaValue};
 use cfs_types::{CfsError, Inode, InodeId, NodeId, PartitionId, Result};
 
-use crate::client::{Client, MaxSpecific};
+use crate::client::{Client, MaxSpecific, MAX_RETRIES};
 
 /// One acked-but-unbarriered intent the client still owes a barrier.
 #[derive(Debug, Clone)]
@@ -73,7 +73,7 @@ impl Client {
         ctx: IntentContext,
     ) -> Result<Option<(PartitionId, NodeId, u64, MetaValue)>> {
         let mut last_err = CfsError::NotFound(format!("no meta partition for {inode}"));
-        for pass in 0..=self.options.max_retries {
+        for pass in 0..=MAX_RETRIES {
             self.retry_pause(pass, "meta_route", |c| {
                 c.stats.view_refreshes.inc();
                 c.refresh_partition_table()
@@ -89,7 +89,7 @@ impl Client {
         }
         Err(CfsError::RetriesExhausted {
             op: format!("meta_write_async_at({inode})"),
-            attempts: self.options.max_retries + 1,
+            attempts: MAX_RETRIES + 1,
         }
         .max_specific(last_err))
     }
@@ -105,7 +105,7 @@ impl Client {
         name: &str,
     ) -> Result<Option<(PartitionId, NodeId, u64, Inode)>> {
         let mut last_err = CfsError::Unavailable("no writable meta partitions".into());
-        for pass in 0..=self.options.max_retries {
+        for pass in 0..=MAX_RETRIES {
             self.retry_pause(pass, "meta_route", |c| {
                 c.stats.view_refreshes.inc();
                 c.refresh_partition_table()
@@ -135,7 +135,7 @@ impl Client {
         }
         Err(CfsError::RetriesExhausted {
             op: "create_inode_async".into(),
-            attempts: self.options.max_retries + 1,
+            attempts: MAX_RETRIES + 1,
         }
         .max_specific(last_err))
     }
@@ -174,7 +174,7 @@ impl Client {
         intents: &[u64],
     ) -> Result<Vec<u64>> {
         let mut last_err = CfsError::Unavailable(format!("{node:?} unreachable"));
-        for pass in 0..=self.options.max_retries {
+        for pass in 0..=MAX_RETRIES {
             self.retry_pause(pass, "barrier", |_| Ok(()))?;
             let req = MetaRequest::Barrier {
                 partition,
@@ -190,7 +190,7 @@ impl Client {
         }
         Err(CfsError::RetriesExhausted {
             op: format!("barrier({partition})"),
-            attempts: self.options.max_retries + 1,
+            attempts: MAX_RETRIES + 1,
         }
         .max_specific(last_err))
     }

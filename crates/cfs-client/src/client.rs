@@ -16,29 +16,48 @@ use cfs_types::{
     CfsError, ClusterConfig, Dentry, Inode, InodeId, NodeId, PartitionId, Result, VolumeId,
 };
 
-/// Client-side tunables.
+/// Retry limit per logical operation (§2.1.3: retry until success or
+/// this limit).
+pub(crate) const MAX_RETRIES: u32 = 5;
+/// Retry backoff, in backoff units (the simulated clock's yield quantum;
+/// no wall time involved): the first wait, and the cap on the
+/// exponentially growing wait.
+const RETRY_BACKOFF_BASE: u64 = 1;
+const RETRY_BACKOFF_CAP: u64 = 32;
+/// How long a negative lookup ("no such name") stays cached, in the
+/// client's logical-clock units. Local mutations of the parent invalidate
+/// negative entries early.
+const NEGATIVE_LOOKUP_TTL_NS: u64 = 256;
+/// Small-file coalescing byte bound: flush once the buffered records
+/// reach this many bytes.
+pub(crate) const SMALL_BATCH_MAX_BYTES: u64 = 256 * 1024;
+/// Small-file coalescing age bound, in client logical-clock ticks: a
+/// buffered record never waits longer than this for peers.
+pub(crate) const SMALL_BATCH_MAX_AGE: u64 = 256;
+/// Blocks fetched ahead of a sequential read-cache miss.
+pub(crate) const READAHEAD_BLOCKS: u64 = 4;
+
+/// Per-mount tunables: the one place the client's knobs live.
 #[derive(Debug, Clone)]
 pub struct ClientOptions {
-    /// Retry limit per logical operation (§2.1.3).
-    pub max_retries: u32,
     /// Deterministic seed for random partition selection (§2.3.1: clients
     /// pick partitions randomly to avoid consulting the RM per write).
     pub seed: u64,
-    /// Append packets kept in flight per window (§2.7.1 streaming); also
-    /// caps the read-path extent fan-out. 0 inherits the cluster config.
+    /// Append packets kept in flight per window (§2.7.1: the client
+    /// "streams" packets; 1 = fully synchronous, one blocking round-trip
+    /// wait per packet); also caps the read-path extent fan-out. Must be
+    /// > 0.
     pub pipeline_depth: u32,
-    /// Packets between extent-key syncs to the meta node (always synced on
-    /// fsync/close). 0 inherits the cluster config.
+    /// Sync freshly committed extent keys to the meta node every N packets
+    /// (and always on fsync/close), §2.7.1: "synchronizes with the meta
+    /// node periodically or upon fsync". 1 = sync on every write call.
+    /// Must be > 0.
     pub meta_sync_every: u32,
     /// Shared metrics registry. When set, the client's data-path counters
     /// get `client.*` names in it, ops allocate causal request ids that
     /// ride in `Append` packet headers, and client-side spans are recorded
     /// against its tracer. When unset everything still counts, detached.
     pub registry: Option<Registry>,
-    /// How long a negative lookup ("no such name") stays cached, in the
-    /// client's logical-clock units. `0` disables negative caching.
-    /// Local mutations of the parent invalidate negative entries early.
-    pub negative_lookup_ttl_ns: u64,
     /// Asynchronous metadata commit (DESIGN §12): create/link/unlink
     /// return once the op is durably journaled at the leader instead of
     /// after its Raft round; `fsync`/`close` become the strong barrier
@@ -51,41 +70,28 @@ pub struct ClientOptions {
     /// baseline semantics; `fsync`/`close` and the async-commit barrier
     /// drain the buffer.
     pub coalesce_small_writes: bool,
-    /// Coalescing record bound; 0 inherits the cluster config.
+    /// Coalescing record bound: max records buffered before the client
+    /// flushes one `WriteSmallBatch` to a PB leader. Must be > 0.
     pub small_batch_max_ops: u32,
-    /// Coalescing byte bound; 0 inherits the cluster config.
-    pub small_batch_max_bytes: u64,
-    /// Coalescing age bound (client logical-clock ticks); 0 inherits the
-    /// cluster config.
-    pub small_batch_max_age: u64,
-    /// Readahead extent cache over `read_at` (DESIGN §13). On by default:
-    /// the cache is invisible except for saved fabric reads, and keeping
-    /// it on means every chaos seed exercises its invalidation paths.
-    pub read_cache: bool,
-    /// Read-cache resident block capacity; 0 inherits the cluster config.
+    /// Readahead extent cache over `read_at` (DESIGN §13): resident block
+    /// capacity of this mount, in `packet_size` blocks; 0 turns the cache
+    /// off. On by default: the cache is invisible except for saved fabric
+    /// reads, and keeping it on means every chaos seed exercises its
+    /// invalidation paths.
     pub read_cache_capacity: usize,
-    /// Sequential readahead depth in blocks; 0 inherits the cluster
-    /// config.
-    pub readahead_blocks: u32,
 }
 
 impl Default for ClientOptions {
     fn default() -> Self {
         ClientOptions {
-            max_retries: 5,
             seed: 0xC0FFEE,
-            pipeline_depth: 0,
-            meta_sync_every: 0,
+            pipeline_depth: 4,
+            meta_sync_every: 1,
             registry: None,
-            negative_lookup_ttl_ns: 256,
             async_meta: false,
             coalesce_small_writes: false,
-            small_batch_max_ops: 0,
-            small_batch_max_bytes: 0,
-            small_batch_max_age: 0,
-            read_cache: true,
-            read_cache_capacity: 0,
-            readahead_blocks: 0,
+            small_batch_max_ops: 16,
+            read_cache_capacity: 256,
         }
     }
 }
@@ -379,6 +385,14 @@ impl Client {
         config: ClusterConfig,
         options: ClientOptions,
     ) -> Result<Self> {
+        if options.pipeline_depth == 0
+            || options.meta_sync_every == 0
+            || options.small_batch_max_ops == 0
+        {
+            return Err(CfsError::InvalidArgument(
+                "pipeline_depth, meta_sync_every and small_batch_max_ops must be > 0".into(),
+            ));
+        }
         let seed = options.seed ^ id.raw();
         let stats = options
             .registry
@@ -435,79 +449,6 @@ impl Client {
     /// Current logical-clock reading without advancing it (age checks).
     pub(crate) fn peek_clock(&self) -> u64 {
         self.clock.load(Ordering::Relaxed)
-    }
-
-    /// Effective append window size (options override, else cluster config).
-    pub(crate) fn pipeline_depth(&self) -> usize {
-        let d = if self.options.pipeline_depth > 0 {
-            self.options.pipeline_depth
-        } else {
-            self.config.pipeline_depth
-        };
-        d.max(1) as usize
-    }
-
-    /// Effective meta-sync cadence in packets (options override, else
-    /// cluster config).
-    pub(crate) fn meta_sync_every(&self) -> u32 {
-        let n = if self.options.meta_sync_every > 0 {
-            self.options.meta_sync_every
-        } else {
-            self.config.meta_sync_every
-        };
-        n.max(1)
-    }
-
-    /// Effective coalescing record bound (options override, else config).
-    pub(crate) fn small_batch_max_ops(&self) -> usize {
-        let n = if self.options.small_batch_max_ops > 0 {
-            self.options.small_batch_max_ops
-        } else {
-            self.config.small_batch_max_ops
-        };
-        n.max(1) as usize
-    }
-
-    /// Effective coalescing byte bound (options override, else config).
-    pub(crate) fn small_batch_max_bytes(&self) -> u64 {
-        let n = if self.options.small_batch_max_bytes > 0 {
-            self.options.small_batch_max_bytes
-        } else {
-            self.config.small_batch_max_bytes
-        };
-        n.max(1)
-    }
-
-    /// Effective coalescing age bound (options override, else config).
-    pub(crate) fn small_batch_max_age(&self) -> u64 {
-        let n = if self.options.small_batch_max_age > 0 {
-            self.options.small_batch_max_age
-        } else {
-            self.config.small_batch_max_age
-        };
-        n.max(1)
-    }
-
-    /// Effective read-cache capacity in blocks; 0 disables caching.
-    pub(crate) fn read_cache_capacity(&self) -> usize {
-        if !self.options.read_cache {
-            return 0;
-        }
-        if self.options.read_cache_capacity > 0 {
-            self.options.read_cache_capacity
-        } else {
-            self.config.read_cache_capacity_blocks
-        }
-    }
-
-    /// Effective sequential readahead depth in blocks.
-    pub(crate) fn readahead_blocks(&self) -> u64 {
-        let n = if self.options.readahead_blocks > 0 {
-            self.options.readahead_blocks
-        } else {
-            self.config.readahead_blocks
-        };
-        u64::from(n)
     }
 
     /// Data-path pipelining counters for this client.
@@ -568,11 +509,7 @@ impl Client {
     /// verdicts come due across the backoff), and the fabric's completion
     /// condvar provides the wakeup — nothing spins or sleeps.
     pub(crate) fn backoff(&self, pass: u32) {
-        let delay = crate::retry::capped_backoff(
-            u64::from(self.config.retry_backoff_base),
-            u64::from(self.config.retry_backoff_cap),
-            pass,
-        );
+        let delay = crate::retry::capped_backoff(RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, pass);
         let jitter = self.cache.lock().rng.gen_range(0..delay + 1);
         self.clock.fetch_add(delay + jitter, Ordering::Relaxed);
         self.fabrics.data.clock().advance(delay + jitter);
@@ -629,7 +566,7 @@ impl Client {
         }
         candidates.extend(self.master_replicas.iter().copied());
         let mut last_err = CfsError::Unavailable("no master replicas".into());
-        for pass in 0..=self.options.max_retries {
+        for pass in 0..=MAX_RETRIES {
             self.retry_pause(pass, "master", |_| Ok(()))?;
             for &node in &candidates {
                 match self.fabrics.master.call(self.id, node, req.clone()) {
@@ -821,7 +758,7 @@ impl Client {
         let is_read = matches!(req, MetaRequest::Read { .. });
         let mut members = members.to_vec();
         let mut last_err = CfsError::Unavailable("no meta replicas".into());
-        for pass in 0..=self.options.max_retries {
+        for pass in 0..=MAX_RETRIES {
             self.retry_pause(pass, "meta", |c| {
                 if let Some(m) = c.refresh_meta_view(partition) {
                     members = m;
@@ -882,7 +819,7 @@ impl Client {
         }
         Err(CfsError::RetriesExhausted {
             op: format!("meta_call({partition})"),
-            attempts: self.options.max_retries + 1,
+            attempts: MAX_RETRIES + 1,
         }
         .max_specific(last_err))
     }
@@ -933,7 +870,7 @@ impl Client {
         mut req: impl FnMut(PartitionId) -> MetaRequest,
     ) -> Result<MetaValue> {
         let mut last_err = CfsError::NotFound(format!("no meta partition for {inode}"));
-        for pass in 0..=self.options.max_retries {
+        for pass in 0..=MAX_RETRIES {
             self.retry_pause(pass, "meta_route", |c| {
                 c.stats.view_refreshes.inc();
                 c.refresh_partition_table()
@@ -946,7 +883,7 @@ impl Client {
         }
         Err(CfsError::RetriesExhausted {
             op: format!("meta_call_at({inode})"),
-            attempts: self.options.max_retries + 1,
+            attempts: MAX_RETRIES + 1,
         }
         .max_specific(last_err))
     }
@@ -979,7 +916,7 @@ impl Client {
         link_target: &[u8],
     ) -> Result<(PartitionId, Inode)> {
         let mut last_err = CfsError::Unavailable("no writable meta partitions".into());
-        for pass in 0..=self.options.max_retries {
+        for pass in 0..=MAX_RETRIES {
             self.retry_pause(pass, "meta_route", |c| {
                 c.stats.view_refreshes.inc();
                 c.refresh_partition_table()
@@ -1005,7 +942,7 @@ impl Client {
         }
         Err(CfsError::RetriesExhausted {
             op: "create_inode".into(),
-            attempts: self.options.max_retries + 1,
+            attempts: MAX_RETRIES + 1,
         }
         .max_specific(last_err))
     }
@@ -1050,15 +987,13 @@ impl Client {
         );
     }
 
-    /// Record that `name` does not exist under `parent`, valid for the
-    /// configured TTL on the client's logical clock. No-op when negative
-    /// caching is disabled.
+    /// Record that `name` does not exist under `parent`, valid for
+    /// [`NEGATIVE_LOOKUP_TTL_NS`] on the client's logical clock.
     pub(crate) fn cache_negative_lookup(&self, parent: InodeId, name: &str) {
-        let ttl = self.options.negative_lookup_ttl_ns;
-        if ttl == 0 {
-            return;
-        }
-        let expires_ns = self.clock.load(Ordering::Relaxed).saturating_add(ttl);
+        let expires_ns = self
+            .clock
+            .load(Ordering::Relaxed)
+            .saturating_add(NEGATIVE_LOOKUP_TTL_NS);
         self.cache.lock().lookup_cache.insert(
             (parent, name.to_string()),
             LookupEntry::Negative { expires_ns },
@@ -1189,7 +1124,31 @@ mod tests {
 
     #[test]
     fn options_default_sane() {
-        let o = ClientOptions::default();
-        assert!(o.max_retries >= 1);
+        // Pinned here because this is where the benchmark reads them:
+        // `cfsbench` mounts with `ClientOptions::default()`.
+        let ClientOptions {
+            seed,
+            pipeline_depth,
+            meta_sync_every,
+            registry,
+            async_meta,
+            coalesce_small_writes,
+            small_batch_max_ops,
+            read_cache_capacity,
+        } = ClientOptions::default();
+        assert_eq!(seed, 0xC0FFEE);
+        assert_eq!(pipeline_depth, 4);
+        assert_eq!(meta_sync_every, 1);
+        assert!(registry.is_none());
+        assert!(!async_meta);
+        assert!(!coalesce_small_writes);
+        assert_eq!(small_batch_max_ops, 16);
+        assert_eq!(read_cache_capacity, 256);
+        assert_eq!(MAX_RETRIES, 5);
+        assert_eq!((RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP), (1, 32));
+        assert_eq!(NEGATIVE_LOOKUP_TTL_NS, 256);
+        assert_eq!(SMALL_BATCH_MAX_BYTES, 256 * 1024);
+        assert_eq!(SMALL_BATCH_MAX_AGE, 256);
+        assert_eq!(READAHEAD_BLOCKS, 4);
     }
 }

@@ -26,7 +26,7 @@ use bytes::Bytes;
 use cfs_data::{DataRequest, DataResponse};
 use cfs_types::{CfsError, ExtentKey, InodeId, PartitionId, Result};
 
-use crate::client::Client;
+use crate::client::{Client, MAX_RETRIES, SMALL_BATCH_MAX_AGE, SMALL_BATCH_MAX_BYTES};
 
 /// One buffered small-file write.
 #[derive(Debug, Clone)]
@@ -62,9 +62,9 @@ impl Client {
             co.pending_bytes += data.len() as u64;
             co.pending.push(PendingSmall { ino, data });
             self.stats.smallfile_coalesced.inc();
-            co.pending.len() >= self.small_batch_max_ops()
-                || co.pending_bytes >= self.small_batch_max_bytes()
-                || self.peek_clock().saturating_sub(co.oldest) >= self.small_batch_max_age()
+            co.pending.len() >= self.options.small_batch_max_ops as usize
+                || co.pending_bytes >= SMALL_BATCH_MAX_BYTES
+                || self.peek_clock().saturating_sub(co.oldest) >= SMALL_BATCH_MAX_AGE
         };
         if should_flush {
             self.flush_small_writes()
@@ -134,7 +134,7 @@ impl Client {
         let rid = self.next_request_id();
         let _span = self.op_span(rid, "write_small_batch");
         let mut avoided: Vec<PartitionId> = Vec::new();
-        for pass in 0..=self.options.max_retries {
+        for pass in 0..=MAX_RETRIES {
             if let Err(e) = self.retry_pause(pass, "write_small_batch", |_| Ok(())) {
                 self.requeue_small(remaining);
                 return Err(e);
@@ -212,7 +212,7 @@ impl Client {
         self.requeue_small(remaining);
         Err(CfsError::RetriesExhausted {
             op: "write small batch".into(),
-            attempts: self.options.max_retries + 1,
+            attempts: MAX_RETRIES + 1,
         })
     }
 }

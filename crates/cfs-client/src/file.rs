@@ -7,7 +7,7 @@ use cfs_meta::MetaCommand;
 use cfs_types::crc::crc32;
 use cfs_types::{CfsError, ExtentId, ExtentKey, FileType, InodeId, NodeId, PartitionId, Result};
 
-use crate::client::Client;
+use crate::client::{Client, MAX_RETRIES};
 
 /// An open file: inode, cursor, and the client's write-position cache
 /// (data partition id / extent id / offset, §2.4).
@@ -232,7 +232,7 @@ impl Client {
         let rid = self.next_request_id();
         let _span = self.op_span(rid, "append");
         let packet = self.config.packet_size as usize;
-        let depth = self.pipeline_depth();
+        let depth = self.options.pipeline_depth as usize;
         let mut written = 0usize;
         let mut new_keys: Vec<ExtentKey> = Vec::new();
         let mut packets_done = 0u32;
@@ -248,7 +248,7 @@ impl Client {
                     Err(e) if e.is_retryable() || e.needs_new_partition() => {
                         avoided.push(partition);
                         attempts += 1;
-                        if attempts > self.options.max_retries {
+                        if attempts > MAX_RETRIES {
                             self.record_partial(f, new_keys, written as u64, packets_done);
                             return Err(CfsError::RetriesExhausted {
                                 op: "create extent".into(),
@@ -346,7 +346,7 @@ impl Client {
                 avoided.push(partition);
                 f.append_target = None;
                 attempts += 1;
-                if attempts > self.options.max_retries {
+                if attempts > MAX_RETRIES {
                     // Record what did commit before giving up.
                     self.record_partial(f, new_keys, written as u64, packets_done);
                     return Err(CfsError::RetriesExhausted {
@@ -384,7 +384,7 @@ impl Client {
             push_coalesced(&mut f.pending_keys, k);
         }
         f.packets_since_sync = f.packets_since_sync.saturating_add(packets);
-        if f.packets_since_sync >= self.meta_sync_every() {
+        if f.packets_since_sync >= self.options.meta_sync_every {
             self.flush_meta(f)?;
         }
         Ok(())
@@ -489,7 +489,7 @@ impl Client {
         let _span = self.op_span(rid, "write_small");
         self.stats.small_writes.inc();
         let mut avoided: Vec<PartitionId> = Vec::new();
-        for pass in 0..=self.options.max_retries {
+        for pass in 0..=MAX_RETRIES {
             self.retry_pause(pass, "write_small", |_| Ok(()))?;
             let (partition, replicas) = self.random_data_partition(&avoided)?;
             let req = DataRequest::WriteSmall {
@@ -528,7 +528,7 @@ impl Client {
         }
         Err(CfsError::RetriesExhausted {
             op: "write small file".into(),
-            attempts: self.options.max_retries + 1,
+            attempts: MAX_RETRIES + 1,
         })
     }
 
@@ -591,13 +591,11 @@ impl Client {
         offset: u64,
         data: Bytes,
     ) -> Result<()> {
-        let resp = self.call_leader(partition, self.options.max_retries + 1, || {
-            DataRequest::Overwrite {
-                partition,
-                extent,
-                offset,
-                data: data.clone(),
-            }
+        let resp = self.call_leader(partition, MAX_RETRIES + 1, || DataRequest::Overwrite {
+            partition,
+            extent,
+            offset,
+            data: data.clone(),
         })?;
         match resp {
             DataResponse::None => Ok(()),
@@ -629,7 +627,7 @@ impl Client {
         if offset >= f.size {
             return Ok(Vec::new());
         }
-        if self.read_cache_capacity() > 0 {
+        if self.options.read_cache_capacity > 0 {
             return self.read_at_cached(f, offset, len);
         }
         self.read_at_direct(f, offset, len)
@@ -685,7 +683,7 @@ impl Client {
         self.stats.parallel_read_fanouts.inc();
         let rid = self.next_request_id();
         let _span = self.op_span(rid, "read_fanout");
-        for batch in segments.chunks(self.pipeline_depth()) {
+        for batch in segments.chunks(self.options.pipeline_depth as usize) {
             // Submit the whole batch to each partition's best-guess leader
             // (cached, else the first member), then poll the completions:
             // the batch shares one scheduled round trip on the fabric

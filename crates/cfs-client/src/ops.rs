@@ -4,7 +4,7 @@ use cfs_meta::{IntentContext, MetaCommand, MetaRead};
 use cfs_types::{CfsError, Dentry, FileType, Inode, InodeId, Result};
 
 use crate::async_commit::AsyncIntent;
-use crate::client::Client;
+use crate::client::{Client, MAX_RETRIES};
 
 impl Client {
     // ------------------------------------------------------------------
@@ -251,7 +251,7 @@ impl Client {
         // listing fences a batch with `RangeMoved` (the grouping used a
         // stale view): refresh the table and re-group what is still
         // missing — already-fetched inodes are not re-requested.
-        'regroup: for pass in 0..=self.options.max_retries {
+        'regroup: for pass in 0..=MAX_RETRIES {
             self.retry_pause(pass, "meta_route", |c| {
                 c.stats.view_refreshes.inc();
                 c.refresh_partition_table()

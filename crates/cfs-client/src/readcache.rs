@@ -8,7 +8,7 @@
 //! probe under a different generation drops the entry and refetches.
 //!
 //! On a demand miss during a sequential scan, the fetch span is extended
-//! by up to `readahead_blocks` full blocks past the demanded range and
+//! by up to `READAHEAD_BLOCKS` full blocks past the demanded range and
 //! issued as ONE direct read — the span rides the read path's existing
 //! submit/wait fanout, so readahead shares the fabric round instead of
 //! costing extra blocking waits.
@@ -25,7 +25,7 @@ use std::collections::{HashMap, VecDeque};
 
 use cfs_types::{InodeId, Result};
 
-use crate::client::Client;
+use crate::client::{Client, READAHEAD_BLOCKS};
 use crate::file::FileHandle;
 
 /// One cached full block.
@@ -171,7 +171,7 @@ impl Client {
         let mut ra_blocks = 0u64;
         if sequential {
             let rc = self.readcache.lock();
-            let limit = max_block.min(span_last.saturating_add(self.readahead_blocks()));
+            let limit = max_block.min(span_last.saturating_add(READAHEAD_BLOCKS));
             for b in span_last + 1..=limit {
                 if rc.blocks.contains_key(&(ino, b)) {
                     break;
@@ -188,7 +188,7 @@ impl Client {
         // Insert the span's full blocks, evicting FIFO at capacity.
         {
             let mut rc = self.readcache.lock();
-            let cap = self.read_cache_capacity();
+            let cap = self.options.read_cache_capacity;
             for b in span_first..=span_last {
                 let lo = (b * bs - span_off) as usize;
                 let hi = (((b + 1) * bs).min(span_end) - span_off) as usize;

@@ -30,5 +30,5 @@ mod replica;
 
 pub use command::DataCommand;
 pub use metrics::{DataLatency, DataMetrics};
-pub use node::{DataNode, DataNodePersist, DataRequest, DataResponse, ExtentInfo};
+pub use node::{DataNode, DataRequest, DataResponse, ExtentInfo};
 pub use replica::{DataPartitionReplica, PartitionStats};

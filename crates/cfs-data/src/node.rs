@@ -13,10 +13,7 @@ use cfs_kvwal::{LsmEngine, LsmOptions};
 use cfs_net::Network;
 use cfs_obs::{Registry, RequestId, RpcRoute, Span};
 use cfs_raft::hub::{RaftHost, RaftHub};
-use cfs_raft::{
-    KvRaftStorage, MultiRaft, PersistentRaftState, RaftConfig, RaftMetrics, RaftStorage,
-    WireEnvelope,
-};
+use cfs_raft::{KvRaftStorage, MultiRaft, RaftConfig, RaftMetrics, RaftStorage, WireEnvelope};
 use cfs_store::{SmallFileLocation, StoreMetrics};
 use cfs_types::codec::{Decode, Encode};
 use cfs_types::crc::crc32;
@@ -207,18 +204,6 @@ pub enum DataResponse {
     None,
 }
 
-/// What survives a data-node crash: the partition replicas (the extent
-/// stores double as the on-disk image) plus each hosted Raft group's
-/// durable state. Chain tickets, client sessions and the result cache
-/// are volatile and deliberately absent.
-#[derive(Debug)]
-pub struct DataNodePersist {
-    /// Replicas, sorted by partition id for deterministic restore.
-    pub partitions: Vec<DataPartitionReplica>,
-    /// Per-group `(group, members, durable raft state)`.
-    pub raft: Vec<(RaftGroupId, Vec<NodeId>, PersistentRaftState)>,
-}
-
 /// A data node (§2.2): hosts data partition replicas, speaks both
 /// replication protocols, and serves the client data path.
 pub struct DataNode {
@@ -230,17 +215,17 @@ pub struct DataNode {
     chain_order: Mutex<HashMap<PartitionId, Arc<ChainState>>>,
     raft: Mutex<RaftState>,
     commit_timeout_ticks: u64,
-    /// Bound when the node was created `with_registry`; used for trace
-    /// spans of traced requests.
+    /// Bound when the node was opened `open_with_registry`; used for
+    /// trace spans of traced requests.
     registry: Option<Registry>,
     metrics: DataMetrics,
     latency: DataLatency,
     /// Shared byte accounting for every hosted partition's extent store.
     store_metrics: StoreMetrics,
-    /// Engine-backed nodes (opened with [`DataNode::open`]) write every
-    /// replica, extent and raft group through to this engine and restore
-    /// from its directory alone after power loss.
-    engine: Option<Arc<LsmEngine>>,
+    /// Every replica, extent and raft group is written through to this
+    /// engine; the node restores from its directory alone after power
+    /// loss.
+    engine: Arc<LsmEngine>,
 }
 
 struct RaftState {
@@ -295,58 +280,12 @@ impl Drop for TurnGuard<'_> {
 }
 
 impl DataNode {
-    /// Create a data node and register it on the raft hub. The caller
-    /// registers it on `net` (so tests can interpose).
-    pub fn new(
-        id: NodeId,
-        hub: RaftHub,
-        net: Network<DataRequest, Result<DataResponse>>,
-        raft_config: RaftConfig,
-        seed: u64,
-    ) -> Arc<Self> {
-        Self::with_registry(id, hub, net, raft_config, seed, None)
-    }
-
-    /// [`DataNode::new`] with metrics bound to `registry`: chain/raft/store
-    /// counters (`data.*`, `raft.*`, `store.*`) plus trace spans for
-    /// traced requests.
-    pub fn with_registry(
-        id: NodeId,
-        hub: RaftHub,
-        net: Network<DataRequest, Result<DataResponse>>,
-        raft_config: RaftConfig,
-        seed: u64,
-        registry: Option<&Registry>,
-    ) -> Arc<Self> {
-        let mut multiraft = MultiRaft::new(id, raft_config, seed, true);
-        if let Some(r) = registry {
-            multiraft.set_metrics(RaftMetrics::bind(r));
-        }
-        let node = Arc::new(DataNode {
-            id,
-            hub: hub.clone(),
-            net,
-            partitions: Mutex::new(HashMap::new()),
-            chain_order: Mutex::new(HashMap::new()),
-            raft: Mutex::new(RaftState {
-                multiraft,
-                results: HashMap::new(),
-            }),
-            commit_timeout_ticks: 2_000,
-            registry: registry.cloned(),
-            metrics: registry.map(DataMetrics::bind).unwrap_or_default(),
-            latency: registry.map(DataLatency::bind).unwrap_or_default(),
-            store_metrics: registry.map(StoreMetrics::bind).unwrap_or_default(),
-            engine: None,
-        });
-        hub.register(node.clone() as Arc<dyn RaftHost>);
-        node
-    }
-
-    /// Open an engine-backed data node at `dir`, restoring every hosted
-    /// partition (replica meta, extent bytes, raft group state) from the
-    /// directory's LSM engine. A fresh directory yields an empty node;
-    /// after power loss the node comes back with all acknowledged state.
+    /// Open a data node at `dir` and register it on the raft hub (the
+    /// caller registers it on `net`, so tests can interpose), restoring
+    /// every hosted partition (replica meta, extent bytes, raft group
+    /// state) from the directory's LSM engine. A fresh directory yields an
+    /// empty node; after power loss the node comes back with all
+    /// acknowledged state.
     pub fn open(
         id: NodeId,
         hub: RaftHub,
@@ -358,8 +297,9 @@ impl DataNode {
         Self::open_with_registry(id, hub, net, dir, raft_config, seed, None)
     }
 
-    /// [`DataNode::open`] with metrics bound to `registry` (including the
-    /// engine's `kvwal.*` counters).
+    /// [`DataNode::open`] with metrics bound to `registry`: chain/raft/store
+    /// counters (`data.*`, `raft.*`, `store.*`), the engine's `kvwal.*`
+    /// counters, plus trace spans for traced requests.
     #[allow(clippy::too_many_arguments)]
     pub fn open_with_registry(
         id: NodeId,
@@ -409,7 +349,7 @@ impl DataNode {
             metrics: registry.map(DataMetrics::bind).unwrap_or_default(),
             latency: registry.map(DataLatency::bind).unwrap_or_default(),
             store_metrics,
-            engine: Some(engine),
+            engine,
         });
         hub.register(node.clone() as Arc<dyn RaftHost>);
         Ok(node)
@@ -567,7 +507,7 @@ impl DataNode {
             } => {
                 {
                     let mut parts = self.partitions.lock();
-                    Self::part_mut(&mut parts, partition)?.queue_delete_extent(extent);
+                    Self::part_mut(&mut parts, partition)?.queue_delete_extent(extent)?;
                 }
                 self.forward_chain(
                     &replicas,
@@ -588,7 +528,7 @@ impl DataNode {
             } => {
                 {
                     let mut parts = self.partitions.lock();
-                    Self::part_mut(&mut parts, partition)?.queue_punch(extent, offset, len);
+                    Self::part_mut(&mut parts, partition)?.queue_punch(extent, offset, len)?;
                 }
                 self.forward_chain(
                     &replicas,
@@ -604,12 +544,12 @@ impl DataNode {
             }
             DataRequest::ProcessDeletes { partition } => {
                 let mut parts = self.partitions.lock();
-                let n = Self::part_mut(&mut parts, partition)?.process_delete_queue();
+                let n = Self::part_mut(&mut parts, partition)?.process_delete_queue()?;
                 Ok(DataResponse::Processed(n))
             }
             DataRequest::SetReadOnly { partition, ro } => {
                 let mut parts = self.partitions.lock();
-                Self::part_mut(&mut parts, partition)?.set_read_only(ro);
+                Self::part_mut(&mut parts, partition)?.set_read_only(ro)?;
                 Ok(DataResponse::None)
             }
             DataRequest::TruncateExtent {
@@ -683,23 +623,14 @@ impl DataNode {
             .lock()
             .multiraft
             .create_group(Self::group_of(partition), members.clone())?;
-        let mut replica = match &self.engine {
-            Some(engine) => DataPartitionReplica::new_persistent(
-                partition,
-                volume,
-                members,
-                small_extent_rotate_at,
-                extent_limit,
-                engine.clone(),
-            )?,
-            None => DataPartitionReplica::new(
-                partition,
-                volume,
-                members,
-                small_extent_rotate_at,
-                extent_limit,
-            ),
-        };
+        let mut replica = DataPartitionReplica::new_persistent(
+            partition,
+            volume,
+            members,
+            small_extent_rotate_at,
+            extent_limit,
+            self.engine.clone(),
+        )?;
         replica.set_store_metrics(self.store_metrics.clone());
         parts.insert(partition, replica);
         Ok(())
@@ -869,7 +800,7 @@ impl DataNode {
         let new_watermark = offset + data.len() as u64;
         if is_pb_leader {
             let mut parts = self.partitions.lock();
-            Self::part_mut(&mut parts, partition)?.commit(extent, new_watermark);
+            Self::part_mut(&mut parts, partition)?.commit(extent, new_watermark)?;
         }
         self.metrics.appends_served.inc();
         Ok(DataResponse::Watermark(new_watermark))
@@ -916,7 +847,7 @@ impl DataNode {
         )?;
         {
             let mut parts = self.partitions.lock();
-            Self::part_mut(&mut parts, partition)?.commit(loc.extent_id, loc.offset + loc.len);
+            Self::part_mut(&mut parts, partition)?.commit(loc.extent_id, loc.offset + loc.len)?;
         }
         self.metrics.small_writes_served.inc();
         Ok(DataResponse::Small(loc))
@@ -995,7 +926,7 @@ impl DataNode {
             match forwarded {
                 Ok(()) => {
                     let mut parts = self.partitions.lock();
-                    Self::part_mut(&mut parts, partition)?.commit(extent, base + seg_len);
+                    Self::part_mut(&mut parts, partition)?.commit(extent, base + seg_len)?;
                     committed_records = j;
                     self.metrics.small_batch_segments.inc();
                 }
@@ -1161,7 +1092,7 @@ impl DataNode {
             if r.members() == members.as_slice() {
                 return Ok(());
             }
-            r.set_members(members.clone());
+            r.set_members(members.clone())?;
         }
         let gid = Self::group_of(partition);
         let mut raft = self.raft.lock();
@@ -1218,7 +1149,7 @@ impl DataNode {
             let mut parts = self.partitions.lock();
             let r = Self::part_mut(&mut parts, partition)?;
             if watermark > r.committed(extent) {
-                r.commit(extent, watermark);
+                r.commit(extent, watermark)?;
                 updated += 1;
             }
         }
@@ -1257,104 +1188,6 @@ impl DataNode {
             .multiraft
             .group(Self::group_of(partition))
             .and_then(|g| g.leader_hint())
-    }
-
-    // ------------------------------------------------------------------
-    // Crash / restart (chaos harness entry points)
-    // ------------------------------------------------------------------
-
-    /// Extract the durable image of this node, consuming its partition
-    /// state. Call at "crash" time, just before dropping the node: the
-    /// extent stores *are* the on-disk state, so they move out rather
-    /// than copy. Volatile state (chain tickets, result cache) is lost,
-    /// exactly as a real crash would lose it.
-    pub fn export_crash_image(&self) -> DataNodePersist {
-        let parts = std::mem::take(&mut *self.partitions.lock());
-        let mut partitions: Vec<DataPartitionReplica> = parts.into_values().collect();
-        partitions.sort_by_key(|r| r.partition_id());
-        let raft = self.raft.lock();
-        let mut groups: Vec<(RaftGroupId, Vec<NodeId>, PersistentRaftState)> = partitions
-            .iter()
-            .filter_map(|r| {
-                let gid = Self::group_of(r.partition_id());
-                raft.multiraft
-                    .persist_group(gid)
-                    .map(|s| (gid, r.members().to_vec(), s))
-            })
-            .collect();
-        groups.sort_by_key(|(gid, _, _)| gid.raw());
-        DataNodePersist {
-            partitions,
-            raft: groups,
-        }
-    }
-
-    /// Rebuild a data node from a crash image (§2.1.3-style restart for
-    /// the data plane): replicas come back from their stores, each Raft
-    /// group restores from its durable log + snapshot and rejoins as a
-    /// follower. The caller re-registers the node on `net`.
-    pub fn restore(
-        id: NodeId,
-        hub: RaftHub,
-        net: Network<DataRequest, Result<DataResponse>>,
-        raft_config: RaftConfig,
-        seed: u64,
-        image: DataNodePersist,
-    ) -> Result<Arc<Self>> {
-        Self::restore_with_registry(id, hub, net, raft_config, seed, image, None)
-    }
-
-    /// [`DataNode::restore`] with metrics re-bound to `registry` (counters
-    /// continue across the crash; they are cluster-level, not per-boot).
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore_with_registry(
-        id: NodeId,
-        hub: RaftHub,
-        net: Network<DataRequest, Result<DataResponse>>,
-        raft_config: RaftConfig,
-        seed: u64,
-        image: DataNodePersist,
-        registry: Option<&Registry>,
-    ) -> Result<Arc<Self>> {
-        let mut multiraft = MultiRaft::new(id, raft_config, seed, true);
-        if let Some(r) = registry {
-            multiraft.set_metrics(RaftMetrics::bind(r));
-        }
-        let store_metrics: StoreMetrics = registry.map(StoreMetrics::bind).unwrap_or_default();
-        let node = Arc::new(DataNode {
-            id,
-            hub: hub.clone(),
-            net,
-            partitions: Mutex::new(
-                image
-                    .partitions
-                    .into_iter()
-                    .map(|mut r| {
-                        r.set_store_metrics(store_metrics.clone());
-                        (r.partition_id(), r)
-                    })
-                    .collect(),
-            ),
-            chain_order: Mutex::new(HashMap::new()),
-            raft: Mutex::new(RaftState {
-                multiraft,
-                results: HashMap::new(),
-            }),
-            commit_timeout_ticks: 2_000,
-            registry: registry.cloned(),
-            metrics: registry.map(DataMetrics::bind).unwrap_or_default(),
-            latency: registry.map(DataLatency::bind).unwrap_or_default(),
-            store_metrics,
-            engine: None,
-        });
-        {
-            let mut raft = node.raft.lock();
-            for (gid, members, state) in image.raft {
-                raft.multiraft.restore_group(gid, members, state)?;
-            }
-        }
-        hub.register(node.clone() as Arc<dyn RaftHost>);
-        Ok(node)
     }
 
     /// Partitions hosted here with their replica arrays (invariant

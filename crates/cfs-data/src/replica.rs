@@ -167,7 +167,7 @@ impl DataPartitionReplica {
             extent_limit,
             engine: Some(engine),
         };
-        replica.persist_meta();
+        replica.persist_meta()?;
         Ok(replica)
     }
 
@@ -218,8 +218,10 @@ impl DataPartitionReplica {
 
     /// Write the meta row through to the engine (no-op for in-memory
     /// replicas). Extent payloads are persisted by the store itself.
-    fn persist_meta(&self) {
-        let Some(engine) = &self.engine else { return };
+    fn persist_meta(&self) -> Result<()> {
+        let Some(engine) = &self.engine else {
+            return Ok(());
+        };
         let mut committed: Vec<(u64, u64)> =
             self.committed.iter().map(|(e, w)| (e.raw(), *w)).collect();
         committed.sort_unstable();
@@ -251,7 +253,7 @@ impl DataPartitionReplica {
             delete_kinds,
             delete_ranges,
         };
-        let _ = engine.put::<ReplicaCf>(&self.partition_id.raw(), &meta.to_bytes());
+        engine.put::<ReplicaCf>(&self.partition_id.raw(), &meta.to_bytes())
     }
 
     pub fn partition_id(&self) -> PartitionId {
@@ -270,9 +272,9 @@ impl DataPartitionReplica {
     }
 
     /// Replace the replica array (repair membership change, §2.3.3).
-    pub fn set_members(&mut self, members: Vec<NodeId>) {
+    pub fn set_members(&mut self, members: Vec<NodeId>) -> Result<()> {
         self.members = members;
-        self.persist_meta();
+        self.persist_meta()
     }
 
     /// The primary-backup leader.
@@ -281,9 +283,9 @@ impl DataPartitionReplica {
     }
 
     /// Mark/unmark read-only (§2.3.3 exception handling).
-    pub fn set_read_only(&mut self, ro: bool) {
+    pub fn set_read_only(&mut self, ro: bool) -> Result<()> {
         self.read_only = ro;
-        self.persist_meta();
+        self.persist_meta()
     }
 
     pub fn is_read_only(&self) -> bool {
@@ -353,10 +355,10 @@ impl DataPartitionReplica {
 
     /// Advance the committed watermark for an extent (PB leader, after the
     /// whole chain acked).
-    pub fn commit(&mut self, extent: ExtentId, upto: u64) {
+    pub fn commit(&mut self, extent: ExtentId, upto: u64) -> Result<()> {
         let e = self.committed.entry(extent).or_insert(0);
         *e = (*e).max(upto);
-        self.persist_meta();
+        self.persist_meta()
     }
 
     /// The committed watermark of an extent (0 if never committed).
@@ -405,8 +407,7 @@ impl DataPartitionReplica {
         if let Some(c) = self.committed.get_mut(&extent) {
             *c = (*c).min(size);
         }
-        self.persist_meta();
-        Ok(())
+        self.persist_meta()
     }
 
     // ------------------------------------------------------------------
@@ -414,25 +415,26 @@ impl DataPartitionReplica {
     // ------------------------------------------------------------------
 
     /// Queue a whole-extent deletion (large file).
-    pub fn queue_delete_extent(&mut self, extent: ExtentId) {
+    pub fn queue_delete_extent(&mut self, extent: ExtentId) -> Result<()> {
         self.delete_queue.push(DeleteTask::Extent(extent));
-        self.persist_meta();
+        self.persist_meta()
     }
 
     /// Queue a punch-hole deletion (small file).
-    pub fn queue_punch(&mut self, extent: ExtentId, offset: u64, len: u64) {
+    pub fn queue_punch(&mut self, extent: ExtentId, offset: u64, len: u64) -> Result<()> {
         self.delete_queue.push(DeleteTask::Punch {
             extent,
             offset,
             len,
         });
-        self.persist_meta();
+        self.persist_meta()
     }
 
     /// Process every queued deletion; returns how many were executed.
     /// Errors on individual tasks are swallowed (a later fsck/scrub pass
-    /// handles them) so one bad task can't wedge the queue.
-    pub fn process_delete_queue(&mut self) -> usize {
+    /// handles them) so one bad task can't wedge the queue; failing to
+    /// persist the drained queue is reported.
+    pub fn process_delete_queue(&mut self) -> Result<usize> {
         let tasks = std::mem::take(&mut self.delete_queue);
         let n = tasks.len();
         for t in tasks {
@@ -454,8 +456,8 @@ impl DataPartitionReplica {
                 }
             }
         }
-        self.persist_meta();
-        n
+        self.persist_meta()?;
+        Ok(n)
     }
 
     /// Pending deletion count.
@@ -510,12 +512,12 @@ mod tests {
         // Uncommitted (stale-tail-tolerant) read sees the bytes.
         assert_eq!(r.read(e, 0, 10, false).unwrap(), [1u8; 100][..10]);
 
-        r.commit(e, 60);
+        r.commit(e, 60).unwrap();
         assert_eq!(r.read(e, 0, 100, true).unwrap().len(), 60, "clamped");
         assert!(r.read(e, 60, 1, true).is_err(), "at watermark");
         assert_eq!(r.committed(e), 60);
         // Watermark never regresses.
-        r.commit(e, 50);
+        r.commit(e, 50).unwrap();
         assert_eq!(r.committed(e), 60);
     }
 
@@ -524,15 +526,15 @@ mod tests {
         let mut r = replica();
         let e = r.allocate_extent().unwrap();
         r.apply_append(e, 0, &[7u8; 64]).unwrap();
-        r.set_read_only(true);
+        r.set_read_only(true).unwrap();
         assert!(r.is_read_only());
         assert!(r.allocate_extent().is_err());
         assert!(r.apply_append(e, 64, b"more").is_err());
         assert!(r.write_small(b"x").is_err());
         // In-place modification and deletion still possible (§2.3.1).
         r.apply_overwrite(e, 0, b"mod").unwrap();
-        r.queue_delete_extent(e);
-        assert_eq!(r.process_delete_queue(), 1);
+        r.queue_delete_extent(e).unwrap();
+        assert_eq!(r.process_delete_queue().unwrap(), 1);
     }
 
     #[test]
@@ -549,7 +551,7 @@ mod tests {
         let mut r = replica();
         let e = r.allocate_extent().unwrap();
         r.apply_append(e, 0, &[2u8; 1000]).unwrap();
-        r.commit(e, 1000);
+        r.commit(e, 1000).unwrap();
         r.truncate(e, 400).unwrap();
         assert_eq!(r.committed(e), 400);
         assert_eq!(r.extent_size(e).unwrap(), 400);
@@ -560,11 +562,11 @@ mod tests {
         let mut r = replica();
         let loc = r.write_small(&[3u8; 8192]).unwrap();
         let before = r.stats().store.physical_bytes;
-        r.queue_punch(loc.extent_id, loc.offset, loc.len);
+        r.queue_punch(loc.extent_id, loc.offset, loc.len).unwrap();
         assert_eq!(r.pending_deletes(), 1);
         // Space not reclaimed until the background pass runs.
         assert_eq!(r.stats().store.physical_bytes, before);
-        assert_eq!(r.process_delete_queue(), 1);
+        assert_eq!(r.process_delete_queue().unwrap(), 1);
         assert!(r.stats().store.physical_bytes < before);
         assert_eq!(r.pending_deletes(), 0);
     }
@@ -572,10 +574,10 @@ mod tests {
     #[test]
     fn bad_delete_task_does_not_wedge_queue() {
         let mut r = replica();
-        r.queue_delete_extent(ExtentId(999)); // nonexistent
+        r.queue_delete_extent(ExtentId(999)).unwrap(); // nonexistent
         let loc = r.write_small(&[1u8; 4096]).unwrap();
-        r.queue_punch(loc.extent_id, loc.offset, loc.len);
-        assert_eq!(r.process_delete_queue(), 2);
+        r.queue_punch(loc.extent_id, loc.offset, loc.len).unwrap();
+        assert_eq!(r.process_delete_queue().unwrap(), 2);
         assert_eq!(r.stats().store.punched_bytes, 4096);
     }
 
@@ -598,11 +600,11 @@ mod tests {
             .unwrap();
             let e = r.allocate_extent().unwrap();
             r.apply_append(e, 0, &[9u8; 300]).unwrap();
-            r.commit(e, 300);
+            r.commit(e, 300).unwrap();
             let loc = r.write_small(&[5u8; 4096]).unwrap();
-            r.queue_punch(loc.extent_id, loc.offset, loc.len);
-            r.queue_delete_extent(ExtentId(999));
-            r.set_read_only(true);
+            r.queue_punch(loc.extent_id, loc.offset, loc.len).unwrap();
+            r.queue_delete_extent(ExtentId(999)).unwrap();
+            r.set_read_only(true).unwrap();
             (e, loc)
         };
         // Reopen the engine from disk and rebuild the replica from it alone.
@@ -618,7 +620,7 @@ mod tests {
             vec![5u8; 4096]
         );
         assert_eq!(r.pending_deletes(), 2, "delete queue survives restart");
-        assert_eq!(r.process_delete_queue(), 2);
+        assert_eq!(r.process_delete_queue().unwrap(), 2);
         assert!(r.stats().store.punched_bytes >= 4096);
     }
 

@@ -10,6 +10,7 @@ use cfs_data::{DataNode, DataRequest, DataResponse};
 use cfs_net::Network;
 use cfs_raft::{RaftConfig, RaftHub};
 use cfs_types::crc::crc32;
+use cfs_types::testutil::TempDir;
 use cfs_types::{CfsError, ExtentId, FaultState, NodeId, PartitionId, VolumeId};
 
 struct Cluster {
@@ -17,6 +18,8 @@ struct Cluster {
     net: Network<DataRequest, cfs_types::Result<DataResponse>>,
     faults: FaultState,
     nodes: Vec<Arc<DataNode>>,
+    /// The nodes' engine directories; dropped (and removed) last.
+    _dirs: Vec<TempDir>,
 }
 
 fn cluster(n: u64) -> Cluster {
@@ -25,15 +28,19 @@ fn cluster(n: u64) -> Cluster {
     let faults = FaultState::new();
     hub.set_faults(faults.clone());
     net.set_faults(faults.clone());
+    let dirs: Vec<TempDir> = (0..n).map(|_| TempDir::new("data-repl").unwrap()).collect();
     let nodes: Vec<Arc<DataNode>> = (1..=n)
-        .map(|i| {
-            DataNode::new(
+        .zip(&dirs)
+        .map(|(i, dir)| {
+            DataNode::open(
                 NodeId(i),
                 hub.clone(),
                 net.clone(),
+                dir.path(),
                 RaftConfig::default(),
                 7,
             )
+            .unwrap()
         })
         .collect();
     for node in &nodes {
@@ -45,6 +52,7 @@ fn cluster(n: u64) -> Cluster {
         net,
         faults,
         nodes,
+        _dirs: dirs,
     }
 }
 
@@ -603,8 +611,6 @@ fn overwrite_on_follower_redirects_to_raft_leader() {
 
 #[test]
 fn engine_backed_cluster_survives_whole_cluster_power_loss() {
-    use cfs_types::testutil::TempDir;
-
     let root = TempDir::new("data-powerloss").unwrap();
     let dir_for = |i: u64| root.path().join(format!("data-{i}"));
 
@@ -636,6 +642,7 @@ fn engine_backed_cluster_survives_whole_cluster_power_loss() {
             net,
             faults,
             nodes,
+            _dirs: Vec::new(), // `root` above owns the directories
         }
     };
 

@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn composite_keys_preserve_order() {
         let pairs = [(0u64, 0u64), (0, 1), (0, 255), (1, 0), (1, 1), (256, 0)];
-        let encoded: Vec<Vec<u8>> = pairs.iter().map(|k| raw_key::<NumsCf>(k)).collect();
+        let encoded: Vec<Vec<u8>> = pairs.iter().map(raw_key::<NumsCf>).collect();
         let mut sorted = encoded.clone();
         sorted.sort();
         assert_eq!(encoded, sorted, "byte order must match tuple order");

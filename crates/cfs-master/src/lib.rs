@@ -10,7 +10,8 @@
 //!
 //! * [`MasterState`] is a deterministic state machine over
 //!   [`MasterCommand`]s; every mutation is proposed through a single Raft
-//!   group shared by the replicas and mirrored into a [`cfs_kvwal::KvStore`]
+//!   group shared by the replicas and mirrored into a
+//!   [`cfs_kvwal::LsmEngine`] (snapshot + command-log column families)
 //!   for restart recovery.
 //! * **Utilization-based placement** (§2.3.1): partition replicas go to the
 //!   nodes with the lowest memory (meta) or disk (data) utilization,

@@ -2,7 +2,6 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -11,8 +10,8 @@ use cfs_kvwal::{LsmEngine, LsmOptions, TypedCf, WriteBatch};
 use cfs_obs::{Counter, Registry, RpcRoute};
 use cfs_raft::hub::{RaftHost, RaftHub};
 use cfs_raft::{
-    decode_batch_frame, KvRaftStorage, MultiRaft, PersistentRaftState, RaftConfig, RaftMetrics,
-    RaftStorage, SnapshotPayload, WireEnvelope,
+    decode_batch_frame, KvRaftStorage, MultiRaft, RaftConfig, RaftMetrics, RaftStorage,
+    SnapshotPayload, WireEnvelope,
 };
 use cfs_types::codec::{Decode, Encode};
 use cfs_types::{CfsError, InodeId, NodeId, PartitionId, RaftGroupId, Result, VolumeId};
@@ -151,8 +150,8 @@ pub enum MetaResponse {
 }
 
 /// Hosted-partition registry column family: partition id → (encoded
-/// [`MetaPartitionConfig`], replica members). An engine-backed node
-/// re-hosts exactly these partitions on reopen.
+/// [`MetaPartitionConfig`], replica members). A node re-hosts exactly
+/// these partitions on reopen.
 struct PartCf;
 impl TypedCf for PartCf {
     const NAME: &'static str = "meta_parts";
@@ -201,27 +200,6 @@ impl TypedCf for CompensatedCf {
     const NAME: &'static str = "meta_compensated";
     type Key = (u64, u64);
     type Value = Vec<u8>;
-}
-
-/// Durable image of a meta node, captured at crash time: each hosted
-/// partition's config, replica membership, and the raft group's
-/// persistent state (term, vote, log, last compaction snapshot). The live
-/// in-memory tree is deliberately *not* part of the image — a restarted
-/// node must rebuild it from snapshot + log replay (§2.1.3).
-#[derive(Debug, Clone)]
-pub struct MetaNodePersist {
-    pub partitions: Vec<(MetaPartitionConfig, Vec<NodeId>, PersistentRaftState)>,
-    /// The durable intent journal (DESIGN §12): every async-acked op not
-    /// yet group-committed or compensated at crash time. Unlike the live
-    /// tree, the journal *is* part of the durable image — the whole point
-    /// of the compensation engine is surviving exactly this crash.
-    pub intents: Vec<(PartitionId, Vec<IntentRecord>)>,
-    /// Unexecuted compensation records at crash time.
-    pub comps: Vec<(PartitionId, Vec<CompensationRecord>)>,
-    /// Every intent id this node ever resolved by compensation. Needed
-    /// across the crash so a late strong barrier still learns the op was
-    /// rolled back even after the orphan sweep acked its record away.
-    pub compensated: Vec<u64>,
 }
 
 /// Registry-backed meta metrics with a per-`(partition, op)` handle cache,
@@ -303,9 +281,6 @@ impl MetaObs {
 struct Inner {
     multiraft: MultiRaft,
     partitions: HashMap<PartitionId, MetaPartition>,
-    /// Apply results awaiting pickup by the proposing RPC handler,
-    /// keyed by (group, log index). Only populated on the leader.
-    results: HashMap<(RaftGroupId, u64), Result<MetaValue>>,
     /// Group-commit accumulator: writes enqueued since the last hub round,
     /// per group, as `(ticket, encoded command)`. Flushed into ONE batch
     /// frame per group at the top of every `raft_drain`, so N concurrent
@@ -327,7 +302,7 @@ struct Inner {
     /// the partition quiesces.
     overlays: HashMap<PartitionId, (u64, MetaPartition)>,
     /// The intent journal's in-memory view, mirrored durably in
-    /// [`IntentCf`] on engine-backed nodes.
+    /// [`IntentCf`].
     intents: HashMap<PartitionId, BTreeMap<u64, IntentRecord>>,
     /// Compensation records for dead intents, mirrored in [`CompCf`],
     /// awaiting the resource manager's orphan sweep.
@@ -344,18 +319,17 @@ struct Inner {
     /// Next intent sequence number (low 48 bits of the intent id).
     next_intent_seq: u64,
     obs: Option<MetaObs>,
-    /// Durable storage engine (`None` = in-memory crash-image model).
-    /// Holds partition configs, paged-out trees, and — via
-    /// [`KvRaftStorage`] — every hosted group's raft state.
-    engine: Option<Arc<LsmEngine>>,
+    /// Durable storage engine: partition configs, paged-out trees, the
+    /// intent journal, and — via [`KvRaftStorage`] — every hosted group's
+    /// raft state.
+    engine: Arc<LsmEngine>,
 }
 
 impl Inner {
-    fn fresh(multiraft: MultiRaft, obs: Option<MetaObs>) -> Inner {
+    fn fresh(multiraft: MultiRaft, obs: Option<MetaObs>, engine: Arc<LsmEngine>) -> Inner {
         Inner {
             multiraft,
             partitions: HashMap::new(),
-            results: HashMap::new(),
             queues: HashMap::new(),
             inflight: HashMap::new(),
             ticket_results: HashMap::new(),
@@ -368,18 +342,17 @@ impl Inner {
             recovered_intents: HashSet::new(),
             next_intent_seq: 1,
             obs,
-            engine: None,
+            engine,
         }
     }
 
     /// Cold-inode paging, inbound half: if `pid`'s tree was paged out,
-    /// reload it from the engine. No-op when resident or engine-less.
+    /// reload it from the engine. No-op when resident.
     fn page_in(&mut self, pid: PartitionId) {
         if self.partitions.contains_key(&pid) {
             return;
         }
-        let Some(engine) = &self.engine else { return };
-        if let Ok(Some(bytes)) = engine.get::<ColdCf>(&pid.raw()) {
+        if let Ok(Some(bytes)) = self.engine.get::<ColdCf>(&pid.raw()) {
             if let Ok(p) = MetaPartition::from_snapshot(pid, &bytes) {
                 self.partitions.insert(pid, p);
                 if let Some(o) = self.obs.as_ref() {
@@ -389,12 +362,13 @@ impl Inner {
         }
     }
 
-    /// Persist `pid`'s registry row (config + members) when engine-backed.
-    fn persist_partition_config(&self, pid: PartitionId, members: &[NodeId]) {
-        let (Some(engine), Some(p)) = (&self.engine, self.partitions.get(&pid)) else {
-            return;
+    /// Persist `pid`'s registry row (config + members).
+    fn persist_partition_config(&self, pid: PartitionId, members: &[NodeId]) -> Result<()> {
+        let Some(p) = self.partitions.get(&pid) else {
+            return Ok(());
         };
-        let _ = engine.put::<PartCf>(&pid.raw(), &(p.config().to_bytes(), members.to_vec()));
+        self.engine
+            .put::<PartCf>(&pid.raw(), &(p.config().to_bytes(), members.to_vec()))
     }
 
     /// Dual-serve range fence (Algorithm 1 handoff). `violation` is the
@@ -429,7 +403,9 @@ impl Inner {
             if let Some((pid, iid)) = self.ticket_intents.remove(&t) {
                 if let Some(rec) = self.intents.get_mut(&pid).and_then(|m| m.remove(&iid)) {
                     debug_assert!(rec.proposed.is_none());
-                    self.compensate_intent(pid, rec);
+                    // On failure the record is back in the journal and
+                    // `resolve_intents` retries it next round.
+                    let _ = self.compensate_intent(pid, rec);
                 }
             }
             self.ticket_results.insert(t, Err(err.clone()));
@@ -445,14 +421,14 @@ impl Inner {
     }
 
     /// Durably journal one intent — its own engine `WriteBatch`, i.e. one
-    /// CRC-framed WAL record — before the ack leaves the node.
-    fn journal_intent(&mut self, pid: PartitionId, rec: IntentRecord) {
-        if let Some(e) = &self.engine {
-            let mut b = WriteBatch::new();
-            b.put::<IntentCf>(&(pid.raw(), rec.id), &rec.to_bytes());
-            let _ = e.write(b);
-        }
+    /// CRC-framed WAL record — before the ack leaves the node. A failed
+    /// write leaves no in-memory intent behind.
+    fn journal_intent(&mut self, pid: PartitionId, rec: IntentRecord) -> Result<()> {
+        let mut b = WriteBatch::new();
+        b.put::<IntentCf>(&(pid.raw(), rec.id), &rec.to_bytes());
+        self.engine.write(b)?;
         self.intents.entry(pid).or_default().insert(rec.id, rec);
+        Ok(())
     }
 
     /// Durably stamp `(term, index)` into every intent riding the frame
@@ -461,29 +437,37 @@ impl Inner {
     /// classifiable — a never-stamped record is definitively absent from
     /// the log (dead), a stamped one is decided by the log itself once
     /// the applied index passes its stamp.
-    fn stamp_proposed(&mut self, tickets: &[u64], term: u64, index: u64) {
+    ///
+    /// A failed stamp write aborts the frame: the caller must not propose
+    /// it. Tickets not yet stamped stay in `ticket_intents` (unstamped,
+    /// so `fail_tickets` compensates them); the ones already stamped are
+    /// settled against the tree once the applied index passes the stamp.
+    fn stamp_proposed(&mut self, tickets: &[u64], term: u64, index: u64) -> Result<()> {
         for t in tickets {
-            let Some((pid, iid)) = self.ticket_intents.remove(t) else {
+            let Some(&(pid, iid)) = self.ticket_intents.get(t) else {
                 continue;
             };
             if let Some(rec) = self.intents.get_mut(&pid).and_then(|m| m.get_mut(&iid)) {
                 rec.proposed = Some((term, index));
-                let bytes = rec.to_bytes();
-                if let Some(e) = &self.engine {
-                    let mut b = WriteBatch::new();
-                    b.put::<IntentCf>(&(pid.raw(), iid), &bytes);
-                    let _ = e.write(b);
+                let mut b = WriteBatch::new();
+                b.put::<IntentCf>(&(pid.raw(), iid), &rec.to_bytes());
+                if let Err(e) = self.engine.write(b) {
+                    rec.proposed = None;
+                    return Err(e);
                 }
             }
+            self.ticket_intents.remove(t);
         }
+        Ok(())
     }
 
     /// Drop the journal row of a committed intent and count the
     /// completion (and the replay, if the intent survived a restart).
     fn retire_resolved(&mut self, pid: PartitionId, iid: u64) {
-        if let Some(e) = &self.engine {
-            let _ = e.delete::<IntentCf>(&(pid.raw(), iid));
-        }
+        // A row that outlives a failed delete is re-settled after the next
+        // reopen: its stamp is below the applied index, so log replay
+        // retires it again.
+        let _ = self.engine.delete::<IntentCf>(&(pid.raw(), iid));
         let replayed = self.recovered_intents.remove(&iid);
         if let Some(o) = self.obs.as_ref() {
             o.async_completions.inc();
@@ -510,8 +494,9 @@ impl Inner {
     /// Turn a dead intent into a durable compensation record: atomically
     /// (one `WriteBatch`) delete the intent row and persist the fixups
     /// for the orphan sweep. The caller already removed the record from
-    /// the in-memory journal.
-    fn compensate_intent(&mut self, pid: PartitionId, rec: IntentRecord) {
+    /// the in-memory journal; if the batch cannot be written the record
+    /// goes back there, so `resolve_intents` retries it next round.
+    fn compensate_intent(&mut self, pid: PartitionId, rec: IntentRecord) -> Result<()> {
         self.page_in(pid);
         let volume = self
             .partitions
@@ -524,14 +509,15 @@ impl Inner {
             volume,
             fixups: compensation_fixups(&rec.cmd, &rec.ctx),
         };
-        if let Some(e) = &self.engine {
-            let mut b = WriteBatch::new();
-            b.delete::<IntentCf>(&(pid.raw(), rec.id));
-            if !comp.fixups.is_empty() {
-                b.put::<CompCf>(&(pid.raw(), rec.id), &comp.to_bytes());
-            }
-            b.put::<CompensatedCf>(&(pid.raw(), rec.id), &Vec::new());
-            let _ = e.write(b);
+        let mut b = WriteBatch::new();
+        b.delete::<IntentCf>(&(pid.raw(), rec.id));
+        if !comp.fixups.is_empty() {
+            b.put::<CompCf>(&(pid.raw(), rec.id), &comp.to_bytes());
+        }
+        b.put::<CompensatedCf>(&(pid.raw(), rec.id), &Vec::new());
+        if let Err(e) = self.engine.write(b) {
+            self.intents.entry(pid).or_default().insert(rec.id, rec);
+            return Err(e);
         }
         self.recovered_intents.remove(&rec.id);
         self.compensated_log.insert(rec.id);
@@ -541,6 +527,7 @@ impl Inner {
         if let Some(o) = self.obs.as_ref() {
             o.async_compensations.inc();
         }
+        Ok(())
     }
 
     /// Drop every overlay whose leader term ended: its speculated suffix
@@ -621,7 +608,9 @@ impl Inner {
                 if present {
                     self.retire_resolved(pid, rec.id);
                 } else {
-                    self.compensate_intent(pid, rec);
+                    // A failed write re-journals the record: retried next
+                    // round.
+                    let _ = self.compensate_intent(pid, rec);
                 }
             }
         }
@@ -671,13 +660,11 @@ impl Inner {
     /// deterministic race, e.g. a committed range cut made the pinned id
     /// out-of-range) is honored by compensation, never by a half-visible
     /// state.
-    fn apply_one(&mut self, pid: PartitionId, bytes: &[u8], batched: bool) -> Result<MetaValue> {
+    fn apply_one(&mut self, pid: PartitionId, bytes: &[u8]) -> Result<MetaValue> {
         let cmd = MetaCommand::from_bytes(bytes)?;
         if let Some(o) = self.obs.as_mut() {
             o.apply_counter(pid, cmd.kind()).inc();
-            if batched {
-                o.batch_entries.inc();
-            }
+            o.batch_entries.inc();
             if matches!(cmd, MetaCommand::UpdateEnd { .. }) {
                 o.split_cuts.inc();
             }
@@ -691,7 +678,9 @@ impl Inner {
                 Ok(_) => self.retire_intent(pid, *intent),
                 Err(_) => {
                     if let Some(rec) = self.intents.get_mut(&pid).and_then(|m| m.remove(intent)) {
-                        self.compensate_intent(pid, rec);
+                        // Re-journaled on a failed write; `resolve_intents`
+                        // then settles it against the tree.
+                        let _ = self.compensate_intent(pid, rec);
                     }
                 }
             }
@@ -752,7 +741,7 @@ impl Inner {
                 None => Err(CfsError::NotFound(format!("{partition}"))),
             };
             let proposed = predicted.and_then(|(term, next_index)| {
-                self.stamp_proposed(&tickets, term, next_index);
+                self.stamp_proposed(&tickets, term, next_index)?;
                 match self.multiraft.group_mut(gid) {
                     Some(g) if g.is_leader() => g.propose_batch(cmds).map(|index| {
                         debug_assert_eq!(index, next_index, "stamped index must match propose");
@@ -769,7 +758,12 @@ impl Inner {
                 Ok((term, index)) => {
                     self.inflight.insert(gid, (term, index, tickets));
                 }
-                Err(e) => self.fail_tickets(tickets, e),
+                Err(e) => {
+                    // The overlay speculated on commands that will now
+                    // never commit; it can no longer converge.
+                    self.overlays.remove(&partition);
+                    self.fail_tickets(tickets, e);
+                }
             }
         }
     }
@@ -785,44 +779,11 @@ pub struct MetaNode {
     /// Max ticks to wait for a proposal to commit before reporting a
     /// timeout to the client (who retries per §2.1.3).
     commit_timeout_ticks: u64,
-    /// Group-commit toggle (on by default; the meta-ops ablation turns it
-    /// off to measure one-command-per-round consensus cost).
-    batching: AtomicBool,
 }
 
 impl MetaNode {
-    /// Create a meta node and register it on the raft hub.
-    pub fn new(id: NodeId, hub: RaftHub, raft_config: RaftConfig, seed: u64) -> Arc<Self> {
-        Self::with_registry(id, hub, raft_config, seed, None)
-    }
-
-    /// [`MetaNode::new`] with metrics bound to `registry`: consensus
-    /// counters (`raft.*`) plus per-partition apply/snapshot counters
-    /// (`meta.*`).
-    pub fn with_registry(
-        id: NodeId,
-        hub: RaftHub,
-        raft_config: RaftConfig,
-        seed: u64,
-        registry: Option<&Registry>,
-    ) -> Arc<Self> {
-        let mut multiraft = MultiRaft::new(id, raft_config, seed, true);
-        if let Some(r) = registry {
-            multiraft.set_metrics(RaftMetrics::bind(r));
-        }
-        let node = Arc::new(MetaNode {
-            id,
-            hub: hub.clone(),
-            inner: Mutex::new(Inner::fresh(multiraft, registry.map(MetaObs::new))),
-            commit_timeout_ticks: 2_000,
-            batching: AtomicBool::new(true),
-        });
-        hub.register(node.clone() as Arc<dyn RaftHost>);
-        node
-    }
-
-    /// Open (or create) an *engine-backed* meta node persisting under
-    /// `dir`, and register it on the raft hub. Every partition previously
+    /// Open (or create) a meta node persisting under `dir`, and register
+    /// it on the raft hub. Every partition previously
     /// hosted here — config, raft hard state/log/snapshot, tree — is
     /// restored from the engine alone, so the node survives a whole-node
     /// power loss with no in-memory carryover.
@@ -916,29 +877,21 @@ impl MetaNode {
             compensated_log.insert(cid);
         }
 
-        let mut inner = Inner::fresh(multiraft, registry.map(MetaObs::new));
+        let mut inner = Inner::fresh(multiraft, registry.map(MetaObs::new), engine);
         inner.partitions = partitions;
         inner.intents = intents;
         inner.comps = comps;
         inner.compensated_log = compensated_log;
         inner.recovered_intents = recovered;
         inner.next_intent_seq = max_seq + 1;
-        inner.engine = Some(engine);
         let node = Arc::new(MetaNode {
             id,
             hub: hub.clone(),
             inner: Mutex::new(inner),
             commit_timeout_ticks: 2_000,
-            batching: AtomicBool::new(true),
         });
         hub.register(node.clone() as Arc<dyn RaftHost>);
         Ok(node)
-    }
-
-    /// Enable or disable write batching (group commit). On by default;
-    /// the meta-ops ablation bench flips it off.
-    pub fn set_batching(&self, on: bool) {
-        self.batching.store(on, Ordering::Relaxed);
     }
 
     /// This node's id.
@@ -1003,7 +956,13 @@ impl MetaNode {
             .multiraft
             .create_group(Self::group_of(pid), members.clone())?;
         inner.partitions.insert(pid, MetaPartition::new(config));
-        inner.persist_partition_config(pid, &members);
+        if let Err(e) = inner.persist_partition_config(pid, &members) {
+            // Not durable ⇒ not created: a retried task must find nothing
+            // here and run the whole creation again.
+            inner.partitions.remove(&pid);
+            inner.multiraft.remove_group(Self::group_of(pid));
+            return Err(e);
+        }
         Ok(())
     }
 
@@ -1027,8 +986,7 @@ impl MetaNode {
         } else {
             inner.multiraft.create_group(gid, members.clone())?;
         }
-        inner.persist_partition_config(partition, &members);
-        Ok(())
+        inner.persist_partition_config(partition, &members)
     }
 
     /// Leader read. Fast path: a leader holding a valid quorum lease and
@@ -1132,13 +1090,9 @@ impl MetaNode {
         apply_read(read, p)
     }
 
-    /// Raft-replicated write. With batching on (the default), the command
-    /// joins the partition's group-commit accumulator and resolves when
-    /// its frame applies; otherwise it is proposed as its own log entry.
+    /// Raft-replicated write: the command joins the partition's
+    /// group-commit accumulator and resolves when its frame applies.
     pub fn write(&self, partition: PartitionId, cmd: &MetaCommand) -> Result<MetaValue> {
-        if !self.batching.load(Ordering::Relaxed) {
-            return self.write_unbatched(partition, cmd);
-        }
         let ticket = self.enqueue_write(partition, cmd)?;
         let done = self.hub.pump_until(
             || self.inner.lock().ticket_results.contains_key(&ticket),
@@ -1313,15 +1267,18 @@ impl MetaNode {
         // Durable intent first, then the group-commit enqueue: the ack
         // must never outrun the journal.
         let intent = inner.mint_intent(self.id);
-        inner.journal_intent(
-            partition,
-            IntentRecord {
-                id: intent,
-                cmd: pinned.clone(),
-                ctx,
-                proposed: None,
-            },
-        );
+        let rec = IntentRecord {
+            id: intent,
+            cmd: pinned.clone(),
+            ctx,
+            proposed: None,
+        };
+        if let Err(e) = inner.journal_intent(partition, rec) {
+            // Nothing acked: drop the overlay, which already speculated on
+            // this command and can no longer converge.
+            inner.overlays.remove(&partition);
+            return Err(e);
+        }
         let ticket = inner.next_ticket;
         inner.next_ticket += 1;
         let framed = MetaCommand::Tagged {
@@ -1406,10 +1363,15 @@ impl MetaNode {
             return;
         };
         for id in ids {
-            if m.remove(id).is_some() {
-                if let Some(e) = &inner.engine {
-                    let _ = e.delete::<CompCf>(&(partition.raw(), *id));
-                }
+            // A record whose row could not be deleted stays pending: the
+            // sweep fetches it again and re-acks (fixups are idempotent).
+            if m.contains_key(id)
+                && inner
+                    .engine
+                    .delete::<CompCf>(&(partition.raw(), *id))
+                    .is_ok()
+            {
+                m.remove(id);
             }
         }
         if m.is_empty() {
@@ -1429,51 +1391,6 @@ impl MetaNode {
     pub fn pending_compensation_count(&self) -> u64 {
         let inner = self.inner.lock();
         inner.comps.values().map(|m| m.len() as u64).sum()
-    }
-
-    /// Pre-batching write path: propose one command per log entry, pump
-    /// the hub until committed and applied, return the apply result.
-    fn write_unbatched(&self, partition: PartitionId, cmd: &MetaCommand) -> Result<MetaValue> {
-        let group = Self::group_of(partition);
-        let index = {
-            let mut inner = self.inner.lock();
-            inner.page_in(partition);
-            if !inner.partitions.contains_key(&partition) {
-                return Err(CfsError::NotFound(format!("{partition}")));
-            }
-            // The unbatched path bypasses the group-commit queue, so it
-            // cannot interleave correctly with a live overlay's
-            // speculation (batching-off and async are mutually exclusive).
-            if inner.overlays.contains_key(&partition) {
-                return Err(CfsError::Unavailable(format!(
-                    "{partition}: async overlay active"
-                )));
-            }
-            let (start, end) = {
-                let p = inner.partitions.get(&partition).expect("checked above");
-                (p.config().start, p.config().end)
-            };
-            inner.fence(partition, cmd.out_of_range(start, end))?;
-            let node = inner
-                .multiraft
-                .group_mut(group)
-                .ok_or_else(|| CfsError::NotFound(format!("{partition}")))?;
-            node.propose(cmd.to_bytes())?
-        };
-        let committed = self.hub.pump_until(
-            || self.inner.lock().results.contains_key(&(group, index)),
-            self.commit_timeout_ticks,
-        );
-        if !committed {
-            return Err(CfsError::Timeout(format!(
-                "{partition}: commit of index {index}"
-            )));
-        }
-        self.inner
-            .lock()
-            .results
-            .remove(&(group, index))
-            .expect("result present per pump predicate")
     }
 
     /// Status of one partition.
@@ -1570,129 +1487,6 @@ impl MetaNode {
             .unwrap_or_default()
     }
 
-    // ------------------------------------------------------------------
-    // Crash / restart (chaos harness)
-    // ------------------------------------------------------------------
-
-    /// Capture the durable image this node would have on disk if it
-    /// crashed right now. Volatile state (live trees, pending results) is
-    /// excluded by construction.
-    pub fn export_crash_image(&self) -> MetaNodePersist {
-        let inner = self.inner.lock();
-        let mut partitions: Vec<(MetaPartitionConfig, Vec<NodeId>, PersistentRaftState)> = inner
-            .partitions
-            .iter()
-            .filter_map(|(pid, p)| {
-                let group = inner.multiraft.group(Self::group_of(*pid))?;
-                Some((
-                    p.config().clone(),
-                    group.members().to_vec(),
-                    group.persistent_state(),
-                ))
-            })
-            .collect();
-        partitions.sort_by_key(|(c, _, _)| c.partition_id);
-        let mut intents: Vec<(PartitionId, Vec<IntentRecord>)> = inner
-            .intents
-            .iter()
-            .filter(|(_, m)| !m.is_empty())
-            .map(|(pid, m)| (*pid, m.values().cloned().collect()))
-            .collect();
-        intents.sort_by_key(|(pid, _)| *pid);
-        let mut comps: Vec<(PartitionId, Vec<CompensationRecord>)> = inner
-            .comps
-            .iter()
-            .filter(|(_, m)| !m.is_empty())
-            .map(|(pid, m)| (*pid, m.values().cloned().collect()))
-            .collect();
-        comps.sort_by_key(|(pid, _)| *pid);
-        let mut compensated: Vec<u64> = inner.compensated_log.iter().copied().collect();
-        compensated.sort_unstable();
-        MetaNodePersist {
-            partitions,
-            intents,
-            comps,
-            compensated,
-        }
-    }
-
-    /// Rebuild a meta node from its durable image after a crash and
-    /// register it on the hub.
-    ///
-    /// Each partition's tree restarts from the last compaction snapshot
-    /// (or empty, if none was ever taken); committed log entries above the
-    /// snapshot base re-apply through the normal `Ready` path once the
-    /// group rejoins — the snapshot + log replay recovery of §2.1.3.
-    pub fn restore(
-        id: NodeId,
-        hub: RaftHub,
-        raft_config: RaftConfig,
-        seed: u64,
-        image: MetaNodePersist,
-    ) -> Result<Arc<Self>> {
-        Self::restore_with_registry(id, hub, raft_config, seed, image, None)
-    }
-
-    /// [`MetaNode::restore`] with metrics re-bound to `registry` (counters
-    /// continue across the crash; they are cluster-level, not per-boot).
-    pub fn restore_with_registry(
-        id: NodeId,
-        hub: RaftHub,
-        raft_config: RaftConfig,
-        seed: u64,
-        image: MetaNodePersist,
-        registry: Option<&Registry>,
-    ) -> Result<Arc<Self>> {
-        let mut multiraft = MultiRaft::new(id, raft_config, seed, true);
-        if let Some(r) = registry {
-            multiraft.set_metrics(RaftMetrics::bind(r));
-        }
-        let node = Arc::new(MetaNode {
-            id,
-            hub: hub.clone(),
-            inner: Mutex::new(Inner::fresh(multiraft, registry.map(MetaObs::new))),
-            commit_timeout_ticks: 2_000,
-            batching: AtomicBool::new(true),
-        });
-        {
-            let mut inner = node.inner.lock();
-            for (config, members, state) in image.partitions {
-                let pid = config.partition_id;
-                let partition = match &state.snapshot {
-                    Some(s) => MetaPartition::from_snapshot(pid, &s.data)?,
-                    None => MetaPartition::new(config),
-                };
-                inner
-                    .multiraft
-                    .restore_group(Self::group_of(pid), members, state)?;
-                inner.partitions.insert(pid, partition);
-            }
-            // Compensation-engine recovery (mirrors the engine-backed
-            // journal scan in `open_with_registry`).
-            let mut max_seq = 0u64;
-            for (pid, recs) in image.intents {
-                for rec in recs {
-                    max_seq = max_seq.max(rec.id & INTENT_SEQ_MASK);
-                    inner.recovered_intents.insert(rec.id);
-                    inner.intents.entry(pid).or_default().insert(rec.id, rec);
-                }
-            }
-            for (pid, comps) in image.comps {
-                for c in comps {
-                    max_seq = max_seq.max(c.id & INTENT_SEQ_MASK);
-                    inner.comps.entry(pid).or_default().insert(c.id, c);
-                }
-            }
-            for cid in image.compensated {
-                max_seq = max_seq.max(cid & INTENT_SEQ_MASK);
-                inner.compensated_log.insert(cid);
-            }
-            inner.next_intent_seq = max_seq + 1;
-        }
-        hub.register(node.clone() as Arc<dyn RaftHost>);
-        Ok(node)
-    }
-
     /// Hosted partition ids, sorted.
     pub fn partition_ids(&self) -> Vec<PartitionId> {
         let mut ids: Vec<PartitionId> = self.inner.lock().partitions.keys().copied().collect();
@@ -1716,18 +1510,15 @@ impl MetaNode {
     /// Cold-inode paging, outbound half: persist the partition's tree to
     /// the engine and drop it from memory (bounding resident metadata on
     /// a node hosting many cold partitions). The tree pages back in
-    /// transparently on the next access. Engine-backed nodes only.
+    /// transparently on the next access.
     pub fn page_out(&self, partition: PartitionId) -> Result<()> {
         let mut inner = self.inner.lock();
-        let Some(engine) = inner.engine.clone() else {
-            return Err(CfsError::InvalidArgument(
-                "page_out requires an engine-backed node".into(),
-            ));
-        };
         let Some(p) = inner.partitions.get(&partition) else {
             return Err(CfsError::NotFound(format!("{partition}")));
         };
-        engine.put::<ColdCf>(&partition.raw(), &p.snapshot_bytes())?;
+        inner
+            .engine
+            .put::<ColdCf>(&partition.raw(), &p.snapshot_bytes())?;
         inner.partitions.remove(&partition);
         if let Some(o) = inner.obs.as_ref() {
             o.pages_out.inc();
@@ -1740,11 +1531,7 @@ impl MetaNode {
     pub fn is_paged_out(&self, partition: PartitionId) -> bool {
         let inner = self.inner.lock();
         !inner.partitions.contains_key(&partition)
-            && inner
-                .engine
-                .as_ref()
-                .map(|e| matches!(e.get::<ColdCf>(&partition.raw()), Ok(Some(_))))
-                .unwrap_or(false)
+            && matches!(inner.engine.get::<ColdCf>(&partition.raw()), Ok(Some(_)))
     }
 
     /// `(commit, applied, last_index)` of the partition's raft group.
@@ -1827,11 +1614,6 @@ impl RaftHost for MetaNode {
                 }
             }
 
-            let is_leader = inner
-                .multiraft
-                .group(gid)
-                .map(|g| g.is_leader())
-                .unwrap_or(false);
             for entry in ready.committed {
                 // Was this index claimed by our inflight batch frame?
                 let claimed = inner.inflight.get(&gid).map(|&(t, i, _)| (t, i));
@@ -1860,8 +1642,17 @@ impl RaftHost for MetaNode {
                 if entry.data.is_empty() {
                     continue; // leader no-op
                 }
-                match decode_batch_frame(&entry.data) {
-                    Some(Ok(cmds)) => {
+                // Every write is group-committed, so a non-empty entry
+                // that is not a batch frame cannot have been proposed by
+                // this code: reject it, never apply it.
+                let decoded = decode_batch_frame(&entry.data).unwrap_or_else(|| {
+                    Err(CfsError::Corrupt(format!(
+                        "{pid}: log entry {} is not a batch frame",
+                        entry.index
+                    )))
+                });
+                match decoded {
+                    Ok(cmds) => {
                         // `apply_one` moves both counters together, once
                         // per apply *attempt* (deterministic error
                         // outcomes are replicated state too), so
@@ -1870,7 +1661,7 @@ impl RaftHost for MetaNode {
                         // (retire on commit, compensate on failure).
                         let mut results = Vec::with_capacity(cmds.len());
                         for bytes in &cmds {
-                            results.push(inner.apply_one(pid, bytes, true));
+                            results.push(inner.apply_one(pid, bytes));
                         }
                         if frame_is_ours {
                             let (_, _, tickets) =
@@ -1881,19 +1672,12 @@ impl RaftHost for MetaNode {
                             }
                         }
                     }
-                    Some(Err(e)) => {
+                    Err(e) => {
                         debug_assert!(false, "corrupt batch frame: {e}");
                         if frame_is_ours {
                             let (_, _, tickets) =
                                 inner.inflight.remove(&gid).expect("claimed above");
                             inner.fail_tickets(tickets, e);
-                        }
-                    }
-                    None => {
-                        // Single-command entry (the batching-off path).
-                        let result = inner.apply_one(pid, &entry.data, false);
-                        if is_leader {
-                            inner.results.insert((gid, entry.index), result);
                         }
                     }
                 }
@@ -1927,11 +1711,7 @@ impl RaftHost for MetaNode {
         // partition fully quiesced.
         inner.resolve_intents();
         inner.teardown_overlays();
-        // Bound the orphaned-results maps (followers that later became
-        // leaders, abandoned client requests…).
-        if inner.results.len() > 65_536 {
-            inner.results.clear();
-        }
+        // Bound the orphaned-results map (abandoned client requests…).
         if inner.ticket_results.len() > 65_536 {
             inner.ticket_results.clear();
         }
@@ -1946,14 +1726,36 @@ impl RaftHost for MetaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfs_types::testutil::TempDir;
     use cfs_types::FileType;
 
-    fn cluster(n: u64) -> (RaftHub, Vec<Arc<MetaNode>>) {
+    /// `n` nodes on one hub, each on its own engine directory (returned
+    /// so it outlives the nodes).
+    fn open_nodes(
+        n: u64,
+        registry: Option<&Registry>,
+    ) -> (RaftHub, Vec<Arc<MetaNode>>, Vec<TempDir>) {
         let hub = RaftHub::new();
-        let nodes: Vec<Arc<MetaNode>> = (1..=n)
-            .map(|i| MetaNode::new(NodeId(i), hub.clone(), RaftConfig::default(), 1234))
+        let dirs: Vec<TempDir> = (0..n).map(|_| TempDir::new("meta-node").unwrap()).collect();
+        let nodes = (1..=n)
+            .zip(&dirs)
+            .map(|(i, dir)| {
+                MetaNode::open_with_registry(
+                    NodeId(i),
+                    hub.clone(),
+                    dir.path(),
+                    RaftConfig::default(),
+                    1234,
+                    registry,
+                )
+                .unwrap()
+            })
             .collect();
-        (hub, nodes)
+        (hub, nodes, dirs)
+    }
+
+    fn cluster(n: u64) -> (RaftHub, Vec<Arc<MetaNode>>, Vec<TempDir>) {
+        open_nodes(n, None)
     }
 
     fn mk_partition(hub: &RaftHub, nodes: &[Arc<MetaNode>], pid: u64) -> PartitionId {
@@ -1982,7 +1784,7 @@ mod tests {
 
     #[test]
     fn replicated_create_and_read() {
-        let (hub, nodes) = cluster(3);
+        let (hub, nodes, _dirs) = cluster(3);
         let p = mk_partition(&hub, &nodes, 1);
         let leader = leader_of(&nodes, p);
 
@@ -2048,7 +1850,7 @@ mod tests {
 
     #[test]
     fn follower_redirects_with_leader_hint() {
-        let (hub, nodes) = cluster(3);
+        let (hub, nodes, _dirs) = cluster(3);
         let p = mk_partition(&hub, &nodes, 1);
         let leader = leader_of(&nodes, p);
         let follower = nodes.iter().find(|n| !n.is_leader_for(p)).unwrap();
@@ -2077,7 +1879,7 @@ mod tests {
 
     #[test]
     fn writes_survive_leader_failover() {
-        let (hub, nodes) = cluster(3);
+        let (hub, nodes, _dirs) = cluster(3);
         let faults = cfs_types::FaultState::new();
         hub.set_faults(faults.clone());
         let p = mk_partition(&hub, &nodes, 1);
@@ -2124,7 +1926,7 @@ mod tests {
 
     #[test]
     fn multiple_partitions_on_same_nodes() {
-        let (hub, nodes) = cluster(3);
+        let (hub, nodes, _dirs) = cluster(3);
         let p1 = mk_partition(&hub, &nodes, 1);
         let p2 = mk_partition(&hub, &nodes, 2);
         let l1 = leader_of(&nodes, p1);
@@ -2161,7 +1963,7 @@ mod tests {
 
     #[test]
     fn create_partition_is_idempotent_for_same_config() {
-        let (_hub, nodes) = cluster(1);
+        let (_hub, nodes, _dirs) = cluster(1);
         let cfg = MetaPartitionConfig {
             partition_id: PartitionId(5),
             volume_id: VolumeId(1),
@@ -2183,19 +1985,7 @@ mod tests {
 
     #[test]
     fn bound_registry_counts_per_partition_applies() {
-        let hub = RaftHub::new();
-        let registry = Registry::new();
-        let nodes: Vec<Arc<MetaNode>> = (1..=3)
-            .map(|i| {
-                MetaNode::with_registry(
-                    NodeId(i),
-                    hub.clone(),
-                    RaftConfig::default(),
-                    1234,
-                    Some(&registry),
-                )
-            })
-            .collect();
+        let (hub, registry, nodes, _dirs) = registry_cluster(3);
         let p = mk_partition(&hub, &nodes, 1);
         let leader = leader_of(&nodes, p);
         leader
@@ -2221,26 +2011,15 @@ mod tests {
         assert!(snap.counter("raft.proposals") >= 1, "proposal seen");
     }
 
-    fn registry_cluster(n: u64) -> (RaftHub, Registry, Vec<Arc<MetaNode>>) {
-        let hub = RaftHub::new();
+    fn registry_cluster(n: u64) -> (RaftHub, Registry, Vec<Arc<MetaNode>>, Vec<TempDir>) {
         let registry = Registry::new();
-        let nodes: Vec<Arc<MetaNode>> = (1..=n)
-            .map(|i| {
-                MetaNode::with_registry(
-                    NodeId(i),
-                    hub.clone(),
-                    RaftConfig::default(),
-                    1234,
-                    Some(&registry),
-                )
-            })
-            .collect();
-        (hub, registry, nodes)
+        let (hub, nodes, dirs) = open_nodes(n, Some(&registry));
+        (hub, registry, nodes, dirs)
     }
 
     #[test]
     fn group_commit_coalesces_concurrent_writes_into_one_round() {
-        let (hub, registry, nodes) = registry_cluster(3);
+        let (hub, registry, nodes, _dirs) = registry_cluster(3);
         let p = mk_partition(&hub, &nodes, 1);
         let leader = leader_of(&nodes, p);
         let before = registry.snapshot();
@@ -2299,7 +2078,7 @@ mod tests {
 
     #[test]
     fn batched_sub_commands_resolve_results_individually() {
-        let (hub, nodes) = cluster(3);
+        let (hub, nodes, _dirs) = cluster(3);
         let p = mk_partition(&hub, &nodes, 1);
         let leader = leader_of(&nodes, p);
         let root = leader
@@ -2351,35 +2130,8 @@ mod tests {
     }
 
     #[test]
-    fn batching_off_proposes_one_entry_per_command() {
-        let (hub, registry, nodes) = registry_cluster(3);
-        let p = mk_partition(&hub, &nodes, 1);
-        let leader = leader_of(&nodes, p);
-        for n in &nodes {
-            n.set_batching(false);
-        }
-        let before = registry.snapshot();
-        for i in 0..3 {
-            leader
-                .write(
-                    p,
-                    &MetaCommand::CreateInode {
-                        file_type: FileType::File,
-                        link_target: vec![],
-                        now_ns: i,
-                    },
-                )
-                .unwrap();
-        }
-        let diff = registry.snapshot().diff(&before);
-        assert_eq!(diff.counter("raft.proposals"), 3, "no coalescing");
-        assert_eq!(diff.counter("raft.batch.commits"), 0);
-        assert_eq!(diff.counter("raft.batch.entries"), 0);
-    }
-
-    #[test]
     fn leader_reads_split_between_lease_and_quorum_paths() {
-        let (hub, registry, nodes) = registry_cluster(3);
+        let (hub, registry, nodes, _dirs) = registry_cluster(3);
         let p = mk_partition(&hub, &nodes, 1);
         let leader = leader_of(&nodes, p);
         leader
@@ -2416,7 +2168,7 @@ mod tests {
 
     #[test]
     fn lagging_replica_catches_up_via_snapshot_after_compaction() {
-        let (hub, nodes) = cluster(3);
+        let (hub, nodes, _dirs) = cluster(3);
         let faults = cfs_types::FaultState::new();
         hub.set_faults(faults.clone());
         // Small compaction threshold via custom config.
@@ -2465,7 +2217,7 @@ mod tests {
     /// read falls back to the quorum barrier, which a cut node cannot pass.
     #[test]
     fn deposed_leader_cannot_serve_stale_lease_read() {
-        let (hub, registry, nodes) = registry_cluster(3);
+        let (hub, registry, nodes, _dirs) = registry_cluster(3);
         let faults = cfs_types::FaultState::new();
         hub.set_faults(faults.clone());
         let p = mk_partition(&hub, &nodes, 1);
@@ -2557,7 +2309,7 @@ mod tests {
     /// served and never counted as a lease or quorum read.
     #[test]
     fn dual_serve_fence_rejects_out_of_range_with_range_moved() {
-        let (hub, registry, nodes) = registry_cluster(3);
+        let (hub, registry, nodes, _dirs) = registry_cluster(3);
         let p = mk_partition(&hub, &nodes, 1);
         let leader = leader_of(&nodes, p);
         for i in 0..3 {
@@ -2653,7 +2405,7 @@ mod tests {
 
     #[test]
     fn engine_backed_node_restores_partitions_from_disk_alone() {
-        let dir = cfs_types::testutil::TempDir::new("meta-engine").unwrap();
+        let dir = TempDir::new("meta-engine").unwrap();
         {
             let hub = RaftHub::new();
             let node = MetaNode::open(NodeId(7), hub.clone(), dir.path(), RaftConfig::default(), 3)
@@ -2699,7 +2451,7 @@ mod tests {
 
     #[test]
     fn cold_partition_pages_out_and_back_in_on_access() {
-        let dir = cfs_types::testutil::TempDir::new("meta-cold").unwrap();
+        let dir = TempDir::new("meta-cold").unwrap();
         let hub = RaftHub::new();
         let registry = Registry::new();
         let node = MetaNode::open_with_registry(
@@ -2803,7 +2555,7 @@ mod tests {
 
     #[test]
     fn async_write_acks_with_zero_consensus_rounds_then_group_commits() {
-        let (hub, registry, nodes) = registry_cluster(3);
+        let (hub, registry, nodes, _dirs) = registry_cluster(3);
         let p = mk_partition(&hub, &nodes, 1);
         let leader = leader_of(&nodes, p);
         let root = leader
@@ -2874,7 +2626,7 @@ mod tests {
 
     #[test]
     fn async_write_falls_back_to_sync_outside_a_clean_window() {
-        let (hub, registry, nodes) = registry_cluster(3);
+        let (hub, registry, nodes, _dirs) = registry_cluster(3);
         let p = mk_partition(&hub, &nodes, 1);
         let leader = leader_of(&nodes, p);
         // A queued (un-flushed) sync write makes the window dirty.
@@ -2923,7 +2675,7 @@ mod tests {
 
     #[test]
     fn async_domain_errors_return_synchronously_without_journaling() {
-        let (hub, nodes) = cluster(3);
+        let (hub, nodes, _dirs) = cluster(3);
         let p = mk_partition(&hub, &nodes, 1);
         let leader = leader_of(&nodes, p);
         let root = leader
@@ -2964,7 +2716,7 @@ mod tests {
 
     #[test]
     fn power_loss_before_group_commit_compensates_on_recovery() {
-        let dir = cfs_types::testutil::TempDir::new("meta-async-crash").unwrap();
+        let dir = TempDir::new("meta-async-crash").unwrap();
         let registry = Registry::new();
         let root;
         {
@@ -3046,7 +2798,7 @@ mod tests {
 
     #[test]
     fn power_loss_after_group_commit_replays_journaled_intents() {
-        let dir = cfs_types::testutil::TempDir::new("meta-async-replay").unwrap();
+        let dir = TempDir::new("meta-async-replay").unwrap();
         let registry = Registry::new();
         let root;
         let ino;
@@ -3111,7 +2863,7 @@ mod tests {
                 },
                 proposed: Some((term, last)),
             };
-            inner.journal_intent(p, rec);
+            inner.journal_intent(p, rec).unwrap();
         }
 
         let hub = RaftHub::new();
@@ -3146,53 +2898,5 @@ mod tests {
             .into_dentry()
             .unwrap();
         assert_eq!(d.inode, ino);
-    }
-
-    #[test]
-    fn crash_image_restore_carries_the_intent_journal() {
-        let (hub, nodes) = cluster(1);
-        let p = mk_partition(&hub, &nodes, 1);
-        let node = &nodes[0];
-        let root = node
-            .write(
-                p,
-                &MetaCommand::CreateInode {
-                    file_type: FileType::Dir,
-                    link_target: vec![],
-                    now_ns: 1,
-                },
-            )
-            .unwrap()
-            .into_inode()
-            .unwrap();
-        for _ in 0..200 {
-            hub.tick_and_pump();
-        }
-        let (_, _, _) = async_create(node, p, root.id, "ghost", 5);
-        let image = node.export_crash_image();
-        assert_eq!(image.intents.len(), 1);
-        assert_eq!(image.intents[0].1.len(), 2);
-
-        let hub2 = RaftHub::new();
-        let revived =
-            MetaNode::restore(NodeId(1), hub2.clone(), RaftConfig::default(), 99, image).unwrap();
-        assert_eq!(revived.pending_intent_count(), 2);
-        assert!(hub2.pump_until(
-            || revived.is_leader_for(p) && revived.pending_intent_count() == 0,
-            10_000
-        ));
-        // Never proposed ⇒ compensated; the acked create is fully rolled
-        // back, never half-visible.
-        assert!(revived.pending_compensation_count() >= 1);
-        assert!(matches!(
-            revived.read(
-                p,
-                &MetaRead::Lookup {
-                    parent: root.id,
-                    name: "ghost".into()
-                }
-            ),
-            Err(CfsError::NotFound(_))
-        ));
     }
 }

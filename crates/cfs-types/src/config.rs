@@ -7,7 +7,9 @@
 
 /// Tunable parameters shared by clients, meta/data nodes and the resource
 /// manager. One instance is created at cluster bootstrap and cloned into
-/// every component.
+/// every component. Per-mount client tunables (append window, meta-sync
+/// cadence, coalescing and read-cache bounds) live in the client crate's
+/// `ClientOptions`, not here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Files of size ≤ this are "small" and packed into shared extents
@@ -34,8 +36,6 @@ pub struct ClusterConfig {
     /// least this many Raft entries between two heartbeat reports, the
     /// maintenance sweep splits it even if the item limit is not reached.
     pub meta_partition_write_load_limit: u64,
-    /// Client retry limit (§2.1.3: retry until success or this limit).
-    pub max_retries: u32,
     /// How many meta/data partitions a volume asks the resource manager for
     /// in one allocation round (§2.3.1).
     pub partitions_per_allocation: usize,
@@ -48,14 +48,6 @@ pub struct ClusterConfig {
     pub raft_set_size: usize,
     /// Block size used by the punch-hole accounting in the extent store.
     pub punch_hole_block_size: u64,
-    /// Sequential-write packets kept in flight to the PB leader (§2.7.1:
-    /// the client "streams" packets; 1 = fully synchronous, one blocking
-    /// round-trip wait per packet).
-    pub pipeline_depth: u32,
-    /// Sync freshly committed extent keys to the meta node every N packets
-    /// (and always on fsync/close), §2.7.1: "synchronizes with the meta
-    /// node periodically or upon fsync". 1 = sync on every write call.
-    pub meta_sync_every: u32,
     /// Consecutive missed heartbeat rounds before the resource manager
     /// marks a node *suspect* (its partitions are no longer placement
     /// targets, §2.3.3).
@@ -70,25 +62,6 @@ pub struct ClusterConfig {
     /// Degraded partitions the repair scheduler replans per sweep, so one
     /// dead node's worth of repairs doesn't monopolize a tick.
     pub max_repairs_per_tick: usize,
-    /// Client retry backoff: the first wait, in backoff units (the
-    /// simulated clock's yield quantum; no wall time involved).
-    pub retry_backoff_base: u32,
-    /// Client retry backoff: cap on the exponentially growing wait.
-    pub retry_backoff_cap: u32,
-    /// Small-file write coalescing (DESIGN §13): max records buffered
-    /// before the client flushes one `WriteSmallBatch` to a PB leader.
-    pub small_batch_max_ops: u32,
-    /// Coalescing byte bound: flush once the buffered records reach this
-    /// many bytes.
-    pub small_batch_max_bytes: u64,
-    /// Coalescing age bound, in client logical-clock ticks: a buffered
-    /// record never waits longer than this for peers before flushing.
-    pub small_batch_max_age: u64,
-    /// Client readahead extent cache (DESIGN §13): resident block capacity
-    /// per mount. Blocks are `packet_size` bytes; 0 disables the cache.
-    pub read_cache_capacity_blocks: usize,
-    /// Blocks fetched ahead of a sequential read miss (0 = no readahead).
-    pub readahead_blocks: u32,
 }
 
 impl Default for ClusterConfig {
@@ -105,24 +78,14 @@ impl Default for ClusterConfig {
             data_partition_extent_limit: 1 << 16,
             split_delta: 1 << 16,
             meta_partition_write_load_limit: 1 << 20,
-            max_retries: 5,
             partitions_per_allocation: 10,
             volume_refill_watermark: 0.2,
             raft_set_size: 5,
             punch_hole_block_size: 4 * KB,
-            pipeline_depth: 4,
-            meta_sync_every: 1,
             suspect_after_missed: 2,
             dead_after_missed: 3,
             repair_enabled: true,
             max_repairs_per_tick: 4,
-            retry_backoff_base: 1,
-            retry_backoff_cap: 32,
-            small_batch_max_ops: 16,
-            small_batch_max_bytes: 256 * KB,
-            small_batch_max_age: 256,
-            read_cache_capacity_blocks: 256,
-            readahead_blocks: 4,
         }
     }
 }
@@ -164,16 +127,6 @@ impl ClusterConfig {
                 "meta_partition_write_load_limit must be > 0".into(),
             ));
         }
-        if self.pipeline_depth == 0 {
-            return Err(CfsError::InvalidArgument(
-                "pipeline_depth must be > 0".into(),
-            ));
-        }
-        if self.meta_sync_every == 0 {
-            return Err(CfsError::InvalidArgument(
-                "meta_sync_every must be > 0".into(),
-            ));
-        }
         if self.suspect_after_missed == 0 || self.dead_after_missed < self.suspect_after_missed {
             return Err(CfsError::InvalidArgument(
                 "need dead_after_missed >= suspect_after_missed >= 1".into(),
@@ -182,16 +135,6 @@ impl ClusterConfig {
         if self.max_repairs_per_tick == 0 {
             return Err(CfsError::InvalidArgument(
                 "max_repairs_per_tick must be > 0".into(),
-            ));
-        }
-        if self.retry_backoff_base == 0 || self.retry_backoff_cap < self.retry_backoff_base {
-            return Err(CfsError::InvalidArgument(
-                "need retry_backoff_cap >= retry_backoff_base >= 1".into(),
-            ));
-        }
-        if self.small_batch_max_ops == 0 || self.small_batch_max_bytes == 0 {
-            return Err(CfsError::InvalidArgument(
-                "small_batch bounds must be > 0".into(),
             ));
         }
         Ok(())
@@ -246,18 +189,6 @@ mod tests {
         };
         assert!(c.validate().is_err());
 
-        let c = ClusterConfig {
-            pipeline_depth: 0,
-            ..ClusterConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = ClusterConfig {
-            meta_sync_every: 0,
-            ..ClusterConfig::default()
-        };
-        assert!(c.validate().is_err());
-
         // Detection thresholds must be ordered: dead ≥ suspect ≥ 1.
         let c = ClusterConfig {
             suspect_after_missed: 0,
@@ -276,35 +207,6 @@ mod tests {
             ..ClusterConfig::default()
         };
         assert!(c.validate().is_err());
-
-        let c = ClusterConfig {
-            retry_backoff_base: 8,
-            retry_backoff_cap: 2,
-            ..ClusterConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        // Small-file coalescing bounds must be positive.
-        let c = ClusterConfig {
-            small_batch_max_ops: 0,
-            ..ClusterConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ClusterConfig {
-            small_batch_max_bytes: 0,
-            ..ClusterConfig::default()
-        };
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn small_file_fast_path_defaults() {
-        let c = ClusterConfig::default();
-        assert_eq!(c.small_batch_max_ops, 16);
-        assert_eq!(c.small_batch_max_bytes, 256 * 1024);
-        assert_eq!(c.small_batch_max_age, 256);
-        assert_eq!(c.read_cache_capacity_blocks, 256);
-        assert_eq!(c.readahead_blocks, 4);
     }
 
     #[test]
@@ -313,6 +215,5 @@ mod tests {
         assert!(c.repair_enabled);
         assert!(c.dead_after_missed >= c.suspect_after_missed);
         assert!(c.suspect_after_missed >= 1);
-        assert!(c.retry_backoff_cap >= c.retry_backoff_base);
     }
 }

@@ -317,8 +317,6 @@ impl Chaos {
             // per-packet meta syncs without large bodies.
             small_file_threshold: 1024,
             packet_size: 1024,
-            pipeline_depth: 1,
-            meta_sync_every: 1,
             ..Default::default()
         };
         let raft_config = RaftConfig {
@@ -342,6 +340,8 @@ impl Chaos {
                 "chaos",
                 ClientOptions {
                     seed: seed ^ 0x51DE_CA4E,
+                    pipeline_depth: 1,
+                    meta_sync_every: 1,
                     // Every chaos mount exercises DESIGN §12: mutations
                     // ack from the intent journal, quiesce must prove
                     // invariant (i).
@@ -1228,8 +1228,8 @@ impl Chaos {
 
     fn check_meta_hot_path_reconciliation(&self) {
         let snap = self.cluster.metrics_snapshot();
-        // Group commit: with batching on (the default), every command a
-        // replica applies is a decoded sub-entry of a batch frame, and
+        // Group commit: every command a replica applies is a decoded
+        // sub-entry of a batch frame, and
         // both counters tick at the same apply site — so they match
         // exactly, across crashes, snapshot catch-ups and retries.
         assert_eq!(
@@ -1925,8 +1925,6 @@ fn kill_test_cluster(seed: u64, meta_nodes: usize, repair_enabled: bool) -> (Clu
     let config = ClusterConfig {
         small_file_threshold: 1024,
         packet_size: 1024,
-        pipeline_depth: 2,
-        meta_sync_every: 1,
         repair_enabled,
         ..Default::default()
     };
@@ -1944,6 +1942,8 @@ fn kill_test_cluster(seed: u64, meta_nodes: usize, repair_enabled: bool) -> (Clu
             "kill",
             ClientOptions {
                 seed: seed ^ 0x51DE_CA4E,
+                pipeline_depth: 2,
+                meta_sync_every: 1,
                 ..Default::default()
             },
         )

@@ -507,3 +507,47 @@ fn concurrent_readers_with_one_pipelined_writer() {
     }
     assert!(observer.data_path_stats().parallel_read_fanouts > 0);
 }
+
+#[test]
+fn mount_rejects_zero_window_and_serves_reads_with_the_cache_off() {
+    let cluster = ClusterBuilder::new().build().unwrap();
+    cluster.create_volume("opts", 1, 4).unwrap();
+
+    // The checks `ClusterConfig::validate` used to make now live at mount.
+    let err = cluster
+        .mount_with_options(
+            "opts",
+            cfs::ClientOptions {
+                pipeline_depth: 0,
+                ..cfs::ClientOptions::default()
+            },
+        )
+        .err()
+        .expect("a zero append window must not mount");
+    assert!(matches!(err, cfs::CfsError::InvalidArgument(_)), "{err:?}");
+
+    // `read_cache_capacity: 0` is the one zero that is a setting, not an
+    // error: reads are served, and nothing is ever cached.
+    let client = cluster
+        .mount_with_options(
+            "opts",
+            cfs::ClientOptions {
+                read_cache_capacity: 0,
+                ..cfs::ClientOptions::default()
+            },
+        )
+        .unwrap();
+    let root = client.root();
+    let body: Vec<u8> = (0..512 * 1024).map(|i| (i % 251) as u8).collect();
+    client.create(root, "f").unwrap();
+    let mut fh = client.open(root, "f").unwrap();
+    client.write(&mut fh, &body).unwrap();
+    client.close(&mut fh).unwrap();
+    let fh = client.open(root, "f").unwrap();
+    for _ in 0..2 {
+        assert_eq!(client.read_at(&fh, 0, body.len()).unwrap(), body);
+    }
+    let snap = cluster.metrics_snapshot();
+    assert_eq!(snap.counter("client.readcache.inserted"), 0);
+    assert_eq!(snap.counter("client.readcache.hit"), 0);
+}

@@ -77,18 +77,18 @@ fn generate(seed: u64) -> (Vec<Op>, Vec<Option<Vec<u8>>>) {
             model[victim]
                 .as_mut()
                 .expect("append target exists")
-                .extend(std::iter::repeat(fill).take(len));
+                .extend(std::iter::repeat_n(fill, len));
         }
     }
     // Post-close mutations over the settled files.
-    for file in 0..FILES {
+    for (file, slot) in model.iter_mut().enumerate() {
         if rng.gen_bool(0.25) {
             script.push(Op::Truncate { file });
-            let bytes = model[file].as_mut().expect("truncate target exists");
+            let bytes = slot.as_mut().expect("truncate target exists");
             bytes.truncate(bytes.len() / 2);
         } else if rng.gen_bool(0.2) {
             script.push(Op::Unlink { file });
-            model[file] = None;
+            *slot = None;
         }
     }
     (script, model)
@@ -140,7 +140,7 @@ fn run_script(
             Op::Write { file, len, fill } | Op::Append { file, len, fill } => {
                 let h = handles[file].as_mut().expect("handle open");
                 client.write(h, &vec![fill; len]).unwrap();
-                written[file].extend(std::iter::repeat(fill).take(len));
+                written[file].extend(std::iter::repeat_n(fill, len));
             }
             Op::Fsync { file } => {
                 let h = handles[file].as_mut().expect("handle open");
