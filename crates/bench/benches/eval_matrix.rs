@@ -148,7 +148,7 @@ fn scenario_cluster(coalesce: bool, read_cache: bool) -> (Cluster, cfs::Client) 
         .mount_with_options(
             "eval",
             ClientOptions {
-                coalesce_small_writes: coalesce,
+                small_batch_max_ops: if coalesce { 16 } else { 1 },
                 read_cache_capacity: if read_cache {
                     ClientOptions::default().read_cache_capacity
                 } else {

@@ -7,9 +7,10 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::async_commit::Acked;
 use cfs_data::{DataRequest, DataResponse};
 use cfs_master::{DataPartitionMeta, MasterRequest, MasterResponse, MetaPartitionMeta};
-use cfs_meta::{MetaCommand, MetaRead, MetaRequest, MetaResponse, MetaValue};
+use cfs_meta::{IntentContext, MetaCommand, MetaRead, MetaRequest, MetaResponse, MetaValue};
 use cfs_net::Network;
 use cfs_obs::{Counter, Gauge, Registry, RequestId, Span};
 use cfs_types::{
@@ -64,14 +65,12 @@ pub struct ClientOptions {
     /// that drains the outstanding intents. Off by default — the
     /// synchronous paths are the baseline semantics.
     pub async_meta: bool,
-    /// Small-file write coalescing (DESIGN §13): buffer small creates'
-    /// first writes and flush them as one `WriteSmallBatch` chain
-    /// submission. Off by default — per-record `WriteSmall` is the
-    /// baseline semantics; `fsync`/`close` and the async-commit barrier
-    /// drain the buffer.
-    pub coalesce_small_writes: bool,
-    /// Coalescing record bound: max records buffered before the client
-    /// flushes one `WriteSmallBatch` to a PB leader. Must be > 0.
+    /// Small-file write coalescing (DESIGN §13): small creates' first
+    /// writes buffered before the client submits them as one
+    /// `WriteSmallBatch` to a PB leader. 1 (the default) = no coalescing:
+    /// every record is submitted inside its own `write`. Above 1,
+    /// `fsync`/`close` and the async-commit barrier drain the buffer.
+    /// Must be > 0.
     pub small_batch_max_ops: u32,
     /// Readahead extent cache over `read_at` (DESIGN §13): resident block
     /// capacity of this mount, in `packet_size` blocks; 0 turns the cache
@@ -89,8 +88,7 @@ impl Default for ClientOptions {
             meta_sync_every: 1,
             registry: None,
             async_meta: false,
-            coalesce_small_writes: false,
-            small_batch_max_ops: 16,
+            small_batch_max_ops: 1,
             read_cache_capacity: 256,
         }
     }
@@ -181,8 +179,6 @@ pub(crate) struct DataPathStats {
     pub meta_syncs: CounterPair,
     /// `read_at` calls that fanned out over more than one extent.
     pub parallel_read_fanouts: CounterPair,
-    /// Small-file writes taken on the aggregated-extent fast path.
-    pub small_writes: CounterPair,
     /// Append packets currently in flight; the high-water mark is the
     /// budget tests' proof that the window never exceeds `pipeline_depth`.
     pub inflight_packets: GaugePair,
@@ -203,8 +199,9 @@ pub(crate) struct DataPathStats {
     /// arise *after* the server classified the read as lease or quorum).
     /// Reconciles against `meta.lease_reads + meta.quorum_reads`.
     pub meta_reads_served: CounterPair,
-    /// Small-file writes buffered by the coalescer instead of going to
-    /// the fabric immediately (DESIGN §13).
+    /// Small-file first-writes taken on the aggregated-extent path: each
+    /// joins the coalescing buffer (DESIGN §13), for as long as the
+    /// record bound lets it wait.
     pub smallfile_coalesced: CounterPair,
     /// `WriteSmallBatch` RPC submissions the coalescer flushed.
     pub smallfile_batches: CounterPair,
@@ -241,7 +238,6 @@ impl DataPathStats {
             parallel_read_fanouts: CounterPair::shared(
                 registry.counter("client.parallel_read_fanouts"),
             ),
-            small_writes: CounterPair::shared(registry.counter("client.small_writes")),
             inflight_packets: GaugePair::shared(registry.gauge("client.inflight_packets")),
             retries: CounterPair::shared(registry.counter("client.retries")),
             view_refreshes: CounterPair::shared(registry.counter("client.view_refresh")),
@@ -283,7 +279,6 @@ pub struct DataPathSnapshot {
     pub window_waits: u64,
     pub meta_syncs: u64,
     pub parallel_read_fanouts: u64,
-    pub small_writes: u64,
     pub retries: u64,
     pub view_refreshes: u64,
     pub lookup_cache_hits: u64,
@@ -346,9 +341,6 @@ pub(crate) struct CacheState {
     /// Async-commit intents acked but not yet barriered (DESIGN §12),
     /// drained by the next `fsync`/`close`.
     pub async_pending: Vec<crate::async_commit::AsyncIntent>,
-    /// Unlink second halves (nlink-- and the threshold mark) deferred
-    /// until the dentry-delete intent is barriered: `(intent, inode)`.
-    pub deferred_unlinks: Vec<(u64, InodeId)>,
     pub master_leader: Option<NodeId>,
     pub rng: SmallRng,
 }
@@ -415,7 +407,6 @@ impl Client {
                 lookup_cache: HashMap::new(),
                 orphans: Vec::new(),
                 async_pending: Vec::new(),
-                deferred_unlinks: Vec::new(),
                 master_leader: None,
                 rng: SmallRng::seed_from_u64(seed),
             }),
@@ -458,7 +449,6 @@ impl Client {
             window_waits: self.stats.window_waits.get(),
             meta_syncs: self.stats.meta_syncs.get(),
             parallel_read_fanouts: self.stats.parallel_read_fanouts.get(),
-            small_writes: self.stats.small_writes.get(),
             retries: self.stats.retries.get(),
             view_refreshes: self.stats.view_refreshes.get(),
             lookup_cache_hits: self.stats.lookup_cache_hits.get(),
@@ -746,15 +736,15 @@ impl Client {
 
     /// Issue a meta RPC to the partition's leader, using the cached leader
     /// first (§2.4) and scanning members on a miss; retries per §2.1.3.
-    /// Returns the node that served the request along with its response —
-    /// the async-commit paths need the serving node to target the barrier
-    /// later (DESIGN §12); most callers go through [`Self::meta_call`].
-    pub(crate) fn meta_call_raw(
+    /// Returns the value and — when the leader acked a `WriteAsync` from
+    /// its intent journal instead of committing it (DESIGN §12) — where
+    /// that intent lives, so the barrier can go back to the acking node.
+    pub(crate) fn meta_call(
         &self,
         partition: PartitionId,
         members: &[NodeId],
         req: MetaRequest,
-    ) -> Result<(NodeId, MetaResponse)> {
+    ) -> Result<(MetaValue, Option<Acked>)> {
         let is_read = matches!(req, MetaRequest::Read { .. });
         let mut members = members.to_vec();
         let mut last_err = CfsError::Unavailable("no meta replicas".into());
@@ -780,7 +770,18 @@ impl Client {
                         if is_read {
                             self.stats.meta_reads_served.inc();
                         }
-                        return Ok((node, resp));
+                        return match resp {
+                            MetaResponse::Value(v) => Ok((v, None)),
+                            MetaResponse::Acked { intent, value } => Ok((
+                                value,
+                                Some(Acked {
+                                    partition,
+                                    node,
+                                    intent,
+                                }),
+                            )),
+                            _ => Err(CfsError::Internal("unexpected meta response".into())),
+                        };
                     }
                     Ok(Err(CfsError::NotLeader { hint, .. })) => {
                         let mut cache = self.cache.lock();
@@ -824,20 +825,6 @@ impl Client {
         .max_specific(last_err))
     }
 
-    /// [`Self::meta_call_raw`] for the synchronous request kinds, which
-    /// all answer `MetaResponse::Value`.
-    pub(crate) fn meta_call(
-        &self,
-        partition: PartitionId,
-        members: &[NodeId],
-        req: MetaRequest,
-    ) -> Result<MetaValue> {
-        match self.meta_call_raw(partition, members, req)? {
-            (_, MetaResponse::Value(v)) => Ok(v),
-            _ => Err(CfsError::Internal("unexpected meta response".into())),
-        }
-    }
-
     /// Convenience: replicated write to a partition.
     pub(crate) fn meta_write(
         &self,
@@ -846,6 +833,7 @@ impl Client {
         cmd: MetaCommand,
     ) -> Result<MetaValue> {
         self.meta_call(partition, members, MetaRequest::Write { partition, cmd })
+            .map(|(v, _)| v)
     }
 
     /// Convenience: leader read from a partition.
@@ -856,6 +844,7 @@ impl Client {
         read: MetaRead,
     ) -> Result<MetaValue> {
         self.meta_call(partition, members, MetaRequest::Read { partition, read })
+            .map(|(v, _)| v)
     }
 
     /// Inode-routed meta call: derive the owning partition from the cached
@@ -864,11 +853,11 @@ impl Client {
     /// partition table and re-route by inode. This is the split-handoff
     /// loop of §2.4 — a lookup racing a split lands on whichever half owns
     /// the inode *now*, never the frozen half.
-    fn meta_call_at(
+    pub(crate) fn meta_call_at(
         &self,
         inode: InodeId,
         mut req: impl FnMut(PartitionId) -> MetaRequest,
-    ) -> Result<MetaValue> {
+    ) -> Result<(MetaValue, Option<Acked>)> {
         let mut last_err = CfsError::NotFound(format!("no meta partition for {inode}"));
         for pass in 0..=MAX_RETRIES {
             self.retry_pause(pass, "meta_route", |c| {
@@ -894,6 +883,7 @@ impl Client {
             partition,
             cmd: cmd.clone(),
         })
+        .map(|(v, _)| v)
     }
 
     /// Inode-routed leader read (see [`Self::meta_call_at`]).
@@ -902,9 +892,12 @@ impl Client {
             partition,
             read: read.clone(),
         })
+        .map(|(v, _)| v)
     }
 
-    /// Allocate a new inode on *some* writable meta partition. The random
+    /// Allocate a new inode on *some* writable meta partition (step 1 of
+    /// create; `parent/name` is the dentry step 2 plans, kept as the
+    /// compensation context if the leader journals this one). The random
     /// pick (§2.3.1) can land on a partition frozen by an Algorithm 1 cut
     /// between the view fetch and the write — it then answers
     /// `PartitionFull` (cannot allocate past its new end) or `RangeMoved`.
@@ -914,7 +907,16 @@ impl Client {
         &self,
         file_type: cfs_types::FileType,
         link_target: &[u8],
+        parent: InodeId,
+        name: &str,
     ) -> Result<(PartitionId, Inode)> {
+        let ctx = self
+            .options
+            .async_meta
+            .then(|| IntentContext::PlannedDentry {
+                parent,
+                name: name.to_string(),
+            });
         let mut last_err = CfsError::Unavailable("no writable meta partitions".into());
         for pass in 0..=MAX_RETRIES {
             self.retry_pause(pass, "meta_route", |c| {
@@ -922,16 +924,18 @@ impl Client {
                 c.refresh_partition_table()
             })?;
             let (partition, members) = self.random_meta_partition()?;
-            match self.meta_write(
-                partition,
-                &members,
-                MetaCommand::CreateInode {
-                    file_type,
-                    link_target: link_target.to_vec(),
-                    now_ns: self.now_ns(),
-                },
-            ) {
-                Ok(v) => return Ok((partition, v.into_inode()?)),
+            let cmd = MetaCommand::CreateInode {
+                file_type,
+                link_target: link_target.to_vec(),
+                now_ns: self.now_ns(),
+            };
+            let req = Self::step_request(partition, cmd, ctx.clone());
+            match self.meta_call(partition, &members, req) {
+                Ok((v, acked)) => {
+                    let inode = v.into_inode()?;
+                    self.record_async_intent(acked, true, parent, inode.id);
+                    return Ok((partition, inode));
+                }
                 Err(
                     e @ (CfsError::PartitionFull(_)
                     | CfsError::ReadOnly(_)
@@ -1063,27 +1067,6 @@ impl Client {
     pub(crate) fn push_orphan(&self, partition: PartitionId, inode: InodeId) {
         self.cache.lock().orphans.push((partition, inode));
     }
-
-    /// Evict every orphan inode recorded locally (§2.6.1: "who will be
-    /// deleted when the meta node receives an evict request from the
-    /// client"). Returns how many were evicted.
-    pub fn flush_orphans(&self) -> usize {
-        let orphans = std::mem::take(&mut self.cache.lock().orphans);
-        let mut evicted = 0;
-        let mut kept = Vec::new();
-        for (partition, inode) in orphans {
-            // Route by inode, not the recorded partition id: a split may
-            // have moved the inode's range to a successor since the orphan
-            // was pushed.
-            match self.meta_write_at(inode, MetaCommand::Evict { inode }) {
-                Ok(_) => evicted += 1,
-                Err(CfsError::NotFound(_)) => evicted += 1, // already gone
-                Err(_) => kept.push((partition, inode)),    // retry later
-            }
-        }
-        self.cache.lock().orphans.extend(kept);
-        evicted
-    }
 }
 
 /// Pick the more informative of two errors for retry exhaustion reports.
@@ -1132,7 +1115,6 @@ mod tests {
             meta_sync_every,
             registry,
             async_meta,
-            coalesce_small_writes,
             small_batch_max_ops,
             read_cache_capacity,
         } = ClientOptions::default();
@@ -1141,8 +1123,7 @@ mod tests {
         assert_eq!(meta_sync_every, 1);
         assert!(registry.is_none());
         assert!(!async_meta);
-        assert!(!coalesce_small_writes);
-        assert_eq!(small_batch_max_ops, 16);
+        assert_eq!(small_batch_max_ops, 1);
         assert_eq!(read_cache_capacity, 256);
         assert_eq!(MAX_RETRIES, 5);
         assert_eq!((RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP), (1, 32));

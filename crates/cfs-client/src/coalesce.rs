@@ -1,12 +1,15 @@
 //! Small-file write coalescing (DESIGN §13).
 //!
-//! With [`crate::ClientOptions::coalesce_small_writes`] on, the first write
-//! of a fresh small file is buffered here instead of costing one
-//! `WriteSmall` chain submission. The buffer flushes as one
+//! The first write of a fresh small file (§2.2.3) always takes this path:
+//! it joins the buffer here, and the buffer flushes as one
 //! `WriteSmallBatch` RPC — the PB leader packs every record into its
 //! active shared extent and forwards the aggregate down the chain — when
 //! any bound trips (records, bytes, age on the client's logical clock) or
-//! when a barrier drains it (`fsync`/`close`/async-commit drain).
+//! when a barrier drains it (`fsync`/`close`/async-commit drain). At the
+//! default record bound, [`crate::ClientOptions::small_batch_max_ops`] =
+//! 1, every record trips it at once: a lone small write is a batch of
+//! one, submitted inside its own `write`. A larger bound lets records
+//! wait for peers and share a chain submission.
 //!
 //! The data node replies with the *committed prefix* of record locations
 //! (§2.2.5 semantics per sub-record): a mid-batch chain failure commits
@@ -42,8 +45,6 @@ pub(crate) struct CoalesceState {
     /// Buffered records in arrival order (one per inode: a second write
     /// to a buffered file settles the handle first).
     pub pending: Vec<PendingSmall>,
-    /// Total bytes buffered.
-    pub pending_bytes: u64,
     /// Logical-clock reading when the oldest buffered record arrived.
     pub oldest: u64,
     /// Flushed locations not yet adopted by their `FileHandle`:
@@ -52,32 +53,32 @@ pub(crate) struct CoalesceState {
 }
 
 impl Client {
-    /// Buffer one small-file first write; flush if a bound trips.
+    /// Buffer one small-file first write; flush if a bound trips. A flush
+    /// that fails takes this call's record back out of the buffer — a
+    /// `write` that returns `Err` leaves nothing of its own behind —
+    /// while records already acknowledged to earlier callers stay queued
+    /// for the next barrier.
     pub(crate) fn enqueue_small_write(&self, ino: InodeId, data: Bytes) -> Result<()> {
         let should_flush = {
             let mut co = self.coalesce.lock();
             if co.pending.is_empty() {
                 co.oldest = self.peek_clock();
             }
-            co.pending_bytes += data.len() as u64;
             co.pending.push(PendingSmall { ino, data });
             self.stats.smallfile_coalesced.inc();
             co.pending.len() >= self.options.small_batch_max_ops as usize
-                || co.pending_bytes >= SMALL_BATCH_MAX_BYTES
+                || co.pending.iter().map(|p| p.data.len() as u64).sum::<u64>()
+                    >= SMALL_BATCH_MAX_BYTES
                 || self.peek_clock().saturating_sub(co.oldest) >= SMALL_BATCH_MAX_AGE
         };
-        if should_flush {
-            self.flush_small_writes()
-        } else {
-            Ok(())
+        if !should_flush {
+            return Ok(());
         }
-    }
-
-    /// Does `ino` have coalescer state (buffered bytes or an unadopted
-    /// flushed location)?
-    pub(crate) fn has_small_state(&self, ino: InodeId) -> bool {
-        let co = self.coalesce.lock();
-        co.flushed.contains_key(&ino) || co.pending.iter().any(|p| p.ino == ino)
+        let flushed = self.flush_small_writes();
+        if flushed.is_err() {
+            self.coalesce.lock().pending.retain(|p| p.ino != ino);
+        }
+        flushed
     }
 
     /// The buffered bytes for `ino`, if still unflushed.
@@ -108,34 +109,26 @@ impl Client {
     /// Put unflushed records back at the front of the buffer so a later
     /// barrier retries them in order.
     fn requeue_small(&self, mut entries: Vec<PendingSmall>) {
-        if entries.is_empty() {
-            return;
-        }
         let mut co = self.coalesce.lock();
         entries.append(&mut co.pending);
         co.pending = entries;
-        co.pending_bytes = co.pending.iter().map(|p| p.data.len() as u64).sum();
     }
 
     /// Drain the coalescing buffer: one `WriteSmallBatch` per retry pass,
     /// resending any uncommitted suffix to a different partition
     /// (§2.2.5). Committed records are meta-synced immediately and their
     /// locations parked for handle adoption. Safe to call with an empty
-    /// buffer (and when coalescing is off) — it is the barrier hook.
+    /// buffer — it is the barrier hook.
     pub fn flush_small_writes(&self) -> Result<()> {
-        let mut remaining: Vec<PendingSmall> = {
-            let mut co = self.coalesce.lock();
-            co.pending_bytes = 0;
-            std::mem::take(&mut co.pending)
-        };
+        let mut remaining = std::mem::take(&mut self.coalesce.lock().pending);
         if remaining.is_empty() {
             return Ok(());
         }
         let rid = self.next_request_id();
-        let _span = self.op_span(rid, "write_small_batch");
+        let _span = self.op_span(rid, "write_small");
         let mut avoided: Vec<PartitionId> = Vec::new();
         for pass in 0..=MAX_RETRIES {
-            if let Err(e) = self.retry_pause(pass, "write_small_batch", |_| Ok(())) {
+            if let Err(e) = self.retry_pause(pass, "write_small", |_| Ok(())) {
                 self.requeue_small(remaining);
                 return Err(e);
             }

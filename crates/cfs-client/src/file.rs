@@ -220,13 +220,13 @@ impl Client {
     fn append_bytes(&self, f: &mut FileHandle, data: Bytes) -> Result<()> {
         // Small-file fast path (§2.2.3/§4.4): a fresh small file goes into
         // a shared extent; the client doesn't even ask for a new extent.
+        // The record joins the client buffer (DESIGN §13) and leaves when
+        // a bound trips — at a record bound of 1, inside this call — in
+        // which case the handle adopts its location before returning.
         if f.size == 0 && f.extents.is_empty() && self.config.is_small_file(data.len() as u64) {
-            // With coalescing on (DESIGN §13) the record only joins the
-            // client buffer here; `flush_small_writes` submits the batch.
-            if self.options.coalesce_small_writes {
-                return self.enqueue_small_write(f.ino, data);
-            }
-            return self.write_small_file(f, data);
+            self.enqueue_small_write(f.ino, data)?;
+            self.adopt_small(f);
+            return Ok(());
         }
 
         let rid = self.next_request_id();
@@ -433,19 +433,21 @@ impl Client {
     /// real handle state: flush the buffer if the record is still queued,
     /// then adopt the flushed location. No-op without coalescer state.
     fn settle_small(&self, f: &mut FileHandle) -> Result<()> {
-        if !self.options.coalesce_small_writes || !self.has_small_state(f.ino) {
-            return Ok(());
-        }
         if self.small_pending_data(f.ino).is_some() {
             self.flush_small_writes()?;
         }
+        self.adopt_small(f);
+        Ok(())
+    }
+
+    /// Adopt this handle's flushed small-write location, if one is parked.
+    fn adopt_small(&self, f: &mut FileHandle) {
         if let Some((key, len)) = self.take_small_flushed(f.ino) {
             if f.size == 0 && f.extents.is_empty() {
                 f.extents.push(key);
                 f.size = len;
             }
         }
-        Ok(())
     }
 
     /// Serve a read of a coalesced-but-unsettled small file: straight
@@ -480,56 +482,6 @@ impl Client {
             return Ok(Some(piece));
         }
         Ok(None)
-    }
-
-    /// Small-file write (§2.2.3): one RPC to the PB leader, which packs
-    /// the bytes into a shared extent; no extent allocation round-trip.
-    fn write_small_file(&self, f: &mut FileHandle, data: Bytes) -> Result<()> {
-        let rid = self.next_request_id();
-        let _span = self.op_span(rid, "write_small");
-        self.stats.small_writes.inc();
-        let mut avoided: Vec<PartitionId> = Vec::new();
-        for pass in 0..=MAX_RETRIES {
-            self.retry_pause(pass, "write_small", |_| Ok(()))?;
-            let (partition, replicas) = self.random_data_partition(&avoided)?;
-            let req = DataRequest::WriteSmall {
-                partition,
-                data: data.clone(),
-                replicas: replicas.clone(),
-            };
-            // Flatten fabric errors (timeouts, dead nodes) into the match
-            // so they hit the retry arm instead of aborting the loop.
-            match self
-                .fabrics
-                .data
-                .call(self.id, replicas[0], req)
-                .and_then(|r| r)
-            {
-                Ok(DataResponse::Small(loc)) => {
-                    let key = ExtentKey {
-                        file_offset: 0,
-                        partition_id: partition,
-                        extent_id: loc.extent_id,
-                        extent_offset: loc.offset,
-                        size: loc.len,
-                    };
-                    self.sync_extents(f.ino, std::slice::from_ref(&key), loc.len)?;
-                    f.extents.push(key);
-                    f.size = loc.len;
-                    return Ok(());
-                }
-                Ok(_) => return Err(CfsError::Internal("bad WriteSmall reply".into())),
-                Err(e) if e.is_retryable() || e.needs_new_partition() => {
-                    avoided.push(partition);
-                    let _ = self.refresh_partition_table();
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(CfsError::RetriesExhausted {
-            op: "write small file".into(),
-            attempts: MAX_RETRIES + 1,
-        })
     }
 
     /// Record freshly committed extents + size at the inode's meta node
@@ -619,7 +571,7 @@ impl Client {
     /// through the block cache (DESIGN §13) unless it is disabled, in
     /// which case the direct fanout path runs.
     pub fn read_at(&self, f: &FileHandle, offset: u64, len: usize) -> Result<Vec<u8>> {
-        if self.options.coalesce_small_writes && f.size == 0 && f.extents.is_empty() {
+        if f.size == 0 && f.extents.is_empty() {
             if let Some(out) = self.read_small_unsettled(f.ino, offset, len)? {
                 return Ok(out);
             }

@@ -29,14 +29,17 @@
 //! * **Asynchronous metadata commit (DESIGN §12)**: with
 //!   [`ClientOptions::async_meta`] a mutating op returns once its intent
 //!   is durably journaled at the leader — zero consensus rounds on the
-//!   ack path — and the group commit happens behind the scenes. The
+//!   ack path — and the group commit happens behind the scenes; a leader
+//!   outside a clean window commits the op synchronously inside the same
+//!   RPC instead. Each workflow is written once over that one step. The
 //!   client tracks every acked intent; `fsync`/`close` is the strong
 //!   barrier that drains them, surfaces rolled-back (compensated) ops as
 //!   errors, and forward-completes broken unlinks.
-//! * **Small-file fast path (DESIGN §13)**: with
-//!   [`ClientOptions::coalesce_small_writes`] the client buffers small
-//!   first-writes and flushes them as one `WriteSmallBatch` chain
-//!   submission (committed-prefix semantics per record); the readahead
+//! * **Small-file fast path (DESIGN §13)**: small first-writes join a
+//!   client buffer that flushes as one `WriteSmallBatch` chain
+//!   submission (committed-prefix semantics per record) once
+//!   [`ClientOptions::small_batch_max_ops`] records wait — at the
+//!   default of 1, inside each record's own `write`; the readahead
 //!   block cache over `read_at` serves warmed sequential reads with zero
 //!   fabric round-trips and invalidates on truncate/overwrite/unlink/
 //!   generation drift/view refresh.

@@ -1,9 +1,13 @@
 //! Metadata operations: the Fig. 3 workflows and friends.
+//!
+//! Each mutating workflow has one body. Under `ClientOptions::async_meta`
+//! its steps may be acked from the leader's intent journal (DESIGN §12);
+//! a synchronous step is the same step, committed by the leader instead,
+//! and owes no barrier.
 
 use cfs_meta::{IntentContext, MetaCommand, MetaRead};
 use cfs_types::{CfsError, Dentry, FileType, Inode, InodeId, Result};
 
-use crate::async_commit::AsyncIntent;
 use crate::client::{Client, MAX_RETRIES};
 
 impl Client {
@@ -17,6 +21,11 @@ impl Client {
     /// inode there, then create the dentry on the *parent's* partition.
     /// If the dentry step fails, unlink the fresh inode and put it on the
     /// local orphan list for a later evict.
+    ///
+    /// When a step is journaled (DESIGN §12), the inode intent carries
+    /// the planned dentry and the dentry intent the fresh inode's
+    /// creation stamp, so a crash between ack and group commit
+    /// compensates whichever half died.
     pub fn create_entry(
         &self,
         parent: InodeId,
@@ -27,37 +36,28 @@ impl Client {
         if name.is_empty() || name.contains('/') {
             return Err(CfsError::InvalidArgument(format!("bad name {name:?}")));
         }
-        if self.options.async_meta {
-            // Asynchronous commit (DESIGN §12): both workflow halves ride
-            // journaled intents; `None` means the inode partition was not
-            // in a clean window — fall through to the synchronous path.
-            if let Some(inode) = self.create_entry_async(parent, name, file_type, link_target)? {
-                return Ok(inode);
-            }
-        }
         // Step 1: inode on a random writable partition. A split can freeze
         // the picked partition between the view fetch and the write
         // (`PartitionFull`/`RangeMoved` from the dual-serve fence): refresh
         // the table and re-pick among the partitions that can still
         // allocate (§2.3.1 — the successor partition covers the open end).
-        let (ino_partition, inode) = self.create_inode_anywhere(file_type, link_target)?;
+        let (ino_partition, inode) =
+            self.create_inode_anywhere(file_type, link_target, parent, name)?;
 
         // Step 2: dentry on the parent's partition — possibly a different
         // meta node (§2.6: no cross-node atomicity). Routed by parent id
         // so a concurrent split of the parent's range re-routes here.
-        let dentry_result = self.meta_write_at(
+        let cmd = MetaCommand::CreateDentry {
             parent,
-            MetaCommand::CreateDentry {
-                parent,
-                name: name.to_string(),
-                inode: inode.id,
-                file_type,
-            },
-        );
-
-        match dentry_result {
-            Ok(v) => {
-                let d = v.into_dentry()?;
+            name: name.to_string(),
+            inode: inode.id,
+            file_type,
+        };
+        let ctx = IntentContext::FreshInode {
+            ctime_ns: inode.ctime_ns,
+        };
+        match self.dentry_step(parent, cmd, true, || Ok(ctx)) {
+            Ok((d, _)) => {
                 // Local mutation of `parent`: drop its lookup entries
                 // (including any negative entry for this name), then
                 // re-seed the cache with the fresh dentry.
@@ -68,97 +68,21 @@ impl Client {
             }
             Err(e) => {
                 // Failure path: roll the inode back and orphan-list it.
-                let _ = self.meta_write_at(
-                    inode.id,
-                    MetaCommand::Unlink {
-                        inode: inode.id,
-                        now_ns: self.now_ns(),
-                    },
-                );
+                // A journaled step 1 still commits its inode; the unlink
+                // queues behind it on the same partition.
+                let _ = self.drop_link(inode.id);
                 self.push_orphan(ino_partition, inode.id);
                 Err(e)
             }
         }
     }
 
-    /// Asynchronous create workflow (DESIGN §12): same two steps as the
-    /// synchronous Fig. 3a, but each returns at intent-journal time. The
-    /// inode intent carries the planned dentry and the dentry intent the
-    /// fresh inode's creation stamp, so a crash between ack and group
-    /// commit compensates whichever half died. `Ok(None)` = the inode
-    /// step declined (no clean window); nothing was acked.
-    fn create_entry_async(
-        &self,
-        parent: InodeId,
-        name: &str,
-        file_type: FileType,
-        link_target: &[u8],
-    ) -> Result<Option<Inode>> {
-        let Some((ino_partition, node, intent, inode)) =
-            self.create_inode_async(file_type, link_target, parent, name)?
-        else {
-            return Ok(None);
-        };
-        self.record_async_intent(AsyncIntent {
-            partition: ino_partition,
-            node,
-            intent,
-            rollback_on_comp: true,
-            parent,
-            inode: inode.id,
-        });
-
-        // Step 2: dentry on the parent's partition. Its leader may
-        // decline independently of step 1 — then the synchronous write
-        // finishes the workflow (the step-1 intent still group-commits).
-        let cmd = MetaCommand::CreateDentry {
-            parent,
-            name: name.to_string(),
-            inode: inode.id,
-            file_type,
-        };
-        let ctx = IntentContext::FreshInode {
-            ctime_ns: inode.ctime_ns,
-        };
-        let dentry_result = match self.meta_write_async_at(parent, cmd.clone(), ctx) {
-            Ok(Some((dent_partition, node, intent, value))) => {
-                self.record_async_intent(AsyncIntent {
-                    partition: dent_partition,
-                    node,
-                    intent,
-                    rollback_on_comp: true,
-                    parent,
-                    inode: inode.id,
-                });
-                value.into_dentry()
-            }
-            Ok(None) => self
-                .meta_write_at(parent, cmd)
-                .and_then(|v| v.into_dentry()),
-            Err(e) => Err(e),
-        };
-        match dentry_result {
-            Ok(d) => {
-                self.invalidate_parent(parent);
-                self.cache_inode(&inode);
-                self.cache_dentry(&d);
-                Ok(Some(inode))
-            }
-            Err(e) => {
-                // Same rollback as the synchronous path. The step-1
-                // intent still commits its inode; the unlink queues
-                // behind it on the same partition, so ordering holds.
-                let _ = self.meta_write_at(
-                    inode.id,
-                    MetaCommand::Unlink {
-                        inode: inode.id,
-                        now_ns: self.now_ns(),
-                    },
-                );
-                self.push_orphan(ino_partition, inode.id);
-                Err(e)
-            }
-        }
+    /// nlink-- at the inode's meta node: the second half of unlink, and
+    /// the rollback of a create or link whose dentry step failed.
+    fn drop_link(&self, ino: InodeId) -> Result<Inode> {
+        let now_ns = self.now_ns();
+        self.meta_write_at(ino, MetaCommand::Unlink { inode: ino, now_ns })?
+            .into_inode()
     }
 
     /// Create a regular file.
@@ -313,69 +237,28 @@ impl Client {
     ///
     /// Workflow (§2.6.2): nlink++ at the inode's meta node, then create
     /// the dentry at the parent's; on dentry failure, nlink-- rollback.
+    /// The nlink++ is always synchronous (it is the guard the rollback
+    /// rests on); a journaled dentry step's compensation removes the
+    /// dentry *and* undoes the increment (DESIGN §12).
     pub fn link(&self, parent: InodeId, name: &str, ino: InodeId) -> Result<()> {
         let linked = self
             .meta_write_at(ino, MetaCommand::Link { inode: ino })?
             .into_inode()?;
-        if linked.is_dir() {
-            // Roll back: directories cannot be hard-linked.
-            let _ = self.meta_write_at(
-                ino,
-                MetaCommand::Unlink {
-                    inode: ino,
-                    now_ns: self.now_ns(),
-                },
-            );
-            return Err(CfsError::IsADirectory(ino));
-        }
-        let cmd = MetaCommand::CreateDentry {
-            parent,
-            name: name.to_string(),
-            inode: ino,
-            file_type: linked.file_type,
-        };
-        if self.options.async_meta {
-            // The nlink++ above stays synchronous (it is the guard the
-            // rollback rests on); the dentry half rides an intent whose
-            // compensation removes the dentry *and* undoes the
-            // increment (DESIGN §12).
-            match self.meta_write_async_at(
+        let created = if linked.is_dir() {
+            // Directories cannot be hard-linked.
+            Err(CfsError::IsADirectory(ino))
+        } else {
+            let cmd = MetaCommand::CreateDentry {
                 parent,
-                cmd.clone(),
-                IntentContext::LinkedInode { inode: ino },
-            ) {
-                Ok(Some((partition, node, intent, value))) => {
-                    let d = value.into_dentry()?;
-                    self.record_async_intent(AsyncIntent {
-                        partition,
-                        node,
-                        intent,
-                        rollback_on_comp: true,
-                        parent,
-                        inode: ino,
-                    });
-                    self.invalidate_parent(parent);
-                    self.cache_dentry(&d);
-                    self.cache_inode(&linked);
-                    return Ok(());
-                }
-                Ok(None) => {} // no clean window: synchronous dentry below
-                Err(e) => {
-                    let _ = self.meta_write_at(
-                        ino,
-                        MetaCommand::Unlink {
-                            inode: ino,
-                            now_ns: self.now_ns(),
-                        },
-                    );
-                    return Err(e);
-                }
-            }
-        }
-        let created = self.meta_write_at(parent, cmd);
+                name: name.to_string(),
+                inode: ino,
+                file_type: linked.file_type,
+            };
+            let ctx = IntentContext::LinkedInode { inode: ino };
+            self.dentry_step(parent, cmd, true, || Ok(ctx))
+        };
         match created {
-            Ok(v) => {
-                let d = v.into_dentry()?;
+            Ok((d, _)) => {
                 self.invalidate_parent(parent);
                 self.cache_dentry(&d);
                 self.cache_inode(&linked);
@@ -383,13 +266,7 @@ impl Client {
             }
             Err(e) => {
                 // SUCCESSFUL/FAILED branches of Fig. 3b: undo the nlink++.
-                let _ = self.meta_write_at(
-                    ino,
-                    MetaCommand::Unlink {
-                        inode: ino,
-                        now_ns: self.now_ns(),
-                    },
-                );
+                let _ = self.drop_link(ino);
                 Err(e)
             }
         }
@@ -402,71 +279,48 @@ impl Client {
     /// Remove `parent/name`.
     ///
     /// Workflow (§2.6.3): delete the dentry first; only then nlink-- at
-    /// the inode's node. At the type threshold (0 for files) the inode is
-    /// marked deleted and reclaimed asynchronously (§2.7.3).
+    /// the inode's node. At the type threshold (0 for files) that same
+    /// command marks the inode deleted, and it is reclaimed
+    /// asynchronously (§2.7.3).
+    ///
+    /// A journaled dentry delete (DESIGN §12) defers the nlink-- half to
+    /// the barrier: its compensation *forward-completes* the deletion, so
+    /// an acked unlink always ends with the name absent.
     pub fn unlink(&self, parent: InodeId, name: &str) -> Result<()> {
-        if self.options.async_meta {
-            // Async unlink (DESIGN §12): the dentry delete acks from the
-            // intent journal; its compensation *forward-completes* the
-            // deletion, so an acked unlink always ends with the name
-            // absent. The nlink-- half is deferred to the barrier.
-            let target = self.lookup(parent, name)?;
-            if let Some((partition, node, intent, value)) = self.meta_write_async_at(
-                parent,
-                MetaCommand::DeleteDentry {
-                    parent,
-                    name: name.to_string(),
-                },
-                IntentContext::UnlinkedInode {
-                    inode: target.inode,
-                },
-            )? {
-                let deleted = value.into_dentry()?;
-                self.invalidate_parent(parent);
-                self.record_async_intent(AsyncIntent {
-                    partition,
-                    node,
-                    intent,
-                    rollback_on_comp: false,
-                    parent,
-                    inode: deleted.inode,
-                });
-                self.defer_unlink(intent, deleted.inode);
-                return Ok(());
-            }
-            // No clean window: synchronous workflow below.
-        }
-        let dentry = self
-            .meta_write_at(
-                parent,
-                MetaCommand::DeleteDentry {
-                    parent,
-                    name: name.to_string(),
-                },
-            )?
-            .into_dentry()?;
+        let cmd = MetaCommand::DeleteDentry {
+            parent,
+            name: name.to_string(),
+        };
+        // Only a journaled delete has to name its target up front.
+        let ctx = || {
+            let inode = self.lookup(parent, name)?.inode;
+            Ok(IntentContext::UnlinkedInode { inode })
+        };
+        let (deleted, acked) = self.dentry_step(parent, cmd, false, ctx)?;
         self.invalidate_parent(parent);
+        if acked {
+            return Ok(()); // the second half runs from the barrier
+        }
+        self.finish_unlink(deleted.inode)
+    }
 
-        let ino = dentry.inode;
+    /// Second half of Fig. 3c, for files and directories alike. Runs
+    /// inline after a committed dentry delete and from the barrier after
+    /// a journaled one.
+    pub(crate) fn finish_unlink(&self, ino: InodeId) -> Result<()> {
         let (ino_partition, _) = self.meta_partition_of(ino)?;
-        match self.meta_write_at(
-            ino,
-            MetaCommand::Unlink {
-                inode: ino,
-                now_ns: self.now_ns(),
-            },
-        ) {
-            Ok(v) => {
-                let inode = v.into_inode()?;
+        match self.drop_link(ino) {
+            Ok(inode) => {
                 self.uncache_inode(ino);
-                if inode.nlink == 0 {
-                    // Threshold reached: mark deleted; data reclaimed by
-                    // the asynchronous delete pass.
-                    let _ = self.meta_write_at(ino, MetaCommand::MarkDeleted { inode: ino });
+                if inode.flag.is_mark_deleted() {
+                    // Threshold reached: data reclaimed by the
+                    // asynchronous delete pass.
                     self.push_orphan(ino_partition, ino);
                 }
                 Ok(())
             }
+            // Already reclaimed (an earlier pass or fsck got there).
+            Err(CfsError::NotFound(_)) => Ok(()),
             Err(e) => {
                 // All retries failed: the inode is now an orphan the
                 // administrator may need to resolve (§2.6.3). Record it.
@@ -482,7 +336,6 @@ impl Client {
         if dentry.file_type != FileType::Dir {
             return Err(CfsError::NotADirectory(dentry.inode));
         }
-        let (dir_partition, _) = self.meta_partition_of(dentry.inode)?;
         // Emptiness check on the directory's own partition.
         let count = match self.meta_read_at(
             dentry.inode,
@@ -507,26 +360,7 @@ impl Client {
         self.invalidate_parent(parent);
         // Directory threshold is 2 (§2.6.3): one decrement takes a fresh
         // dir from 2 → 1, below threshold → reclaim.
-        let after = self
-            .meta_write_at(
-                dentry.inode,
-                MetaCommand::Unlink {
-                    inode: dentry.inode,
-                    now_ns: self.now_ns(),
-                },
-            )?
-            .into_inode()?;
-        if after.nlink < FileType::Dir.unlink_threshold() {
-            let _ = self.meta_write_at(
-                dentry.inode,
-                MetaCommand::MarkDeleted {
-                    inode: dentry.inode,
-                },
-            );
-            self.push_orphan(dir_partition, dentry.inode);
-        }
-        self.uncache_inode(dentry.inode);
-        Ok(())
+        self.finish_unlink(dentry.inode)
     }
 
     // ------------------------------------------------------------------

@@ -8,11 +8,10 @@ use cfs_obs::{Counter, Histogram, Registry};
 pub struct DataMetrics {
     /// Appends served at the chain head (client-facing).
     pub appends_served: Counter,
-    /// Small-file writes packed at the PB leader.
+    /// Small-file write requests packed at the PB leader (one per
+    /// `WriteSmallBatch` RPC, however many records it carried).
     pub small_writes_served: Counter,
-    /// Batched small-file writes served (one per WriteSmallBatch RPC).
-    pub small_batch_writes_served: Counter,
-    /// Records committed through the batched small-file path.
+    /// Records committed through the small-file path.
     pub small_batch_records: Counter,
     /// Aggregated extent segments forwarded down the chain for batches
     /// (usually 1 per batch; >1 only across a shared-extent rotation).
@@ -54,7 +53,6 @@ impl DataMetrics {
         DataMetrics {
             appends_served: registry.counter("data.appends_served"),
             small_writes_served: registry.counter("data.small_writes_served"),
-            small_batch_writes_served: registry.counter("data.small_batch.writes_served"),
             small_batch_records: registry.counter("data.small_batch.records"),
             small_batch_segments: registry.counter("data.small_batch.segments"),
             chain_applies: registry.counter("data.chain_applies"),

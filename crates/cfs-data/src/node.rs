@@ -67,18 +67,12 @@ pub enum DataRequest {
         /// client → net → every chain hop.
         request_id: u64,
     },
-    /// Small-file write: the PB leader packs it into the shared extent and
-    /// chain-replicates the placement (§2.2.3).
-    WriteSmall {
-        partition: PartitionId,
-        data: Bytes,
-        replicas: Vec<NodeId>,
-    },
-    /// Batched small-file write (DESIGN §13): the PB leader packs every
+    /// Small-file write (§2.2.3, DESIGN §13): the PB leader packs every
     /// record into the shared extent(s) in one store call and
     /// chain-replicates each aggregated segment as a single append. A
-    /// mid-batch chain failure commits a prefix of whole records; the
-    /// reply's location vector is exactly that committed prefix.
+    /// lone small write is a batch of one record. A mid-batch chain
+    /// failure commits a prefix of whole records; the reply's location
+    /// vector is exactly that committed prefix.
     WriteSmallBatch {
         partition: PartitionId,
         records: Vec<Bytes>,
@@ -159,8 +153,7 @@ impl RpcRoute for DataRequest {
             DataRequest::CreateExtent { .. } => "data.create_extent",
             DataRequest::CreateExtentAt { .. } => "data.create_extent_at",
             DataRequest::Append { .. } => "data.append",
-            DataRequest::WriteSmall { .. } => "data.write_small",
-            DataRequest::WriteSmallBatch { .. } => "data.write_small_batch",
+            DataRequest::WriteSmallBatch { .. } => "data.write_small",
             DataRequest::Overwrite { .. } => "data.overwrite",
             DataRequest::Read { .. } => "data.read",
             DataRequest::ExtentInfo { .. } => "data.extent_info",
@@ -191,7 +184,6 @@ pub enum DataResponse {
     Extent(ExtentId),
     /// New committed watermark after an append.
     Watermark(u64),
-    Small(SmallFileLocation),
     /// Where each record of a `WriteSmallBatch` landed, in order. Shorter
     /// than the request's record vector after a mid-batch chain failure:
     /// the committed prefix (§2.2.5 semantics per sub-record).
@@ -456,11 +448,6 @@ impl DataNode {
                 replicas,
                 request_id,
             } => self.handle_append(partition, extent, offset, data, crc, replicas, request_id),
-            DataRequest::WriteSmall {
-                partition,
-                data,
-                replicas,
-            } => self.handle_write_small(partition, data, replicas),
             DataRequest::WriteSmallBatch {
                 partition,
                 records,
@@ -806,54 +793,7 @@ impl DataNode {
         Ok(DataResponse::Watermark(new_watermark))
     }
 
-    /// Small-file write at the PB leader: pack locally, chain-replicate
-    /// the exact placement, commit (§2.2.3).
-    fn handle_write_small(
-        &self,
-        partition: PartitionId,
-        data: Bytes,
-        replicas: Vec<NodeId>,
-    ) -> Result<DataResponse> {
-        // Serialize pack + forward per partition (see [`ChainState`]).
-        let state = self.chain_state(partition);
-        let _order_guard = state.small.lock();
-        let (loc, members) = {
-            let mut parts = self.partitions.lock();
-            let r = Self::part_mut(&mut parts, partition)?;
-            if r.pb_leader() != self.id {
-                return Err(CfsError::NotLeader {
-                    partition,
-                    hint: Some(r.pb_leader()),
-                });
-            }
-            (r.write_small(&data)?, r.members().to_vec())
-        };
-        let replicas = if replicas.is_empty() {
-            members
-        } else {
-            replicas
-        };
-        self.forward_chain(
-            &replicas,
-            DataRequest::Append {
-                partition,
-                extent: loc.extent_id,
-                offset: loc.offset,
-                data: data.clone(),
-                crc: crc32(&data),
-                replicas: replicas.clone(),
-                request_id: 0,
-            },
-        )?;
-        {
-            let mut parts = self.partitions.lock();
-            Self::part_mut(&mut parts, partition)?.commit(loc.extent_id, loc.offset + loc.len)?;
-        }
-        self.metrics.small_writes_served.inc();
-        Ok(DataResponse::Small(loc))
-    }
-
-    /// Batched small-file write at the PB leader (DESIGN §13): pack every
+    /// Small-file write at the PB leader (§2.2.3, DESIGN §13): pack every
     /// record into the shared extent(s) with one store call, forward each
     /// aggregated segment down the chain as a single append, and advance
     /// the watermark segment by segment. On a mid-batch chain failure the
@@ -905,11 +845,17 @@ impl DataNode {
                 seg_len += locs[j].len;
                 j += 1;
             }
-            let mut payload = Vec::with_capacity(seg_len as usize);
-            for rec in &records[i..j] {
-                payload.extend_from_slice(rec);
-            }
-            let payload = Bytes::from(payload);
+            // A lone record travels as the buffer the client sent.
+            let payload = match &records[i..j] {
+                [one] => one.clone(),
+                many => {
+                    let mut payload = Vec::with_capacity(seg_len as usize);
+                    for rec in many {
+                        payload.extend_from_slice(rec);
+                    }
+                    Bytes::from(payload)
+                }
+            };
             let crc = crc32(&payload);
             let forwarded = self.forward_chain(
                 &replicas,
@@ -944,7 +890,7 @@ impl DataNode {
                 return Err(e);
             }
         }
-        self.metrics.small_batch_writes_served.inc();
+        self.metrics.small_writes_served.inc();
         self.metrics
             .small_batch_records
             .add(committed_records as u64);

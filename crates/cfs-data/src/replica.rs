@@ -337,17 +337,10 @@ impl DataPartitionReplica {
         self.store.overwrite(extent, offset, data)
     }
 
-    /// Write one small file into the shared extent (leader side), returning
-    /// where it landed so followers can replay deterministically.
-    pub fn write_small(&mut self, data: &[u8]) -> Result<SmallFileLocation> {
-        self.check_writable()?;
-        self.store.write_small_file(data)
-    }
-
     /// Write a batch of small files into the shared extent(s) (leader
     /// side): one aggregated store append per extent segment, returning
-    /// where each record landed in order. Placement is identical to calling
-    /// [`DataPartitionReplica::write_small`] once per record.
+    /// where each record landed in order so followers can replay
+    /// deterministically.
     pub fn write_small_batch(&mut self, records: &[&[u8]]) -> Result<Vec<SmallFileLocation>> {
         self.check_writable()?;
         self.store.write_small_batch(records)
@@ -530,7 +523,7 @@ mod tests {
         assert!(r.is_read_only());
         assert!(r.allocate_extent().is_err());
         assert!(r.apply_append(e, 64, b"more").is_err());
-        assert!(r.write_small(b"x").is_err());
+        assert!(r.write_small_batch(&[b"x"]).is_err());
         // In-place modification and deletion still possible (§2.3.1).
         r.apply_overwrite(e, 0, b"mod").unwrap();
         r.queue_delete_extent(e).unwrap();
@@ -560,7 +553,7 @@ mod tests {
     #[test]
     fn delete_queue_is_asynchronous() {
         let mut r = replica();
-        let loc = r.write_small(&[3u8; 8192]).unwrap();
+        let loc = r.write_small_batch(&[&[3u8; 8192]]).unwrap()[0];
         let before = r.stats().store.physical_bytes;
         r.queue_punch(loc.extent_id, loc.offset, loc.len).unwrap();
         assert_eq!(r.pending_deletes(), 1);
@@ -575,7 +568,7 @@ mod tests {
     fn bad_delete_task_does_not_wedge_queue() {
         let mut r = replica();
         r.queue_delete_extent(ExtentId(999)).unwrap(); // nonexistent
-        let loc = r.write_small(&[1u8; 4096]).unwrap();
+        let loc = r.write_small_batch(&[&[1u8; 4096]]).unwrap()[0];
         r.queue_punch(loc.extent_id, loc.offset, loc.len).unwrap();
         assert_eq!(r.process_delete_queue().unwrap(), 2);
         assert_eq!(r.stats().store.punched_bytes, 4096);
@@ -601,7 +594,7 @@ mod tests {
             let e = r.allocate_extent().unwrap();
             r.apply_append(e, 0, &[9u8; 300]).unwrap();
             r.commit(e, 300).unwrap();
-            let loc = r.write_small(&[5u8; 4096]).unwrap();
+            let loc = r.write_small_batch(&[&[5u8; 4096]]).unwrap()[0];
             r.queue_punch(loc.extent_id, loc.offset, loc.len).unwrap();
             r.queue_delete_extent(ExtentId(999)).unwrap();
             r.set_read_only(true).unwrap();

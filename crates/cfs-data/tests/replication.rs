@@ -288,16 +288,16 @@ fn small_files_pack_and_replicate_identically() {
             .call(
                 NodeId(99),
                 leader,
-                DataRequest::WriteSmall {
+                DataRequest::WriteSmallBatch {
                     partition: p,
-                    data: Bytes::from(data),
+                    records: vec![Bytes::from(data)],
                     replicas: members.clone(),
                 },
             )
             .unwrap()
             .unwrap()
         {
-            DataResponse::Small(loc) => locs.push(loc),
+            DataResponse::SmallBatch(l) => locs.extend(l),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -660,16 +660,16 @@ fn engine_backed_cluster_survives_whole_cluster_power_loss() {
             .call(
                 NodeId(99),
                 leader,
-                DataRequest::WriteSmall {
+                DataRequest::WriteSmallBatch {
                     partition: pid,
-                    data: Bytes::from(vec![8u8; 2048]),
+                    records: vec![Bytes::from(vec![8u8; 2048])],
                     replicas: m.clone(),
                 },
             )
             .unwrap()
             .unwrap()
         {
-            DataResponse::Small(l) => l,
+            DataResponse::SmallBatch(l) => l[0],
             other => panic!("unexpected {other:?}"),
         };
         let raft_leader = c

@@ -36,9 +36,6 @@ pub enum MetaCommand {
         inode: InodeId,
         now_ns: u64,
     },
-    MarkDeleted {
-        inode: InodeId,
-    },
     Evict {
         inode: InodeId,
     },
@@ -97,7 +94,6 @@ impl MetaCommand {
             MetaCommand::DeleteDentry { .. } => "delete_dentry",
             MetaCommand::Link { .. } => "link",
             MetaCommand::Unlink { .. } => "unlink",
-            MetaCommand::MarkDeleted { .. } => "mark_deleted",
             MetaCommand::Evict { .. } => "evict",
             MetaCommand::AppendExtents { .. } => "append_extents",
             MetaCommand::Truncate { .. } => "truncate",
@@ -133,7 +129,6 @@ impl MetaCommand {
             }
             MetaCommand::Link { inode }
             | MetaCommand::Unlink { inode, .. }
-            | MetaCommand::MarkDeleted { inode }
             | MetaCommand::Evict { inode }
             | MetaCommand::AppendExtents { inode, .. }
             | MetaCommand::Truncate { inode, .. } => Some(*inode).filter(outside),
@@ -276,7 +271,6 @@ impl MetaCommand {
             MetaCommand::Unlink { inode, now_ns } => {
                 Ok(MetaValue::Inode(p.inode_unlink(*inode, *now_ns)?))
             }
-            MetaCommand::MarkDeleted { inode } => Ok(MetaValue::Inode(p.mark_deleted(*inode)?)),
             MetaCommand::Evict { inode } => Ok(MetaValue::Inode(p.evict_inode(*inode)?)),
             MetaCommand::AppendExtents {
                 inode,
@@ -379,10 +373,6 @@ impl Encode for MetaCommand {
                 inode.encode(enc);
                 enc.put_u64(*now_ns);
             }
-            MetaCommand::MarkDeleted { inode } => {
-                enc.put_u8(5);
-                inode.encode(enc);
-            }
             MetaCommand::Evict { inode } => {
                 enc.put_u8(6);
                 inode.encode(enc);
@@ -474,9 +464,6 @@ impl Decode for MetaCommand {
                 inode: InodeId::decode(dec)?,
                 now_ns: dec.get_u64()?,
             },
-            5 => MetaCommand::MarkDeleted {
-                inode: InodeId::decode(dec)?,
-            },
             6 => MetaCommand::Evict {
                 inode: InodeId::decode(dec)?,
             },
@@ -557,7 +544,6 @@ mod tests {
                 inode: InodeId(2),
                 now_ns: 9,
             },
-            MetaCommand::MarkDeleted { inode: InodeId(2) },
             MetaCommand::Evict { inode: InodeId(2) },
             MetaCommand::AppendExtents {
                 inode: InodeId(2),
@@ -642,6 +628,15 @@ mod tests {
     #[test]
     fn invalid_tag_rejected() {
         assert!(MetaCommand::from_bytes(&[200]).is_err());
+        // Tag 5 was the mark-deleted command (retired: `Unlink` marks the
+        // inode itself) and is never reused; a log that still holds one
+        // is refused, not misread as another command.
+        let mut retired = vec![5u8];
+        retired.extend_from_slice(&InodeId(2).to_bytes());
+        assert!(matches!(
+            MetaCommand::from_bytes(&retired),
+            Err(CfsError::Corrupt(_))
+        ));
     }
 
     #[test]

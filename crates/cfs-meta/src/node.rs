@@ -135,10 +135,6 @@ pub enum MetaResponse {
         intent: u64,
         value: MetaValue,
     },
-    /// The partition isn't in a clean window (frames in flight, journal
-    /// non-empty after a leadership change…): the client must use the
-    /// synchronous write path for this op.
-    SyncFallback,
     /// Barrier done: every listed intent left the journal. `compensated`
     /// names the ones that did NOT commit (their effects were rolled
     /// back), so `fsync` can report the durability failure.
@@ -240,8 +236,8 @@ struct MetaObs {
     /// Intents that survived a node restart in the journal and then
     /// completed through raft log replay.
     async_replays: Counter,
-    /// Async writes answered `SyncFallback` because the partition was not
-    /// in a clean window for overlay establishment.
+    /// Async writes the leader served as synchronous writes because the
+    /// partition was not in a clean window for overlay establishment.
     async_fallbacks: Counter,
 }
 
@@ -1175,15 +1171,18 @@ impl MetaNode {
     /// consensus rounds; `fsync`/`close` is the opt-in strong barrier.
     ///
     /// Overlay establishment requires a clean window (fully applied
-    /// group, empty accumulator, no inflight frame, empty journal);
-    /// otherwise the client is told to fall back to the sync path.
+    /// group, empty accumulator, no inflight frame, empty journal). The
+    /// leader is the one who can see the window, so the leader picks the
+    /// path: outside a clean window the op is served as [`Self::write`]
+    /// inside this same RPC and answers `MetaResponse::Value`.
     pub fn write_async(
         &self,
         partition: PartitionId,
         cmd: &MetaCommand,
         ctx: IntentContext,
     ) -> Result<MetaResponse> {
-        let inner = &mut *self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.page_in(partition);
         if !inner.partitions.contains_key(&partition) {
             return Err(CfsError::NotFound(format!("{partition}")));
@@ -1229,7 +1228,8 @@ impl MetaNode {
                 if let Some(o) = inner.obs.as_ref() {
                     o.async_fallbacks.inc();
                 }
-                return Ok(MetaResponse::SyncFallback);
+                drop(guard);
+                return self.write(partition, cmd).map(MetaResponse::Value);
             }
             let clone = inner
                 .partitions
@@ -2651,8 +2651,13 @@ mod tests {
                 IntentContext::None,
             )
             .unwrap();
-        assert_eq!(resp, MetaResponse::SyncFallback);
-        assert_eq!(registry.snapshot().counter("meta.async.sync_fallbacks"), 1);
+        // The leader declined to journal it and committed it instead,
+        // inside the same call, together with the queued write.
+        assert!(matches!(resp, MetaResponse::Value(MetaValue::Inode(_))));
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("meta.async.sync_fallbacks"), 1);
+        assert_eq!(snap.counter("meta.async.acks"), 0);
+        assert_eq!(leader.pending_intent_count(), 0);
         // Once quiesced, the async path opens up.
         for _ in 0..200 {
             hub.tick_and_pump();

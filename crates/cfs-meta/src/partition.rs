@@ -169,20 +169,17 @@ impl MetaPartition {
     }
 
     /// Decrement nlink (unlink workflow §2.6.3, or link-failure rollback
-    /// §2.6.2). Never underflows.
+    /// §2.6.2). Never underflows. At the type's threshold — 0 for files
+    /// and symlinks, below 2 for directories — the same apply marks the
+    /// inode deleted, so no crash can leave an unlinked inode unmarked; a
+    /// background pass reclaims it and its data later (§2.7.3).
     pub fn inode_unlink(&mut self, id: InodeId, now_ns: u64) -> Result<Inode> {
         let mut ino = self.get_inode(id)?;
         ino.nlink = ino.nlink.saturating_sub(1);
         ino.mtime_ns = now_ns;
-        self.inode_tree.insert(id, ino.clone());
-        Ok(ino)
-    }
-
-    /// Mark an inode deleted; a background pass reclaims it and its data
-    /// later (§2.7.3).
-    pub fn mark_deleted(&mut self, id: InodeId) -> Result<Inode> {
-        let mut ino = self.get_inode(id)?;
-        ino.flag.set_mark_deleted();
+        if ino.nlink == 0 || ino.nlink < ino.file_type.unlink_threshold() {
+            ino.flag.set_mark_deleted();
+        }
         self.inode_tree.insert(id, ino.clone());
         Ok(ino)
     }
@@ -695,11 +692,20 @@ mod tests {
     }
 
     #[test]
-    fn mark_deleted_sets_flag() {
+    fn unlink_marks_the_inode_at_its_threshold() {
         let mut p = part(1, u64::MAX);
+        // A file with two names survives the first unlink unmarked.
         let f = p.create_inode(FileType::File, b"", 0).unwrap();
-        let ino = p.mark_deleted(f.id).unwrap();
-        assert!(ino.flag.is_mark_deleted());
-        assert!(ino.is_reclaimable());
+        p.inode_link(f.id).unwrap();
+        assert!(!p.inode_unlink(f.id, 1).unwrap().flag.is_mark_deleted());
+        let gone = p.inode_unlink(f.id, 2).unwrap();
+        assert_eq!(gone.nlink, 0);
+        assert!(gone.flag.is_mark_deleted());
+        assert!(gone.is_reclaimable());
+        // A directory is marked below 2 ("." and the parent entry).
+        let d = p.create_inode(FileType::Dir, b"", 3).unwrap();
+        let gone = p.inode_unlink(d.id, 4).unwrap();
+        assert_eq!(gone.nlink, 1);
+        assert!(gone.flag.is_mark_deleted());
     }
 }

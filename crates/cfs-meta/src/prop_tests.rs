@@ -140,7 +140,6 @@ fn route_apply(
         }
         MetaCommand::Link { inode }
         | MetaCommand::Unlink { inode, .. }
-        | MetaCommand::MarkDeleted { inode }
         | MetaCommand::Evict { inode }
         | MetaCommand::AppendExtents { inode, .. }
         | MetaCommand::Truncate { inode, .. } => *inode,
@@ -234,7 +233,7 @@ enum Step {
 /// against an overlay world where every acked op succeeds, pinning
 /// nondeterminism (inode ids, ctimes) into the journaled commands. A
 /// workflow the overlay would refuse (name already taken) is skipped —
-/// the real node answers `SyncFallback`/an error instead of acking.
+/// the real node commits it synchronously or answers an error instead of acking.
 fn plan_workflows(
     specs: &[WfSpec],
 ) -> (

@@ -1,5 +1,6 @@
 //! The extent store of one data partition.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -217,38 +218,18 @@ impl ExtentStore {
     }
 
     /// Write one small file into the active shared extent, rotating if
-    /// needed. Returns where it landed.
+    /// needed. Returns where it landed. A batch of one record.
     pub fn write_small_file(&mut self, data: &[u8]) -> Result<SmallFileLocation> {
-        let len = data.len() as u64;
-        let need_new = match self.packer.active {
-            None => true,
-            Some(id) => {
-                let size = self.extent_size(id)?;
-                self.packer.needs_rotation(size, len)
-            }
-        };
-        if need_new {
-            let id = self.create_extent()?;
-            self.packer.active = Some(id);
-            self.persist_store_meta()?;
-        }
-        let id = self.packer.active.expect("active small extent set above");
-        let offset = self.extent_size(id)?;
-        self.append(id, offset, data)?;
-        Ok(SmallFileLocation {
-            extent_id: id,
-            offset,
-            len,
-        })
+        Ok(self.write_small_batch(&[data])?[0])
     }
 
     /// Write a batch of small files into the shared extent(s) with one
     /// aggregated append per extent segment. Rotation may split the batch
     /// across extents, but every record inside one segment costs a single
     /// device append + one meta write-through — the store half of the
-    /// batched small-file hot path. Record placement is byte-for-byte
-    /// identical to issuing [`ExtentStore::write_small_file`] once per
-    /// record, so followers replaying per-record appends converge.
+    /// small-file hot path. Record placement depends only on the record
+    /// sequence, never on how it was cut into batches, so followers
+    /// replaying per-segment appends converge.
     pub fn write_small_batch(&mut self, records: &[&[u8]]) -> Result<Vec<SmallFileLocation>> {
         let mut locs = Vec::with_capacity(records.len());
         let mut i = 0;
@@ -268,19 +249,16 @@ impl ExtentStore {
             }
             let id = self.packer.active.expect("active small extent set above");
             let base = self.extent_size(id)?;
-            // Greedily pack records until the next one would rotate; the
+            // Greedily take records until the next one would rotate; the
             // first record of a segment always fits by construction (an
-            // oversized record lands alone in a fresh extent, exactly as
-            // the per-record path would place it).
-            let mut segment = Vec::new();
+            // oversized record lands alone in a fresh extent).
             let mut offset = base;
             let mut j = i;
             while j < records.len() {
                 let len = records[j].len() as u64;
-                if !segment.is_empty() && self.packer.needs_rotation(offset, len) {
+                if j > i && self.packer.needs_rotation(offset, len) {
                     break;
                 }
-                segment.extend_from_slice(records[j]);
                 locs.push(SmallFileLocation {
                     extent_id: id,
                     offset,
@@ -289,6 +267,11 @@ impl ExtentStore {
                 offset += len;
                 j += 1;
             }
+            // A lone record is appended from where it lies.
+            let segment = match &records[i..j] {
+                [one] => Cow::Borrowed(*one),
+                many => Cow::Owned(many.concat()),
+            };
             self.append(id, base, &segment)?;
             i = j;
         }

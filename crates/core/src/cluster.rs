@@ -283,7 +283,29 @@ pub struct Cluster {
     root_dir: TempDir,
 }
 
+impl Drop for Cluster {
+    /// A fabric holds each node's handler, a data node holds its fabric,
+    /// and every mount holds all three fabrics: without this the nodes
+    /// (and their engines' memory) would outlive the cluster.
+    fn drop(&mut self) {
+        self.deregister_all();
+    }
+}
+
 impl Cluster {
+    /// Take every master, meta and data node off its fabric.
+    fn deregister_all(&self) {
+        for m in &self.masters {
+            self.fabrics.master.deregister(m.id());
+        }
+        for n in &self.meta_nodes {
+            self.fabrics.meta.deregister(n.id());
+        }
+        for n in &self.data_nodes {
+            self.fabrics.data.deregister(n.id());
+        }
+    }
+
     /// The shared fault switches (kill nodes, cut links).
     pub fn faults(&self) -> &FaultState {
         &self.faults
@@ -1123,15 +1145,7 @@ impl Cluster {
     pub fn power_loss_restart(&mut self) -> Result<()> {
         // Cut the power: deregister everything and drop every strong
         // node reference. The raft hub's weak handles expire with them.
-        for m in &self.masters {
-            self.fabrics.master.deregister(m.id());
-        }
-        for n in &self.meta_nodes {
-            self.fabrics.meta.deregister(n.id());
-        }
-        for n in &self.data_nodes {
-            self.fabrics.data.deregister(n.id());
-        }
+        self.deregister_all();
         self.masters.clear();
         self.meta_nodes.clear();
         self.data_nodes.clear();

@@ -262,9 +262,24 @@ fn create_failure_produces_orphan_not_dangling_dentry() {
         "dentry references a live inode"
     );
 
-    // Evicting the orphan cleans it up.
-    assert_eq!(client.flush_orphans(), 1);
+    // The one orphan drain evicts it — and hands an evicted inode's
+    // extents to the data nodes: unlink a file that holds data so the
+    // same pass has both kinds on its list.
+    let mut fh = client.open(root, "taken").unwrap();
+    client.write(&mut fh, &[7u8; 4096]).unwrap();
+    client.close(&mut fh).unwrap();
+    let physical = || -> u64 {
+        let nodes = cluster.data_nodes().iter();
+        nodes.map(|n| n.total_physical_bytes()).sum()
+    };
+    let bytes_before = physical();
+    client.unlink(root, "taken").unwrap();
+    assert_eq!(client.process_deletions().0, 2);
     assert_eq!(client.orphan_count(), 0);
+    assert!(
+        physical() < bytes_before,
+        "the evicted inode's data went too"
+    );
 }
 
 #[test]
@@ -457,4 +472,21 @@ fn heartbeat_maintenance_splits_full_meta_partition() {
         client.create(root, &format!("f{i:02}")).unwrap();
     }
     assert_eq!(client.readdir(root).unwrap().len(), 50);
+}
+
+#[test]
+fn dropped_cluster_frees_its_nodes() {
+    let cluster = ClusterBuilder::new().build().unwrap();
+    cluster.create_volume("vol", 1, 2).unwrap();
+    // A mount that outlives the cluster keeps the fabrics alive; the
+    // fabrics must not keep the nodes alive in turn.
+    let client = cluster.mount("vol").unwrap();
+    client.create(client.root(), "f").unwrap();
+    let master = std::sync::Arc::downgrade(&cluster.masters()[0]);
+    let meta = std::sync::Arc::downgrade(&cluster.meta_nodes()[0]);
+    let data = std::sync::Arc::downgrade(&cluster.data_nodes()[0]);
+    drop(cluster);
+    assert!(master.upgrade().is_none(), "master node leaked");
+    assert!(meta.upgrade().is_none(), "meta node leaked");
+    assert!(data.upgrade().is_none(), "data node leaked");
 }

@@ -558,6 +558,251 @@ fn meta_hot_path_budget_checks_reject_perturbed_counters() {
     );
 }
 
+// ----- workflow RPC table (§2.6, DESIGN §12) ------------------------------
+
+/// What one metadata workflow costs: client→meta calls per route, sync
+/// fallbacks the leaders served, and consensus rounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WorkflowRpcs {
+    reads: u64,
+    writes: u64,
+    write_asyncs: u64,
+    fallbacks: u64,
+    proposals: u64,
+}
+
+const fn rpcs(
+    reads: u64,
+    writes: u64,
+    write_asyncs: u64,
+    fallbacks: u64,
+    proposals: u64,
+) -> WorkflowRpcs {
+    WorkflowRpcs {
+        reads,
+        writes,
+        write_asyncs,
+        fallbacks,
+        proposals,
+    }
+}
+
+fn check_workflow_rpcs(op: &str, mode: &str, window: &MetricsSnapshot, want: WorkflowRpcs) {
+    let calls = |route: &str| window.counter(&format!("net.calls{{fabric=meta,route={route}}}"));
+    let got = WorkflowRpcs {
+        reads: calls("meta.read"),
+        writes: calls("meta.write"),
+        write_asyncs: calls("meta.write_async"),
+        fallbacks: window.counter("meta.async.sync_fallbacks"),
+        proposals: window.counter("raft.proposals"),
+    };
+    assert!(
+        got == want,
+        "workflow rpc regression: {op} with async_meta {mode} cost {got:?}, \
+         expected exactly {want:?}"
+    );
+}
+
+/// How a mount's workflow steps are served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StepMode {
+    /// `async_meta` off: every step is a replicated `Write`.
+    Off,
+    /// `async_meta` on, every step finds a clean window and is acked
+    /// from the intent journal.
+    Clean,
+    /// `async_meta` on, but a write already waits in the group-commit
+    /// queue whenever a step arrives, so every leader declines.
+    Dirty,
+}
+
+/// The workflows, in the order the table runs them, with their
+/// exact cost per mode `[Off, Clean, Dirty]`. A declined step is served
+/// synchronously inside its own RPC, so a Dirty row makes as many
+/// client→meta calls as its Off row. The reads in `rmdir` are its
+/// lookup (the creates since `mkdir` invalidated the cached entry) and
+/// its emptiness check. Only a journaled dentry delete names its target
+/// up front, so only under `async_meta` does `unlink` look the name up:
+/// from the client cache for the fresh link, from the meta node for the
+/// original name.
+const WORKFLOW_TABLE: [(&str, [WorkflowRpcs; 3]); 6] = [
+    (
+        "mkdir",
+        [
+            rpcs(0, 2, 0, 0, 2),
+            rpcs(0, 0, 2, 0, 0),
+            rpcs(0, 0, 2, 2, 2),
+        ],
+    ),
+    (
+        "create",
+        [
+            rpcs(0, 2, 0, 0, 2),
+            rpcs(0, 0, 2, 0, 0),
+            rpcs(0, 0, 2, 2, 2),
+        ],
+    ),
+    // nlink++ is a synchronous write in every mode.
+    (
+        "link",
+        [
+            rpcs(0, 2, 0, 0, 2),
+            rpcs(0, 1, 1, 0, 1),
+            rpcs(0, 1, 1, 1, 2),
+        ],
+    ),
+    // An acked dentry delete defers nlink-- to the barrier; a committed
+    // one runs it inline.
+    (
+        "unlink",
+        [
+            rpcs(0, 2, 0, 0, 2),
+            rpcs(0, 0, 1, 0, 0),
+            rpcs(0, 1, 1, 1, 2),
+        ],
+    ),
+    // Dropping the last name costs the same: the nlink-- that reaches
+    // the threshold marks the inode itself, no third round does.
+    (
+        "unlink-last",
+        [
+            rpcs(0, 2, 0, 0, 2),
+            rpcs(1, 0, 1, 0, 0),
+            rpcs(1, 1, 1, 1, 2),
+        ],
+    ),
+    // rmdir's steps are synchronous writes in every mode.
+    (
+        "rmdir",
+        [
+            rpcs(2, 2, 0, 0, 2),
+            rpcs(2, 2, 0, 0, 2),
+            rpcs(2, 2, 0, 0, 2),
+        ],
+    ),
+];
+
+/// Run the workflows on a fresh single-partition cluster, each in its
+/// own quiesced window.
+fn run_workflow_table(mode: StepMode) -> Vec<MetricsSnapshot> {
+    let cluster = ClusterBuilder::new().build().unwrap();
+    cluster.create_volume("wf", 1, 4).unwrap();
+    let client = cluster
+        .mount_with_options(
+            "wf",
+            ClientOptions {
+                async_meta: mode != StepMode::Off,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    if mode == StepMode::Dirty {
+        // Hold every window dirty: put a write that changes nothing into
+        // the leader's group-commit queue just before each step arrives.
+        for node in cluster.meta_nodes() {
+            let n = node.clone();
+            cluster.fabrics().meta.register(
+                n.id(),
+                Arc::new(move |_from, req: MetaRequest| {
+                    if let MetaRequest::WriteAsync { partition, .. } = &req {
+                        let noop = MetaCommand::EvictIf {
+                            inode: cfs::InodeId(u64::MAX),
+                            ctime_ns: 0,
+                        };
+                        let _ = n.enqueue_write(*partition, &noop);
+                    }
+                    n.handle(req)
+                }),
+            );
+        }
+    }
+    let root = client.root();
+    // Find the partition's leader outside the measured windows.
+    client.stat(root).unwrap();
+    let mut file = None;
+    let mut windows = Vec::new();
+    for (op, _) in WORKFLOW_TABLE {
+        // Quiesce: no intent, queue entry or overlay survives into the
+        // next window.
+        client.drain_async_commits().unwrap();
+        cluster.settle(200);
+        let before = cluster.metrics_snapshot();
+        match op {
+            "mkdir" => drop(client.mkdir(root, "d").unwrap()),
+            "create" => file = Some(client.create(root, "f").unwrap().id),
+            "link" => client.link(root, "l", file.unwrap()).unwrap(),
+            "unlink" => client.unlink(root, "l").unwrap(),
+            "unlink-last" => client.unlink(root, "f").unwrap(),
+            "rmdir" => client.rmdir(root, "d").unwrap(),
+            _ => unreachable!(),
+        }
+        windows.push(cluster.metrics_snapshot().diff(&before));
+    }
+    // Whatever path the steps took, the namespace ends the same: empty,
+    // with the file and the directory marked and awaiting the evict pass.
+    client.drain_async_commits().unwrap();
+    assert!(client.readdir(root).unwrap().is_empty(), "{mode:?}");
+    assert!(client.stat(file.unwrap()).unwrap().flag.is_mark_deleted());
+    assert_eq!(client.orphan_count(), 2, "{mode:?}");
+    assert_eq!(client.process_deletions().0, 2, "{mode:?}");
+    windows
+}
+
+#[test]
+fn workflow_rpc_table() {
+    for (col, mode) in [StepMode::Off, StepMode::Clean, StepMode::Dirty]
+        .into_iter()
+        .enumerate()
+    {
+        let windows = run_workflow_table(mode);
+        for ((op, want), window) in WORKFLOW_TABLE.iter().zip(&windows) {
+            check_workflow_rpcs(op, &format!("{mode:?}"), window, want[col]);
+        }
+    }
+}
+
+#[test]
+fn workflow_rpc_check_rejects_perturbed_counters() {
+    // A declined step that costs the client a second round trip — the
+    // leader answers "no" and the client re-sends the op as a `Write` —
+    // must trip the Dirty row of `create`.
+    let registry = cfs::Registry::new();
+    registry
+        .counter("net.calls{fabric=meta,route=meta.write_async}")
+        .add(2);
+    registry
+        .counter("net.calls{fabric=meta,route=meta.write}")
+        .add(2);
+    registry.counter("meta.async.sync_fallbacks").add(2);
+    registry.counter("raft.proposals").add(2);
+    let snap = registry.snapshot();
+    let want = WORKFLOW_TABLE[1].1[2];
+    let err = std::panic::catch_unwind(|| check_workflow_rpcs("create", "Dirty", &snap, want))
+        .expect_err("a second round trip per declined step must fail the table");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("workflow rpc regression"),
+        "unexpected panic message: {msg}"
+    );
+
+    // A fourth consensus round per deleted file (a separate mark-deleted
+    // command) must trip the Off row of `unlink`.
+    let registry = cfs::Registry::new();
+    registry
+        .counter("net.calls{fabric=meta,route=meta.write}")
+        .add(3);
+    registry.counter("raft.proposals").add(3);
+    let snap = registry.snapshot();
+    let want = WORKFLOW_TABLE[4].1[0];
+    let err = std::panic::catch_unwind(|| check_workflow_rpcs("unlink-last", "Off", &snap, want))
+        .expect_err("a mark-deleted round must fail the table");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("workflow rpc regression"),
+        "unexpected panic message: {msg}"
+    );
+}
+
 // ----- split cost & raft-set fan-out budgets ------------------------------
 
 /// Files created before the split (the items the predecessor must keep
@@ -944,8 +1189,8 @@ const SMALL_BATCH: u32 = 16;
 const READ_BLOCKS: u64 = 16;
 
 /// The coalesced small-write budget over one measured window: N buffered
-/// first-writes flush as exactly N/batch `WriteSmallBatch` submissions
-/// and zero per-record `WriteSmall` RPCs.
+/// first-writes flush as exactly N/batch `WriteSmallBatch` submissions —
+/// on the client's counters and on the `data.write_small` route.
 fn check_smallfile_budget(window: &MetricsSnapshot, batches: u64, records: u64) {
     let b = window.counter("client.smallfile.batches");
     assert!(
@@ -957,11 +1202,11 @@ fn check_smallfile_budget(window: &MetricsSnapshot, batches: u64, records: u64) 
         r == records,
         "small-file budget regression: {r} batched records, expected exactly {records}"
     );
-    let per_record = window.counter("net.calls{fabric=data,route=data.write_small}");
+    let calls = window.counter("net.calls{fabric=data,route=data.write_small}");
     assert!(
-        per_record == 0,
-        "small-file budget regression: {per_record} per-record WriteSmall RPCs \
-         with coalescing on, expected 0"
+        calls == batches,
+        "small-file budget regression: {calls} data.write_small submissions \
+         for {records} records, expected exactly {batches}"
     );
 }
 
@@ -997,7 +1242,6 @@ fn coalesced_small_write_budget() {
         .mount_with_options(
             "budget",
             ClientOptions {
-                coalesce_small_writes: true,
                 small_batch_max_ops: SMALL_BATCH,
                 ..ClientOptions::default()
             },
@@ -1026,10 +1270,6 @@ fn coalesced_small_write_budget() {
 
     let batches = SMALL_FILES / SMALL_BATCH as u64;
     check_smallfile_budget(&window, batches, SMALL_FILES);
-    assert_eq!(
-        window.counter("net.calls{fabric=data,route=data.write_small_batch}"),
-        batches
-    );
     assert_eq!(window.counter("client.smallfile.coalesced"), SMALL_FILES);
     // Each batch forwards its aggregated segment down the chain once per
     // follower hop (no rotation at these sizes: one segment per batch).
@@ -1043,8 +1283,9 @@ fn coalesced_small_write_budget() {
     assert_eq!(client.read_at(&h, 0, 512).unwrap(), vec![7u8; 512]);
     client.close(&mut h).unwrap();
 
-    // Ablation twin: the identical workload without coalescing costs one
-    // chain submission per file — the fast path must be ≥2x cheaper.
+    // Ablation twin: the identical workload at the default record bound
+    // of 1 costs one chain submission per file — it fails the budget
+    // above, and the fast path must be ≥2x cheaper.
     let base_cluster = ClusterBuilder::new().config(config).build().unwrap();
     base_cluster.create_volume("budget", 1, 4).unwrap();
     let base = base_cluster
@@ -1062,6 +1303,8 @@ fn coalesced_small_write_budget() {
     let base_window = base_cluster.metrics_snapshot().diff(&before);
     let base_rounds = base_window.counter("net.calls{fabric=data,route=data.write_small}");
     assert_eq!(base_rounds, SMALL_FILES);
+    std::panic::catch_unwind(|| check_smallfile_budget(&base_window, batches, SMALL_FILES))
+        .expect_err("the un-coalesced mount must fail the coalesced budget");
     assert!(
         base_rounds >= 2 * batches,
         "coalescing saved less than 2x: {base_rounds} baseline rounds vs \
@@ -1086,8 +1329,8 @@ fn smallfile_budget_check_rejects_perturbed_counters() {
         "unexpected panic message: {msg}"
     );
 
-    // A coalescer that quietly falls back to per-record RPCs must trip it
-    // even when the batch counters look right.
+    // A coalescer that quietly submits one record at a time must trip it
+    // even when the client's own counters look right.
     let registry = cfs::Registry::new();
     registry.counter("client.smallfile.batches").add(4);
     registry
@@ -1095,13 +1338,13 @@ fn smallfile_budget_check_rejects_perturbed_counters() {
         .add(SMALL_FILES);
     registry
         .counter("net.calls{fabric=data,route=data.write_small}")
-        .add(1);
+        .add(SMALL_FILES);
     let snap = registry.snapshot();
     let err = std::panic::catch_unwind(|| check_smallfile_budget(&snap, 4, SMALL_FILES))
-        .expect_err("per-record fallback must fail the budget");
+        .expect_err("per-record submissions must fail the budget");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(
-        msg.contains("per-record WriteSmall"),
+        msg.contains("data.write_small submissions"),
         "unexpected panic message: {msg}"
     );
 }

@@ -101,7 +101,8 @@ fn dentries_always_reference_live_inodes_under_failures() {
         );
     }
     // Orphans may exist; they are cleanable.
-    client.flush_orphans();
+    client.process_deletions();
+    assert_eq!(client.orphan_count(), 0);
 }
 
 #[test]
@@ -550,4 +551,64 @@ fn mount_rejects_zero_window_and_serves_reads_with_the_cache_off() {
     let snap = cluster.metrics_snapshot();
     assert_eq!(snap.counter("client.readcache.inserted"), 0);
     assert_eq!(snap.counter("client.readcache.hit"), 0);
+}
+
+#[test]
+fn failed_small_write_leaves_nothing_behind() {
+    // A `write` that returns `Err` leaves nothing of its own record in
+    // the client's small-write buffer, at any record bound; records that
+    // earlier calls were told `Ok` about stay queued and land on the
+    // next barrier.
+    for bound in [1usize, 16] {
+        let cluster = ClusterBuilder::new().build().unwrap();
+        cluster.create_volume("sw", 1, 4).unwrap();
+        let client = cluster
+            .mount_with_options(
+                "sw",
+                cfs::ClientOptions {
+                    small_batch_max_ops: bound as u32,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        let root = client.root();
+        let body = |i: usize| vec![i as u8 + 1; 700 + i];
+        let mut handles = Vec::new();
+        for i in 0..bound {
+            client.create(root, &format!("s{i}")).unwrap();
+            handles.push(client.open(root, &format!("s{i}")).unwrap());
+        }
+        // All but the last write are acknowledged with the fabric whole;
+        // none of them trips the record bound.
+        let (last, acked) = handles.split_last_mut().unwrap();
+        for (i, h) in acked.iter_mut().enumerate() {
+            client.write(h, &body(i)).unwrap();
+        }
+        assert_eq!(client.small_writes_buffered(), bound - 1);
+
+        // Cut the data fabric; the last write trips the bound and fails.
+        for n in cluster.data_nodes() {
+            cluster.faults().set_down(n.id(), true);
+        }
+        client.write(last, &body(bound - 1)).unwrap_err();
+        assert_eq!(
+            client.small_writes_buffered(),
+            bound - 1,
+            "bound {bound}: the failed write's record must be gone, the \
+             acknowledged ones still queued"
+        );
+        assert_eq!(last.size(), 0);
+
+        // Heal; the next barrier lands exactly the acknowledged records.
+        cluster.faults().heal_all();
+        client.fsync(last).unwrap();
+        assert_eq!(client.small_writes_buffered(), 0);
+        let cold = cluster.mount("sw").unwrap();
+        for i in 0..bound {
+            let h = cold.open(root, &format!("s{i}")).unwrap();
+            let want = if i + 1 < bound { body(i) } else { Vec::new() };
+            assert_eq!(h.size(), want.len() as u64, "bound {bound}, file s{i}");
+            assert_eq!(cold.read_at(&h, 0, 4096).unwrap(), want);
+        }
+    }
 }

@@ -1,8 +1,9 @@
 //! Client-level coalescing parity (DESIGN §13): for every tier-1 chaos
 //! seed, one seeded small-file workload — creates, mixed-size writes,
 //! appends, mid-stream fsyncs and read-backs, truncates, unlinks — is
-//! driven twice, through a coalescing mount and a default per-record
-//! mount, and must end in byte-identical file system state.
+//! driven twice, through a coalescing mount (record bound 16) and a
+//! default mount (record bound 1: every record is its own submission),
+//! and must end in byte-identical file system state.
 //!
 //! The script is generated once per seed and replayed verbatim against
 //! both clusters, so any divergence is the fast path's fault: a record
@@ -94,7 +95,7 @@ fn generate(seed: u64) -> (Vec<Op>, Vec<Option<Vec<u8>>>) {
     (script, model)
 }
 
-fn build_cluster(seed: u64, coalesce: bool) -> (Cluster, Client) {
+fn build_cluster(seed: u64, small_batch_max_ops: u32) -> (Cluster, Client) {
     let config = ClusterConfig {
         packet_size: THRESHOLD,
         small_file_threshold: THRESHOLD,
@@ -110,7 +111,7 @@ fn build_cluster(seed: u64, coalesce: bool) -> (Cluster, Client) {
         .mount_with_options(
             "parity",
             ClientOptions {
-                coalesce_small_writes: coalesce,
+                small_batch_max_ops,
                 ..ClientOptions::default()
             },
         )
@@ -119,13 +120,15 @@ fn build_cluster(seed: u64, coalesce: bool) -> (Cluster, Client) {
 }
 
 /// Replay the script and return each file's final bytes (`None` =
-/// unlinked), checking read-your-writes at every `ReadBack`.
+/// unlinked) plus the most records ever left waiting in the client's
+/// buffer when a write returned, checking read-your-writes at every
+/// `ReadBack`.
 fn run_script(
     seed: u64,
     client: &Client,
     script: &[Op],
     model: &[Option<Vec<u8>>],
-) -> Vec<Option<Vec<u8>>> {
+) -> (Vec<Option<Vec<u8>>>, usize) {
     let root = client.root();
     let mut handles: Vec<Option<FileHandle>> = Vec::new();
     let mut written: Vec<Vec<u8>> = vec![Vec::new(); FILES];
@@ -135,11 +138,13 @@ fn run_script(
         handles.push(Some(client.open(root, &name).unwrap()));
     }
     let mut mutations = false;
+    let mut max_buffered = 0;
     for op in script {
         match *op {
             Op::Write { file, len, fill } | Op::Append { file, len, fill } => {
                 let h = handles[file].as_mut().expect("handle open");
                 client.write(h, &vec![fill; len]).unwrap();
+                max_buffered = max_buffered.max(client.small_writes_buffered());
                 written[file].extend(std::iter::repeat_n(fill, len));
             }
             Op::Fsync { file } => {
@@ -209,17 +214,17 @@ fn run_script(
             }
         }
     }
-    out
+    (out, max_buffered)
 }
 
 #[test]
 fn coalesced_workload_matches_sequential_across_all_seeds() {
     for seed in 0..SEEDS {
         let (script, model) = generate(seed);
-        let (_c1, coalesced) = build_cluster(seed, true);
-        let (_c2, sequential) = build_cluster(seed, false);
-        let got_c = run_script(seed, &coalesced, &script, &model);
-        let got_s = run_script(seed, &sequential, &script, &model);
+        let (_c1, coalesced) = build_cluster(seed, 16);
+        let (_c2, sequential) = build_cluster(seed, 1);
+        let (got_c, waited_c) = run_script(seed, &coalesced, &script, &model);
+        let (got_s, waited_s) = run_script(seed, &sequential, &script, &model);
         for file in 0..FILES {
             assert_eq!(
                 got_c[file], model[file],
@@ -230,17 +235,10 @@ fn coalesced_workload_matches_sequential_across_all_seeds() {
                 "coalesced and sequential mounts diverged (seed {seed}, file {file})"
             );
         }
-        // The fast path actually engaged: every run must have coalesced
-        // at least one record (the generator always emits small writes).
-        let stats = coalesced.data_path_stats();
-        assert!(
-            stats.smallfile_coalesced > 0,
-            "no write took the fast path (seed {seed})"
-        );
-        assert_eq!(
-            sequential.data_path_stats().smallfile_coalesced,
-            0,
-            "default mount must not coalesce (seed {seed})"
-        );
+        // The fast path actually engaged: every run must have left at
+        // least one record waiting for peers (the generator always emits
+        // small writes), and the default mount never does.
+        assert!(waited_c > 0, "no write took the fast path (seed {seed})");
+        assert_eq!(waited_s, 0, "default mount must not coalesce (seed {seed})");
     }
 }
