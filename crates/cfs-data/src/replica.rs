@@ -10,8 +10,9 @@ use cfs_types::{
 };
 
 /// Column family holding one encoded [`ReplicaMeta`] row per hosted
-/// partition. Extent payloads live in the per-partition `StorePersist`
-/// namespaces of the same engine.
+/// partition. Extent bytes live in the per-partition `StorePersist`
+/// directory of extent files beside the engine, their index rows in the
+/// same engine.
 pub(crate) struct ReplicaCf;
 
 impl TypedCf for ReplicaCf {
@@ -115,8 +116,8 @@ pub struct DataPartitionReplica {
     delete_queue: Vec<DeleteTask>,
     small_extent_rotate_at: u64,
     extent_limit: u64,
-    /// When present, the replica's meta row and extent payloads are
-    /// written through to this engine after every mutation.
+    /// When present, the replica's meta row and its extents' index rows
+    /// are written through to this engine after every mutation.
     engine: Option<Arc<LsmEngine>>,
 }
 
@@ -143,8 +144,10 @@ impl DataPartitionReplica {
         }
     }
 
-    /// Fresh replica whose extents and meta row are written through to
-    /// `engine` (namespaced by partition id), so it survives power loss.
+    /// Fresh replica whose meta row and extent index are written through
+    /// to `engine`, and whose extent bytes go to files under the engine's
+    /// directory (both namespaced by partition id), so it survives power
+    /// loss.
     pub fn new_persistent(
         partition_id: PartitionId,
         volume_id: VolumeId,
@@ -172,8 +175,8 @@ impl DataPartitionReplica {
     }
 
     /// Rebuild a replica from its engine-persisted state alone: the meta
-    /// row restores membership/watermarks/queue, the store namespace
-    /// restores every extent's bytes.
+    /// row restores membership/watermarks/queue, the store's index rows
+    /// and extent files restore every extent's bytes.
     pub fn restore(partition_id: PartitionId, engine: Arc<LsmEngine>) -> Result<Self> {
         let bytes = engine
             .get::<ReplicaCf>(&partition_id.raw())?

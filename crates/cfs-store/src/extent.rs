@@ -1,9 +1,12 @@
 //! A single extent: append-only tail, in-place overwrite, CRC cache.
 
-use cfs_types::crc::crc32;
+use cfs_types::crc::Crc32;
 use cfs_types::{CfsError, ExtentId, Result};
 
 use crate::device::{BlockDevice, MemDevice};
+
+/// A cold CRC recompute reads the extent this many bytes at a time.
+const CRC_CHUNK: u64 = 1 << 20;
 
 /// One storage unit of the extent store.
 ///
@@ -21,7 +24,7 @@ pub struct Extent {
     /// Cached CRC32-C over `[0, size)`. Appends fold incrementally;
     /// overwrites and hole punches force a recompute on next access.
     crc: Option<u32>,
-    crc_state: cfs_types::crc::Crc32,
+    crc_state: Crc32,
     /// Bytes logically punched out (for utilization accounting).
     punched_bytes: u64,
 }
@@ -44,20 +47,20 @@ impl Extent {
     }
 
     /// Fresh, empty extent on a caller-provided device (e.g. a durable
-    /// [`KvDevice`](crate::KvDevice)).
+    /// [`FileDevice`](crate::FileDevice)).
     pub fn with_device(id: ExtentId, dev: Box<dyn BlockDevice>) -> Self {
         Extent {
             id,
             dev,
             size: 0,
             crc: Some(0),
-            crc_state: cfs_types::crc::Crc32::new(),
+            crc_state: Crc32::new(),
             punched_bytes: 0,
         }
     }
 
     /// Rebuild an extent from durable parts: a device already holding its
-    /// pages plus the persisted watermark and punch accounting. The CRC
+    /// bytes plus the persisted watermark and punch accounting. The CRC
     /// cache starts cold and is recomputed from the device on first access.
     pub fn from_parts(
         id: ExtentId,
@@ -70,7 +73,7 @@ impl Extent {
             dev,
             size,
             crc: None,
-            crc_state: cfs_types::crc::Crc32::new(),
+            crc_state: Crc32::new(),
             punched_bytes,
         }
     }
@@ -137,8 +140,9 @@ impl Extent {
                 self.size
             )));
         }
-        let len = len.min((self.size - offset) as usize);
-        self.dev.read_at(offset, len)
+        let mut buf = vec![0u8; len.min((self.size - offset) as usize)];
+        self.dev.read_at(offset, &mut buf)?;
+        Ok(buf)
     }
 
     /// Punch out `[offset, offset + len)` (small-file deletion, §2.2.3).
@@ -163,14 +167,20 @@ impl Extent {
         if let Some(c) = self.crc {
             return Ok(c);
         }
-        let data = self.dev.read_at(0, self.size as usize)?;
-        let c = crc32(&data);
-        // Rebuild the incremental state so future appends keep folding.
-        let mut st = cfs_types::crc::Crc32::new();
-        st.update(&data);
+        // One streamed pass, which also rebuilds the incremental state so
+        // future appends keep folding.
+        let mut st = Crc32::new();
+        let mut buf = vec![0u8; self.size.min(CRC_CHUNK) as usize];
+        let mut pos = 0;
+        while pos < self.size {
+            let n = (self.size - pos).min(CRC_CHUNK) as usize;
+            self.dev.read_at(pos, &mut buf[..n])?;
+            st.update(&buf[..n]);
+            pos += n as u64;
+        }
         self.crc_state = st;
-        self.crc = Some(c);
-        Ok(c)
+        self.crc = Some(st.finish());
+        Ok(st.finish())
     }
 
     /// Verify stored bytes against an expected CRC.

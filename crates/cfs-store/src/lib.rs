@@ -13,10 +13,14 @@
 //!   `fallocate`-style interface — instead of running a GC/compaction pass,
 //!   so no logical→physical remap table is needed (§2.2.3).
 //!
-//! The paper runs on ext4 SSDs; here extents sit on a [`BlockDevice`]
-//! abstraction whose in-memory implementation tracks *physical* block
-//! allocation exactly like a sparse file, so hole punching measurably
-//! reclaims space (see `DESIGN.md`, substitution table).
+//! As in the paper, a durable extent is one sparse local file
+//! ([`FileDevice`]), written in place and hole-punched with `fallocate`;
+//! only the small facts about it (watermark, punch accounting, allocation
+//! cursor) are rows on the node's LSM engine ([`StorePersist`]). The
+//! in-memory [`MemDevice`] is the reference model of the same
+//! [`BlockDevice`] contract: it tracks *physical* block allocation exactly
+//! like a sparse file, so hole punching measurably reclaims space (see
+//! `DESIGN.md` §10 and the substitution table).
 //!
 //! Every extent's CRC is cached in memory to make integrity checks cheap
 //! (§2.2.1).
@@ -28,9 +32,9 @@ mod persist;
 mod small;
 mod store;
 
-pub use device::{BlockDevice, MemDevice, BLOCK_SIZE};
+pub use device::{BlockDevice, FileDevice, MemDevice, BLOCK_SIZE};
 pub use extent::Extent;
 pub use metrics::StoreMetrics;
-pub use persist::{KvDevice, StorePersist};
+pub use persist::StorePersist;
 pub use small::SmallFileLocation;
 pub use store::{ExtentStore, StoreStats};

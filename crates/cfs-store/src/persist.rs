@@ -1,14 +1,22 @@
-//! Durable extent storage on the LSM engine.
+//! The durable side of an extent store: bytes in files, facts in rows.
 //!
-//! The in-memory [`MemDevice`](crate::MemDevice) models a sparse ext4 file
-//! but evaporates on power loss. [`StorePersist`] puts the same sparse-file
-//! semantics on typed column families of a shared [`LsmEngine`]: each
-//! allocated 4 KB block is one row, written through at mutation time, so an
-//! acknowledged extent write is on disk before the ack leaves the node.
-//! One engine serves every store on a node; `store_id` (the partition id)
-//! namespaces them.
+//! An extent's bytes live in its own sparse file (a
+//! [`FileDevice`](crate::FileDevice)) under
+//! `<engine dir>/extents/<store_id>/<extent_id>`; the node's shared
+//! [`LsmEngine`] holds only the index — per extent the acknowledged
+//! watermark and punch count, per punched block range one small row (what
+//! `allocated_bytes` cannot recover from the file length alone), per store
+//! the allocation cursor. `store_id` (the partition id) namespaces both.
+//!
+//! The crash rule is §2.2.5's: a mutation reaches the file *before* its
+//! row commits, reads clamp at the row's watermark, so bytes past it may
+//! exist and are never served. Removal runs the other way — rows first,
+//! file second — so a crash leaves a file without a row (swept by
+//! [`ExtentStore::restore`](crate::ExtentStore::restore)), never a row
+//! without a file.
 
-use std::collections::BTreeSet;
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cfs_types::{ExtentId, Result};
@@ -16,23 +24,21 @@ use cfs_types::{ExtentId, Result};
 use cfs_kvwal::cf::cf_prefix;
 use cfs_kvwal::{LsmEngine, TypedCf, WriteBatch};
 
-use crate::device::{BlockDevice, BLOCK_SIZE};
-
-/// `(store, extent, block) -> page`. One row per allocated 4 KB block;
-/// absent rows read as zeros (sparse-file semantics).
-struct PageCf;
-impl TypedCf for PageCf {
-    const NAME: &'static str = "store_pages";
-    type Key = (u64, u64, u64);
-    type Value = Vec<u8>;
-}
-
 /// `(store, extent) -> (watermark, punched_bytes)`.
 struct ExtentMetaCf;
 impl TypedCf for ExtentMetaCf {
     const NAME: &'static str = "store_extents";
     type Key = (u64, u64);
     type Value = (u64, u64);
+}
+
+/// `(store, extent, first_block) -> end_block`: one deallocated block
+/// range of an extent file.
+struct HoleCf;
+impl TypedCf for HoleCf {
+    const NAME: &'static str = "store_holes";
+    type Key = (u64, u64, u64);
+    type Value = u64;
 }
 
 /// `store -> (next_extent_id, active_small_extent)`.
@@ -43,10 +49,24 @@ impl TypedCf for StoreMetaCf {
     type Value = (u64, Option<u64>);
 }
 
-/// Handle to one store's slice of the shared engine.
+/// What the index holds for one extent.
+#[derive(Debug)]
+pub(crate) struct StoredExtent {
+    pub(crate) id: ExtentId,
+    /// Acknowledged bytes.
+    pub(crate) watermark: u64,
+    /// Bytes punched out so far.
+    pub(crate) punched: u64,
+    /// Deallocated block ranges, `(first, end)` exclusive.
+    pub(crate) holes: Vec<(u64, u64)>,
+}
+
+/// Handle to one store's slice of the shared engine and its directory of
+/// extent files.
 pub struct StorePersist {
     engine: Arc<LsmEngine>,
     store_id: u64,
+    dir: PathBuf,
 }
 
 impl std::fmt::Debug for StorePersist {
@@ -60,7 +80,12 @@ impl std::fmt::Debug for StorePersist {
 impl StorePersist {
     /// Persistence for store `store_id` (a partition id) on `engine`.
     pub fn new(engine: Arc<LsmEngine>, store_id: u64) -> Self {
-        StorePersist { engine, store_id }
+        let dir = engine.dir().join("extents").join(store_id.to_string());
+        StorePersist {
+            engine,
+            store_id,
+            dir,
+        }
     }
 
     /// The underlying engine.
@@ -68,36 +93,26 @@ impl StorePersist {
         &self.engine
     }
 
-    /// A durable block device for `extent` (fresh: no allocated blocks).
-    pub fn device(self: &Arc<Self>, extent: ExtentId) -> KvDevice {
-        KvDevice {
-            persist: self.clone(),
-            extent: extent.raw(),
-            blocks: BTreeSet::new(),
-        }
+    /// The store (partition) id.
+    pub(crate) fn store_id(&self) -> u64 {
+        self.store_id
     }
 
-    /// Rebuild the device of `extent` from its stored pages.
-    pub fn restore_device(self: &Arc<Self>, extent: ExtentId) -> KvDevice {
-        let mut blocks = BTreeSet::new();
-        let prefix = self.page_prefix(extent.raw());
-        for (raw, _) in self.engine.scan_prefix_raw(&prefix) {
-            if let Ok((_, _, block)) = cfs_kvwal::cf::typed_key::<PageCf>(&raw) {
-                blocks.insert(block);
-            }
-        }
-        KvDevice {
-            persist: self.clone(),
-            extent: extent.raw(),
-            blocks,
-        }
+    /// Where this store's extent files live. Exists once the store has
+    /// created an extent.
+    pub(crate) fn extent_dir(&self) -> &Path {
+        &self.dir
     }
 
-    /// Raw key prefix of one extent's pages.
-    fn page_prefix(&self, extent: u64) -> Vec<u8> {
-        let mut p = cf_prefix::<PageCf>();
+    /// The file of `extent`.
+    pub(crate) fn extent_path(&self, extent: ExtentId) -> PathBuf {
+        self.dir.join(extent.raw().to_string())
+    }
+
+    /// Raw key prefix of this store's rows in a family keyed `(store, ..)`.
+    fn store_prefix<C: TypedCf>(&self) -> Vec<u8> {
+        let mut p = cf_prefix::<C>();
         p.extend_from_slice(&self.store_id.to_be_bytes());
-        p.extend_from_slice(&extent.to_be_bytes());
         p
     }
 
@@ -107,14 +122,36 @@ impl StorePersist {
             .put::<ExtentMetaCf>(&(self.store_id, extent.raw()), &(size, punched))
     }
 
-    /// Drop an extent: meta row plus every stored page.
-    pub fn delete_extent(&self, extent: ExtentId) -> Result<()> {
+    /// Apply a device's hole-row changes — `(first_block, Some(end))` puts
+    /// a row, `(first_block, None)` deletes it — as one batch.
+    pub(crate) fn write_holes(&self, extent: ExtentId, log: &[(u64, Option<u64>)]) -> Result<()> {
         let mut batch = WriteBatch::new();
-        batch.delete::<ExtentMetaCf>(&(self.store_id, extent.raw()));
-        for (raw, _) in self.engine.scan_prefix_raw(&self.page_prefix(extent.raw())) {
-            batch.delete_raw(raw);
+        for &(first, end) in log {
+            let key = (self.store_id, extent.raw(), first);
+            match end {
+                Some(end) => batch.put::<HoleCf>(&key, &end),
+                None => batch.delete::<HoleCf>(&key),
+            };
         }
         self.engine.write(batch)
+    }
+
+    /// Queue the deletion of every row under `prefix`.
+    fn delete_rows_under(&self, prefix: &[u8], batch: &mut WriteBatch) {
+        for (raw, _) in self.engine.scan_prefix_raw(prefix) {
+            batch.delete_raw(raw);
+        }
+    }
+
+    /// Drop an extent: its rows, then its file.
+    pub fn delete_extent(&self, extent: ExtentId) -> Result<()> {
+        let mut holes = self.store_prefix::<HoleCf>();
+        holes.extend_from_slice(&extent.raw().to_be_bytes());
+        let mut batch = WriteBatch::new();
+        batch.delete::<ExtentMetaCf>(&(self.store_id, extent.raw()));
+        self.delete_rows_under(&holes, &mut batch);
+        self.engine.write(batch)?;
+        remove_if_present(std::fs::remove_file(self.extent_path(extent)))
     }
 
     /// Persist the store-level allocation state.
@@ -138,239 +175,106 @@ impl StorePersist {
             .map(|(next, active)| (next, active.map(ExtentId))))
     }
 
-    /// `(extent, watermark, punched)` for every stored extent of this
-    /// store.
-    pub fn stored_extents(&self) -> Result<Vec<(ExtentId, u64, u64)>> {
-        let mut prefix = cf_prefix::<ExtentMetaCf>();
-        prefix.extend_from_slice(&self.store_id.to_be_bytes());
-        let mut out = Vec::new();
-        for (raw, value) in self.engine.scan_prefix_raw(&prefix) {
-            let (_, extent) = cfs_kvwal::cf::typed_key::<ExtentMetaCf>(&raw)?;
-            let (size, punched) = <(u64, u64) as cfs_types::codec::Decode>::from_bytes(&value)?;
-            out.push((ExtentId(extent), size, punched));
+    /// Every extent the index lists for this store.
+    pub(crate) fn stored_extents(&self) -> Result<Vec<StoredExtent>> {
+        let store = self.store_id.to_be_bytes();
+        let mut holes: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
+        for ((_, extent, first), end) in self.engine.scan_cf_prefix::<HoleCf>(&store)? {
+            holes.entry(extent).or_default().push((first, end));
         }
-        Ok(out)
+        Ok(self
+            .engine
+            .scan_cf_prefix::<ExtentMetaCf>(&store)?
+            .into_iter()
+            .map(|((_, extent), (watermark, punched))| StoredExtent {
+                id: ExtentId(extent),
+                watermark,
+                punched,
+                holes: holes.remove(&extent).unwrap_or_default(),
+            })
+            .collect())
     }
 
-    /// Drop everything this store persisted (meta, extents, pages).
+    /// Remove every extent file `indexed` does not know: what a crash
+    /// between creating a file and committing its row leaves behind.
+    pub(crate) fn sweep_unindexed_files(&self, indexed: impl Fn(ExtentId) -> bool) -> Result<()> {
+        let entries = match std::fs::read_dir(&self.dir) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            other => other?,
+        };
+        for entry in entries {
+            let entry = entry?;
+            let id = entry.file_name().to_str().and_then(|n| n.parse().ok());
+            if id.is_some_and(|id| !indexed(ExtentId(id))) {
+                std::fs::remove_file(entry.path())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Drop everything this store persisted: rows, then the directory of
+    /// extent files.
     pub fn remove_store(&self) -> Result<()> {
         let mut batch = WriteBatch::new();
         batch.delete::<StoreMetaCf>(&self.store_id);
-        for (extent, _, _) in self.stored_extents()? {
-            batch.delete::<ExtentMetaCf>(&(self.store_id, extent.raw()));
-            for (raw, _) in self.engine.scan_prefix_raw(&self.page_prefix(extent.raw())) {
-                batch.delete_raw(raw);
-            }
-        }
-        self.engine.write(batch)
+        self.delete_rows_under(&self.store_prefix::<ExtentMetaCf>(), &mut batch);
+        self.delete_rows_under(&self.store_prefix::<HoleCf>(), &mut batch);
+        self.engine.write(batch)?;
+        remove_if_present(std::fs::remove_dir_all(&self.dir))
     }
 }
 
-/// [`BlockDevice`] whose pages live on the LSM engine: sparse-file
-/// semantics with write-through durability. Partial-page writes
-/// read-modify-write the stored page; all pages touched by one call commit
-/// as one atomic batch.
-pub struct KvDevice {
-    persist: Arc<StorePersist>,
-    extent: u64,
-    /// Allocated block ids (mirror of the stored page rows, kept in memory
-    /// so `allocated_bytes` is O(1) bookkeeping rather than a scan).
-    blocks: BTreeSet<u64>,
-}
-
-impl std::fmt::Debug for KvDevice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KvDevice")
-            .field("extent", &self.extent)
-            .field("blocks", &self.blocks.len())
-            .finish()
-    }
-}
-
-impl KvDevice {
-    fn key(&self, block: u64) -> (u64, u64, u64) {
-        (self.persist.store_id, self.extent, block)
-    }
-
-    fn load_page(&self, block: u64) -> Result<Vec<u8>> {
-        Ok(self
-            .persist
-            .engine
-            .get::<PageCf>(&self.key(block))?
-            .unwrap_or_else(|| vec![0u8; BLOCK_SIZE as usize]))
-    }
-}
-
-impl BlockDevice for KvDevice {
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<()> {
-        let mut batch = WriteBatch::new();
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let abs = offset + pos as u64;
-            let block = abs / BLOCK_SIZE;
-            let in_block = (abs % BLOCK_SIZE) as usize;
-            let n = (BLOCK_SIZE as usize - in_block).min(data.len() - pos);
-            let mut page = if n == BLOCK_SIZE as usize {
-                vec![0u8; BLOCK_SIZE as usize] // whole-page write, no read
-            } else {
-                self.load_page(block)?
-            };
-            page[in_block..in_block + n].copy_from_slice(&data[pos..pos + n]);
-            batch.put::<PageCf>(&self.key(block), &page);
-            self.blocks.insert(block);
-            pos += n;
-        }
-        self.persist.engine.write(batch)
-    }
-
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let mut out = vec![0u8; len];
-        let mut pos = 0usize;
-        while pos < len {
-            let abs = offset + pos as u64;
-            let block = abs / BLOCK_SIZE;
-            let in_block = (abs % BLOCK_SIZE) as usize;
-            let n = (BLOCK_SIZE as usize - in_block).min(len - pos);
-            if self.blocks.contains(&block) {
-                let page = self.load_page(block)?;
-                out[pos..pos + n].copy_from_slice(&page[in_block..in_block + n]);
-            }
-            pos += n;
-        }
-        Ok(out)
-    }
-
-    fn punch_hole(&mut self, offset: u64, len: u64) -> Result<()> {
-        if len == 0 {
-            return Ok(());
-        }
-        let end = offset
-            .checked_add(len)
-            .ok_or_else(|| cfs_types::CfsError::InvalidArgument("punch range overflow".into()))?;
-        let mut batch = WriteBatch::new();
-
-        let first_full = offset.div_ceil(BLOCK_SIZE);
-        let last_full = end / BLOCK_SIZE; // exclusive
-        for block in first_full..last_full {
-            if self.blocks.remove(&block) {
-                batch.delete::<PageCf>(&self.key(block));
-            }
-        }
-
-        let mut zeroed: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut zero_range = |dev: &Self, abs_start: u64, abs_end: u64| -> Result<()> {
-            if abs_start >= abs_end {
-                return Ok(());
-            }
-            let block = abs_start / BLOCK_SIZE;
-            if dev.blocks.contains(&block) {
-                let mut page = dev.load_page(block)?;
-                let s = (abs_start % BLOCK_SIZE) as usize;
-                let e = s + (abs_end - abs_start) as usize;
-                page[s..e].fill(0);
-                zeroed.push((block, page));
-            }
-            Ok(())
-        };
-        if first_full > last_full {
-            zero_range(self, offset, end)?;
-        } else {
-            zero_range(self, offset, first_full * BLOCK_SIZE)?;
-            zero_range(self, last_full * BLOCK_SIZE, end)?;
-        }
-        for (block, page) in zeroed {
-            batch.put::<PageCf>(&self.key(block), &page);
-        }
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.persist.engine.write(batch)
-    }
-
-    fn allocated_bytes(&self) -> u64 {
-        self.blocks.len() as u64 * BLOCK_SIZE
+/// A removal that found nothing to remove is done.
+fn remove_if_present(removed: std::io::Result<()>) -> Result<()> {
+    match removed {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+        _ => Ok(()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExtentStore;
     use cfs_kvwal::LsmOptions;
     use cfs_types::testutil::TempDir;
 
-    fn persist(dir: &std::path::Path, store_id: u64) -> Arc<StorePersist> {
-        Arc::new(StorePersist::new(
-            Arc::new(LsmEngine::open(dir, LsmOptions::default()).unwrap()),
-            store_id,
-        ))
+    fn files_in(dir: &Path) -> usize {
+        std::fs::read_dir(dir).map_or(0, |entries| entries.count())
     }
 
-    #[test]
-    fn kvdevice_matches_memdevice_semantics() {
-        let dir = TempDir::new("storekv").unwrap();
-        let p = persist(dir.path(), 1);
-        let mut kv = p.device(ExtentId(1));
-        let mut mem = crate::device::MemDevice::new();
-
-        let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
-        kv.write_at(100, &data).unwrap();
-        mem.write_at(100, &data).unwrap();
-        assert_eq!(
-            kv.read_at(0, 11_000).unwrap(),
-            mem.read_at(0, 11_000).unwrap()
-        );
-        assert_eq!(kv.allocated_bytes(), mem.allocated_bytes());
-
-        kv.punch_hole(BLOCK_SIZE / 2, 2 * BLOCK_SIZE).unwrap();
-        mem.punch_hole(BLOCK_SIZE / 2, 2 * BLOCK_SIZE).unwrap();
-        assert_eq!(
-            kv.read_at(0, 11_000).unwrap(),
-            mem.read_at(0, 11_000).unwrap()
-        );
-        assert_eq!(kv.allocated_bytes(), mem.allocated_bytes());
-    }
-
-    #[test]
-    fn pages_survive_engine_reopen() {
-        let dir = TempDir::new("storekv").unwrap();
-        {
-            let p = persist(dir.path(), 7);
-            let mut d = p.device(ExtentId(3));
-            d.write_at(0, b"durable bytes").unwrap();
-            d.write_at(BLOCK_SIZE * 2 + 17, &[0xab; 100]).unwrap();
-            p.save_extent_meta(ExtentId(3), 13, 0).unwrap();
-        }
-        let p = persist(dir.path(), 7);
-        let d = p.restore_device(ExtentId(3));
-        assert_eq!(d.allocated_bytes(), 2 * BLOCK_SIZE);
-        assert_eq!(&d.read_at(0, 13).unwrap(), b"durable bytes");
-        assert_eq!(
-            d.read_at(BLOCK_SIZE * 2 + 17, 100).unwrap(),
-            vec![0xab; 100]
-        );
-        assert_eq!(p.stored_extents().unwrap(), vec![(ExtentId(3), 13, 0)]);
-    }
-
+    /// Two stores on one engine keep their rows and files apart, and
+    /// neither `delete_extent` nor `remove_store` leaves a file behind.
     #[test]
     fn stores_are_namespaced_by_id() {
-        let dir = TempDir::new("storekv").unwrap();
+        let dir = TempDir::new("storefiles").unwrap();
         let engine = Arc::new(LsmEngine::open(dir.path(), LsmOptions::default()).unwrap());
         let a = Arc::new(StorePersist::new(engine.clone(), 1));
         let b = Arc::new(StorePersist::new(engine, 2));
-        let mut da = a.device(ExtentId(1));
-        let mut db = b.device(ExtentId(1));
-        da.write_at(0, b"store-a").unwrap();
-        db.write_at(0, b"store-b").unwrap();
-        a.save_extent_meta(ExtentId(1), 7, 0).unwrap();
-        b.save_extent_meta(ExtentId(1), 7, 0).unwrap();
-        assert_eq!(&da.read_at(0, 7).unwrap(), b"store-a");
-        assert_eq!(&db.read_at(0, 7).unwrap(), b"store-b");
+        assert!(!a.extent_dir().exists(), "made at the first extent");
+        let mut sa = ExtentStore::new_persistent(1 << 20, 0, a.clone()).unwrap();
+        let mut sb = ExtentStore::new_persistent(1 << 20, 0, b.clone()).unwrap();
+        let (ea, eb) = (sa.create_extent().unwrap(), sb.create_extent().unwrap());
+        assert_eq!(ea, eb, "same extent id in both stores");
+        sa.append(ea, 0, b"store-a").unwrap();
+        sb.append(eb, 0, b"store-b").unwrap();
+        let small = sa.write_small_file(&[7u8; 3 * 4096]).unwrap();
+        sa.delete_small_file(small).unwrap();
+        assert_eq!(&sa.read(ea, 0, 7).unwrap(), b"store-a");
+        assert_eq!(&sb.read(eb, 0, 7).unwrap(), b"store-b");
+        assert_eq!(files_in(a.extent_dir()), 2);
+
+        sa.delete_extent(small.extent_id).unwrap();
+        assert!(!a.extent_path(small.extent_id).exists());
+        assert_eq!(a.stored_extents().unwrap().len(), 1, "rows went with it");
+        assert_eq!(files_in(a.extent_dir()), 1);
+
         a.remove_store().unwrap();
         assert!(a.stored_extents().unwrap().is_empty());
+        assert!(a.load_store_meta().unwrap().is_none());
+        assert!(!a.extent_dir().exists(), "no file left under extents/1");
         assert_eq!(b.stored_extents().unwrap().len(), 1, "b untouched");
-        assert_eq!(
-            &b.restore_device(ExtentId(1)).read_at(0, 7).unwrap(),
-            b"store-b"
-        );
+        assert_eq!(&sb.read(eb, 0, 7).unwrap(), b"store-b");
+        a.remove_store().unwrap(); // nothing left to remove is not an error
     }
 }

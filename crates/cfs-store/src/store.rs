@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use cfs_types::{CfsError, ExtentId, Result};
 
+use crate::device::FileDevice;
 use crate::extent::Extent;
 use crate::metrics::StoreMetrics;
 use crate::persist::StorePersist;
@@ -40,8 +41,8 @@ pub struct ExtentStore {
     extent_limit: u64,
     /// Byte accounting, detached until [`ExtentStore::set_metrics`].
     metrics: StoreMetrics,
-    /// Durable backing (pages + extent/store meta written through at every
-    /// mutation). `None` = in-memory devices, the original model.
+    /// Durable backing (extent files + extent/store rows written through
+    /// at every mutation). `None` = in-memory devices, the original model.
     persist: Option<Arc<StorePersist>>,
 }
 
@@ -59,9 +60,9 @@ impl ExtentStore {
         }
     }
 
-    /// Empty store whose extents live on durable [`StorePersist`] devices:
-    /// every page write, watermark move and punch is on the engine before
-    /// the mutating call returns.
+    /// Empty store whose extents live in [`StorePersist`]'s files: every
+    /// write and punch is in its file, then its watermark or punch row on
+    /// the engine, before the mutating call returns.
     pub fn new_persistent(
         small_extent_rotate_at: u64,
         extent_limit: u64,
@@ -73,10 +74,13 @@ impl ExtentStore {
         Ok(st)
     }
 
-    /// Rebuild a store from what `persist` holds on disk: every extent's
-    /// pages, watermark and punch accounting, plus the allocation cursor
-    /// and active small-file extent. CRC caches start cold and recompute
-    /// from the restored bytes on first access.
+    /// Rebuild a store from what `persist` holds on disk: every indexed
+    /// extent's file, watermark and punch accounting, plus the allocation
+    /// cursor and active small-file extent. The index decides: a file
+    /// without a row is removed, bytes past a row's watermark are ignored,
+    /// and a row whose file is missing or shorter than its watermark is
+    /// `Corrupt`. CRC caches start cold and recompute from the restored
+    /// bytes on first access.
     pub fn restore(
         small_extent_rotate_at: u64,
         extent_limit: u64,
@@ -84,12 +88,15 @@ impl ExtentStore {
     ) -> Result<Self> {
         let mut st = Self::new(small_extent_rotate_at, extent_limit);
         let (mut next_id, active) = persist.load_store_meta()?.unwrap_or((1, None));
-        for (id, size, punched) in persist.stored_extents()? {
-            let dev = Box::new(persist.restore_device(id));
-            st.extents
-                .insert(id, Extent::from_parts(id, dev, size, punched));
-            next_id = next_id.max(id.raw() + 1);
+        for e in persist.stored_extents()? {
+            let dev = FileDevice::open(persist.clone(), e.id, e.watermark, &e.holes)?;
+            st.extents.insert(
+                e.id,
+                Extent::from_parts(e.id, Box::new(dev), e.watermark, e.punched),
+            );
+            next_id = next_id.max(e.id.raw() + 1);
         }
+        persist.sweep_unindexed_files(|id| st.extents.contains_key(&id))?;
         st.next_extent_id = next_id;
         st.packer.active = active.filter(|id| st.extents.contains_key(id));
         st.persist = Some(persist);
@@ -139,7 +146,7 @@ impl ExtentStore {
         }
         let id = ExtentId(self.next_extent_id);
         self.next_extent_id += 1;
-        self.extents.insert(id, self.new_extent(id));
+        self.extents.insert(id, self.new_extent(id)?);
         self.metrics.extents_created.inc();
         self.persist_extent_meta(id)?;
         self.persist_store_meta()?;
@@ -147,11 +154,11 @@ impl ExtentStore {
     }
 
     /// An empty extent on the store's device kind (durable or in-memory).
-    fn new_extent(&self, id: ExtentId) -> Extent {
-        match &self.persist {
-            Some(p) => Extent::with_device(id, Box::new(p.device(id))),
+    fn new_extent(&self, id: ExtentId) -> Result<Extent> {
+        Ok(match &self.persist {
+            Some(p) => Extent::with_device(id, Box::new(FileDevice::create(p.clone(), id)?)),
             None => Extent::new(id),
-        }
+        })
     }
 
     /// Create an extent with a specific id (replication replays the
@@ -161,7 +168,7 @@ impl ExtentStore {
             return Err(CfsError::Exists(format!("{id}")));
         }
         self.next_extent_id = self.next_extent_id.max(id.raw() + 1);
-        self.extents.insert(id, self.new_extent(id));
+        self.extents.insert(id, self.new_extent(id)?);
         self.metrics.extents_created.inc();
         self.persist_extent_meta(id)?;
         self.persist_store_meta()?;

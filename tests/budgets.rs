@@ -18,14 +18,20 @@
 //! WAL records appended since each engine's last memtable flush — never
 //! the total history — because a flush persists its records into sorted
 //! runs and truncates the WAL behind them.
+//!
+//! The extent append budget pins what the engine is *not* asked to hold:
+//! a replica's share of a 1 MiB sequential write is at most one WAL record
+//! per packet (the watermark row) and no memtable flush, because the bytes
+//! go to the extent file.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use cfs::{
-    ClientOptions, Cluster, ClusterBuilder, ClusterConfig, FileType, MetaCommand, MetaNode,
-    MetaRequest, MetaResponse, MetricsSnapshot, PartitionId,
+    ClientOptions, Cluster, ClusterBuilder, ClusterConfig, ExtentId, FileType, MetaCommand,
+    MetaNode, MetaRequest, MetaResponse, MetricsSnapshot, NodeId, PartitionId, VolumeId,
 };
+use cfs_data::DataPartitionReplica;
 use cfs_kvwal::{LsmEngine, LsmOptions, TypedCf};
 use cfs_types::testutil::TempDir;
 
@@ -1033,12 +1039,14 @@ fn split_and_raftset_budget_checks_reject_perturbed_counts() {
 
 // ----- storage-engine recovery budget ------------------------------------
 
-/// Client ops in the recovery history. Every chain append lands one WAL
-/// record on each of its three replicas plus periodic meta/master
-/// records, so the durable history comfortably exceeds the 10k records
-/// the test pins below.
+/// Client ops in the recovery history, and the WAL records one of them
+/// costs now that an append's bytes go to the extent file: one watermark
+/// row on each of its three replicas, the chain head's commit row, and
+/// the meta sync's raft entry on each of the three meta replicas — 7,
+/// where the page-row store wrote 10 (its three page batches are gone).
 const RECOVERY_OPS: u64 = 3_000;
-const RECOVERY_WAL_RECORDS: u64 = 10_000;
+const RECOVERY_RECORDS_PER_OP: u64 = 7;
+const RECOVERY_WAL_RECORDS: u64 = RECOVERY_OPS * RECOVERY_RECORDS_PER_OP;
 const RECOVERY_FILES: usize = 8;
 
 /// The recovery budget: `total_appends` WAL records were written over
@@ -1077,7 +1085,7 @@ fn whole_cluster_recovery_budget() {
         client.create(root, &nm).unwrap();
         handles.push(client.open(root, &nm).unwrap());
     }
-    // A >10k-record acknowledged history: every append is durably acked
+    // A 21k-record acknowledged history: every append is durably acked
     // through its replica chain before the next op runs, landing WAL
     // records on all three data engines plus the meta/master engines the
     // sync cadence touches.
@@ -1178,6 +1186,92 @@ fn recovery_budget_fires_when_flushing_disabled() {
         msg.contains("recovery budget regression"),
         "unexpected panic message: {msg}"
     );
+}
+
+// ----- extent append budget ----------------------------------------------
+
+const EXTENT_PACKET: usize = 128 * 1024;
+const EXTENT_PACKETS: u64 = 8;
+
+/// What one replica's engine may be charged for `packets` appended
+/// packets: their watermark rows, and nothing that grows with the payload.
+fn check_extent_append_budget(packets: u64, wal_appends: u64, flushes: u64) {
+    assert!(
+        wal_appends <= packets,
+        "extent append budget regression: {wal_appends} WAL records for \
+         {packets} packets; a packet costs its replica one watermark row"
+    );
+    assert!(
+        flushes == 0,
+        "extent append budget regression: {flushes} memtable flushes while \
+         appending {packets} packets — file data is going through the engine"
+    );
+}
+
+struct PayloadCf;
+impl TypedCf for PayloadCf {
+    const NAME: &'static str = "budget_payload";
+    type Key = u64;
+    type Value = Vec<u8>;
+}
+
+/// Apply a 1 MiB sequential write to one persistent replica, as a chain
+/// member does, and return the `(kvwal.wal_appends, kvwal.flushes)` it
+/// cost. `payload_in_engine` is the forced-failure twin: a device that
+/// also puts each packet's bytes into the engine.
+fn append_one_mib_to_a_replica(payload_in_engine: bool) -> (u64, u64) {
+    let registry = cfs::Registry::new();
+    let dir = TempDir::new("budget-extent").unwrap();
+    let engine = Arc::new(
+        LsmEngine::open_with_registry(dir.path(), LsmOptions::default(), Some(&registry)).unwrap(),
+    );
+    let mut replica = DataPartitionReplica::new_persistent(
+        PartitionId(1),
+        VolumeId(1),
+        vec![NodeId(1), NodeId(2), NodeId(3)],
+        128 << 20,
+        0,
+        engine.clone(),
+    )
+    .unwrap();
+    replica.create_extent(ExtentId(1)).unwrap();
+    let packet = vec![0x5a_u8; EXTENT_PACKET];
+    let before = registry.snapshot();
+    for i in 0..EXTENT_PACKETS {
+        replica
+            .apply_append(ExtentId(1), i * EXTENT_PACKET as u64, &packet)
+            .unwrap();
+        if payload_in_engine {
+            engine.put::<PayloadCf>(&i, &packet).unwrap();
+        }
+    }
+    let window = registry.snapshot().diff(&before);
+    (
+        window.counter("kvwal.wal_appends"),
+        window.counter("kvwal.flushes"),
+    )
+}
+
+#[test]
+fn extent_append_budget() {
+    let (wal_appends, flushes) = append_one_mib_to_a_replica(false);
+    check_extent_append_budget(EXTENT_PACKETS, wal_appends, flushes);
+}
+
+#[test]
+fn extent_append_budget_fires_when_the_payload_goes_through_the_engine() {
+    let (wal_appends, flushes) = append_one_mib_to_a_replica(true);
+    assert_eq!(wal_appends, 2 * EXTENT_PACKETS, "row + payload per packet");
+    assert!(flushes >= 1, "1 MiB of payload overflows the memtable");
+    let err =
+        std::panic::catch_unwind(|| check_extent_append_budget(EXTENT_PACKETS, wal_appends, 0))
+            .expect_err("a second WAL record per packet must fail the budget");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("one watermark row"), "got: {msg}");
+    let err = std::panic::catch_unwind(|| check_extent_append_budget(EXTENT_PACKETS, 0, flushes))
+        .expect_err("a flush of file data must fail the budget");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("going through the engine"), "got: {msg}");
 }
 
 // ---------------------------------------------------------------------
