@@ -43,26 +43,6 @@ impl Client {
         unreachable!("loop returns on the last component")
     }
 
-    /// Resolve the parent directory of a path, returning
-    /// `(parent inode, final component)`.
-    pub fn resolve_parent<'p>(&self, path: &'p str) -> Result<(InodeId, &'p str)> {
-        let parts = split_path(path)?;
-        let Some((last, dirs)) = parts.split_last() else {
-            return Err(CfsError::InvalidArgument(
-                "path has no final component".into(),
-            ));
-        };
-        let mut cur = self.root();
-        for part in dirs {
-            let dentry = self.lookup(cur, part)?;
-            if dentry.file_type != FileType::Dir {
-                return Err(CfsError::NotADirectory(dentry.inode));
-            }
-            cur = dentry.inode;
-        }
-        Ok((cur, last))
-    }
-
     /// `mkdir -p`: create every missing directory along `path`, returning
     /// the final directory's inode.
     pub fn mkdir_all(&self, path: &str) -> Result<InodeId> {

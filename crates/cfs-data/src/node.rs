@@ -1,5 +1,10 @@
 //! The data node: partitions, chain replication, Raft overwrites,
 //! recovery.
+//!
+//! A hosted partition is one [`Hosted`] entry in one map: its replica and
+//! its chain-ordering state. A request fetches the entry once under the
+//! map's read lock and from then on locks only that partition; the lock
+//! order is stated at [`Hosted`].
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -7,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use cfs_kvwal::{LsmEngine, LsmOptions};
 use cfs_net::Network;
@@ -136,8 +141,8 @@ pub enum DataRequest {
     },
     /// Repair: the (possibly newly promoted) chain head recomputes each
     /// extent's committed watermark as the minimum applied size across
-    /// the `sync_from` survivors — the watermark map lived only on the
-    /// old head (§2.2.5).
+    /// the `sync_from` survivors — only the old head's extent rows held
+    /// one (§2.2.5).
     PromoteHead {
         partition: PartitionId,
         sync_from: Vec<NodeId>,
@@ -202,9 +207,9 @@ pub struct DataNode {
     id: NodeId,
     hub: RaftHub,
     net: Network<DataRequest, Result<DataResponse>>,
-    partitions: Mutex<HashMap<PartitionId, DataPartitionReplica>>,
-    /// Per-partition chain-pipelining state (see [`ChainState`]).
-    chain_order: Mutex<HashMap<PartitionId, Arc<ChainState>>>,
+    /// Written only when a partition is created; requests clone the entry
+    /// out under the read lock ([`DataNode::hosted`]).
+    partitions: RwLock<HashMap<PartitionId, Arc<Hosted>>>,
     raft: Mutex<RaftState>,
     commit_timeout_ticks: u64,
     /// Bound when the node was opened `open_with_registry`; used for
@@ -225,16 +230,46 @@ struct RaftState {
     results: HashMap<(RaftGroupId, u64), Result<()>>,
 }
 
+/// Everything the node keeps for one partition it hosts.
+///
+/// Lock order, node-wide: `raft` → partition map (read) → `replica`, and
+/// within a partition `chain.seq` or `chain.small` → `replica`. Nothing
+/// takes `raft`, the map or a `chain` lock while holding a `replica`;
+/// nothing takes `raft` while holding the map's write lock; no `replica`
+/// lock is held across a fabric call.
+struct Hosted {
+    replica: Mutex<DataPartitionReplica>,
+    chain: ChainState,
+}
+
+impl Hosted {
+    fn new(replica: DataPartitionReplica) -> Arc<Self> {
+        Arc::new(Hosted {
+            replica: Mutex::new(replica),
+            chain: ChainState {
+                seq: Mutex::new(ChainSeq {
+                    next_ticket: 0,
+                    forward_turn: 0,
+                }),
+                cv: Condvar::new(),
+                small: Mutex::new(()),
+            },
+        })
+    }
+}
+
 /// Per-partition chain-replication ordering at the PB leader (§2.7.1).
 ///
-/// Appends from one client window arrive concurrently. The leader must
-/// (a) apply them in offset order and (b) forward them downstream in the
-/// same order — but it does *not* need to hold packet k+1's apply back
-/// until packet k finished its whole downstream round-trip. Each packet
-/// takes a *ticket* the moment its local apply lands (applies are strictly
-/// ordered by the extent's offset==size check), then forwards when
-/// `forward_turn` reaches its ticket: packet k+1 applies locally while
-/// packet k is still in flight down the chain.
+/// The fabric spawns no threads: a handler runs on its caller's thread,
+/// so two appends to one partition overlap only when several OS threads
+/// drive the same fabric. When they do, the leader must (a) apply them in
+/// offset order and (b) forward them downstream in the same order — but
+/// it does *not* need to hold packet k+1's apply back until packet k
+/// finished its whole downstream round-trip. Each packet takes a *ticket*
+/// the moment its local apply lands (applies are strictly ordered by the
+/// extent's offset==size check), then forwards when `forward_turn`
+/// reaches its ticket: packet k+1 applies locally while packet k is still
+/// in flight down the chain.
 struct ChainState {
     seq: Mutex<ChainSeq>,
     cv: Condvar,
@@ -324,14 +359,13 @@ impl DataNode {
                 Some(state) => multiraft.restore_group(gid, replica.members().to_vec(), state)?,
                 None => multiraft.create_group(gid, replica.members().to_vec())?,
             }
-            partitions.insert(pid, replica);
+            partitions.insert(pid, Hosted::new(replica));
         }
         let node = Arc::new(DataNode {
             id,
             hub: hub.clone(),
             net,
-            partitions: Mutex::new(partitions),
-            chain_order: Mutex::new(HashMap::new()),
+            partitions: RwLock::new(partitions),
             raft: Mutex::new(RaftState {
                 multiraft,
                 results: HashMap::new(),
@@ -396,8 +430,8 @@ impl DataNode {
             }
             DataRequest::CreateExtent { partition } => {
                 let (extent, replicas) = {
-                    let mut parts = self.partitions.lock();
-                    let r = Self::part_mut(&mut parts, partition)?;
+                    let hosted = self.hosted(partition)?;
+                    let mut r = hosted.replica.lock();
                     if r.pb_leader() != self.id {
                         return Err(CfsError::NotLeader {
                             partition,
@@ -422,8 +456,8 @@ impl DataNode {
                 replicas,
             } => {
                 {
-                    let mut parts = self.partitions.lock();
-                    let r = Self::part_mut(&mut parts, partition)?;
+                    let hosted = self.hosted(partition)?;
+                    let mut r = hosted.replica.lock();
                     // Idempotent for chain retries.
                     if !r.has_extent(extent) {
                         r.create_extent(extent)?;
@@ -469,14 +503,14 @@ impl DataNode {
                 len,
                 enforce_committed,
             } => {
-                let parts = self.partitions.lock();
-                let r = Self::part(&parts, partition)?;
+                let hosted = self.hosted(partition)?;
+                let r = hosted.replica.lock();
                 let data = r.read(extent, offset, len as usize, enforce_committed)?;
                 Ok(DataResponse::Data(data))
             }
             DataRequest::ExtentInfo { partition, extent } => {
-                let mut parts = self.partitions.lock();
-                let r = Self::part_mut(&mut parts, partition)?;
+                let hosted = self.hosted(partition)?;
+                let mut r = hosted.replica.lock();
                 let size = r.extent_size(extent)?;
                 let committed = r.committed(extent);
                 let crc = r.extent_crc(extent)?;
@@ -492,10 +526,8 @@ impl DataNode {
                 extent,
                 replicas,
             } => {
-                {
-                    let mut parts = self.partitions.lock();
-                    Self::part_mut(&mut parts, partition)?.queue_delete_extent(extent)?;
-                }
+                let hosted = self.hosted(partition)?;
+                hosted.replica.lock().queue_delete_extent(extent)?;
                 self.forward_chain(
                     &replicas,
                     DataRequest::QueueDeleteExtent {
@@ -513,10 +545,8 @@ impl DataNode {
                 len,
                 replicas,
             } => {
-                {
-                    let mut parts = self.partitions.lock();
-                    Self::part_mut(&mut parts, partition)?.queue_punch(extent, offset, len)?;
-                }
+                let hosted = self.hosted(partition)?;
+                hosted.replica.lock().queue_punch(extent, offset, len)?;
                 self.forward_chain(
                     &replicas,
                     DataRequest::QueuePunch {
@@ -530,13 +560,13 @@ impl DataNode {
                 Ok(DataResponse::None)
             }
             DataRequest::ProcessDeletes { partition } => {
-                let mut parts = self.partitions.lock();
-                let n = Self::part_mut(&mut parts, partition)?.process_delete_queue()?;
+                let hosted = self.hosted(partition)?;
+                let n = hosted.replica.lock().process_delete_queue()?;
                 Ok(DataResponse::Processed(n))
             }
             DataRequest::SetReadOnly { partition, ro } => {
-                let mut parts = self.partitions.lock();
-                Self::part_mut(&mut parts, partition)?.set_read_only(ro)?;
+                let hosted = self.hosted(partition)?;
+                hosted.replica.lock().set_read_only(ro)?;
                 Ok(DataResponse::None)
             }
             DataRequest::TruncateExtent {
@@ -544,8 +574,8 @@ impl DataNode {
                 extent,
                 size,
             } => {
-                let mut parts = self.partitions.lock();
-                Self::part_mut(&mut parts, partition)?.truncate(extent, size)?;
+                let hosted = self.hosted(partition)?;
+                hosted.replica.lock().truncate(extent, size)?;
                 Ok(DataResponse::None)
             }
             DataRequest::Recover { partition } => {
@@ -564,29 +594,21 @@ impl DataNode {
                 Ok(DataResponse::Processed(updated))
             }
             DataRequest::Report => {
-                let parts = self.partitions.lock();
-                let mut stats: Vec<PartitionStats> = parts.values().map(|r| r.stats()).collect();
+                let parts = self.partitions.read();
+                let mut stats: Vec<PartitionStats> =
+                    parts.values().map(|h| h.replica.lock().stats()).collect();
                 stats.sort_by_key(|s| s.partition_id);
                 Ok(DataResponse::Report(stats))
             }
         }
     }
 
-    fn part(
-        parts: &HashMap<PartitionId, DataPartitionReplica>,
-        pid: PartitionId,
-    ) -> Result<&DataPartitionReplica> {
-        parts
+    /// The entry of a hosted partition, fetched once per request.
+    fn hosted(&self, pid: PartitionId) -> Result<Arc<Hosted>> {
+        self.partitions
+            .read()
             .get(&pid)
-            .ok_or_else(|| CfsError::NotFound(format!("{pid}")))
-    }
-
-    fn part_mut(
-        parts: &mut HashMap<PartitionId, DataPartitionReplica>,
-        pid: PartitionId,
-    ) -> Result<&mut DataPartitionReplica> {
-        parts
-            .get_mut(&pid)
+            .cloned()
             .ok_or_else(|| CfsError::NotFound(format!("{pid}")))
     }
 
@@ -599,16 +621,15 @@ impl DataNode {
         small_extent_rotate_at: u64,
         extent_limit: u64,
     ) -> Result<()> {
-        let mut parts = self.partitions.lock();
-        if let Some(existing) = parts.get(&partition) {
-            if existing.members() == members.as_slice() {
+        // `raft` comes first in the lock order and serialises creation.
+        let mut raft = self.raft.lock();
+        if let Ok(existing) = self.hosted(partition) {
+            if existing.replica.lock().members() == members.as_slice() {
                 return Ok(());
             }
             return Err(CfsError::Exists(format!("{partition}")));
         }
-        self.raft
-            .lock()
-            .multiraft
+        raft.multiraft
             .create_group(Self::group_of(partition), members.clone())?;
         let mut replica = DataPartitionReplica::new_persistent(
             partition,
@@ -619,25 +640,10 @@ impl DataNode {
             self.engine.clone(),
         )?;
         replica.set_store_metrics(self.store_metrics.clone());
-        parts.insert(partition, replica);
+        self.partitions
+            .write()
+            .insert(partition, Hosted::new(replica));
         Ok(())
-    }
-
-    fn chain_state(&self, partition: PartitionId) -> Arc<ChainState> {
-        self.chain_order
-            .lock()
-            .entry(partition)
-            .or_insert_with(|| {
-                Arc::new(ChainState {
-                    seq: Mutex::new(ChainSeq {
-                        next_ticket: 0,
-                        forward_turn: 0,
-                    }),
-                    cv: Condvar::new(),
-                    small: Mutex::new(()),
-                })
-            })
-            .clone()
     }
 
     /// Forward a chain request to this node's successor, if any.
@@ -666,13 +672,13 @@ impl DataNode {
         if crc32(&data) != crc {
             return Err(CfsError::Corrupt("append packet crc mismatch".into()));
         }
+        let hosted = self.hosted(partition)?;
         let am_chain_head = replicas.first() == Some(&self.id);
         if !am_chain_head {
             // Followers receive already-ordered traffic from the chain
             // head: validate, apply, forward — no ordering machinery.
             {
-                let mut parts = self.partitions.lock();
-                let r = Self::part_mut(&mut parts, partition)?;
+                let mut r = hosted.replica.lock();
                 if r.pb_leader() == self.id {
                     return Err(CfsError::InvalidArgument(
                         "replica array does not start at the PB leader".into(),
@@ -702,12 +708,12 @@ impl DataNode {
             return Ok(DataResponse::Watermark(offset + data.len() as u64));
         }
 
-        // Chain head: pipelined apply + ordered forwarding. Packets of one
-        // client window arrive on concurrent threads; apply order is
-        // enforced by waiting (bounded) until our offset meets the
-        // extent's applied size, and forward order by the ticket turn.
-        // Lock order is always ChainState.seq → partitions.
-        let state = self.chain_state(partition);
+        // Chain head: pipelined apply + ordered forwarding. When several
+        // threads drive the fabric, packets of one window can reach this
+        // handler out of order; apply order is enforced by waiting
+        // (bounded) until our offset meets the extent's applied size, and
+        // forward order by the ticket turn. `chain.seq` → `replica`.
+        let state = &hosted.chain;
         let deadline = Instant::now() + CHAIN_GAP_TIMEOUT;
         // Set on the first gap wait; its elapsed time feeds the stall
         // histogram once our turn arrives.
@@ -716,8 +722,7 @@ impl DataNode {
             let mut seq = state.seq.lock();
             loop {
                 {
-                    let mut parts = self.partitions.lock();
-                    let r = Self::part_mut(&mut parts, partition)?;
+                    let mut r = hosted.replica.lock();
                     let leader = r.pb_leader();
                     if leader != self.id && !replicas.contains(&self.id) {
                         return Err(CfsError::InvalidArgument(format!(
@@ -753,10 +758,7 @@ impl DataNode {
         }
         // Wake window peers blocked on the apply gap we just filled.
         state.cv.notify_all();
-        let turn_guard = TurnGuard {
-            state: &state,
-            ticket,
-        };
+        let turn_guard = TurnGuard { state, ticket };
 
         // Forward in ticket order, outside every lock: packet k+1 applies
         // locally while we are still in flight down the chain. A
@@ -786,8 +788,7 @@ impl DataNode {
 
         let new_watermark = offset + data.len() as u64;
         if is_pb_leader {
-            let mut parts = self.partitions.lock();
-            Self::part_mut(&mut parts, partition)?.commit(extent, new_watermark)?;
+            hosted.replica.lock().commit(extent, new_watermark)?;
         }
         self.metrics.appends_served.inc();
         Ok(DataResponse::Watermark(new_watermark))
@@ -810,11 +811,10 @@ impl DataNode {
             return Ok(DataResponse::SmallBatch(Vec::new()));
         }
         // Serialize pack + forward per partition (see [`ChainState`]).
-        let state = self.chain_state(partition);
-        let _order_guard = state.small.lock();
+        let hosted = self.hosted(partition)?;
+        let _order_guard = hosted.chain.small.lock();
         let (locs, members) = {
-            let mut parts = self.partitions.lock();
-            let r = Self::part_mut(&mut parts, partition)?;
+            let mut r = hosted.replica.lock();
             if r.pb_leader() != self.id {
                 return Err(CfsError::NotLeader {
                     partition,
@@ -871,8 +871,7 @@ impl DataNode {
             );
             match forwarded {
                 Ok(()) => {
-                    let mut parts = self.partitions.lock();
-                    Self::part_mut(&mut parts, partition)?.commit(extent, base + seg_len)?;
+                    hosted.replica.lock().commit(extent, base + seg_len)?;
                     committed_records = j;
                     self.metrics.small_batch_segments.inc();
                 }
@@ -936,9 +935,9 @@ impl DataNode {
     /// re-shipping missing committed bytes. Raft replay (step 2) then
     /// proceeds through the normal MultiRaft machinery.
     fn recover_partition(&self, partition: PartitionId) -> Result<usize> {
+        let hosted = self.hosted(partition)?;
         let (extents, members) = {
-            let parts = self.partitions.lock();
-            let r = Self::part(&parts, partition)?;
+            let r = hosted.replica.lock();
             if r.pb_leader() != self.id {
                 return Err(CfsError::NotLeader {
                     partition,
@@ -951,8 +950,7 @@ impl DataNode {
         let mut repaired = 0;
         for extent in extents {
             let committed = {
-                let mut parts = self.partitions.lock();
-                let r = Self::part_mut(&mut parts, partition)?;
+                let mut r = hosted.replica.lock();
                 let c = r.committed(extent);
                 // Drop our own stale tail first.
                 if r.extent_size(extent)? > c {
@@ -995,15 +993,12 @@ impl DataNode {
                     repaired += 1;
                 } else if info.size < committed {
                     // Peer is missing committed bytes: re-ship them.
-                    let missing = {
-                        let parts = self.partitions.lock();
-                        Self::part(&parts, partition)?.read(
-                            extent,
-                            info.size,
-                            (committed - info.size) as usize,
-                            true,
-                        )?
-                    };
+                    let missing = hosted.replica.lock().read(
+                        extent,
+                        info.size,
+                        (committed - info.size) as usize,
+                        true,
+                    )?;
                     let crc = crc32(&missing);
                     self.net.call(
                         self.id,
@@ -1033,8 +1028,8 @@ impl DataNode {
     /// Idempotent for task retries.
     pub fn update_members(&self, partition: PartitionId, members: Vec<NodeId>) -> Result<()> {
         {
-            let mut parts = self.partitions.lock();
-            let r = Self::part_mut(&mut parts, partition)?;
+            let hosted = self.hosted(partition)?;
+            let mut r = hosted.replica.lock();
             if r.members() == members.as_slice() {
                 return Ok(());
             }
@@ -1052,7 +1047,7 @@ impl DataNode {
         Ok(())
     }
 
-    /// §2.2.5 head promotion: the committed-watermark map lived only on
+    /// §2.2.5 head promotion: committed watermarks were advanced only on
     /// the old PB leader, so a newly promoted head recomputes each
     /// extent's watermark as the minimum applied size across the
     /// surviving replicas — every chain-acked byte is present on all of
@@ -1060,9 +1055,9 @@ impl DataNode {
     /// regresses, so re-running on a head that already has watermarks is
     /// harmless.
     fn promote_head(&self, partition: PartitionId, sync_from: &[NodeId]) -> Result<usize> {
+        let hosted = self.hosted(partition)?;
         let extents = {
-            let parts = self.partitions.lock();
-            let r = Self::part(&parts, partition)?;
+            let r = hosted.replica.lock();
             if r.pb_leader() != self.id {
                 return Err(CfsError::NotLeader {
                     partition,
@@ -1073,12 +1068,7 @@ impl DataNode {
         };
         let mut updated = 0;
         for extent in extents {
-            let mut watermark = {
-                let parts = self.partitions.lock();
-                Self::part(&parts, partition)?
-                    .extent_size(extent)
-                    .unwrap_or(0)
-            };
+            let mut watermark = hosted.replica.lock().extent_size(extent).unwrap_or(0);
             for &peer in sync_from.iter().filter(|&&m| m != self.id) {
                 let size = match self.net.call(
                     self.id,
@@ -1092,8 +1082,7 @@ impl DataNode {
                 };
                 watermark = watermark.min(size);
             }
-            let mut parts = self.partitions.lock();
-            let r = Self::part_mut(&mut parts, partition)?;
+            let mut r = hosted.replica.lock();
             if watermark > r.committed(extent) {
                 r.commit(extent, watermark)?;
                 updated += 1;
@@ -1106,15 +1095,15 @@ impl DataNode {
     /// Utilization for placement (disk-bytes analog, §2.3.1).
     pub fn total_physical_bytes(&self) -> u64 {
         self.partitions
-            .lock()
+            .read()
             .values()
-            .map(|r| r.stats().store.physical_bytes)
+            .map(|h| h.replica.lock().stats().store.physical_bytes)
             .sum()
     }
 
     /// Partitions hosted.
     pub fn partition_count(&self) -> usize {
-        self.partitions.lock().len()
+        self.partitions.read().len()
     }
 
     /// Is this node the Raft leader of the partition's group?
@@ -1127,22 +1116,13 @@ impl DataNode {
             .unwrap_or(false)
     }
 
-    /// Raft leader hint for client caches.
-    pub fn raft_leader_hint(&self, partition: PartitionId) -> Option<NodeId> {
-        self.raft
-            .lock()
-            .multiraft
-            .group(Self::group_of(partition))
-            .and_then(|g| g.leader_hint())
-    }
-
     /// Partitions hosted here with their replica arrays (invariant
     /// checking), sorted by partition id.
     pub fn hosted_partitions(&self) -> Vec<(PartitionId, Vec<NodeId>)> {
-        let parts = self.partitions.lock();
+        let parts = self.partitions.read();
         let mut out: Vec<(PartitionId, Vec<NodeId>)> = parts
-            .values()
-            .map(|r| (r.partition_id(), r.members().to_vec()))
+            .iter()
+            .map(|(pid, h)| (*pid, h.replica.lock().members().to_vec()))
             .collect();
         out.sort_by_key(|(pid, _)| *pid);
         out
@@ -1151,8 +1131,8 @@ impl DataNode {
     /// Size/CRC/watermark facts for every extent of one partition,
     /// sorted by extent id (replica-alignment invariant checking).
     pub fn extent_manifest(&self, partition: PartitionId) -> Option<Vec<ExtentInfo>> {
-        let mut parts = self.partitions.lock();
-        let r = parts.get_mut(&partition)?;
+        let hosted = self.hosted(partition).ok()?;
+        let mut r = hosted.replica.lock();
         let mut ids = r.extent_ids();
         ids.sort();
         Some(
@@ -1169,10 +1149,9 @@ impl DataNode {
 
     /// Queued-but-unexecuted deletions on one partition (quiesce check).
     pub fn pending_deletes(&self, partition: PartitionId) -> Option<usize> {
-        self.partitions
-            .lock()
-            .get(&partition)
-            .map(|r| r.pending_deletes())
+        let hosted = self.hosted(partition).ok()?;
+        let pending = hosted.replica.lock().pending_deletes();
+        Some(pending)
     }
 }
 
@@ -1208,8 +1187,9 @@ impl RaftHost for DataNode {
                         data,
                         ..
                     } = cmd;
-                    let mut parts = self.partitions.lock();
-                    Self::part_mut(&mut parts, pid)?.apply_overwrite(extent, offset, &data)
+                    let hosted = self.hosted(pid)?;
+                    let mut r = hosted.replica.lock();
+                    r.apply_overwrite(extent, offset, &data)
                 })();
                 if result.is_ok() {
                     self.metrics.overwrites_applied.inc();

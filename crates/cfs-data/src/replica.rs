@@ -1,6 +1,14 @@
-//! One replica of a data partition.
+//! One replica of a data partition: an extent store plus the replica
+//! array, always written through to the node's engine.
+//!
+//! Each durable fact has one row and one writer. Everything per extent —
+//! watermark, punch count, committed offset — is the extent's
+//! `store_extents` row, written by `cfs-store`; `commit`, `committed`,
+//! `read` and `truncate` here delegate to it. What changes rarely —
+//! volume, members, rotate/limit, the read-only flag, the delete queue —
+//! is this module's one `data_replicas` row per partition, whose size does
+//! not depend on how many extents the partition holds.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use cfs_kvwal::{LsmEngine, TypedCf};
@@ -11,8 +19,8 @@ use cfs_types::{
 
 /// Column family holding one encoded [`ReplicaMeta`] row per hosted
 /// partition. Extent bytes live in the per-partition `StorePersist`
-/// directory of extent files beside the engine, their index rows in the
-/// same engine.
+/// directory of extent files beside the engine, every per-extent fact in
+/// that store's index rows in the same engine.
 pub(crate) struct ReplicaCf;
 
 impl TypedCf for ReplicaCf {
@@ -23,6 +31,7 @@ impl TypedCf for ReplicaCf {
 
 /// The durable, non-extent state of a replica: everything needed to rebuild
 /// a [`DataPartitionReplica`] after power loss besides the store contents.
+/// Nothing here is per extent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ReplicaMeta {
     volume_id: VolumeId,
@@ -30,8 +39,6 @@ struct ReplicaMeta {
     small_extent_rotate_at: u64,
     extent_limit: u64,
     read_only: bool,
-    /// `(extent, watermark)` pairs, sorted by extent id.
-    committed: Vec<(u64, u64)>,
     /// Delete queue as parallel vectors: `(kind, extent)` where kind 0 =
     /// whole extent, 1 = punch; `(offset, len)` meaningful for punches.
     delete_kinds: Vec<(u64, u64)>,
@@ -46,7 +53,6 @@ impl ReplicaMeta {
         self.small_extent_rotate_at.encode(&mut enc);
         self.extent_limit.encode(&mut enc);
         u64::from(self.read_only).encode(&mut enc);
-        self.committed.encode(&mut enc);
         self.delete_kinds.encode(&mut enc);
         self.delete_ranges.encode(&mut enc);
         enc.finish()
@@ -59,7 +65,6 @@ impl ReplicaMeta {
         let small_extent_rotate_at = u64::decode(&mut dec)?;
         let extent_limit = u64::decode(&mut dec)?;
         let read_only = u64::decode(&mut dec)? != 0;
-        let committed = Vec::<(u64, u64)>::decode(&mut dec)?;
         let delete_kinds = Vec::<(u64, u64)>::decode(&mut dec)?;
         let delete_ranges = Vec::<(u64, u64)>::decode(&mut dec)?;
         Ok(ReplicaMeta {
@@ -68,7 +73,6 @@ impl ReplicaMeta {
             small_extent_rotate_at,
             extent_limit,
             read_only,
-            committed,
             delete_kinds,
             delete_ranges,
         })
@@ -106,44 +110,21 @@ pub struct DataPartitionReplica {
     volume_id: VolumeId,
     /// Replica order: index 0 is the primary-backup leader (§2.7.1).
     members: Vec<NodeId>,
+    /// Extents and every per-extent fact, including the committed offset:
+    /// the largest offset acked by *all* replicas (maintained at the PB
+    /// leader; followers hold 0 and track their own applied size).
     store: ExtentStore,
-    /// Per-extent committed watermark: the largest offset acked by *all*
-    /// replicas (maintained at the PB leader; followers track their own
-    /// applied size). Reads are clamped to it (§2.2.5).
-    committed: HashMap<ExtentId, u64>,
     /// Set by the resource manager when a replica times out (§2.3.3).
     read_only: bool,
     delete_queue: Vec<DeleteTask>,
     small_extent_rotate_at: u64,
     extent_limit: u64,
-    /// When present, the replica's meta row and its extents' index rows
-    /// are written through to this engine after every mutation.
-    engine: Option<Arc<LsmEngine>>,
+    /// The replica's meta row and its extents' index rows are written
+    /// through to this engine after every mutation.
+    engine: Arc<LsmEngine>,
 }
 
 impl DataPartitionReplica {
-    /// Fresh replica.
-    pub fn new(
-        partition_id: PartitionId,
-        volume_id: VolumeId,
-        members: Vec<NodeId>,
-        small_extent_rotate_at: u64,
-        extent_limit: u64,
-    ) -> Self {
-        DataPartitionReplica {
-            partition_id,
-            volume_id,
-            members,
-            store: ExtentStore::new(small_extent_rotate_at, extent_limit),
-            committed: HashMap::new(),
-            read_only: false,
-            delete_queue: Vec::new(),
-            small_extent_rotate_at,
-            extent_limit,
-            engine: None,
-        }
-    }
-
     /// Fresh replica whose meta row and extent index are written through
     /// to `engine`, and whose extent bytes go to files under the engine's
     /// directory (both namespaced by partition id), so it survives power
@@ -163,20 +144,19 @@ impl DataPartitionReplica {
             volume_id,
             members,
             store,
-            committed: HashMap::new(),
             read_only: false,
             delete_queue: Vec::new(),
             small_extent_rotate_at,
             extent_limit,
-            engine: Some(engine),
+            engine,
         };
         replica.persist_meta()?;
         Ok(replica)
     }
 
     /// Rebuild a replica from its engine-persisted state alone: the meta
-    /// row restores membership/watermarks/queue, the store's index rows
-    /// and extent files restore every extent's bytes.
+    /// row restores membership/flags/queue, the store's index rows and
+    /// extent files restore every extent's bytes and offsets.
     pub fn restore(partition_id: PartitionId, engine: Arc<LsmEngine>) -> Result<Self> {
         let bytes = engine
             .get::<ReplicaCf>(&partition_id.raw())?
@@ -184,11 +164,6 @@ impl DataPartitionReplica {
         let meta = ReplicaMeta::from_bytes(&bytes)?;
         let persist = Arc::new(StorePersist::new(engine.clone(), partition_id.raw()));
         let store = ExtentStore::restore(meta.small_extent_rotate_at, meta.extent_limit, persist)?;
-        let committed = meta
-            .committed
-            .iter()
-            .map(|&(e, w)| (ExtentId(e), w))
-            .collect();
         let delete_queue = meta
             .delete_kinds
             .iter()
@@ -210,24 +185,17 @@ impl DataPartitionReplica {
             volume_id: meta.volume_id,
             members: meta.members,
             store,
-            committed,
             read_only: meta.read_only,
             delete_queue,
             small_extent_rotate_at: meta.small_extent_rotate_at,
             extent_limit: meta.extent_limit,
-            engine: Some(engine),
+            engine,
         })
     }
 
-    /// Write the meta row through to the engine (no-op for in-memory
-    /// replicas). Extent payloads are persisted by the store itself.
+    /// Write the meta row through to the engine. Extents, and everything
+    /// known per extent, are persisted by the store itself.
     fn persist_meta(&self) -> Result<()> {
-        let Some(engine) = &self.engine else {
-            return Ok(());
-        };
-        let mut committed: Vec<(u64, u64)> =
-            self.committed.iter().map(|(e, w)| (e.raw(), *w)).collect();
-        committed.sort_unstable();
         let mut delete_kinds = Vec::with_capacity(self.delete_queue.len());
         let mut delete_ranges = Vec::with_capacity(self.delete_queue.len());
         for t in &self.delete_queue {
@@ -252,15 +220,11 @@ impl DataPartitionReplica {
             small_extent_rotate_at: self.small_extent_rotate_at,
             extent_limit: self.extent_limit,
             read_only: self.read_only,
-            committed,
             delete_kinds,
             delete_ranges,
         };
-        engine.put::<ReplicaCf>(&self.partition_id.raw(), &meta.to_bytes())
-    }
-
-    pub fn partition_id(&self) -> PartitionId {
-        self.partition_id
+        self.engine
+            .put::<ReplicaCf>(&self.partition_id.raw(), &meta.to_bytes())
     }
 
     /// Attach byte-accounting metrics to the underlying extent store
@@ -350,16 +314,14 @@ impl DataPartitionReplica {
     }
 
     /// Advance the committed watermark for an extent (PB leader, after the
-    /// whole chain acked).
+    /// whole chain acked): one fixed-size extent row.
     pub fn commit(&mut self, extent: ExtentId, upto: u64) -> Result<()> {
-        let e = self.committed.entry(extent).or_insert(0);
-        *e = (*e).max(upto);
-        self.persist_meta()
+        self.store.commit(extent, upto)
     }
 
     /// The committed watermark of an extent (0 if never committed).
     pub fn committed(&self, extent: ExtentId) -> u64 {
-        self.committed.get(&extent).copied().unwrap_or(0)
+        self.store.committed(extent)
     }
 
     /// Local (applied) size of an extent.
@@ -384,26 +346,16 @@ impl DataPartitionReplica {
         enforce_committed: bool,
     ) -> Result<Vec<u8>> {
         if enforce_committed {
-            let committed = self.committed(extent);
-            if offset >= committed {
-                return Err(CfsError::InvalidArgument(format!(
-                    "read at {offset} beyond committed watermark {committed}"
-                )));
-            }
-            let len = len.min((committed - offset) as usize);
-            self.store.read(extent, offset, len)
+            self.store.read_committed(extent, offset, len)
         } else {
             self.store.read(extent, offset, len)
         }
     }
 
-    /// Truncate an extent (recovery alignment).
+    /// Truncate an extent (recovery alignment); the store clamps the
+    /// committed watermark with it.
     pub fn truncate(&mut self, extent: ExtentId, size: u64) -> Result<()> {
-        self.store.truncate_extent(extent, size)?;
-        if let Some(c) = self.committed.get_mut(&extent) {
-            *c = (*c).min(size);
-        }
-        self.persist_meta()
+        self.store.truncate_extent(extent, size)
     }
 
     // ------------------------------------------------------------------
@@ -437,7 +389,6 @@ impl DataPartitionReplica {
             match t {
                 DeleteTask::Extent(e) => {
                     let _ = self.store.delete_extent(e);
-                    self.committed.remove(&e);
                 }
                 DeleteTask::Punch {
                     extent,
@@ -487,20 +438,31 @@ impl DataPartitionReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfs_kvwal::LsmOptions;
+    use cfs_types::testutil::TempDir;
 
-    fn replica() -> DataPartitionReplica {
-        DataPartitionReplica::new(
+    fn open_engine(dir: &TempDir) -> Arc<LsmEngine> {
+        Arc::new(LsmEngine::open(dir.path(), LsmOptions::default()).unwrap())
+    }
+
+    /// A fresh replica on its own directory (kept alive beside it).
+    fn replica() -> (DataPartitionReplica, TempDir) {
+        let dir = TempDir::new("replica").unwrap();
+        let r = DataPartitionReplica::new_persistent(
             PartitionId(1),
             VolumeId(1),
             vec![NodeId(1), NodeId(2), NodeId(3)],
             1 << 20,
             0,
+            open_engine(&dir),
         )
+        .unwrap();
+        (r, dir)
     }
 
     #[test]
     fn committed_watermark_gates_reads() {
-        let mut r = replica();
+        let (mut r, _dir) = replica();
         let e = r.allocate_extent().unwrap();
         r.apply_append(e, 0, &[1u8; 100]).unwrap();
         // Nothing committed yet: leader-enforced read fails.
@@ -519,7 +481,7 @@ mod tests {
 
     #[test]
     fn read_only_blocks_new_data_not_modification() {
-        let mut r = replica();
+        let (mut r, _dir) = replica();
         let e = r.allocate_extent().unwrap();
         r.apply_append(e, 0, &[7u8; 64]).unwrap();
         r.set_read_only(true).unwrap();
@@ -535,7 +497,7 @@ mod tests {
 
     #[test]
     fn follower_auto_creates_extent_on_append() {
-        let mut f = replica();
+        let (mut f, _dir) = replica();
         // Leader allocated extent 5; the follower sees the first append.
         f.apply_append(ExtentId(5), 0, b"replicated").unwrap();
         assert!(f.has_extent(ExtentId(5)));
@@ -544,7 +506,7 @@ mod tests {
 
     #[test]
     fn truncate_clamps_committed() {
-        let mut r = replica();
+        let (mut r, _dir) = replica();
         let e = r.allocate_extent().unwrap();
         r.apply_append(e, 0, &[2u8; 1000]).unwrap();
         r.commit(e, 1000).unwrap();
@@ -555,7 +517,7 @@ mod tests {
 
     #[test]
     fn delete_queue_is_asynchronous() {
-        let mut r = replica();
+        let (mut r, _dir) = replica();
         let loc = r.write_small_batch(&[&[3u8; 8192]]).unwrap()[0];
         let before = r.stats().store.physical_bytes;
         r.queue_punch(loc.extent_id, loc.offset, loc.len).unwrap();
@@ -569,7 +531,7 @@ mod tests {
 
     #[test]
     fn bad_delete_task_does_not_wedge_queue() {
-        let mut r = replica();
+        let (mut r, _dir) = replica();
         r.queue_delete_extent(ExtentId(999)).unwrap(); // nonexistent
         let loc = r.write_small_batch(&[&[1u8; 4096]]).unwrap()[0];
         r.queue_punch(loc.extent_id, loc.offset, loc.len).unwrap();
@@ -579,19 +541,16 @@ mod tests {
 
     #[test]
     fn persistent_replica_restores_from_engine_alone() {
-        use cfs_kvwal::LsmOptions;
-        use cfs_types::testutil::TempDir;
         let dir = TempDir::new("replica").unwrap();
         let pid = PartitionId(42);
         let (extent, loc) = {
-            let engine = Arc::new(LsmEngine::open(dir.path(), LsmOptions::default()).unwrap());
             let mut r = DataPartitionReplica::new_persistent(
                 pid,
                 VolumeId(7),
                 vec![NodeId(1), NodeId(2)],
                 1 << 20,
                 0,
-                engine,
+                open_engine(&dir),
             )
             .unwrap();
             let e = r.allocate_extent().unwrap();
@@ -604,11 +563,11 @@ mod tests {
             (e, loc)
         };
         // Reopen the engine from disk and rebuild the replica from it alone.
-        let engine = Arc::new(LsmEngine::open(dir.path(), LsmOptions::default()).unwrap());
-        let mut r = DataPartitionReplica::restore(pid, engine).unwrap();
+        let mut r = DataPartitionReplica::restore(pid, open_engine(&dir)).unwrap();
         assert_eq!(r.members(), &[NodeId(1), NodeId(2)]);
         assert!(r.is_read_only());
-        assert_eq!(r.committed(extent), 300);
+        assert_eq!(r.committed(extent), 300, "from the extent's own row");
+        assert_eq!(r.committed(loc.extent_id), 0, "never committed");
         assert_eq!(r.read(extent, 0, 300, true).unwrap(), vec![9u8; 300]);
         assert_eq!(
             r.read(loc.extent_id, loc.offset, loc.len as usize, false)
@@ -618,11 +577,62 @@ mod tests {
         assert_eq!(r.pending_deletes(), 2, "delete queue survives restart");
         assert_eq!(r.process_delete_queue().unwrap(), 2);
         assert!(r.stats().store.punched_bytes >= 4096);
+
+        // A truncate below the watermark persists the clamp, and a deleted
+        // extent leaves no watermark behind for a reused id to inherit.
+        r.truncate(extent, 120).unwrap();
+        r.commit(loc.extent_id, 4096).unwrap();
+        r.queue_delete_extent(loc.extent_id).unwrap();
+        assert_eq!(r.process_delete_queue().unwrap(), 1);
+        drop(r);
+        let mut r = DataPartitionReplica::restore(pid, open_engine(&dir)).unwrap();
+        assert_eq!(r.committed(extent), 120);
+        assert_eq!(r.extent_size(extent).unwrap(), 120);
+        assert!(!r.has_extent(loc.extent_id));
+        assert_eq!(r.committed(loc.extent_id), 0);
+        r.set_read_only(false).unwrap();
+        r.create_extent(loc.extent_id).unwrap();
+        assert_eq!(r.committed(loc.extent_id), 0, "recreated, not inherited");
+    }
+
+    /// The partition row holds nothing per extent: its length is the same
+    /// with 1 and with 64 committed extents, and committing never rewrites
+    /// it.
+    #[test]
+    fn replica_row_does_not_grow_with_extents_or_commits() {
+        let (mut r, _dir) = replica();
+        let row = |r: &DataPartitionReplica| {
+            let bytes = r.engine.get::<ReplicaCf>(&r.partition_id.raw());
+            bytes.unwrap().expect("replica row")
+        };
+        let mut extents = Vec::new();
+        let mut len_with_one = 0;
+        for _ in 0..64 {
+            let e = r.allocate_extent().unwrap();
+            r.apply_append(e, 0, &[1u8; 16]).unwrap();
+            r.commit(e, 8).unwrap();
+            extents.push(e);
+            // Rewrite the row, as any membership/flag/queue change does.
+            r.set_read_only(false).unwrap();
+            if extents.len() == 1 {
+                len_with_one = row(&r).len();
+            }
+        }
+        assert_eq!(row(&r).len(), len_with_one, "64 committed extents");
+        // A sentinel put behind the replica's back survives 64 commits.
+        r.engine
+            .put::<ReplicaCf>(&r.partition_id.raw(), &b"sentinel".to_vec())
+            .unwrap();
+        for &e in &extents {
+            r.commit(e, 16).unwrap();
+            assert_eq!(r.committed(e), 16);
+        }
+        assert_eq!(row(&r), b"sentinel", "commit does not touch the row");
     }
 
     #[test]
     fn stats_reflect_state() {
-        let mut r = replica();
+        let (mut r, _dir) = replica();
         let e = r.allocate_extent().unwrap();
         r.apply_append(e, 0, &[1u8; 5000]).unwrap();
         let s = r.stats();

@@ -579,6 +579,64 @@ fn raft_overwrite_applies_on_all_replicas() {
     }
 }
 
+/// `CreatePartition` tasks and the hub pump that applies a committed
+/// overwrite take the node's `raft` lock and its partition map in one
+/// order (raft first), so the two never deadlock: one thread creates
+/// partitions on fresh ids while another drives overwrites to commit on an
+/// existing partition of the same node.
+#[test]
+fn create_partition_does_not_deadlock_against_overwrite_apply() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+
+    let c = Arc::new(cluster(3));
+    let (p, members) = mk_partition(&c, 1);
+    let e = create_extent(&c, p, members[0]);
+    append(&c, p, e, 0, &[0u8; 1024], &members).unwrap();
+    let node = c.nodes.iter().find(|n| n.is_raft_leader_for(p)).unwrap();
+    let node = Arc::clone(node);
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let creator = {
+        let (node, stop) = (node.clone(), stop.clone());
+        move || {
+            let mut pid = 1_000;
+            while !stop.load(Ordering::Relaxed) && pid < 3_000 {
+                node.create_partition(PartitionId(pid), VolumeId(1), vec![node.id()], 1 << 20, 0)
+                    .unwrap();
+                pid += 1;
+            }
+        }
+    };
+    let writer = {
+        let c = c.clone();
+        move || {
+            for i in 0..200u64 {
+                let req = DataRequest::Overwrite {
+                    partition: p,
+                    extent: e,
+                    offset: i % 1_000,
+                    data: Bytes::from(vec![i as u8; 16]),
+                };
+                c.net.call(NodeId(99), node.id(), req).unwrap().unwrap();
+            }
+            stop.store(true, Ordering::Relaxed);
+        }
+    };
+    let threads = [std::thread::spawn(creator), std::thread::spawn(writer)];
+    let watchdog = Instant::now() + Duration::from_secs(10);
+    while !threads.iter().all(|t| t.is_finished()) {
+        assert!(
+            Instant::now() < watchdog,
+            "create_partition and the overwrite apply deadlocked"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for t in threads {
+        t.join().unwrap();
+    }
+}
+
 #[test]
 fn overwrite_on_follower_redirects_to_raft_leader() {
     let c = cluster(3);

@@ -155,15 +155,6 @@ impl TypedCf for PartCf {
     type Value = (Vec<u8>, Vec<NodeId>);
 }
 
-/// Paged-out partition trees (cold-inode paging): partition id → the
-/// tree's snapshot bytes at page-out time.
-struct ColdCf;
-impl TypedCf for ColdCf {
-    const NAME: &'static str = "meta_cold";
-    type Key = u64;
-    type Value = Vec<u8>;
-}
-
 /// The crash-safe intent journal (DESIGN §12): `(partition, intent id)` →
 /// encoded [`IntentRecord`]. Each journal write goes through its own
 /// engine `WriteBatch`, i.e. one CRC-framed WAL record, so a torn tail
@@ -215,10 +206,6 @@ struct MetaObs {
     lease_reads: Counter,
     /// Reads that fell back to a quorum round (ReadIndex-style barrier).
     quorum_reads: Counter,
-    /// Partition trees persisted + dropped from memory (cold paging).
-    pages_out: Counter,
-    /// Partition trees transparently reloaded from the engine on access.
-    pages_in: Counter,
     /// `UpdateEnd` range cuts applied here (one per replica per split,
     /// Algorithm 1).
     split_cuts: Counter,
@@ -251,8 +238,6 @@ impl MetaObs {
             batch_entries: registry.counter("raft.batch.entries"),
             lease_reads: registry.counter("meta.lease_reads"),
             quorum_reads: registry.counter("meta.quorum_reads"),
-            pages_out: registry.counter("meta.pages_out"),
-            pages_in: registry.counter("meta.pages_in"),
             split_cuts: registry.counter("meta.split.cuts"),
             split_fences: registry.counter("meta.split.fences"),
             async_acks: registry.counter("meta.async.acks"),
@@ -339,22 +324,6 @@ impl Inner {
             next_intent_seq: 1,
             obs,
             engine,
-        }
-    }
-
-    /// Cold-inode paging, inbound half: if `pid`'s tree was paged out,
-    /// reload it from the engine. No-op when resident.
-    fn page_in(&mut self, pid: PartitionId) {
-        if self.partitions.contains_key(&pid) {
-            return;
-        }
-        if let Ok(Some(bytes)) = self.engine.get::<ColdCf>(&pid.raw()) {
-            if let Ok(p) = MetaPartition::from_snapshot(pid, &bytes) {
-                self.partitions.insert(pid, p);
-                if let Some(o) = self.obs.as_ref() {
-                    o.pages_in.inc();
-                }
-            }
         }
     }
 
@@ -493,7 +462,6 @@ impl Inner {
     /// the in-memory journal; if the batch cannot be written the record
     /// goes back there, so `resolve_intents` retries it next round.
     fn compensate_intent(&mut self, pid: PartitionId, rec: IntentRecord) -> Result<()> {
-        self.page_in(pid);
         let volume = self
             .partitions
             .get(&pid)
@@ -585,7 +553,6 @@ impl Inner {
                 if !decided {
                     continue;
                 }
-                self.page_in(pid);
                 let Some(rec) = self.intents.get_mut(&pid).and_then(|m| m.remove(&iid)) else {
                     continue;
                 };
@@ -941,7 +908,6 @@ impl MetaNode {
     ) -> Result<()> {
         let mut inner = self.inner.lock();
         let pid = config.partition_id;
-        inner.page_in(pid);
         if let Some(existing) = inner.partitions.get(&pid) {
             if existing.config() == &config {
                 return Ok(());
@@ -969,7 +935,6 @@ impl MetaNode {
     /// path. Idempotent for task retries.
     pub fn update_members(&self, partition: PartitionId, members: Vec<NodeId>) -> Result<()> {
         let mut inner = self.inner.lock();
-        inner.page_in(partition);
         if !inner.partitions.contains_key(&partition) {
             return Err(CfsError::NotFound(format!("{partition}")));
         }
@@ -991,8 +956,7 @@ impl MetaNode {
     /// barrier ([`Self::quorum_read`]).
     pub fn read(&self, partition: PartitionId, read: &MetaRead) -> Result<MetaValue> {
         {
-            let mut inner = self.inner.lock();
-            inner.page_in(partition);
+            let inner = self.inner.lock();
             // Reads on a node that does not (yet) host the partition are
             // `Unavailable`, not `NotFound`: retryable, so every
             // non-retryable error a client sees comes from a read the
@@ -1058,8 +1022,7 @@ impl MetaNode {
             },
             self.commit_timeout_ticks,
         );
-        let mut inner = self.inner.lock();
-        inner.page_in(partition);
+        let inner = self.inner.lock();
         let group = inner
             .multiraft
             .group(gid)
@@ -1122,7 +1085,6 @@ impl MetaNode {
     /// deterministically; [`Self::write`] is the blocking wrapper.
     pub fn enqueue_write(&self, partition: PartitionId, cmd: &MetaCommand) -> Result<u64> {
         let mut inner = self.inner.lock();
-        inner.page_in(partition);
         if !inner.partitions.contains_key(&partition) {
             return Err(CfsError::NotFound(format!("{partition}")));
         }
@@ -1183,7 +1145,6 @@ impl MetaNode {
     ) -> Result<MetaResponse> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        inner.page_in(partition);
         if !inner.partitions.contains_key(&partition) {
             return Err(CfsError::NotFound(format!("{partition}")));
         }
@@ -1395,8 +1356,7 @@ impl MetaNode {
 
     /// Status of one partition.
     pub fn info(&self, partition: PartitionId) -> Result<PartitionInfo> {
-        let mut inner = self.inner.lock();
-        inner.page_in(partition);
+        let inner = self.inner.lock();
         let p = inner
             .partitions
             .get(&partition)
@@ -1498,40 +1458,8 @@ impl MetaNode {
     /// checker compares these byte-for-byte across replicas once their
     /// applied indexes agree.
     pub fn partition_snapshot(&self, partition: PartitionId) -> Option<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        inner.page_in(partition);
-        inner.partitions.get(&partition).map(|p| p.snapshot_bytes())
-    }
-
-    // ------------------------------------------------------------------
-    // Cold-inode paging
-    // ------------------------------------------------------------------
-
-    /// Cold-inode paging, outbound half: persist the partition's tree to
-    /// the engine and drop it from memory (bounding resident metadata on
-    /// a node hosting many cold partitions). The tree pages back in
-    /// transparently on the next access.
-    pub fn page_out(&self, partition: PartitionId) -> Result<()> {
-        let mut inner = self.inner.lock();
-        let Some(p) = inner.partitions.get(&partition) else {
-            return Err(CfsError::NotFound(format!("{partition}")));
-        };
-        inner
-            .engine
-            .put::<ColdCf>(&partition.raw(), &p.snapshot_bytes())?;
-        inner.partitions.remove(&partition);
-        if let Some(o) = inner.obs.as_ref() {
-            o.pages_out.inc();
-        }
-        Ok(())
-    }
-
-    /// Is the partition's tree currently paged out (registry row exists
-    /// but no resident tree)?
-    pub fn is_paged_out(&self, partition: PartitionId) -> bool {
         let inner = self.inner.lock();
-        !inner.partitions.contains_key(&partition)
-            && matches!(inner.engine.get::<ColdCf>(&partition.raw()), Ok(Some(_)))
+        inner.partitions.get(&partition).map(|p| p.snapshot_bytes())
     }
 
     /// `(commit, applied, last_index)` of the partition's raft group.
@@ -1596,9 +1524,6 @@ impl RaftHost for MetaNode {
         let (msgs, readies) = inner.multiraft.drain();
         for (gid, ready) in readies {
             let pid = PartitionId(gid.raw());
-            // A paged-out tree must be resident before entries apply.
-            inner.page_in(pid);
-
             // Restore a received snapshot before applying entries.
             if let Some(snap) = ready.snapshot {
                 match MetaPartition::from_snapshot(pid, &snap.data) {
@@ -2447,59 +2372,6 @@ mod tests {
             .into_inode()
             .unwrap();
         assert_eq!(f.id, InodeId(6), "no inode id reuse after power loss");
-    }
-
-    #[test]
-    fn cold_partition_pages_out_and_back_in_on_access() {
-        let dir = TempDir::new("meta-cold").unwrap();
-        let hub = RaftHub::new();
-        let registry = Registry::new();
-        let node = MetaNode::open_with_registry(
-            NodeId(7),
-            hub.clone(),
-            dir.path(),
-            RaftConfig::default(),
-            3,
-            Some(&registry),
-        )
-        .unwrap();
-        let p = engine_partition(&hub, &node, 1);
-        let ino = node
-            .write(
-                p,
-                &MetaCommand::CreateInode {
-                    file_type: FileType::File,
-                    link_target: vec![],
-                    now_ns: 1,
-                },
-            )
-            .unwrap()
-            .into_inode()
-            .unwrap();
-
-        node.page_out(p).unwrap();
-        assert!(node.is_paged_out(p));
-        assert_eq!(node.total_items(), 0, "tree dropped from memory");
-
-        // Access pages the tree back in transparently.
-        let got = node.read(p, &MetaRead::GetInode { inode: ino.id }).unwrap();
-        assert_eq!(got.into_inode().unwrap().id, ino.id);
-        assert!(!node.is_paged_out(p));
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("meta.pages_out"), 1);
-        assert_eq!(snap.counter("meta.pages_in"), 1);
-
-        // And writes keep working on the resident tree.
-        node.write(
-            p,
-            &MetaCommand::CreateInode {
-                file_type: FileType::File,
-                link_target: vec![],
-                now_ns: 2,
-            },
-        )
-        .unwrap();
-        assert_eq!(node.total_items(), 2);
     }
 
     // ------------------------------------------------------------------

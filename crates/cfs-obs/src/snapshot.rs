@@ -54,15 +54,6 @@ impl MetricsSnapshot {
             .sum()
     }
 
-    /// Counters under `prefix`, for reporting.
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(&str, u64)> {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect()
-    }
-
     /// Events between `earlier` and `self`: counters and histogram totals
     /// subtract; gauges keep the later view (their high-water mark is
     /// already a lifetime property).

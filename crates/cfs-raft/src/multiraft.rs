@@ -210,11 +210,6 @@ impl MultiRaft {
         self.groups.get_mut(&group)
     }
 
-    /// Ids of all hosted groups.
-    pub fn group_ids(&self) -> Vec<RaftGroupId> {
-        self.groups.keys().copied().collect()
-    }
-
     /// Number of hosted groups.
     pub fn group_count(&self) -> usize {
         self.groups.len()

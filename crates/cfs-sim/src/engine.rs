@@ -165,12 +165,6 @@ impl Sim {
         self.stations[station.0].busy_ns()
     }
 
-    /// Current queue length of a station (jobs waiting, excluding in
-    /// service).
-    pub fn station_queue_len(&self, station: StationId) -> usize {
-        self.stations[station.0].queue_len()
-    }
-
     /// Station utilization over `[0, now]` given its server count.
     pub fn station_utilization(&self, station: StationId) -> f64 {
         let st = &self.stations[station.0];

@@ -71,10 +71,6 @@ impl Station {
         self.busy_ns
     }
 
-    pub(crate) fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     pub(crate) fn servers(&self) -> usize {
         self.servers
     }

@@ -545,7 +545,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(seed);
         let dir = TempDir::new("filedev").unwrap();
         let mut p = persist(dir.path());
-        p.save_extent_meta(EXTENT, 0, 0).unwrap();
+        p.save_extent_meta(EXTENT, 0, 0, 0).unwrap();
         let mut file = FileDevice::create(p.clone(), EXTENT).unwrap();
         let mut mem = MemDevice::new();
         let mut end = 0u64; // highest byte written so far

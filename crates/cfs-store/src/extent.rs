@@ -21,6 +21,10 @@ pub struct Extent {
     dev: Box<dyn BlockDevice>,
     /// Write watermark: logical size in bytes.
     size: u64,
+    /// Committed offset: the largest offset every replica acknowledged
+    /// (advanced only at the chain head, 0 elsewhere). Never above `size`,
+    /// never regresses except through [`Extent::truncate`] (§2.2.5).
+    committed: u64,
     /// Cached CRC32-C over `[0, size)`. Appends fold incrementally;
     /// overwrites and hole punches force a recompute on next access.
     crc: Option<u32>,
@@ -34,6 +38,7 @@ impl std::fmt::Debug for Extent {
         f.debug_struct("Extent")
             .field("id", &self.id)
             .field("size", &self.size)
+            .field("committed", &self.committed)
             .field("crc", &self.crc)
             .field("punched_bytes", &self.punched_bytes)
             .finish()
@@ -53,6 +58,7 @@ impl Extent {
             id,
             dev,
             size: 0,
+            committed: 0,
             crc: Some(0),
             crc_state: Crc32::new(),
             punched_bytes: 0,
@@ -60,18 +66,21 @@ impl Extent {
     }
 
     /// Rebuild an extent from durable parts: a device already holding its
-    /// bytes plus the persisted watermark and punch accounting. The CRC
-    /// cache starts cold and is recomputed from the device on first access.
+    /// bytes plus the persisted watermark, punch accounting and committed
+    /// offset. The CRC cache starts cold and is recomputed from the device
+    /// on first access.
     pub fn from_parts(
         id: ExtentId,
         dev: Box<dyn BlockDevice>,
         size: u64,
         punched_bytes: u64,
+        committed: u64,
     ) -> Self {
         Extent {
             id,
             dev,
             size,
+            committed: committed.min(size),
             crc: None,
             crc_state: Crc32::new(),
             punched_bytes,
@@ -86,6 +95,25 @@ impl Extent {
     /// Current write watermark (logical size).
     pub fn size(&self) -> u64 {
         self.size
+    }
+
+    /// Committed offset (0 if never committed).
+    pub fn committed(&self) -> u64 {
+        self.committed
+    }
+
+    /// Advance the committed offset to `upto`. A commit at or below the
+    /// current offset is a no-op (it never regresses); one above the
+    /// watermark is rejected, so what is stored never exceeds `size`.
+    pub fn commit(&mut self, upto: u64) -> Result<()> {
+        if upto > self.size {
+            return Err(CfsError::InvalidArgument(format!(
+                "commit to {upto} above watermark {}",
+                self.size
+            )));
+        }
+        self.committed = self.committed.max(upto);
+        Ok(())
     }
 
     /// Bytes punched out of this extent so far.
@@ -195,8 +223,9 @@ impl Extent {
         Ok(())
     }
 
-    /// Truncate the watermark down to `new_size` (used by the
-    /// primary-backup recovery path to align replica extents, §2.2.5).
+    /// Truncate the watermark down to `new_size`, clamping the committed
+    /// offset with it (used by the primary-backup recovery path to align
+    /// replica extents, §2.2.5).
     pub fn truncate(&mut self, new_size: u64) -> Result<()> {
         if new_size > self.size {
             return Err(CfsError::InvalidArgument(format!(
@@ -207,6 +236,7 @@ impl Extent {
         // Physically drop the tail, then recompute CRC lazily.
         self.dev.punch_hole(new_size, self.size - new_size)?;
         self.size = new_size;
+        self.committed = self.committed.min(new_size);
         self.crc = None;
         Ok(())
     }
@@ -315,5 +345,22 @@ mod tests {
         assert_eq!(e.size(), 4_004);
         assert_eq!(&e.read(4_000, 4).unwrap(), b"tail");
         assert!(e.truncate(5_000).is_err(), "cannot truncate upward");
+    }
+
+    #[test]
+    fn committed_stays_at_or_below_the_watermark() {
+        let mut e = Extent::new(ExtentId(1));
+        e.append(0, &[1u8; 100]).unwrap();
+        assert!(e.commit(101).is_err(), "above the watermark");
+        assert_eq!(e.committed(), 0, "a rejected commit stores nothing");
+        e.commit(60).unwrap();
+        e.commit(50).unwrap();
+        assert_eq!(e.committed(), 60, "never regresses");
+        e.truncate(80).unwrap();
+        assert_eq!(e.committed(), 60, "truncate above it leaves it");
+        e.truncate(40).unwrap();
+        assert_eq!(e.committed(), 40, "truncate below it clamps");
+        e.append(40, &[2u8; 10]).unwrap();
+        assert_eq!(e.committed(), 40, "appends do not move it");
     }
 }

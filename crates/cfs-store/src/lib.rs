@@ -15,12 +15,12 @@
 //!
 //! As in the paper, a durable extent is one sparse local file
 //! ([`FileDevice`]), written in place and hole-punched with `fallocate`;
-//! only the small facts about it (watermark, punch accounting, allocation
-//! cursor) are rows on the node's LSM engine ([`StorePersist`]). The
-//! in-memory [`MemDevice`] is the reference model of the same
-//! [`BlockDevice`] contract: it tracks *physical* block allocation exactly
-//! like a sparse file, so hole punching measurably reclaims space (see
-//! `DESIGN.md` §10 and the substitution table).
+//! only the small facts about it (watermark, punch accounting, committed
+//! offset, allocation cursor) are rows on the node's LSM engine
+//! ([`StorePersist`]). The in-memory [`MemDevice`] is the reference model
+//! of the same [`BlockDevice`] contract: it tracks *physical* block
+//! allocation exactly like a sparse file, so hole punching measurably
+//! reclaims space (see `DESIGN.md` §10 and the substitution table).
 //!
 //! Every extent's CRC is cached in memory to make integrity checks cheap
 //! (§2.2.1).

@@ -3,10 +3,13 @@
 //! An extent's bytes live in its own sparse file (a
 //! [`FileDevice`](crate::FileDevice)) under
 //! `<engine dir>/extents/<store_id>/<extent_id>`; the node's shared
-//! [`LsmEngine`] holds only the index — per extent the acknowledged
-//! watermark and punch count, per punched block range one small row (what
-//! `allocated_bytes` cannot recover from the file length alone), per store
-//! the allocation cursor. `store_id` (the partition id) namespaces both.
+//! [`LsmEngine`] holds only the index — per extent one row with the
+//! acknowledged watermark, the punch count and the committed offset (every
+//! per-extent fact a replica keeps, rewritten whole by whichever of
+//! append / punch / truncate / commit moved it), per punched block range
+//! one small row (what `allocated_bytes` cannot recover from the file
+//! length alone), per store the allocation cursor. `store_id` (the
+//! partition id) namespaces both.
 //!
 //! The crash rule is §2.2.5's: a mutation reaches the file *before* its
 //! row commits, reads clamp at the row's watermark, so bytes past it may
@@ -24,12 +27,12 @@ use cfs_types::{ExtentId, Result};
 use cfs_kvwal::cf::cf_prefix;
 use cfs_kvwal::{LsmEngine, TypedCf, WriteBatch};
 
-/// `(store, extent) -> (watermark, punched_bytes)`.
+/// `(store, extent) -> (watermark, (punched_bytes, committed))`.
 struct ExtentMetaCf;
 impl TypedCf for ExtentMetaCf {
     const NAME: &'static str = "store_extents";
     type Key = (u64, u64);
-    type Value = (u64, u64);
+    type Value = (u64, (u64, u64));
 }
 
 /// `(store, extent, first_block) -> end_block`: one deallocated block
@@ -57,6 +60,8 @@ pub(crate) struct StoredExtent {
     pub(crate) watermark: u64,
     /// Bytes punched out so far.
     pub(crate) punched: u64,
+    /// Bytes every replica acknowledged (0 off the chain head).
+    pub(crate) committed: u64,
     /// Deallocated block ranges, `(first, end)` exclusive.
     pub(crate) holes: Vec<(u64, u64)>,
 }
@@ -116,10 +121,18 @@ impl StorePersist {
         p
     }
 
-    /// Persist an extent's `(watermark, punched_bytes)`.
-    pub fn save_extent_meta(&self, extent: ExtentId, size: u64, punched: u64) -> Result<()> {
-        self.engine
-            .put::<ExtentMetaCf>(&(self.store_id, extent.raw()), &(size, punched))
+    /// Persist an extent's `(watermark, punched_bytes, committed)` row.
+    pub fn save_extent_meta(
+        &self,
+        extent: ExtentId,
+        size: u64,
+        punched: u64,
+        committed: u64,
+    ) -> Result<()> {
+        self.engine.put::<ExtentMetaCf>(
+            &(self.store_id, extent.raw()),
+            &(size, (punched, committed)),
+        )
     }
 
     /// Apply a device's hole-row changes — `(first_block, Some(end))` puts
@@ -186,12 +199,15 @@ impl StorePersist {
             .engine
             .scan_cf_prefix::<ExtentMetaCf>(&store)?
             .into_iter()
-            .map(|((_, extent), (watermark, punched))| StoredExtent {
-                id: ExtentId(extent),
-                watermark,
-                punched,
-                holes: holes.remove(&extent).unwrap_or_default(),
-            })
+            .map(
+                |((_, extent), (watermark, (punched, committed)))| StoredExtent {
+                    id: ExtentId(extent),
+                    watermark,
+                    punched,
+                    committed,
+                    holes: holes.remove(&extent).unwrap_or_default(),
+                },
+            )
             .collect())
     }
 

@@ -75,12 +75,12 @@ impl ExtentStore {
     }
 
     /// Rebuild a store from what `persist` holds on disk: every indexed
-    /// extent's file, watermark and punch accounting, plus the allocation
-    /// cursor and active small-file extent. The index decides: a file
-    /// without a row is removed, bytes past a row's watermark are ignored,
-    /// and a row whose file is missing or shorter than its watermark is
-    /// `Corrupt`. CRC caches start cold and recompute from the restored
-    /// bytes on first access.
+    /// extent's file, watermark, punch accounting and committed offset,
+    /// plus the allocation cursor and active small-file extent. The index
+    /// decides: a file without a row is removed, bytes past a row's
+    /// watermark are ignored, and a row whose file is missing or shorter
+    /// than its watermark is `Corrupt`. CRC caches start cold and recompute
+    /// from the restored bytes on first access.
     pub fn restore(
         small_extent_rotate_at: u64,
         extent_limit: u64,
@@ -92,7 +92,7 @@ impl ExtentStore {
             let dev = FileDevice::open(persist.clone(), e.id, e.watermark, &e.holes)?;
             st.extents.insert(
                 e.id,
-                Extent::from_parts(e.id, Box::new(dev), e.watermark, e.punched),
+                Extent::from_parts(e.id, Box::new(dev), e.watermark, e.punched, e.committed),
             );
             next_id = next_id.max(e.id.raw() + 1);
         }
@@ -103,12 +103,12 @@ impl ExtentStore {
         Ok(st)
     }
 
-    /// Write-through of one extent's `(watermark, punched)` after a
-    /// mutation. No-op for in-memory stores.
+    /// Write-through of one extent's `(watermark, punched, committed)`
+    /// row after a mutation. No-op for in-memory stores.
     fn persist_extent_meta(&self, id: ExtentId) -> Result<()> {
         if let Some(p) = &self.persist {
             let e = self.extent(id)?;
-            p.save_extent_meta(id, e.size(), e.punched_bytes())?;
+            p.save_extent_meta(id, e.size(), e.punched_bytes(), e.committed())?;
         }
         Ok(())
     }
@@ -214,9 +214,33 @@ impl ExtentStore {
         self.extent(id)?.read(offset, len)
     }
 
+    /// Read committed bytes only: the range is clamped to the committed
+    /// offset, so a stale tail is never returned (§2.2.5).
+    pub fn read_committed(&self, id: ExtentId, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let committed = self.committed(id);
+        if offset >= committed {
+            return Err(CfsError::InvalidArgument(format!(
+                "read at {offset} beyond committed watermark {committed}"
+            )));
+        }
+        self.read(id, offset, len.min((committed - offset) as usize))
+    }
+
     /// Watermark of an extent.
     pub fn extent_size(&self, id: ExtentId) -> Result<u64> {
         Ok(self.extent(id)?.size())
+    }
+
+    /// Advance an extent's committed offset (chain head, after the whole
+    /// chain acked) and write its row: the only way the offset moves up.
+    pub fn commit(&mut self, id: ExtentId, upto: u64) -> Result<()> {
+        self.extent_mut(id)?.commit(upto)?;
+        self.persist_extent_meta(id)
+    }
+
+    /// Committed offset of an extent (0 if never committed or unknown).
+    pub fn committed(&self, id: ExtentId) -> u64 {
+        self.extents.get(&id).map_or(0, Extent::committed)
     }
 
     /// CRC of an extent (cached).
@@ -600,6 +624,7 @@ mod tests {
             big = st.create_extent().unwrap();
             st.append(big, 0, &vec![7u8; 9_000]).unwrap();
             st.overwrite(big, 100, b"OVERWRITTEN").unwrap();
+            st.commit(big, 8_500).unwrap();
             st.truncate_extent(big, 8_000).unwrap();
             small_a = st.write_small_file(&[1u8; 120]).unwrap();
             small_b = st.write_small_file(&[2u8; 120]).unwrap();
@@ -612,6 +637,8 @@ mod tests {
         }
         let mut st = ExtentStore::restore(300, 0, open_persist()).unwrap();
         assert_eq!(st.extent_size(big).unwrap(), 8_000);
+        assert_eq!(st.committed(big), 8_000, "clamped by the truncate");
+        assert_eq!(st.committed(small_b.extent_id), 0, "never committed");
         assert_eq!(&st.read(big, 100, 11).unwrap(), b"OVERWRITTEN");
         assert_eq!(st.extent_crc(big).unwrap(), expected_crc);
         assert_eq!(
@@ -775,8 +802,8 @@ mod tests {
             }
         }
 
-        /// Appends followed by arbitrary in-range overwrites behave like a
-        /// Vec<u8> model.
+        /// Appends, commits, arbitrary in-range overwrites and a truncate
+        /// behave like a Vec<u8> model plus one clamped, monotone offset.
         #[test]
         fn prop_extent_matches_vec_model(
             chunks in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..512), 1..12),
@@ -785,9 +812,18 @@ mod tests {
             let mut st = ExtentStore::with_defaults();
             let e = st.create_extent().unwrap();
             let mut model: Vec<u8> = Vec::new();
-            for chunk in &chunks {
+            let mut committed = 0u64;
+            for (i, chunk) in chunks.iter().enumerate() {
                 st.append(e, model.len() as u64, chunk).unwrap();
                 model.extend_from_slice(chunk);
+                // Commit every other chunk, sometimes to a stale offset.
+                if i % 2 == 0 {
+                    let upto = (model.len() - i % 3) as u64;
+                    st.commit(e, upto).unwrap();
+                    committed = committed.max(upto);
+                }
+                prop_assert!(st.commit(e, model.len() as u64 + 1).is_err());
+                prop_assert_eq!(st.committed(e), committed);
             }
             for (off, data) in &overwrites {
                 let off = *off as usize % model.len();
@@ -795,7 +831,14 @@ mod tests {
                 st.overwrite(e, off as u64, &data[..n]).unwrap();
                 model[off..off + n].copy_from_slice(&data[..n]);
             }
-            prop_assert_eq!(st.read(e, 0, model.len()).unwrap(), model);
+            prop_assert_eq!(st.committed(e), committed, "overwrites leave it");
+            prop_assert_eq!(st.read(e, 0, model.len()).unwrap(), &model[..]);
+            // Truncate to the offset an overwrite picked (or the middle).
+            let cut = overwrites.first().map_or(model.len() / 2, |(off, _)| *off as usize % model.len());
+            st.truncate_extent(e, cut as u64).unwrap();
+            model.truncate(cut);
+            prop_assert_eq!(st.committed(e), committed.min(cut as u64));
+            prop_assert_eq!(st.read(e, 0, cut + 1).unwrap(), model);
         }
     }
 }

@@ -46,8 +46,6 @@ pub struct ClusterConfig {
     /// Nodes per Raft set (§2.5.1). Placement prefers replicas within one
     /// set to bound heartbeat fan-out.
     pub raft_set_size: usize,
-    /// Block size used by the punch-hole accounting in the extent store.
-    pub punch_hole_block_size: u64,
     /// Consecutive missed heartbeat rounds before the resource manager
     /// marks a node *suspect* (its partitions are no longer placement
     /// targets, §2.3.3).
@@ -81,7 +79,6 @@ impl Default for ClusterConfig {
             partitions_per_allocation: 10,
             volume_refill_watermark: 0.2,
             raft_set_size: 5,
-            punch_hole_block_size: 4 * KB,
             suspect_after_missed: 2,
             dead_after_missed: 3,
             repair_enabled: true,
@@ -115,11 +112,6 @@ impl ClusterConfig {
         if !(0.0..=1.0).contains(&self.volume_refill_watermark) {
             return Err(CfsError::InvalidArgument(
                 "volume_refill_watermark must be in [0,1]".into(),
-            ));
-        }
-        if self.punch_hole_block_size == 0 || !self.punch_hole_block_size.is_power_of_two() {
-            return Err(CfsError::InvalidArgument(
-                "punch_hole_block_size must be a power of two".into(),
             ));
         }
         if self.meta_partition_write_load_limit == 0 {
@@ -179,12 +171,6 @@ mod tests {
 
         let c = ClusterConfig {
             volume_refill_watermark: 1.5,
-            ..ClusterConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = ClusterConfig {
-            punch_hole_block_size: 3000,
             ..ClusterConfig::default()
         };
         assert!(c.validate().is_err());
