@@ -98,13 +98,15 @@ impl Client {
         let mut report = FsckReport::default();
 
         // Pass 0: replication audit. Every partition in the volume should
-        // list `replica_count` members the resource manager still reports
-        // alive; anything short is work the repair scheduler owes (or an
-        // operator escalation when no spare node exists, §2.3.3).
+        // list `replica_count` members the resource manager has not
+        // declared dead; anything short is work the repair scheduler owes
+        // (or an operator escalation when no spare node exists, §2.3.3).
         let alive: HashSet<NodeId> = match self.master_call(MasterRequest::ListNodes)? {
-            MasterResponse::Nodes(nodes) => {
-                nodes.iter().filter(|n| n.alive).map(|n| n.node).collect()
-            }
+            MasterResponse::Nodes(nodes) => nodes
+                .iter()
+                .filter(|n| !n.is_dead(&self.config))
+                .map(|n| n.node)
+                .collect(),
             _ => return Err(CfsError::Internal("bad ListNodes reply".into())),
         };
         let expected = self.config.replica_count;

@@ -10,9 +10,12 @@
 //!
 //! * [`MasterState`] is a deterministic state machine over
 //!   [`MasterCommand`]s; every mutation is proposed through a single Raft
-//!   group shared by the replicas and mirrored into a
-//!   [`cfs_kvwal::LsmEngine`] (snapshot + command-log column families)
-//!   for restart recovery.
+//!   group shared by the replicas. That group's log, hard state and
+//!   compaction snapshot on a [`cfs_kvwal::LsmEngine`] are the state's
+//!   only durable image: a restarted replica rebuilds from the snapshot
+//!   and re-applies the committed tail.
+//! * **One heartbeat command** per round carries liveness, utilization
+//!   and partition stats, and its apply runs the maintenance sweep.
 //! * **Utilization-based placement** (§2.3.1): partition replicas go to the
 //!   nodes with the lowest memory (meta) or disk (data) utilization,
 //!   preferring nodes of one *Raft set* (§2.5.1) to bound heartbeat
@@ -33,6 +36,6 @@ mod state;
 pub use node::{MasterMetrics, MasterNode, MasterRequest, MasterResponse};
 pub use placement::{choose_replicas, NodeLoad};
 pub use state::{
-    DataPartitionMeta, MasterCommand, MasterState, MetaPartitionMeta, NodeKind, NodeStatus, Task,
-    VolumeMeta,
+    DataPartitionMeta, MasterCommand, MasterState, MetaPartitionMeta, MetaPartitionReport,
+    NodeKind, NodeStatus, Task, VolumeMeta,
 };

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use cfs_kvwal::{LsmEngine, LsmOptions, TypedCf, WriteBatch};
+use cfs_kvwal::{LsmEngine, LsmOptions};
 use cfs_obs::{Counter, Registry, RpcRoute};
 use cfs_raft::hub::{RaftHost, RaftHub};
 use cfs_raft::{
@@ -23,41 +23,6 @@ use crate::state::{
 /// The master replicas' Raft group id — far above any partition id, which
 /// double as group ids.
 pub const MASTER_GROUP: RaftGroupId = RaftGroupId(u64::MAX);
-
-/// Snapshot the engine-persisted state every this many applied commands.
-const PERSIST_SNAPSHOT_EVERY: u64 = 256;
-
-/// Durable state-machine snapshot column family: key `0` →
-/// `(applied_index, snapshot bytes)`.
-struct SnapCf;
-impl TypedCf for SnapCf {
-    const NAME: &'static str = "master_snap";
-    type Key = u64;
-    type Value = (u64, Vec<u8>);
-}
-
-/// Applied commands newer than the snapshot: raft index → encoded command.
-struct CmdCf;
-impl TypedCf for CmdCf {
-    const NAME: &'static str = "master_cmd";
-    type Key = u64;
-    type Value = Vec<u8>;
-}
-
-/// Persist a state-machine snapshot and prune the commands it covers, as
-/// one atomic engine commit.
-fn persist_snapshot(engine: &LsmEngine, idx: u64, snap: &[u8]) {
-    let mut b = WriteBatch::new();
-    b.put::<SnapCf>(&0, &(idx, snap.to_vec()));
-    if let Ok(cmds) = engine.scan::<CmdCf>() {
-        for (i, _) in cmds {
-            if i <= idx {
-                b.delete::<CmdCf>(&i);
-            }
-        }
-    }
-    let _ = engine.write(b);
-}
 
 /// RPCs the resource manager serves. Clients use *non-persistent
 /// connections* (§2.5.2) — every request here is independent.
@@ -150,17 +115,26 @@ pub enum MasterResponse {
 struct Inner {
     multiraft: MultiRaft,
     state: MasterState,
-    engine: Arc<LsmEngine>,
     results: HashMap<u64, Result<ApplyOutcome>>,
-    applied_since_snapshot: u64,
-    applied_index: u64,
+}
+
+impl Inner {
+    /// Leader *and* caught up: a restarted replica's state starts at its
+    /// snapshot base, so a fresh leader serves only once it has applied an
+    /// entry of its own term (the no-op every new leader commits). By then
+    /// it has applied every command committed before its election.
+    fn leads(&self) -> bool {
+        self.multiraft
+            .group(MASTER_GROUP)
+            .is_some_and(|g| g.is_leader() && g.compaction_point().1 == g.term())
+    }
 }
 
 /// One resource-manager replica (§2.3). The replicas form a single Raft
-/// group; state is mirrored into an [`LsmEngine`] — snapshot + newer
-/// commands on typed column families, plus the group's raft log and hard
-/// state via [`KvRaftStorage`] — so a restarted replica recovers entirely
-/// from local disk (the paper's RocksDB role).
+/// group whose log, hard state and compaction snapshot live on an
+/// [`LsmEngine`] via [`KvRaftStorage`] (the paper's RocksDB role) — the
+/// state machine's only durable image, so a restarted replica recovers
+/// entirely from local disk.
 pub struct MasterNode {
     id: NodeId,
     hub: RaftHub,
@@ -211,46 +185,29 @@ impl MasterNode {
             LsmOptions::default(),
             registry,
         )?);
-
-        // Recover the state machine: snapshot + newer command replay.
-        let (mut state, mut applied_index) = match engine.get::<SnapCf>(&0)? {
-            Some((idx, bytes)) => (
-                MasterState::from_snapshot(cluster_config.clone(), &bytes)?,
-                idx,
-            ),
-            None => (MasterState::new(cluster_config.clone()), 0),
-        };
-        for (idx, bytes) in engine.scan::<CmdCf>()? {
-            if idx > applied_index {
-                let cmd = MasterCommand::from_bytes(&bytes)?;
-                let _ = state.apply(&cmd); // deterministic errors are fine
-                applied_index = idx;
-            }
-        }
-
         let mut multiraft = MultiRaft::new(id, raft_config, seed, true);
         if let Some(r) = registry {
             multiraft.set_metrics(RaftMetrics::bind(r));
         }
-        // The master group's raft log, hard state and snapshot live on the
-        // same engine, so every ack the group sent is on disk.
-        let storage = Arc::new(KvRaftStorage::new(engine.clone()));
+        // The state machine restarts from the group's durable snapshot (or
+        // fresh); committed entries above the snapshot base re-apply
+        // through the normal `Ready` path (§2.1.3).
+        let storage = Arc::new(KvRaftStorage::new(engine));
         multiraft.set_storage(storage.clone())?;
-        match storage.load(MASTER_GROUP)? {
+        let state = match storage.load(MASTER_GROUP)? {
             Some(persisted) => {
-                // If the durable raft image is ahead of the state machine
-                // (e.g. an InstallSnapshot landed right before the crash),
-                // jump the state machine to the snapshot.
-                if let Some(snap) = &persisted.snapshot {
-                    if snap.last_index > applied_index {
-                        state = MasterState::from_snapshot(cluster_config.clone(), &snap.data)?;
-                        applied_index = snap.last_index;
-                    }
-                }
+                let state = match &persisted.snapshot {
+                    Some(snap) => MasterState::from_snapshot(cluster_config, &snap.data)?,
+                    None => MasterState::new(cluster_config),
+                };
                 multiraft.restore_group(MASTER_GROUP, members, persisted)?;
+                state
             }
-            None => multiraft.create_group(MASTER_GROUP, members)?,
-        }
+            None => {
+                multiraft.create_group(MASTER_GROUP, members)?;
+                MasterState::new(cluster_config)
+            }
+        };
 
         let node = Arc::new(MasterNode {
             id,
@@ -258,10 +215,7 @@ impl MasterNode {
             inner: Mutex::new(Inner {
                 multiraft,
                 state,
-                engine,
                 results: HashMap::new(),
-                applied_since_snapshot: 0,
-                applied_index,
             }),
             commit_timeout_ticks: 2_000,
             metrics: registry.map(MasterMetrics::bind).unwrap_or_default(),
@@ -275,14 +229,10 @@ impl MasterNode {
         self.id
     }
 
-    /// Is this replica the group leader?
+    /// Is this replica the group leader, caught up to its own term? Only
+    /// such a leader answers queries (see `Inner::leads`).
     pub fn is_leader(&self) -> bool {
-        self.inner
-            .lock()
-            .multiraft
-            .group(MASTER_GROUP)
-            .map(|g| g.is_leader())
-            .unwrap_or(false)
+        self.inner.lock().leads()
     }
 
     /// Leader hint for client redirects.
@@ -331,17 +281,18 @@ impl MasterNode {
     }
 
     fn require_leader(&self, inner: &Inner) -> Result<()> {
-        let g = inner
-            .multiraft
-            .group(MASTER_GROUP)
-            .ok_or_else(|| CfsError::Internal("master group missing".into()))?;
-        if !g.is_leader() {
-            return Err(CfsError::NotLeader {
-                partition: PartitionId(MASTER_GROUP.raw()),
-                hint: g.leader_hint(),
-            });
+        if inner.leads() {
+            return Ok(());
         }
-        Ok(())
+        // Retryable: a leader that has not applied its term yet names
+        // itself and is ready a commit round later.
+        Err(CfsError::NotLeader {
+            partition: PartitionId(MASTER_GROUP.raw()),
+            hint: inner
+                .multiraft
+                .group(MASTER_GROUP)
+                .and_then(|g| g.leader_hint()),
+        })
     }
 
     fn volume_view(state: &MasterState, vol: VolumeMeta) -> MasterResponse {
@@ -470,8 +421,6 @@ impl RaftHost for MasterNode {
                 if let Ok(st) = MasterState::from_snapshot(inner.state.config().clone(), &snap.data)
                 {
                     inner.state = st;
-                    persist_snapshot(&inner.engine, snap.last_index, &snap.data);
-                    inner.applied_index = snap.last_index;
                 }
             }
 
@@ -484,52 +433,36 @@ impl RaftHost for MasterNode {
                 if entry.data.is_empty() {
                     continue;
                 }
-                // After a restore, raft re-delivers entries the recovered
-                // state machine already applied; skip them.
-                if entry.index <= inner.applied_index {
-                    continue;
-                }
-                let result = match MasterCommand::from_bytes(&entry.data) {
-                    Ok(cmd) => {
-                        let r = inner.state.apply(&cmd);
-                        if r.is_ok() {
-                            self.metrics.commands_applied.inc();
-                            if matches!(cmd, MasterCommand::CreateVolume { .. }) {
-                                self.metrics.volumes_created.inc();
-                            }
+                let result = MasterCommand::from_bytes(&entry.data).and_then(|cmd| {
+                    let r = inner.state.apply(&cmd);
+                    if r.is_ok() {
+                        self.metrics.commands_applied.inc();
+                        if matches!(cmd, MasterCommand::CreateVolume { .. }) {
+                            self.metrics.volumes_created.inc();
                         }
-                        // Persist the command for restart recovery.
-                        let _ = inner.engine.put::<CmdCf>(&entry.index, &entry.data);
-                        inner.applied_index = entry.index;
-                        inner.applied_since_snapshot += 1;
-                        r
                     }
-                    Err(e) => Err(e),
-                };
+                    r
+                });
                 if is_leader {
                     inner.results.insert(entry.index, result);
                 }
             }
 
-            // Periodic durable snapshot + command pruning, mirroring the
-            // Raft-level compaction.
-            if inner.applied_since_snapshot >= PERSIST_SNAPSHOT_EVERY {
-                let snap = inner.state.snapshot_bytes();
-                let idx = inner.applied_index;
-                persist_snapshot(&inner.engine, idx, &snap);
-                let _ = inner.engine.flush();
-                inner.applied_since_snapshot = 0;
-
-                // Raft log compaction with the same snapshot.
+            // Log compaction (§2.1.3): the state snapshot becomes the
+            // group's, which `KvRaftStorage` persists.
+            if inner
+                .multiraft
+                .group(gid)
+                .is_some_and(|g| g.wants_compaction())
+            {
+                let data = inner.state.snapshot_bytes();
                 if let Some(g) = inner.multiraft.group_mut(gid) {
-                    if g.wants_compaction() {
-                        let (last_index, last_term) = g.compaction_point();
-                        g.compact(SnapshotPayload {
-                            last_index,
-                            last_term,
-                            data: snap,
-                        });
-                    }
+                    let (last_index, last_term) = g.compaction_point();
+                    g.compact(SnapshotPayload {
+                        last_index,
+                        last_term,
+                        data,
+                    });
                 }
             }
         }
@@ -647,22 +580,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn single_replica_recovers_from_kv_after_restart() {
+    /// Drive a one-replica master under a fresh directory through node
+    /// registrations, a volume and heartbeat rounds, reopen it from that
+    /// directory alone, and check the ready leader recovered the identical
+    /// state. Returns whether the closed replica's image was a compacted
+    /// snapshot plus a non-empty log tail.
+    fn recovers_after_restart(raft_config: RaftConfig) -> bool {
         let dir = TempDir::new("master").unwrap();
-        let members = vec![NodeId(1001)];
-        {
-            let hub = RaftHub::new();
-            let m = MasterNode::open(
+        let open = |hub: &RaftHub| {
+            MasterNode::open(
                 NodeId(1001),
                 hub.clone(),
                 dir.path(),
-                members.clone(),
+                vec![NodeId(1001)],
                 ClusterConfig::default(),
-                RaftConfig::default(),
+                raft_config.clone(),
                 3,
             )
-            .unwrap();
+            .unwrap()
+        };
+        let (before, snapshot_plus_tail) = {
+            let hub = RaftHub::new();
+            let m = open(&hub);
             assert!(hub.pump_until(|| m.is_leader(), 5_000));
             for i in 1..=3u64 {
                 m.propose(&MasterCommand::RegisterNode {
@@ -677,24 +616,50 @@ mod tests {
                 data_partition_count: 0,
             })
             .unwrap();
-        }
-        // Reopen from the same directory: state recovered from the kv
-        // store (snapshot + command replay).
+            for u in 1..=3u64 {
+                m.propose(&MasterCommand::Heartbeat {
+                    reporting: vec![NodeId(1), NodeId(2)],
+                    utilization: vec![(NodeId(1), u)],
+                    meta: vec![],
+                    full: vec![],
+                })
+                .unwrap();
+            }
+            let inner = m.inner.lock();
+            let tail = inner.multiraft.group(MASTER_GROUP).unwrap().live_log_len() > 0;
+            let snapshot = inner
+                .multiraft
+                .persist_group(MASTER_GROUP)
+                .unwrap()
+                .snapshot
+                .is_some();
+            (inner.state.snapshot_bytes(), snapshot && tail)
+        };
         let hub = RaftHub::new();
-        let m = MasterNode::open(
-            NodeId(1001),
-            hub.clone(),
-            dir.path(),
-            members,
-            ClusterConfig::default(),
-            RaftConfig::default(),
-            3,
-        )
-        .unwrap();
+        let m = open(&hub);
+        assert!(hub.pump_until(|| m.is_leader(), 5_000));
         m.with_state(|s| {
             assert!(s.volume_by_name("persisted").is_some());
             assert_eq!(s.nodes_of_kind(NodeKind::Meta).len(), 3);
+            assert_eq!(s.heartbeat_round(), 3);
+            assert_eq!(s.snapshot_bytes(), before);
         });
+        snapshot_plus_tail
+    }
+
+    #[test]
+    fn single_replica_recovers_from_kv_after_restart() {
+        // Default threshold: nothing compacts, the whole log replays.
+        assert!(!recovers_after_restart(RaftConfig::default()));
+    }
+
+    #[test]
+    fn single_replica_recovers_from_compacted_snapshot_plus_tail() {
+        let raft_config = RaftConfig {
+            snapshot_threshold: 4,
+            ..RaftConfig::default()
+        };
+        assert!(recovers_after_restart(raft_config));
     }
 
     #[test]

@@ -11,6 +11,19 @@ use crate::placement::{choose_replicas, NodeLoad};
 /// maintenance sweep re-emits its create task (split reconciliation).
 const UNREPORTED_ROUNDS: u64 = 3;
 
+/// A `u32` count, then each item.
+fn put_seq<'a, T: Encode + 'a>(enc: &mut Encoder, items: impl ExactSizeIterator<Item = &'a T>) {
+    enc.put_u32(items.len() as u32);
+    for item in items {
+        item.encode(enc);
+    }
+}
+
+/// Inverse of [`put_seq`].
+fn get_seq<T: Decode>(dec: &mut Decoder<'_>) -> Result<Vec<T>> {
+    (0..dec.get_u32()?).map(|_| T::decode(dec)).collect()
+}
+
 /// What kind of storage node registered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
@@ -47,7 +60,6 @@ pub struct NodeStatus {
     pub utilization: u64,
     /// Raft set membership (§2.5.1).
     pub raft_set: u32,
-    pub alive: bool,
     /// Consecutive heartbeat rounds this node failed to report in.
     /// `>= suspect_after_missed` makes the node a non-target for
     /// placement; `>= dead_after_missed` triggers repair (§2.3.3).
@@ -74,7 +86,6 @@ impl Encode for NodeStatus {
         self.kind.encode(enc);
         enc.put_u64(self.utilization);
         enc.put_u32(self.raft_set);
-        self.alive.encode(enc);
         enc.put_u32(self.missed_heartbeats);
     }
 }
@@ -86,7 +97,6 @@ impl Decode for NodeStatus {
             kind: NodeKind::decode(dec)?,
             utilization: dec.get_u64()?,
             raft_set: dec.get_u32()?,
-            alive: bool::decode(dec)?,
             missed_heartbeats: dec.get_u32()?,
         })
     }
@@ -274,37 +284,47 @@ pub enum Task {
     },
 }
 
+/// One meta partition leader's counters in a heartbeat (feeds Algorithm
+/// 1). `end` is the range end the replica serves (split reconciliation
+/// compares it against the planned cut) and `applied` its Raft applied
+/// index (successive deltas give the write-rate trigger).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MetaPartitionReport {
+    pub partition: PartitionId,
+    pub item_count: u64,
+    pub max_inode: InodeId,
+    pub end: InodeId,
+    pub applied: u64,
+}
+
+impl Encode for MetaPartitionReport {
+    fn encode(&self, enc: &mut Encoder) {
+        self.partition.encode(enc);
+        enc.put_u64(self.item_count);
+        self.max_inode.encode(enc);
+        self.end.encode(enc);
+        enc.put_u64(self.applied);
+    }
+}
+
+impl Decode for MetaPartitionReport {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        Ok(MetaPartitionReport {
+            partition: PartitionId::decode(dec)?,
+            item_count: dec.get_u64()?,
+            max_inode: InodeId::decode(dec)?,
+            end: InodeId::decode(dec)?,
+            applied: dec.get_u64()?,
+        })
+    }
+}
+
 /// Commands replicated across resource-manager replicas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MasterCommand {
     RegisterNode {
         node: NodeId,
         kind: NodeKind,
-    },
-    SetNodeAlive {
-        node: NodeId,
-        alive: bool,
-    },
-    /// Heartbeat body: node-level utilization.
-    UpdateNodeStats {
-        node: NodeId,
-        utilization: u64,
-    },
-    /// Heartbeat body: per-meta-partition counters (feeds Algorithm 1).
-    /// `end` is the range end the replica serves (split reconciliation
-    /// compares it against the planned cut) and `applied` its Raft
-    /// applied index (successive deltas give the write-rate trigger).
-    UpdateMetaPartitionStats {
-        partition: PartitionId,
-        item_count: u64,
-        max_inode: InodeId,
-        end: InodeId,
-        applied: u64,
-    },
-    /// Heartbeat body: data partition reached its extent cap (§2.3.1).
-    SetDataPartitionFull {
-        partition: PartitionId,
-        full: bool,
     },
     /// Timeout reported on a data partition (§2.3.3).
     ReportPartitionTimeout {
@@ -315,23 +335,22 @@ pub enum MasterCommand {
         meta_partition_count: u64,
         data_partition_count: u64,
     },
-    /// Add data partitions to a volume (refill, §2.3.1).
-    ExpandVolume {
-        volume: VolumeId,
-        count: u64,
-    },
     /// Algorithm 1 on one partition.
     SplitMetaPartition {
         partition: PartitionId,
     },
-    /// Periodic maintenance sweep: auto-split near-full meta partitions
-    /// and refill volumes short on writable data partitions.
-    Maintenance,
-    /// One heartbeat round: `reporting` nodes answered this tick; every
-    /// registered node absent from the list missed it. Replicated so the
-    /// miss counters (and thus failure detection) survive master churn.
-    RecordHeartbeats {
+    /// One heartbeat round (§2.3), applied as a unit: `reporting` nodes
+    /// answered and every registered node absent from the list missed it
+    /// (failure detection survives master churn); the responders'
+    /// utilization feeds placement, the meta partition leaders' counters
+    /// feed Algorithm 1, and `full` data partitions reached their extent
+    /// cap (§2.3.1). The apply ends with the maintenance sweep — split
+    /// reconciliation, auto-split, volume refill — whose tasks it returns.
+    Heartbeat {
         reporting: Vec<NodeId>,
+        utilization: Vec<(NodeId, u64)>,
+        meta: Vec<MetaPartitionReport>,
+        full: Vec<PartitionId>,
     },
     /// One repair-scheduler sweep (§2.3.3): replan up to
     /// `max_repairs_per_tick` degraded partitions, emitting
@@ -344,51 +363,19 @@ pub enum MasterCommand {
         partition: PartitionId,
         node: NodeId,
     },
-    /// One heartbeat-driven orphan sweep executed `fixups` compensation
-    /// fixups fetched from the meta nodes' journals (DESIGN §12).
-    /// Replicated so the running total survives master churn and shows
-    /// up identically on every replica's report.
-    RecordOrphanSweep {
-        fixups: u64,
-    },
 }
 
 impl Encode for MasterCommand {
     fn encode(&self, enc: &mut Encoder) {
+        // Tags 1–4, 7, 9, 10 and 13 belonged to retired commands (the
+        // per-report heartbeat commands, the maintenance trigger, the
+        // orphan-sweep tally and two never-proposed ones) and are never
+        // reused: a log holding one decodes to `Corrupt`.
         match self {
             MasterCommand::RegisterNode { node, kind } => {
                 enc.put_u8(0);
                 node.encode(enc);
                 kind.encode(enc);
-            }
-            MasterCommand::SetNodeAlive { node, alive } => {
-                enc.put_u8(1);
-                node.encode(enc);
-                alive.encode(enc);
-            }
-            MasterCommand::UpdateNodeStats { node, utilization } => {
-                enc.put_u8(2);
-                node.encode(enc);
-                enc.put_u64(*utilization);
-            }
-            MasterCommand::UpdateMetaPartitionStats {
-                partition,
-                item_count,
-                max_inode,
-                end,
-                applied,
-            } => {
-                enc.put_u8(3);
-                partition.encode(enc);
-                enc.put_u64(*item_count);
-                max_inode.encode(enc);
-                end.encode(enc);
-                enc.put_u64(*applied);
-            }
-            MasterCommand::SetDataPartitionFull { partition, full } => {
-                enc.put_u8(4);
-                partition.encode(enc);
-                full.encode(enc);
             }
             MasterCommand::ReportPartitionTimeout { partition } => {
                 enc.put_u8(5);
@@ -404,19 +391,9 @@ impl Encode for MasterCommand {
                 enc.put_u64(*meta_partition_count);
                 enc.put_u64(*data_partition_count);
             }
-            MasterCommand::ExpandVolume { volume, count } => {
-                enc.put_u8(7);
-                volume.encode(enc);
-                enc.put_u64(*count);
-            }
             MasterCommand::SplitMetaPartition { partition } => {
                 enc.put_u8(8);
                 partition.encode(enc);
-            }
-            MasterCommand::Maintenance => enc.put_u8(9),
-            MasterCommand::RecordHeartbeats { reporting } => {
-                enc.put_u8(10);
-                reporting.encode(enc);
             }
             MasterCommand::RepairTick => enc.put_u8(11),
             MasterCommand::ConfirmReplicaJoined { partition, node } => {
@@ -424,9 +401,17 @@ impl Encode for MasterCommand {
                 partition.encode(enc);
                 node.encode(enc);
             }
-            MasterCommand::RecordOrphanSweep { fixups } => {
-                enc.put_u8(13);
-                enc.put_u64(*fixups);
+            MasterCommand::Heartbeat {
+                reporting,
+                utilization,
+                meta,
+                full,
+            } => {
+                enc.put_u8(14);
+                put_seq(enc, reporting.iter());
+                put_seq(enc, utilization.iter());
+                put_seq(enc, meta.iter());
+                put_seq(enc, full.iter());
             }
         }
     }
@@ -439,25 +424,6 @@ impl Decode for MasterCommand {
                 node: NodeId::decode(dec)?,
                 kind: NodeKind::decode(dec)?,
             },
-            1 => MasterCommand::SetNodeAlive {
-                node: NodeId::decode(dec)?,
-                alive: bool::decode(dec)?,
-            },
-            2 => MasterCommand::UpdateNodeStats {
-                node: NodeId::decode(dec)?,
-                utilization: dec.get_u64()?,
-            },
-            3 => MasterCommand::UpdateMetaPartitionStats {
-                partition: PartitionId::decode(dec)?,
-                item_count: dec.get_u64()?,
-                max_inode: InodeId::decode(dec)?,
-                end: InodeId::decode(dec)?,
-                applied: dec.get_u64()?,
-            },
-            4 => MasterCommand::SetDataPartitionFull {
-                partition: PartitionId::decode(dec)?,
-                full: bool::decode(dec)?,
-            },
             5 => MasterCommand::ReportPartitionTimeout {
                 partition: PartitionId::decode(dec)?,
             },
@@ -466,24 +432,19 @@ impl Decode for MasterCommand {
                 meta_partition_count: dec.get_u64()?,
                 data_partition_count: dec.get_u64()?,
             },
-            7 => MasterCommand::ExpandVolume {
-                volume: VolumeId::decode(dec)?,
-                count: dec.get_u64()?,
-            },
             8 => MasterCommand::SplitMetaPartition {
                 partition: PartitionId::decode(dec)?,
-            },
-            9 => MasterCommand::Maintenance,
-            10 => MasterCommand::RecordHeartbeats {
-                reporting: Vec::<NodeId>::decode(dec)?,
             },
             11 => MasterCommand::RepairTick,
             12 => MasterCommand::ConfirmReplicaJoined {
                 partition: PartitionId::decode(dec)?,
                 node: NodeId::decode(dec)?,
             },
-            13 => MasterCommand::RecordOrphanSweep {
-                fixups: dec.get_u64()?,
+            14 => MasterCommand::Heartbeat {
+                reporting: get_seq(dec)?,
+                utilization: get_seq(dec)?,
+                meta: get_seq(dec)?,
+                full: get_seq(dec)?,
             },
             b => return Err(CfsError::Corrupt(format!("invalid master command tag {b}"))),
         })
@@ -515,9 +476,6 @@ pub struct MasterState {
     /// joining node. The repair scheduler skips these until the driver
     /// confirms the join, so one degraded partition is repaired once.
     pending_joins: BTreeMap<PartitionId, NodeId>,
-    /// Running total of compensation fixups executed by the heartbeat
-    /// orphan sweep (DESIGN §12), replicated across master replicas.
-    orphan_fixups: u64,
 }
 
 impl MasterState {
@@ -536,7 +494,6 @@ impl MasterState {
             next_volume: 1,
             heartbeat_round: 0,
             pending_joins: BTreeMap::new(),
-            orphan_fixups: 0,
         }
     }
 
@@ -578,11 +535,6 @@ impl MasterState {
     /// Partitions with an in-flight replacement join (partition → joiner).
     pub fn pending_joins(&self) -> &BTreeMap<PartitionId, NodeId> {
         &self.pending_joins
-    }
-
-    /// Compensation fixups executed by the orphan sweep so far.
-    pub fn orphan_fixups(&self) -> u64 {
-        self.orphan_fixups
     }
 
     /// Do all of `members` live in one Raft set (§2.5.1)? Used to count
@@ -633,8 +585,8 @@ impl MasterState {
                 utilization: n.utilization,
                 raft_set: n.raft_set,
                 // Suspects are excluded from new placements before they
-                // are declared dead (§2.3.3).
-                alive: n.alive && !n.is_suspect(&self.config),
+                // are declared dead (§2.3.3); the dead are suspect too.
+                alive: !n.is_suspect(&self.config),
             })
             .collect()
     }
@@ -907,6 +859,110 @@ impl MasterState {
         Ok(outcome)
     }
 
+    /// One heartbeat round, in order: the round counter and miss counters,
+    /// the responders' utilization, the meta partition counters (stamped
+    /// with the new round), the full flags, then the maintenance sweep.
+    fn heartbeat(
+        &mut self,
+        reporting: &[NodeId],
+        utilization: &[(NodeId, u64)],
+        meta: &[MetaPartitionReport],
+        full: &[PartitionId],
+    ) -> Result<ApplyOutcome> {
+        self.heartbeat_round += 1;
+        for n in self.nodes.values_mut() {
+            n.missed_heartbeats = if reporting.contains(&n.node) {
+                0
+            } else {
+                n.missed_heartbeats.saturating_add(1)
+            };
+        }
+        for (node, u) in utilization {
+            if let Some(n) = self.nodes.get_mut(node) {
+                n.utilization = *u;
+            }
+        }
+        for r in meta {
+            if let Some(p) = self.meta_partitions.get_mut(&r.partition) {
+                p.item_count = r.item_count;
+                p.max_inode = r.max_inode.max(p.max_inode);
+                p.write_load = r.applied.saturating_sub(p.applied);
+                p.applied = r.applied;
+                p.reported_end = r.end;
+                p.last_reported_round = self.heartbeat_round;
+            }
+        }
+        for pid in full {
+            if let Some(p) = self.data_partitions.get_mut(pid) {
+                p.full = true;
+            }
+        }
+        self.maintenance()
+    }
+
+    /// The maintenance sweep closing every heartbeat round: split
+    /// reconciliation, auto-split of near-full or hot meta partitions, and
+    /// refill of volumes short on writable data partitions.
+    fn maintenance(&mut self) -> Result<ApplyOutcome> {
+        let mut outcome = ApplyOutcome::default();
+        // Split reconciliation first (so a split planned later in this
+        // same sweep is not immediately re-emitted): a cut the replicas
+        // have not acknowledged yet is re-sent, and a partition that never
+        // reported in (its create task was lost with a crashed master) is
+        // re-created. Both tasks are idempotent at the meta nodes.
+        for p in self.meta_partitions.values() {
+            if p.reported_end != p.end {
+                outcome.tasks.push(Task::UpdateMetaPartitionEnd {
+                    partition: p.partition,
+                    end: p.end,
+                    members: p.members.clone(),
+                });
+            }
+            if self.heartbeat_round >= p.last_reported_round.saturating_add(UNREPORTED_ROUNDS) {
+                outcome.tasks.push(Task::CreateMetaPartition {
+                    partition: p.partition,
+                    volume: p.volume,
+                    start: p.start,
+                    end: p.end,
+                    members: p.members.clone(),
+                });
+            }
+        }
+        // Auto-split meta partitions near their item limit or running hot
+        // (§2.3.2: size *or* write-rate trigger).
+        let near_full: Vec<PartitionId> = self
+            .meta_partitions
+            .values()
+            .filter(|p| {
+                p.end == InodeId::MAX
+                    && (p.item_count >= self.config.meta_partition_item_limit
+                        || p.write_load >= self.config.meta_partition_write_load_limit)
+            })
+            .map(|p| p.partition)
+            .collect();
+        for pid in near_full {
+            let o = self.split_meta_partition(pid)?;
+            outcome.tasks.extend(o.tasks);
+        }
+        // Refill volumes short on writable data partitions.
+        let vols: Vec<VolumeId> = self.volumes.keys().copied().collect();
+        for vid in vols {
+            let parts = self.volume_data_partitions(vid);
+            if parts.is_empty() {
+                continue;
+            }
+            let writable = parts.iter().filter(|p| !p.full && !p.read_only).count();
+            let ratio = writable as f64 / parts.len() as f64;
+            if ratio < self.config.volume_refill_watermark {
+                for _ in 0..self.config.partitions_per_allocation {
+                    let (_, t) = self.new_data_partition(vid)?;
+                    outcome.tasks.push(t);
+                }
+            }
+        }
+        Ok(outcome)
+    }
+
     /// Apply one command. Deterministic; errors are deterministic too.
     pub fn apply(&mut self, cmd: &MasterCommand) -> Result<ApplyOutcome> {
         match cmd {
@@ -924,48 +980,9 @@ impl MasterState {
                         kind: *kind,
                         utilization: 0,
                         raft_set,
-                        alive: true,
                         missed_heartbeats: 0,
                     },
                 );
-                Ok(ApplyOutcome::default())
-            }
-            MasterCommand::SetNodeAlive { node, alive } => {
-                let n = self
-                    .nodes
-                    .get_mut(node)
-                    .ok_or_else(|| CfsError::NotFound(format!("{node}")))?;
-                n.alive = *alive;
-                Ok(ApplyOutcome::default())
-            }
-            MasterCommand::UpdateNodeStats { node, utilization } => {
-                if let Some(n) = self.nodes.get_mut(node) {
-                    n.utilization = *utilization;
-                }
-                Ok(ApplyOutcome::default())
-            }
-            MasterCommand::UpdateMetaPartitionStats {
-                partition,
-                item_count,
-                max_inode,
-                end,
-                applied,
-            } => {
-                let round = self.heartbeat_round;
-                if let Some(p) = self.meta_partitions.get_mut(partition) {
-                    p.item_count = *item_count;
-                    p.max_inode = (*max_inode).max(p.max_inode);
-                    p.write_load = applied.saturating_sub(p.applied);
-                    p.applied = *applied;
-                    p.reported_end = *end;
-                    p.last_reported_round = round;
-                }
-                Ok(ApplyOutcome::default())
-            }
-            MasterCommand::SetDataPartitionFull { partition, full } => {
-                if let Some(p) = self.data_partitions.get_mut(partition) {
-                    p.full = *full;
-                }
                 Ok(ApplyOutcome::default())
             }
             MasterCommand::ReportPartitionTimeout { partition } => {
@@ -1032,101 +1049,15 @@ impl MasterState {
                     volume: Some(vid),
                 })
             }
-            MasterCommand::ExpandVolume { volume, count } => {
-                if !self.volumes.contains_key(volume) {
-                    return Err(CfsError::NotFound(format!("{volume}")));
-                }
-                let mut tasks = Vec::new();
-                for _ in 0..*count {
-                    let (_, t) = self.new_data_partition(*volume)?;
-                    tasks.push(t);
-                }
-                Ok(ApplyOutcome {
-                    tasks,
-                    volume: Some(*volume),
-                })
-            }
             MasterCommand::SplitMetaPartition { partition } => {
                 self.split_meta_partition(*partition)
             }
-            MasterCommand::Maintenance => {
-                let mut outcome = ApplyOutcome::default();
-                // Split reconciliation first (so a split planned later in
-                // this same sweep is not immediately re-emitted): a cut
-                // the replicas have not acknowledged yet is re-sent, and
-                // a partition that never reported in (its create task was
-                // lost with a crashed master) is re-created. Both tasks
-                // are idempotent at the meta nodes.
-                for p in self.meta_partitions.values() {
-                    if p.reported_end != p.end {
-                        outcome.tasks.push(Task::UpdateMetaPartitionEnd {
-                            partition: p.partition,
-                            end: p.end,
-                            members: p.members.clone(),
-                        });
-                    }
-                    if self.heartbeat_round
-                        >= p.last_reported_round.saturating_add(UNREPORTED_ROUNDS)
-                    {
-                        outcome.tasks.push(Task::CreateMetaPartition {
-                            partition: p.partition,
-                            volume: p.volume,
-                            start: p.start,
-                            end: p.end,
-                            members: p.members.clone(),
-                        });
-                    }
-                }
-                // Auto-split meta partitions near their item limit or
-                // running hot (§2.3.2: size *or* write-rate trigger).
-                let near_full: Vec<PartitionId> = self
-                    .meta_partitions
-                    .values()
-                    .filter(|p| {
-                        p.end == InodeId::MAX
-                            && (p.item_count >= self.config.meta_partition_item_limit
-                                || p.write_load >= self.config.meta_partition_write_load_limit)
-                    })
-                    .map(|p| p.partition)
-                    .collect();
-                for pid in near_full {
-                    let o = self.split_meta_partition(pid)?;
-                    outcome.tasks.extend(o.tasks);
-                }
-                // Refill volumes short on writable data partitions.
-                let vols: Vec<VolumeId> = self.volumes.keys().copied().collect();
-                for vid in vols {
-                    let parts = self.volume_data_partitions(vid);
-                    if parts.is_empty() {
-                        continue;
-                    }
-                    let writable = parts.iter().filter(|p| !p.full && !p.read_only).count();
-                    let ratio = writable as f64 / parts.len() as f64;
-                    if ratio < self.config.volume_refill_watermark {
-                        for _ in 0..self.config.partitions_per_allocation {
-                            let (_, t) = self.new_data_partition(vid)?;
-                            outcome.tasks.push(t);
-                        }
-                    }
-                }
-                Ok(outcome)
-            }
-            MasterCommand::RecordHeartbeats { reporting } => {
-                self.heartbeat_round += 1;
-                let dead_after = self.config.dead_after_missed;
-                for n in self.nodes.values_mut() {
-                    if reporting.contains(&n.node) {
-                        n.missed_heartbeats = 0;
-                        n.alive = true;
-                    } else {
-                        n.missed_heartbeats = n.missed_heartbeats.saturating_add(1);
-                        if n.missed_heartbeats >= dead_after {
-                            n.alive = false;
-                        }
-                    }
-                }
-                Ok(ApplyOutcome::default())
-            }
+            MasterCommand::Heartbeat {
+                reporting,
+                utilization,
+                meta,
+                full,
+            } => self.heartbeat(reporting, utilization, meta, full),
             MasterCommand::RepairTick => self.repair_tick(),
             MasterCommand::ConfirmReplicaJoined { partition, node } => {
                 // Idempotent: a stale confirm (wrong node, or already
@@ -1139,45 +1070,24 @@ impl MasterState {
                 }
                 Ok(ApplyOutcome::default())
             }
-            MasterCommand::RecordOrphanSweep { fixups } => {
-                self.orphan_fixups += fixups;
-                Ok(ApplyOutcome::default())
-            }
         }
     }
 
-    /// Serialize the whole state (for kv persistence and Raft snapshots).
+    /// Serialize the whole state (the master group's Raft snapshot).
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_u64(self.next_partition);
         enc.put_u64(self.next_volume);
-        let nodes: Vec<NodeStatus> = self.nodes.values().cloned().collect();
-        enc.put_u32(nodes.len() as u32);
-        for n in &nodes {
-            n.encode(&mut enc);
-        }
-        let vols: Vec<VolumeMeta> = self.volumes.values().cloned().collect();
-        enc.put_u32(vols.len() as u32);
-        for v in &vols {
-            v.encode(&mut enc);
-        }
-        let mps: Vec<MetaPartitionMeta> = self.meta_partitions.values().cloned().collect();
-        enc.put_u32(mps.len() as u32);
-        for p in &mps {
-            p.encode(&mut enc);
-        }
-        let dps: Vec<DataPartitionMeta> = self.data_partitions.values().cloned().collect();
-        enc.put_u32(dps.len() as u32);
-        for p in &dps {
-            p.encode(&mut enc);
-        }
+        put_seq(&mut enc, self.nodes.values());
+        put_seq(&mut enc, self.volumes.values());
+        put_seq(&mut enc, self.meta_partitions.values());
+        put_seq(&mut enc, self.data_partitions.values());
         enc.put_u64(self.heartbeat_round);
         enc.put_u32(self.pending_joins.len() as u32);
         for (pid, node) in &self.pending_joins {
             pid.encode(&mut enc);
             node.encode(&mut enc);
         }
-        enc.put_u64(self.orphan_fixups);
         enc.finish()
     }
 
@@ -1187,30 +1097,23 @@ impl MasterState {
         let mut st = MasterState::new(config);
         st.next_partition = dec.get_u64()?;
         st.next_volume = dec.get_u64()?;
-        for _ in 0..dec.get_u32()? {
-            let n = NodeStatus::decode(&mut dec)?;
+        for n in get_seq::<NodeStatus>(&mut dec)? {
             st.nodes.insert(n.node, n);
         }
-        for _ in 0..dec.get_u32()? {
-            let v = VolumeMeta::decode(&mut dec)?;
+        for v in get_seq::<VolumeMeta>(&mut dec)? {
             st.volume_names.insert(v.name.clone(), v.volume);
             st.volumes.insert(v.volume, v);
         }
-        for _ in 0..dec.get_u32()? {
-            let p = MetaPartitionMeta::decode(&mut dec)?;
+        for p in get_seq::<MetaPartitionMeta>(&mut dec)? {
             st.meta_partitions.insert(p.partition, p);
         }
-        for _ in 0..dec.get_u32()? {
-            let p = DataPartitionMeta::decode(&mut dec)?;
+        for p in get_seq::<DataPartitionMeta>(&mut dec)? {
             st.data_partitions.insert(p.partition, p);
         }
         st.heartbeat_round = dec.get_u64()?;
-        for _ in 0..dec.get_u32()? {
-            let pid = PartitionId::decode(&mut dec)?;
-            let node = NodeId::decode(&mut dec)?;
+        for (pid, node) in get_seq::<(PartitionId, NodeId)>(&mut dec)? {
             st.pending_joins.insert(pid, node);
         }
-        st.orphan_fixups = dec.get_u64()?;
         if !dec.is_exhausted() {
             return Err(CfsError::Corrupt("master snapshot trailing bytes".into()));
         }
@@ -1239,6 +1142,41 @@ mod tests {
             .unwrap();
         }
         st
+    }
+
+    /// One heartbeat round in which every registered node reports,
+    /// carrying the given stats.
+    fn round(
+        st: &mut MasterState,
+        utilization: Vec<(NodeId, u64)>,
+        meta: Vec<MetaPartitionReport>,
+        full: Vec<PartitionId>,
+    ) -> ApplyOutcome {
+        let reporting = st.nodes.keys().copied().collect();
+        st.apply(&MasterCommand::Heartbeat {
+            reporting,
+            utilization,
+            meta,
+            full,
+        })
+        .unwrap()
+    }
+
+    /// A meta partition leader's counters.
+    fn stats(
+        partition: PartitionId,
+        item_count: u64,
+        max_inode: u64,
+        end: InodeId,
+        applied: u64,
+    ) -> MetaPartitionReport {
+        MetaPartitionReport {
+            partition,
+            item_count,
+            max_inode: InodeId(max_inode),
+            end,
+            applied,
+        }
     }
 
     #[test]
@@ -1286,16 +1224,12 @@ mod tests {
     fn placement_prefers_low_utilization() {
         let mut st = state_with_nodes(5, 5);
         // Load up nodes 1–2 heavily.
-        st.apply(&MasterCommand::UpdateNodeStats {
-            node: NodeId(1),
-            utilization: 1_000,
-        })
-        .unwrap();
-        st.apply(&MasterCommand::UpdateNodeStats {
-            node: NodeId(2),
-            utilization: 900,
-        })
-        .unwrap();
+        round(
+            &mut st,
+            vec![(NodeId(1), 1_000), (NodeId(2), 900)],
+            vec![],
+            vec![],
+        );
         let out = st
             .apply(&MasterCommand::CreateVolume {
                 name: "v".into(),
@@ -1326,14 +1260,12 @@ mod tests {
         let pid = st.volume(vid).unwrap().meta_partitions[0];
 
         // Report usage: maxInodeID = 500.
-        st.apply(&MasterCommand::UpdateMetaPartitionStats {
-            partition: pid,
-            item_count: 800,
-            max_inode: InodeId(500),
-            end: InodeId::MAX,
-            applied: 800,
-        })
-        .unwrap();
+        round(
+            &mut st,
+            vec![],
+            vec![stats(pid, 800, 500, InodeId::MAX, 800)],
+            vec![],
+        );
 
         let out = st
             .apply(&MasterCommand::SplitMetaPartition { partition: pid })
@@ -1375,30 +1307,17 @@ mod tests {
         let dpids = st.volume(vid).unwrap().data_partitions.clone();
 
         // Nothing to do yet.
-        assert!(st
-            .apply(&MasterCommand::Maintenance)
-            .unwrap()
-            .tasks
-            .is_empty());
+        assert!(round(&mut st, vec![], vec![], vec![]).tasks.is_empty());
 
-        // Meta partition hits the item limit → auto-split.
-        st.apply(&MasterCommand::UpdateMetaPartitionStats {
-            partition: mpid,
-            item_count: st.config().meta_partition_item_limit,
-            max_inode: InodeId(42),
-            end: InodeId::MAX,
-            applied: 0,
-        })
-        .unwrap();
-        // All data partitions full → refill.
-        for d in &dpids {
-            st.apply(&MasterCommand::SetDataPartitionFull {
-                partition: *d,
-                full: true,
-            })
-            .unwrap();
-        }
-        let out = st.apply(&MasterCommand::Maintenance).unwrap();
+        // Meta partition hits the item limit → auto-split; all data
+        // partitions full → refill.
+        let limit = st.config().meta_partition_item_limit;
+        let out = round(
+            &mut st,
+            vec![],
+            vec![stats(mpid, limit, 42, InodeId::MAX, 0)],
+            dpids,
+        );
         let splits = out
             .tasks
             .iter()
@@ -1441,30 +1360,21 @@ mod tests {
 
         // Far below the item limit but applying entries fast: the delta
         // between successive reports crosses the write-load limit.
-        st.apply(&MasterCommand::UpdateMetaPartitionStats {
-            partition: pid,
-            item_count: 10,
-            max_inode: InodeId(10),
-            end: InodeId::MAX,
-            applied: 30,
-        })
-        .unwrap();
+        let out = round(
+            &mut st,
+            vec![],
+            vec![stats(pid, 10, 10, InodeId::MAX, 30)],
+            vec![],
+        );
         assert_eq!(st.meta_partition(pid).unwrap().write_load, 30);
-        assert!(st
-            .apply(&MasterCommand::Maintenance)
-            .unwrap()
-            .tasks
-            .is_empty());
-        st.apply(&MasterCommand::UpdateMetaPartitionStats {
-            partition: pid,
-            item_count: 12,
-            max_inode: InodeId(12),
-            end: InodeId::MAX,
-            applied: 100,
-        })
-        .unwrap();
+        assert!(out.tasks.is_empty());
+        let out = round(
+            &mut st,
+            vec![],
+            vec![stats(pid, 12, 12, InodeId::MAX, 100)],
+            vec![],
+        );
         assert_eq!(st.meta_partition(pid).unwrap().write_load, 70);
-        let out = st.apply(&MasterCommand::Maintenance).unwrap();
         assert!(out
             .tasks
             .iter()
@@ -1487,25 +1397,23 @@ mod tests {
             .unwrap();
         let vid = out.volume.unwrap();
         let pid = st.volume(vid).unwrap().meta_partitions[0];
-        let all: Vec<NodeId> = st.nodes.keys().copied().collect();
 
-        st.apply(&MasterCommand::UpdateMetaPartitionStats {
-            partition: pid,
-            item_count: 5,
-            max_inode: InodeId(5),
-            end: InodeId::MAX,
-            applied: 5,
-        })
-        .unwrap();
+        round(
+            &mut st,
+            vec![],
+            vec![stats(pid, 5, 5, InodeId::MAX, 5)],
+            vec![],
+        );
         st.apply(&MasterCommand::SplitMetaPartition { partition: pid })
             .unwrap();
+        let created = st.heartbeat_round();
         let cut = st.meta_partition(pid).unwrap().end;
         let succ = st.volume(vid).unwrap().meta_partitions[1];
         assert_ne!(cut, InodeId::MAX);
 
         // The replicas never saw the cut (reported_end still MAX): every
         // sweep re-emits the UpdateMetaPartitionEnd task until they do.
-        let out = st.apply(&MasterCommand::Maintenance).unwrap();
+        let out = round(&mut st, vec![], vec![], vec![]);
         assert!(out.tasks.iter().any(|t| matches!(
             t,
             Task::UpdateMetaPartitionEnd { partition, end, .. }
@@ -1513,39 +1421,20 @@ mod tests {
         )));
 
         // Acknowledge the cut: reconciliation goes quiet for it.
-        st.apply(&MasterCommand::UpdateMetaPartitionStats {
-            partition: pid,
-            item_count: 5,
-            max_inode: InodeId(5),
-            end: cut,
-            applied: 6,
-        })
-        .unwrap();
-        let out = st.apply(&MasterCommand::Maintenance).unwrap();
+        let out = round(&mut st, vec![], vec![stats(pid, 5, 5, cut, 6)], vec![]);
         assert!(!out
             .tasks
             .iter()
             .any(|t| matches!(t, Task::UpdateMetaPartitionEnd { .. })));
 
         // The successor's create task was lost (master crash before task
-        // delivery): it never reports, and after UNREPORTED_ROUNDS
-        // heartbeat rounds the sweep re-creates it.
-        for _ in 0..UNREPORTED_ROUNDS {
-            st.apply(&MasterCommand::RecordHeartbeats {
-                reporting: all.clone(),
-            })
-            .unwrap();
-            // The predecessor keeps reporting; the successor stays silent.
-            st.apply(&MasterCommand::UpdateMetaPartitionStats {
-                partition: pid,
-                item_count: 5,
-                max_inode: InodeId(5),
-                end: cut,
-                applied: 6,
-            })
-            .unwrap();
+        // delivery): it never reports, and the sweep UNREPORTED_ROUNDS
+        // rounds after its creation re-creates it. The predecessor keeps
+        // reporting.
+        let mut out = ApplyOutcome::default();
+        while st.heartbeat_round() < created + UNREPORTED_ROUNDS {
+            out = round(&mut st, vec![], vec![stats(pid, 5, 5, cut, 6)], vec![]);
         }
-        let out = st.apply(&MasterCommand::Maintenance).unwrap();
         let recreates: Vec<_> = out
             .tasks
             .iter()
@@ -1618,40 +1507,23 @@ mod tests {
             data_partition_count: 3,
         })
         .unwrap();
-        st.apply(&MasterCommand::UpdateNodeStats {
-            node: NodeId(3),
-            utilization: 777,
-        })
-        .unwrap();
-        // Exercise the self-healing fields too: a heartbeat round with a
-        // miss, and an in-flight join.
-        st.apply(&MasterCommand::RecordHeartbeats {
+        // Exercise the self-healing fields too: a heartbeat round with
+        // stats and misses, and an in-flight join.
+        st.apply(&MasterCommand::Heartbeat {
             reporting: st
                 .nodes_of_kind(NodeKind::Meta)
                 .iter()
                 .map(|n| n.node)
                 .collect(),
+            utilization: vec![(NodeId(3), 777)],
+            meta: vec![stats(PartitionId(1), 9, 9, InodeId(1 << 32), 9)],
+            full: vec![PartitionId(3)],
         })
         .unwrap();
-        st.pending_joins.insert(PartitionId(2), NodeId(105));
-        st.apply(&MasterCommand::RecordOrphanSweep { fixups: 7 })
-            .unwrap();
+        st.pending_joins.insert(PartitionId(3), NodeId(105));
         let bytes = st.snapshot_bytes();
         let back = MasterState::from_snapshot(ClusterConfig::default(), &bytes).unwrap();
         assert_eq!(back, st);
-    }
-
-    #[test]
-    fn orphan_sweeps_accumulate() {
-        let mut st = MasterState::new(ClusterConfig::default());
-        assert_eq!(st.orphan_fixups(), 0);
-        st.apply(&MasterCommand::RecordOrphanSweep { fixups: 3 })
-            .unwrap();
-        st.apply(&MasterCommand::RecordOrphanSweep { fixups: 0 })
-            .unwrap();
-        st.apply(&MasterCommand::RecordOrphanSweep { fixups: 4 })
-            .unwrap();
-        assert_eq!(st.orphan_fixups(), 7);
     }
 
     #[test]
@@ -1662,25 +1534,6 @@ mod tests {
                 node: NodeId(1),
                 kind: NodeKind::Data,
             },
-            MasterCommand::SetNodeAlive {
-                node: NodeId(1),
-                alive: false,
-            },
-            MasterCommand::UpdateNodeStats {
-                node: NodeId(1),
-                utilization: 42,
-            },
-            MasterCommand::UpdateMetaPartitionStats {
-                partition: PartitionId(1),
-                item_count: 10,
-                max_inode: InodeId(5),
-                end: InodeId(7),
-                applied: 99,
-            },
-            MasterCommand::SetDataPartitionFull {
-                partition: PartitionId(2),
-                full: true,
-            },
             MasterCommand::ReportPartitionTimeout {
                 partition: PartitionId(2),
             },
@@ -1689,28 +1542,47 @@ mod tests {
                 meta_partition_count: 1,
                 data_partition_count: 2,
             },
-            MasterCommand::ExpandVolume {
-                volume: VolumeId(1),
-                count: 3,
-            },
             MasterCommand::SplitMetaPartition {
                 partition: PartitionId(1),
             },
-            MasterCommand::Maintenance,
-            MasterCommand::RecordHeartbeats {
+            MasterCommand::Heartbeat {
                 reporting: vec![NodeId(1), NodeId(101)],
+                utilization: vec![(NodeId(1), 42), (NodeId(101), 1 << 40)],
+                meta: vec![stats(PartitionId(1), 10, 5, InodeId(7), 99)],
+                full: vec![PartitionId(2)],
+            },
+            MasterCommand::Heartbeat {
+                reporting: vec![],
+                utilization: vec![],
+                meta: vec![],
+                full: vec![],
             },
             MasterCommand::RepairTick,
             MasterCommand::ConfirmReplicaJoined {
                 partition: PartitionId(3),
                 node: NodeId(104),
             },
-            MasterCommand::RecordOrphanSweep { fixups: 12 },
         ];
         for c in cmds {
             assert_eq!(roundtrip(&c).unwrap(), c);
         }
         assert!(MasterCommand::from_bytes(&[99]).is_err());
+    }
+
+    #[test]
+    fn retired_command_tags_decode_to_corrupt() {
+        // The per-report heartbeat commands, the maintenance trigger, the
+        // orphan-sweep tally and two never-proposed commands were retired;
+        // a log that still holds one is refused, not misread.
+        for tag in [1u8, 2, 3, 4, 7, 9, 10, 13] {
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&NodeId(1).to_bytes());
+            bytes.extend_from_slice(&7u64.to_le_bytes());
+            assert!(
+                matches!(MasterCommand::from_bytes(&bytes), Err(CfsError::Corrupt(_))),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]
@@ -1731,18 +1603,19 @@ mod tests {
     /// reports.
     fn miss_round(st: &mut MasterState, absent: NodeId) {
         let reporting: Vec<NodeId> = st.nodes.keys().copied().filter(|&n| n != absent).collect();
-        st.apply(&MasterCommand::RecordHeartbeats { reporting })
-            .unwrap();
+        st.apply(&MasterCommand::Heartbeat {
+            reporting,
+            utilization: vec![],
+            meta: vec![],
+            full: vec![],
+        })
+        .unwrap();
     }
 
     #[test]
     fn missed_heartbeats_drive_suspect_then_dead() {
         let mut st = state_with_nodes(3, 4);
-        let all: Vec<NodeId> = st.nodes.keys().copied().collect();
-        st.apply(&MasterCommand::RecordHeartbeats {
-            reporting: all.clone(),
-        })
-        .unwrap();
+        round(&mut st, vec![], vec![], vec![]);
         assert_eq!(st.heartbeat_round(), 1);
         let victim = NodeId(101);
         assert_eq!(st.node(victim).unwrap().missed_heartbeats, 0);
@@ -1750,12 +1623,11 @@ mod tests {
         // Default thresholds: suspect at 2 misses, dead at 3.
         miss_round(&mut st, victim);
         let n = st.node(victim).unwrap();
-        assert!(!n.is_suspect(&st.config) && n.alive);
+        assert!(!n.is_suspect(&st.config) && !n.is_dead(&st.config));
 
         miss_round(&mut st, victim);
         let n = st.node(victim).unwrap();
         assert!(n.is_suspect(&st.config) && !n.is_dead(&st.config));
-        assert!(n.alive, "suspect is not yet dead");
         // Suspects are no longer placement targets.
         assert!(st
             .loads(NodeKind::Data)
@@ -1764,13 +1636,12 @@ mod tests {
 
         miss_round(&mut st, victim);
         let n = st.node(victim).unwrap();
-        assert!(n.is_dead(&st.config) && !n.alive);
+        assert!(n.is_dead(&st.config));
 
         // A node that comes back fully recovers.
-        st.apply(&MasterCommand::RecordHeartbeats { reporting: all })
-            .unwrap();
+        round(&mut st, vec![], vec![], vec![]);
         let n = st.node(victim).unwrap();
-        assert!(n.alive && n.missed_heartbeats == 0 && !n.is_suspect(&st.config));
+        assert!(!n.is_dead(&st.config) && n.missed_heartbeats == 0 && !n.is_suspect(&st.config));
     }
 
     #[test]

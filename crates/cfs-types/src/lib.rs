@@ -3,8 +3,8 @@
 //! This crate is the vocabulary of the reproduction: strongly-typed
 //! identifiers, the error model, a hand-written binary codec used for Raft
 //! log entries / snapshots / WAL records, CRC32-C checksums for extent
-//! integrity, the inode/dentry/extent metadata structures from §2.1 of the
-//! paper, and the data-path packet format from §2.7.1.
+//! integrity, and the inode/dentry/extent metadata structures from §2.1 of
+//! the paper.
 
 pub mod codec;
 pub mod config;
@@ -13,7 +13,6 @@ pub mod error;
 pub mod faults;
 pub mod ids;
 pub mod inode;
-pub mod packet;
 pub mod testutil;
 
 pub use codec::{Decode, Decoder, Encode, Encoder};
@@ -24,4 +23,3 @@ pub use ids::{
     ClientId, ExtentId, InodeId, NodeId, PartitionId, RaftGroupId, VolumeId, ROOT_INODE,
 };
 pub use inode::{Dentry, ExtentKey, FileType, Inode, InodeFlag};
-pub use packet::{Packet, PacketOp};

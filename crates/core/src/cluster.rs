@@ -6,7 +6,9 @@ use std::sync::Arc;
 
 use cfs_client::{Client, ClientOptions, Fabrics};
 use cfs_data::{DataNode, DataRequest, DataResponse};
-use cfs_master::{MasterCommand, MasterNode, MasterRequest, MasterResponse, NodeKind, Task};
+use cfs_master::{
+    MasterCommand, MasterNode, MasterRequest, MasterResponse, MetaPartitionReport, NodeKind, Task,
+};
 use cfs_meta::{MetaNode, MetaPartitionConfig, MetaRequest, MetaResponse};
 use cfs_net::{Network, SimClock};
 use cfs_obs::{MetricsSnapshot, Registry};
@@ -21,6 +23,10 @@ const META_NODE_BASE: u64 = 1;
 const DATA_NODE_BASE: u64 = 101;
 const MASTER_NODE_BASE: u64 = 9_001;
 const CLIENT_BASE: u64 = 20_001;
+
+/// Size at which a data partition rotates the extent it packs small files
+/// into (§2.2.3).
+const SMALL_EXTENT_ROTATE_AT: u64 = 128 * 1024 * 1024;
 
 /// Builds an in-process CFS cluster.
 #[derive(Debug, Clone)]
@@ -400,12 +406,6 @@ impl Cluster {
                     end,
                     members,
                 } => {
-                    let config = MetaPartitionConfig {
-                        partition_id: *partition,
-                        volume_id: *volume,
-                        start: *start,
-                        end: *end,
-                    };
                     // Best effort per member: a down replica, or an
                     // `Exists` from a reconciliation re-emit racing a
                     // not-yet-acknowledged cut, must not wedge the task
@@ -413,20 +413,13 @@ impl Cluster {
                     // replica reports the planned range.
                     let mut created = 0;
                     for &m in members {
-                        match self.fabrics.meta.call(
-                            NodeId(0),
-                            m,
-                            MetaRequest::CreatePartition {
-                                config: config.clone(),
-                                members: members.clone(),
-                            },
-                        ) {
-                            Ok(Ok(MetaResponse::Created)) => created += 1,
-                            Ok(Ok(_)) => {
+                        match self.host_meta_replica(m, *partition, *volume, *start, *end, members)
+                        {
+                            Ok(MetaResponse::Created) | Err(CfsError::Exists(_)) => created += 1,
+                            Ok(_) => {
                                 return Err(CfsError::Internal("bad CreatePartition reply".into()))
                             }
-                            Ok(Err(CfsError::Exists(_))) => created += 1,
-                            Ok(Err(_)) | Err(_) => {}
+                            Err(_) => {}
                         }
                     }
                     // Wait for the new group to elect a leader (only
@@ -445,17 +438,7 @@ impl Cluster {
                     members,
                 } => {
                     for &m in members {
-                        self.fabrics.data.call(
-                            NodeId(0),
-                            m,
-                            DataRequest::CreatePartition {
-                                partition: *partition,
-                                volume: *volume,
-                                members: members.clone(),
-                                small_extent_rotate_at: 128 * 1024 * 1024,
-                                extent_limit: self.config.data_partition_extent_limit,
-                            },
-                        )??;
+                        self.host_data_replica(m, *partition, *volume, members)?;
                     }
                     let pid = *partition;
                     self.hub.pump_until(
@@ -561,6 +544,57 @@ impl Cluster {
         Ok(())
     }
 
+    /// Host a replica of a data partition on `node` (idempotent at the
+    /// node, so task retries are safe).
+    fn host_data_replica(
+        &self,
+        node: NodeId,
+        partition: PartitionId,
+        volume: VolumeId,
+        members: &[NodeId],
+    ) -> Result<()> {
+        self.fabrics.data.call(
+            NodeId(0),
+            node,
+            DataRequest::CreatePartition {
+                partition,
+                volume,
+                members: members.to_vec(),
+                small_extent_rotate_at: SMALL_EXTENT_ROTATE_AT,
+                extent_limit: self.config.data_partition_extent_limit,
+            },
+        )??;
+        Ok(())
+    }
+
+    /// Host a replica of the meta partition owning `[start, end]` on
+    /// `node` (idempotent for an identical config; a replica already
+    /// hosted under another range answers `Exists`).
+    fn host_meta_replica(
+        &self,
+        node: NodeId,
+        partition: PartitionId,
+        volume: VolumeId,
+        start: InodeId,
+        end: InodeId,
+        members: &[NodeId],
+    ) -> Result<MetaResponse> {
+        let config = MetaPartitionConfig {
+            partition_id: partition,
+            volume_id: volume,
+            start,
+            end,
+        };
+        self.fabrics.meta.call(
+            NodeId(0),
+            node,
+            MetaRequest::CreatePartition {
+                config,
+                members: members.to_vec(),
+            },
+        )?
+    }
+
     /// Complete a data-partition repair (§2.2.5 join): host the
     /// replacement, settle membership, rebuild the committed watermark on
     /// the (possibly newly promoted) chain head, align extents, and
@@ -574,17 +608,7 @@ impl Cluster {
     ) -> Result<()> {
         // 1. Host the replacement replica: its Raft group joins with the
         //    repaired membership and catches up via ordinary log replay.
-        self.fabrics.data.call(
-            NodeId(0),
-            new_node,
-            DataRequest::CreatePartition {
-                partition,
-                volume,
-                members: members.to_vec(),
-                small_extent_rotate_at: 128 * 1024 * 1024,
-                extent_limit: self.config.data_partition_extent_limit,
-            },
-        )??;
+        self.host_data_replica(new_node, partition, volume, members)?;
         // 2. Every survivor adopts the membership (idempotent; the
         //    decommission task already tried best-effort).
         for &m in members {
@@ -649,20 +673,7 @@ impl Cluster {
         members: &[NodeId],
         new_node: NodeId,
     ) -> Result<()> {
-        let config = MetaPartitionConfig {
-            partition_id: partition,
-            volume_id: volume,
-            start,
-            end,
-        };
-        self.fabrics.meta.call(
-            NodeId(0),
-            new_node,
-            MetaRequest::CreatePartition {
-                config,
-                members: members.to_vec(),
-            },
-        )??;
+        self.host_meta_replica(new_node, partition, volume, start, end, members)?;
         for &m in members {
             if m == new_node {
                 continue;
@@ -796,19 +807,25 @@ impl Cluster {
     }
 
     /// One heartbeat round (§2.3): every storage node is polled over its
-    /// fabric for utilization and per-partition status; the set of nodes
-    /// that answered is recorded as replicated master state (failure
-    /// detection, §2.3.3), stats from the responders feed placement and
-    /// Algorithm 1, and the resource manager then runs its maintenance
-    /// sweep plus — when `repair_enabled` — one repair-scheduler sweep.
-    /// Resulting tasks are executed. Returns the number of tasks
-    /// processed. A node that fails to answer never fails the round: its
-    /// miss is exactly the signal the detector accumulates.
+    /// fabric for utilization and per-partition status, the orphan sweep
+    /// runs, and the round goes to the resource manager as one replicated
+    /// `Heartbeat` command — the nodes that answered (failure detection,
+    /// §2.3.3) and their stats (placement, Algorithm 1) — whose apply ends
+    /// with the maintenance sweep. Its tasks are executed, then — when
+    /// `repair_enabled` — one repair-scheduler sweep is proposed and its
+    /// tasks executed. Returns the number of tasks processed. A node that
+    /// fails to answer never fails the round: its miss is exactly the
+    /// signal the detector accumulates.
     pub fn heartbeat(&self) -> Result<usize> {
         let leader = self.master_leader()?;
 
-        let mut reporting: Vec<NodeId> = Vec::new();
-        let mut meta_reports = Vec::new();
+        let mut reporting = Vec::new();
+        let mut utilization = Vec::new();
+        let mut meta = Vec::new();
+        let mut full = Vec::new();
+        let mut all_meta_reported = true;
+        let mut intents_quiet = true;
+        let mut comp_nodes = Vec::new();
         for n in &self.meta_nodes {
             match self
                 .fabrics
@@ -817,13 +834,25 @@ impl Cluster {
             {
                 Ok(Ok(MetaResponse::Report(infos))) => {
                     reporting.push(n.id());
-                    meta_reports.push((n.id(), n.total_items(), infos));
+                    utilization.push((n.id(), infos.iter().map(|i| i.item_count).sum()));
+                    intents_quiet &= infos.iter().all(|i| i.pending_intents == 0);
+                    if infos.iter().any(|i| i.pending_compensations > 0) {
+                        comp_nodes.push(n.id());
+                    }
+                    meta.extend(infos.iter().filter(|i| i.is_leader).map(|i| {
+                        MetaPartitionReport {
+                            partition: i.partition_id,
+                            item_count: i.item_count,
+                            max_inode: i.max_inode,
+                            end: i.end,
+                            applied: i.applied,
+                        }
+                    }));
                 }
                 Ok(Ok(_)) => return Err(CfsError::Internal("bad meta Report reply".into())),
-                Ok(Err(_)) | Err(_) => {} // missed this round
+                Ok(Err(_)) | Err(_) => all_meta_reported = false, // missed this round
             }
         }
-        let mut data_reports = Vec::new();
         for n in &self.data_nodes {
             match self
                 .fabrics
@@ -832,63 +861,36 @@ impl Cluster {
             {
                 Ok(Ok(DataResponse::Report(stats))) => {
                     reporting.push(n.id());
-                    data_reports.push((n.id(), n.total_physical_bytes(), stats));
+                    utilization.push((n.id(), stats.iter().map(|s| s.store.physical_bytes).sum()));
+                    full.extend(stats.iter().filter(|s| s.is_full).map(|s| s.partition_id));
                 }
                 Ok(Ok(_)) => return Err(CfsError::Internal("bad data Report reply".into())),
                 Ok(Err(_)) | Err(_) => {} // missed this round
             }
         }
-        leader.propose(&MasterCommand::RecordHeartbeats { reporting })?;
 
         // DESIGN §12 orphan-sweep gate: the sweep may only run in a round
         // where every meta node answered and no journal anywhere still
         // holds an unresolved intent — resolution is finished cluster-wide,
         // so every remaining compensation record is a genuine orphan (its
-        // client never came back to barrier it).
-        let all_meta_reported = meta_reports.len() == self.meta_nodes.len();
-        let intents_quiet = meta_reports
-            .iter()
-            .all(|(_, _, infos)| infos.iter().all(|i| i.pending_intents == 0));
-        let comp_nodes: Vec<NodeId> = meta_reports
-            .iter()
-            .filter(|(_, _, infos)| infos.iter().any(|i| i.pending_compensations > 0))
-            .map(|(n, _, _)| *n)
-            .collect();
-
-        for (node, utilization, infos) in meta_reports {
-            leader.propose(&MasterCommand::UpdateNodeStats { node, utilization })?;
-            for info in infos {
-                if info.is_leader {
-                    leader.propose(&MasterCommand::UpdateMetaPartitionStats {
-                        partition: info.partition_id,
-                        item_count: info.item_count,
-                        max_inode: info.max_inode,
-                        end: info.end,
-                        applied: info.applied,
-                    })?;
-                }
-            }
-        }
-        for (node, utilization, stats) in data_reports {
-            leader.propose(&MasterCommand::UpdateNodeStats { node, utilization })?;
-            for s in stats {
-                if s.is_full {
-                    leader.propose(&MasterCommand::SetDataPartitionFull {
-                        partition: s.partition_id,
-                        full: true,
-                    })?;
-                }
-            }
-        }
-
+        // client never came back to barrier it). The sweep reads only
+        // partition ranges, which the round's stats never change.
         if all_meta_reported && intents_quiet && !comp_nodes.is_empty() {
-            self.orphan_sweep(&leader, &comp_nodes)?;
+            self.orphan_sweep(&leader, &comp_nodes);
         }
 
-        let outcome = leader.propose(&MasterCommand::Maintenance)?;
+        let outcome = leader.propose(&MasterCommand::Heartbeat {
+            reporting,
+            utilization,
+            meta,
+            full,
+        })?;
         let mut n = outcome.tasks.len();
         self.execute_tasks(&outcome.tasks)?;
 
+        // A repair plan parks its partition in `pending_joins`, which
+        // nothing re-emits: it is committed only once the round's tasks
+        // were delivered.
         if self.config.repair_enabled {
             let outcome = self.master_leader()?.propose(&MasterCommand::RepairTick)?;
             n += outcome.tasks.len();
@@ -902,8 +904,9 @@ impl Cluster {
     /// client crashed between ack and `fsync`), then ack them at their
     /// origin node so the records leave the durable journal. Everything
     /// is best-effort: an unreachable node or partition simply keeps its
-    /// records for the next round's sweep.
-    fn orphan_sweep(&self, leader: &Arc<MasterNode>, comp_nodes: &[NodeId]) -> Result<()> {
+    /// records for the next round's sweep. Executed fixups are counted in
+    /// `meta.async.orphans`.
+    fn orphan_sweep(&self, leader: &Arc<MasterNode>, comp_nodes: &[NodeId]) {
         let mut executed: u64 = 0;
         for &node in comp_nodes {
             let comps = match self
@@ -970,9 +973,7 @@ impl Cluster {
         }
         if executed > 0 {
             self.registry.counter("meta.async.orphans").add(executed);
-            leader.propose(&MasterCommand::RecordOrphanSweep { fixups: executed })?;
         }
-        Ok(())
     }
 
     /// Route one conditional fixup to the partition owning `routing` in

@@ -1188,6 +1188,88 @@ fn recovery_budget_fires_when_flushing_disabled() {
     );
 }
 
+// ----- heartbeat round budget --------------------------------------------
+
+/// Master replicas of a default cluster.
+const MASTER_REPLICAS: u64 = 3;
+
+/// The heartbeat budget: one round is one replicated `Heartbeat` command
+/// (liveness, every node's stats and the maintenance sweep) plus, with
+/// repair on, one `RepairTick` — never one proposal per report — and each
+/// proposal reaches the WAL once per master replica (its raft-log entry),
+/// with no second durable image beside the log.
+fn check_heartbeat_budget(window: &MetricsSnapshot, proposals: u64) {
+    let p = window.counter("raft.proposals");
+    assert!(
+        p == proposals,
+        "heartbeat budget regression: one round took {p} master proposals, \
+         expected exactly {proposals}"
+    );
+    let wal = window.counter("kvwal.wal_appends");
+    let cap = MASTER_REPLICAS * proposals;
+    assert!(
+        wal <= cap,
+        "heartbeat budget regression: one round wrote {wal} WAL records, \
+         {MASTER_REPLICAS} master replicas × {proposals} proposals allow {cap}"
+    );
+}
+
+/// One heartbeat round on a settled default cluster (3 meta + 3 data
+/// nodes, a volume of 2 meta + 8 data partitions), as a metrics window.
+fn settled_heartbeat_window(repair_enabled: bool) -> MetricsSnapshot {
+    let config = ClusterConfig {
+        repair_enabled,
+        ..ClusterConfig::default()
+    };
+    let cluster = ClusterBuilder::new().config(config).build().unwrap();
+    cluster.create_volume("budget-heartbeat", 2, 8).unwrap();
+    cluster.heartbeat().unwrap();
+    let before = cluster.metrics_snapshot();
+    assert_eq!(
+        cluster.heartbeat().unwrap(),
+        0,
+        "a settled round has no tasks"
+    );
+    cluster.metrics_snapshot().diff(&before)
+}
+
+#[test]
+fn heartbeat_round_budget() {
+    check_heartbeat_budget(&settled_heartbeat_window(true), 2);
+    check_heartbeat_budget(&settled_heartbeat_window(false), 1);
+}
+
+#[test]
+fn heartbeat_budget_check_rejects_per_report_proposals() {
+    // One proposal per report on the same cluster — a round record, six
+    // node stats, two meta partition stats, maintenance and repair — each
+    // written to the WAL twice per replica (log entry + command row).
+    let registry = cfs::Registry::new();
+    registry.counter("raft.proposals").add(11);
+    registry.counter("kvwal.wal_appends").add(66);
+    let snap = registry.snapshot();
+    let err = std::panic::catch_unwind(|| check_heartbeat_budget(&snap, 2))
+        .expect_err("per-report proposals must fail the budget");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("master proposals"),
+        "unexpected panic message: {msg}"
+    );
+
+    // Two proposals, but each still written twice per replica.
+    let registry = cfs::Registry::new();
+    registry.counter("raft.proposals").add(2);
+    registry.counter("kvwal.wal_appends").add(12);
+    let snap = registry.snapshot();
+    let err = std::panic::catch_unwind(|| check_heartbeat_budget(&snap, 2))
+        .expect_err("a second durable image must fail the budget");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("WAL records"),
+        "unexpected panic message: {msg}"
+    );
+}
+
 // ----- extent append budget ----------------------------------------------
 
 const EXTENT_PACKET: usize = 128 * 1024;

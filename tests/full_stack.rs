@@ -3,7 +3,8 @@
 
 use std::sync::Arc;
 
-use cfs::{CfsError, ClusterBuilder};
+use cfs::{CfsError, ClusterBuilder, DeliverySchedule, NodeId};
+use cfs_master::{MasterRequest, MasterResponse};
 
 #[test]
 fn concurrent_clients_from_real_threads() {
@@ -160,6 +161,53 @@ fn master_replica_failover_keeps_cluster_manageable() {
     let client = cluster.mount("post-failover").unwrap();
     client.create(client.root(), "works").unwrap();
     cluster.faults().set_down(leader.id(), false);
+}
+
+/// Delays every raft message by one pump round, so an election and the
+/// new leader's first commit land in different rounds and the state in
+/// between is observable.
+struct OneRoundLate;
+
+impl DeliverySchedule for OneRoundLate {
+    fn defer_rounds(&self, _seq: u64, _from: NodeId, _to: NodeId) -> u64 {
+        1
+    }
+}
+
+#[test]
+fn master_never_serves_a_stale_volume_table_after_power_loss() {
+    let mut cluster = ClusterBuilder::new().master_replicas(3).build().unwrap();
+    cluster.create_volume("acked", 1, 2).unwrap();
+    cluster
+        .hub()
+        .set_delivery_schedule(Some(Arc::new(OneRoundLate)));
+    cluster.power_loss_restart().unwrap();
+
+    // Every replica restarts at its raft snapshot base and re-applies the
+    // log only as commits reach it. Until the new leader has applied an
+    // entry of its own term, asking any replica for the acknowledged
+    // volume yields a retryable error — never `NotFound`.
+    let mut served = false;
+    for _ in 0..2_000 {
+        for m in cluster.masters() {
+            match m.handle(MasterRequest::GetVolume {
+                name: "acked".into(),
+            }) {
+                Ok(MasterResponse::Volume { volume, .. }) => {
+                    assert_eq!(volume.name, "acked");
+                    served = true;
+                }
+                Ok(other) => panic!("unexpected {other:?}"),
+                Err(e) => assert!(e.is_retryable(), "{}: {e}", m.id()),
+            }
+        }
+        if served {
+            break;
+        }
+        cluster.hub().tick_and_pump();
+    }
+    assert!(served, "no master leader served the volume");
+    cluster.hub().set_delivery_schedule(None);
 }
 
 #[test]
