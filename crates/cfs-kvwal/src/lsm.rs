@@ -17,7 +17,8 @@
 //! ops-since-last-flush, not total history (pinned by `tests/budgets.rs`).
 //!
 //! Metrics (`kvwal.*`): `wal_appends`, `flushes`, `compactions`,
-//! `wal_replayed`, `runs_discarded`, and the `recover_ns` histogram.
+//! `wal_replayed`, `runs_discarded`, `rows_scanned` (rows a prefix scan
+//! visited), and the `recover_ns` histogram.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -77,6 +78,7 @@ pub struct KvwalMetrics {
     pub compactions: Counter,
     pub wal_replayed: Counter,
     pub runs_discarded: Counter,
+    pub rows_scanned: Counter,
     pub recover_ns: Histogram,
 }
 
@@ -89,6 +91,7 @@ impl KvwalMetrics {
             compactions: registry.counter("kvwal.compactions"),
             wal_replayed: registry.counter("kvwal.wal_replayed"),
             runs_discarded: registry.counter("kvwal.runs_discarded"),
+            rows_scanned: registry.counter("kvwal.rows_scanned"),
             recover_ns: registry.histogram("kvwal.recover_ns"),
         }
     }
@@ -321,7 +324,9 @@ impl LsmEngine {
         let inner = self.inner.lock();
         // Precedence-ordered sources: memtable, L0 newest→oldest, L1, …
         let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+        let mut visited = 0u64;
         let mut consider = |k: &[u8], v: &Option<Vec<u8>>| {
+            visited += 1;
             if k.starts_with(prefix) && !merged.contains_key(k) {
                 merged.insert(k.to_vec(), v.clone());
             }
@@ -343,6 +348,7 @@ impl LsmEngine {
                 }
             }
         }
+        self.metrics.rows_scanned.add(visited);
         merged
             .into_iter()
             .filter_map(|(k, v)| v.map(|v| (k, v)))

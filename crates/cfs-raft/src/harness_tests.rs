@@ -1,19 +1,25 @@
 //! Deterministic cluster harness tests: elections under partitions, log
-//! convergence, repair of diverged followers, snapshot catch-up, and a
-//! randomized linearizability check of the committed sequence.
+//! convergence, repair of diverged followers, snapshot catch-up, a
+//! randomized linearizability check of the committed sequence, and the
+//! stored-log ≡ in-memory-log property under the same chaos.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use cfs_kvwal::{LsmEngine, LsmOptions};
 use cfs_obs::{MetricsSnapshot, Registry};
+use cfs_types::testutil::TempDir;
 use cfs_types::{NodeId, RaftGroupId};
 
 use crate::config::RaftConfig;
+use crate::log::{Entry, RaftLog};
 use crate::message::{Envelope, SnapshotPayload};
 use crate::metrics::RaftMetrics;
-use crate::node::RaftNode;
+use crate::node::{PersistentRaftState, RaftNode};
+use crate::storage::{KvRaftStorage, RaftStorage};
 
 /// A simulated single-group cluster with droppable links and a per-node
 /// applied-command log (the "state machine" is just the byte sequence).
@@ -27,13 +33,22 @@ struct Cluster {
     rng: SmallRng,
     /// Probability of dropping any given message (chaos mode).
     drop_prob: f64,
+    /// Per-node durable storage (see [`Cluster::with_storage`]); the
+    /// directory lives as long as the cluster.
+    stores: HashMap<NodeId, (TempDir, Arc<KvRaftStorage>)>,
+    /// Conflict truncations observed on stored nodes.
+    conflicts: u64,
 }
 
 impl Cluster {
     fn new(n: u64, seed: u64) -> Self {
+        Self::with_snapshot_threshold(n, seed, 0) // explicit compaction in tests
+    }
+
+    fn with_snapshot_threshold(n: u64, seed: u64, snapshot_threshold: u64) -> Self {
         let ids: Vec<NodeId> = (1..=n).map(NodeId).collect();
         let cfg = RaftConfig {
-            snapshot_threshold: 0, // explicit compaction in tests
+            snapshot_threshold,
             ..RaftConfig::default()
         };
         let nodes = ids
@@ -52,7 +67,54 @@ impl Cluster {
             applied: ids.iter().map(|&id| (id, Vec::new())).collect(),
             rng: SmallRng::seed_from_u64(seed),
             drop_prob: 0.0,
+            stores: HashMap::new(),
+            conflicts: 0,
         }
+    }
+
+    /// A cluster whose every node writes through its own
+    /// [`KvRaftStorage`] and compacts past `snapshot_threshold` live
+    /// entries; `pump` then checks after every step that each node's
+    /// stored image equals its in-memory durable state.
+    fn with_storage(n: u64, seed: u64, snapshot_threshold: u64) -> Self {
+        let mut c = Self::with_snapshot_threshold(n, seed, snapshot_threshold);
+        for (&id, node) in c.nodes.iter_mut() {
+            let dir = TempDir::new("raft-harness").unwrap();
+            let engine = LsmEngine::open(dir.path(), LsmOptions::default()).unwrap();
+            let storage = Arc::new(KvRaftStorage::new(Arc::new(engine)));
+            node.set_storage(storage.clone()).unwrap();
+            c.stores.insert(id, (dir, storage));
+        }
+        c
+    }
+
+    /// The stored-log ≡ in-memory-log invariant the scan-free deletes
+    /// rely on: what `load` returns equals the node's durable image, and
+    /// the stored log rows are exactly its live indices (`load` would
+    /// hide a leaked row at or below the base).
+    fn check_stored(&self, id: NodeId) {
+        let Some((_, storage)) = self.stores.get(&id) else {
+            return;
+        };
+        let group = RaftGroupId(1);
+        let stored = storage
+            .load(group)
+            .unwrap()
+            .expect("attached groups are stored");
+        let memory = self.nodes[&id].persistent_state();
+        assert_eq!(
+            durable_image(&stored),
+            durable_image(&memory),
+            "{id}: stored raft state differs from memory"
+        );
+        let rows: Vec<u64> = storage
+            .stored_log_keys(group)
+            .unwrap()
+            .into_iter()
+            .map(|(_, index)| index)
+            .collect();
+        let live: Vec<u64> = (memory.log.first_index()..=memory.log.last_index()).collect();
+        assert_eq!(rows, live, "{id}: stored log rows are not the live entries");
     }
 
     fn ids(&self) -> Vec<NodeId> {
@@ -108,9 +170,24 @@ impl Cluster {
                         self.applied.get_mut(id).unwrap().push(e.data);
                     }
                 }
+                // The embedding layer's compaction: snapshot the applied
+                // sequence once the live log crosses the threshold.
+                let node = self.nodes.get_mut(id).unwrap();
+                if node.wants_compaction() {
+                    let (last_index, last_term) = node.compaction_point();
+                    node.compact(SnapshotPayload {
+                        last_index,
+                        last_term,
+                        data: encode_snapshot(&self.applied[id]),
+                    });
+                    self.check_stored(*id);
+                }
             }
             // Deliver one message.
             let Some(env) = self.network.pop_front() else {
+                for id in self.ids() {
+                    self.check_stored(id);
+                }
                 break;
             };
             if self.cut.contains(&(env.from, env.to)) {
@@ -120,7 +197,18 @@ impl Cluster {
                 continue;
             }
             if let Some(node) = self.nodes.get_mut(&env.to) {
+                let before = self
+                    .stores
+                    .contains_key(&env.to)
+                    .then(|| node.persistent_state().log);
                 node.step(env.from, env.msg);
+                if let Some(before) = before {
+                    let after = node.persistent_state().log;
+                    if truncated_conflict(&before, &after) {
+                        self.conflicts += 1;
+                    }
+                    self.check_stored(env.to);
+                }
             }
         }
     }
@@ -165,6 +253,35 @@ impl Cluster {
             .unwrap();
         self.pump();
     }
+}
+
+/// Everything `RaftStorage` persists, in comparable form: term, vote,
+/// log base, live entries and the snapshot.
+type DurableImage = (
+    u64,
+    Option<NodeId>,
+    (u64, u64),
+    Vec<Entry>,
+    Option<SnapshotPayload>,
+);
+
+fn durable_image(s: &PersistentRaftState) -> DurableImage {
+    (
+        s.term,
+        s.voted_for,
+        s.log.snapshot_base(),
+        s.log.slice(s.log.first_index(), usize::MAX),
+        s.snapshot.clone(),
+    )
+}
+
+/// Did one step drop entries of `before` that `after` no longer holds at
+/// the same term (a conflict truncation)?
+fn truncated_conflict(before: &RaftLog, after: &RaftLog) -> bool {
+    let first = before.first_index().max(after.first_index());
+    let last = before.last_index().min(after.last_index());
+    after.last_index() < before.last_index()
+        || (first..=last).any(|i| before.term(i) != after.term(i))
 }
 
 fn encode_snapshot(cmds: &[Vec<u8>]) -> Vec<u8> {
@@ -429,6 +546,75 @@ fn chaos_drops_still_converge_and_prefix_property_holds() {
             );
         }
     }
+}
+
+/// The chaos scenario again — drops, a leader isolated with proposals it
+/// can never commit, re-elections, and the conflicting suffix it meets on
+/// rejoin — with every node on a `KvRaftStorage` and a snapshot threshold
+/// small enough that compaction and InstallSnapshot both run. After every
+/// step `pump` checks that each node's stored image equals its in-memory
+/// durable state: the invariant that lets appends, compactions and
+/// installs delete stale rows by index instead of scanning for them.
+#[test]
+fn stored_log_equals_memory_through_chaos() {
+    let registry = Registry::new();
+    let metrics = RaftMetrics::bind(&registry);
+    let (mut conflicts, mut compactions) = (0, 0);
+    for seed in [3u64, 17, 29, 71] {
+        let mut c = Cluster::with_storage(5, seed, 6);
+        for id in c.ids() {
+            c.nodes.get_mut(&id).unwrap().set_metrics(metrics.clone());
+        }
+        c.drop_prob = 0.10;
+        let mut proposed = Vec::new();
+        for round in 0..16u8 {
+            c.run_ticks(400);
+            let Some(l) = c.leader() else { continue };
+            if round % 4 == 1 {
+                // Cut the leader off with a suffix no quorum will see.
+                c.isolate(l);
+                for i in 0..3u8 {
+                    let _ = c.nodes.get_mut(&l).unwrap().propose(vec![200 + i]);
+                }
+                c.pump();
+                continue;
+            }
+            for i in 0..3u8 {
+                let data = vec![round, i];
+                if c.nodes.get_mut(&l).unwrap().propose(data.clone()).is_ok() {
+                    proposed.push(data);
+                }
+                c.pump();
+            }
+            if round % 4 == 2 {
+                c.heal_all();
+            }
+        }
+        c.heal_all();
+        c.drop_prob = 0.0;
+        c.run_ticks(2000);
+
+        let first = c.applied[&NodeId(1)].clone();
+        for id in c.ids() {
+            assert_eq!(c.applied[&id], first, "{id} (seed {seed})");
+            compactions += u64::from(c.nodes[&id].persistent_state().snapshot.is_some());
+        }
+        let mut pi = proposed.iter();
+        for cmd in &first {
+            assert!(
+                pi.any(|p| p == cmd),
+                "applied command not in proposal order (seed {seed})"
+            );
+        }
+        conflicts += c.conflicts;
+    }
+    let snap = registry.snapshot();
+    assert!(conflicts > 0, "no conflict truncation was exercised");
+    assert!(compactions > 0, "no compaction was exercised");
+    assert!(
+        snap.counter("raft.snapshot_installs_received") > 0,
+        "no InstallSnapshot was exercised"
+    );
 }
 
 /// The InstallSnapshot durability budget (pins the fix where received

@@ -31,9 +31,9 @@ impl RaftLog {
 
     /// Reassemble a log from durable parts: the compacted-prefix base and
     /// the live entries (any order; must be contiguous above the base once
-    /// sorted). Entries at or below the base are dropped — they can occur
-    /// when a crash lands between a snapshot write and the log-prefix
-    /// deletion that follows it.
+    /// sorted). Entries at or below the base are dropped — an engine
+    /// directory whose snapshot write and log-prefix deletion were two
+    /// commits, torn by a crash, can hold them.
     pub fn from_parts(snapshot_index: u64, snapshot_term: u64, mut entries: Vec<Entry>) -> Self {
         entries.sort_by_key(|e| e.index);
         entries.retain(|e| e.index > snapshot_index);

@@ -1,6 +1,7 @@
 //! A single Raft group member (sans-io).
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -223,10 +224,11 @@ impl RaftNode {
         }
     }
 
-    /// Persist freshly appended entries.
-    fn store_entries(&self, entries: &[Entry]) {
+    /// Persist entries the log now holds and delete the rows at `stale`,
+    /// which it no longer does.
+    fn store_entries(&self, entries: &[Entry], stale: Range<u64>) {
         if let Some(s) = &self.storage {
-            s.append_entries(self.group, entries)
+            s.append_entries(self.group, entries, stale)
                 .expect("raft storage: append");
         }
     }
@@ -235,26 +237,20 @@ impl RaftNode {
     fn store_appended_at(&self, index: u64) {
         if self.storage.is_some() {
             let e = self.log.get(index).expect("just appended").clone();
-            self.store_entries(&[e]);
+            self.store_entries(&[e], 0..0);
         }
     }
 
-    /// Drop stored entries above the in-memory log's tail (after conflict
-    /// truncation the store may hold rows the log no longer has).
-    fn store_truncate_to_log_tail(&self) {
+    /// Compact the in-memory log to the snapshot's base and persist the
+    /// snapshot, the base and the deletion of the rows the compaction
+    /// dropped: the old live range minus the new one.
+    fn compact_and_store(&mut self, snapshot: &SnapshotPayload) {
+        let (old_first, old_last) = (self.log.first_index(), self.log.last_index());
+        self.log.compact_to(snapshot.last_index, snapshot.last_term);
         if let Some(s) = &self.storage {
-            s.truncate_from(self.group, self.log.last_index() + 1)
-                .expect("raft storage: truncate");
-        }
-    }
-
-    /// Persist a snapshot + the compaction of the log prefix it covers.
-    fn store_snapshot(&self, snapshot: &SnapshotPayload) {
-        if let Some(s) = &self.storage {
-            s.set_snapshot(self.group, snapshot)
+            let kept_from = self.log.first_index().min(old_last + 1);
+            s.save_snapshot(self.group, snapshot, old_first..kept_from)
                 .expect("raft storage: snapshot");
-            s.compact_to(self.group, snapshot.last_index, snapshot.last_term)
-                .expect("raft storage: compact");
         }
     }
 
@@ -542,10 +538,11 @@ impl RaftNode {
     /// its index. The embedding layer calls this when `live_log_len`
     /// crosses the configured threshold (§2.1.3 log compaction).
     pub fn compact(&mut self, snapshot: SnapshotPayload) {
-        let (idx, term) = (snapshot.last_index, snapshot.last_term);
-        debug_assert!(idx <= self.applied, "cannot compact unapplied entries");
-        self.log.compact_to(idx, term);
-        self.store_snapshot(&snapshot);
+        debug_assert!(
+            snapshot.last_index <= self.applied,
+            "cannot compact unapplied entries"
+        );
+        self.compact_and_store(&snapshot);
         self.snapshot_payload = Some(snapshot);
     }
 
@@ -853,17 +850,19 @@ impl RaftNode {
         self.reset_election_timer();
         self.ticks_since_leader_contact = 0;
 
+        let old_last = self.log.last_index();
         let ok = self.log.try_append(prev_index, prev_term, &entries);
         let my_term = self.term;
         if ok {
             if !entries.is_empty() {
                 self.metrics.entries_appended.add(entries.len() as u64);
-                // Persist before acking: put the leader's entries (point
-                // overwrites resolve conflicts in place), then drop any
-                // stored rows above the in-memory tail left by a conflict
-                // truncation.
-                self.store_entries(&entries);
-                self.store_truncate_to_log_tail();
+                // Persist before acking, in one batch: put the leader's
+                // entries above our base (point overwrites resolve
+                // conflicts in place) and delete the rows a conflict
+                // truncation left above the new tail.
+                let base = self.log.snapshot_base().0;
+                let held = &entries[entries.partition_point(|e| e.index <= base)..];
+                self.store_entries(held, self.log.last_index() + 1..old_last + 1);
             }
             let match_index = if entries.is_empty() {
                 prev_index
@@ -971,7 +970,11 @@ impl RaftNode {
             );
             return;
         }
-        self.log.compact_to(snapshot.last_index, snapshot.last_term);
+        // The received snapshot is durable: once the log is compacted past
+        // it, a crash must restore the state machine from this image, so it
+        // has to be part of the persistent state like a locally-taken
+        // compaction snapshot would be.
+        self.compact_and_store(&snapshot);
         self.commit = self.commit.max(snapshot.last_index);
         self.applied = snapshot.last_index;
         self.metrics.snapshot_installs_received.inc();
@@ -980,11 +983,6 @@ impl RaftNode {
             .store(snapshot.last_index, Ordering::Relaxed);
         let my_term = self.term;
         let match_index = snapshot.last_index;
-        // The received snapshot is durable: once the log is compacted past
-        // it, a crash must restore the state machine from this image, so it
-        // has to be part of the persistent state like a locally-taken
-        // compaction snapshot would be.
-        self.store_snapshot(&snapshot);
         if self.storage.is_some() {
             // With write-through storage the install is on disk before the
             // ack below leaves the node — credit it now rather than at the

@@ -10,7 +10,20 @@
 //!
 //! Keys lead with the group id (big-endian), so one group's log is one
 //! contiguous key range and whole-group operations are prefix scans.
+//!
+//! **The contract.** After every call, a group's stored `raft_log` rows
+//! are exactly the node's live entries `(base, last_index]`. `persist_full`
+//! establishes it when a group is attached, and every later transition
+//! keeps it by naming the rows it drops: the node knows its old live range,
+//! so the stale rows are the old indices missing from the new range, and
+//! they are deleted by key. Each transition — hard state, an append (with
+//! the rows a conflict truncation dropped), a snapshot (with the prefix it
+//! compacted) — is one `WriteBatch`, so one WAL record, and a crash never
+//! tears it. Its cost is the rows it writes. Only `persist_full`, `load`,
+//! `groups` and `remove_group` scan stored rows; none of them runs on the
+//! append, compaction or snapshot-install path.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use cfs_types::{NodeId, RaftGroupId, Result};
@@ -61,7 +74,9 @@ impl TypedCf for SnapCf {
 /// Each method is one atomic commit: a crash between two calls may lose
 /// the later one but never tears a single call in half. [`RaftNode`]
 /// invokes these *before* emitting the message that acknowledges the
-/// mutated state, matching the fsync-before-ack rule of Raft.
+/// mutated state, matching the fsync-before-ack rule of Raft. The caller
+/// names the rows a transition drops (`stale`), so no transition reads
+/// the stored log (see the module docs).
 ///
 /// [`RaftNode`]: crate::RaftNode
 pub trait RaftStorage: Send + Sync {
@@ -73,17 +88,25 @@ pub trait RaftStorage: Send + Sync {
         voted_for: Option<NodeId>,
     ) -> Result<()>;
 
-    /// Upsert log entries (point writes keyed by index).
-    fn append_entries(&self, group: RaftGroupId, entries: &[Entry]) -> Result<()>;
+    /// Upsert log entries (point writes keyed by index) and delete the
+    /// rows at indices `stale`, those a conflict truncation dropped above
+    /// the new tail.
+    fn append_entries(
+        &self,
+        group: RaftGroupId,
+        entries: &[Entry],
+        stale: Range<u64>,
+    ) -> Result<()>;
 
-    /// Delete stored entries at `index` and above (conflict truncation).
-    fn truncate_from(&self, group: RaftGroupId, index: u64) -> Result<()>;
-
-    /// Record a new compacted-prefix base and drop entries `<= index`.
-    fn compact_to(&self, group: RaftGroupId, index: u64, term: u64) -> Result<()>;
-
-    /// Persist the newest state-machine snapshot.
-    fn set_snapshot(&self, group: RaftGroupId, snapshot: &SnapshotPayload) -> Result<()>;
+    /// Persist the newest state-machine snapshot, record its
+    /// `(last_index, last_term)` as the compacted-prefix base and delete
+    /// the rows at indices `stale`, those the compaction dropped.
+    fn save_snapshot(
+        &self,
+        group: RaftGroupId,
+        snapshot: &SnapshotPayload,
+        stale: Range<u64>,
+    ) -> Result<()>;
 
     /// Replace everything stored for `group` with `state` in one commit —
     /// the baseline written when a group is first attached to storage.
@@ -125,7 +148,7 @@ impl KvRaftStorage {
     }
 
     /// `(raw_key, index)` for each stored entry of `group`.
-    fn stored_log_keys(&self, group: RaftGroupId) -> Result<Vec<(Vec<u8>, u64)>> {
+    pub(crate) fn stored_log_keys(&self, group: RaftGroupId) -> Result<Vec<(Vec<u8>, u64)>> {
         let mut out = Vec::new();
         for (raw, _) in self.engine.scan_prefix_raw(&Self::log_prefix(group)) {
             let (_, index) = typed_key::<LogCf>(&raw)?;
@@ -146,49 +169,36 @@ impl RaftStorage for KvRaftStorage {
             .put::<HardStateCf>(&group.raw(), &(term, voted_for))
     }
 
-    fn append_entries(&self, group: RaftGroupId, entries: &[Entry]) -> Result<()> {
-        if entries.is_empty() {
-            return Ok(());
-        }
+    fn append_entries(
+        &self,
+        group: RaftGroupId,
+        entries: &[Entry],
+        stale: Range<u64>,
+    ) -> Result<()> {
         let mut batch = WriteBatch::new();
+        for idx in stale {
+            batch.delete::<LogCf>(&(group.raw(), idx));
+        }
         for e in entries {
             batch.put::<LogCf>(&(group.raw(), e.index), &(e.term, e.data.clone()));
         }
         self.engine.write(batch)
     }
 
-    fn truncate_from(&self, group: RaftGroupId, index: u64) -> Result<()> {
+    fn save_snapshot(
+        &self,
+        group: RaftGroupId,
+        snapshot: &SnapshotPayload,
+        stale: Range<u64>,
+    ) -> Result<()> {
         let mut batch = WriteBatch::new();
-        for (raw, idx) in self.stored_log_keys(group)? {
-            if idx >= index {
-                batch.delete_raw(raw);
-            }
-        }
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.engine.write(batch)
-    }
-
-    fn compact_to(&self, group: RaftGroupId, index: u64, term: u64) -> Result<()> {
-        let mut batch = WriteBatch::new();
+        let (index, term) = (snapshot.last_index, snapshot.last_term);
+        batch.put::<SnapCf>(&group.raw(), &(index, (term, snapshot.data.clone())));
         batch.put::<BaseCf>(&group.raw(), &(index, term));
-        for (raw, idx) in self.stored_log_keys(group)? {
-            if idx <= index {
-                batch.delete_raw(raw);
-            }
+        for idx in stale {
+            batch.delete::<LogCf>(&(group.raw(), idx));
         }
         self.engine.write(batch)
-    }
-
-    fn set_snapshot(&self, group: RaftGroupId, snapshot: &SnapshotPayload) -> Result<()> {
-        self.engine.put::<SnapCf>(
-            &group.raw(),
-            &(
-                snapshot.last_index,
-                (snapshot.last_term, snapshot.data.clone()),
-            ),
-        )
     }
 
     fn persist_full(&self, group: RaftGroupId, state: &PersistentRaftState) -> Result<()> {
@@ -304,20 +314,23 @@ mod tests {
         {
             let s = open(dir.path());
             s.set_hard_state(g, 3, Some(NodeId(2))).unwrap();
-            s.append_entries(g, &[entry(1, 1), entry(2, 1), entry(3, 2)])
-                .unwrap();
-            // Conflict truncation then a replacement entry.
-            s.truncate_from(g, 3).unwrap();
-            s.append_entries(g, &[entry(3, 3)]).unwrap();
+            s.append_entries(
+                g,
+                &[entry(1, 1), entry(2, 1), entry(3, 2), entry(4, 2)],
+                0..0,
+            )
+            .unwrap();
+            // A replacement entry whose conflict truncation dropped row 4.
+            s.append_entries(g, &[entry(3, 3)], 4..5).unwrap();
             // Compact the first entry away.
-            s.compact_to(g, 1, 1).unwrap();
-            s.set_snapshot(
+            s.save_snapshot(
                 g,
                 &SnapshotPayload {
                     last_index: 1,
                     last_term: 1,
                     data: b"sm@1".to_vec(),
                 },
+                1..2,
             )
             .unwrap();
         }
@@ -338,8 +351,12 @@ mod tests {
         let dir = TempDir::new("raftkv").unwrap();
         let g = RaftGroupId(1);
         let s = open(dir.path());
-        s.append_entries(g, &[entry(1, 1), entry(2, 1), entry(3, 1), entry(4, 1)])
-            .unwrap();
+        s.append_entries(
+            g,
+            &[entry(1, 1), entry(2, 1), entry(3, 1), entry(4, 1)],
+            0..0,
+        )
+        .unwrap();
         s.set_hard_state(g, 1, None).unwrap();
 
         // New image: shorter log on a compacted base.
@@ -417,6 +434,199 @@ mod tests {
         assert_eq!(restored.applied_index(), 10);
     }
 
+    /// Forwards the first `budget` mutating calls to a [`KvRaftStorage`]
+    /// and drops the rest: a power cut right after call number `budget`.
+    struct CutAfter {
+        inner: KvRaftStorage,
+        budget: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CutAfter {
+        fn pass(&self) -> bool {
+            use std::sync::atomic::Ordering::SeqCst;
+            self.budget
+                .fetch_update(SeqCst, SeqCst, |b| b.checked_sub(1))
+                .is_ok()
+        }
+    }
+
+    impl RaftStorage for CutAfter {
+        fn set_hard_state(&self, g: RaftGroupId, term: u64, vote: Option<NodeId>) -> Result<()> {
+            match self.pass() {
+                true => self.inner.set_hard_state(g, term, vote),
+                false => Ok(()),
+            }
+        }
+        fn append_entries(&self, g: RaftGroupId, es: &[Entry], stale: Range<u64>) -> Result<()> {
+            match self.pass() {
+                true => self.inner.append_entries(g, es, stale),
+                false => Ok(()),
+            }
+        }
+        fn save_snapshot(
+            &self,
+            g: RaftGroupId,
+            snap: &SnapshotPayload,
+            stale: Range<u64>,
+        ) -> Result<()> {
+            match self.pass() {
+                true => self.inner.save_snapshot(g, snap, stale),
+                false => Ok(()),
+            }
+        }
+        fn persist_full(&self, g: RaftGroupId, state: &PersistentRaftState) -> Result<()> {
+            match self.pass() {
+                true => self.inner.persist_full(g, state),
+                false => Ok(()),
+            }
+        }
+        fn load(&self, g: RaftGroupId) -> Result<Option<PersistentRaftState>> {
+            self.inner.load(g)
+        }
+        fn groups(&self) -> Result<Vec<RaftGroupId>> {
+            self.inner.groups()
+        }
+        fn remove_group(&self, g: RaftGroupId) -> Result<()> {
+            match self.pass() {
+                true => self.inner.remove_group(g),
+                false => Ok(()),
+            }
+        }
+    }
+
+    /// A log as `(base, live entries)`, comparable across reloads.
+    fn log_image(log: &RaftLog) -> ((u64, u64), Vec<Entry>) {
+        (
+            log.snapshot_base(),
+            log.slice(log.first_index(), usize::MAX),
+        )
+    }
+
+    #[test]
+    fn conflict_truncation_is_crash_atomic() {
+        use crate::config::RaftConfig;
+        use crate::message::Message;
+        use crate::node::RaftNode;
+        use cfs_obs::Registry;
+
+        // A follower holds 1..=10 at term 1. A term-2 leader announces
+        // itself, then replaces 5..=10 with 5..=7. Cut the power after
+        // every storage call in turn: the reloaded log must be one the
+        // node really held, never the leader's entries under stale term-1
+        // rows, a log whose terms go down.
+        let g = RaftGroupId(1);
+        let members = vec![NodeId(1), NodeId(2), NodeId(3)];
+        let append = |term, prev_index, prev_term, entries| Message::AppendEntries {
+            term,
+            prev_index,
+            prev_term,
+            entries,
+            leader_commit: 0,
+            probe: 0,
+        };
+        let steps = [
+            (
+                NodeId(1),
+                append(1, 0, 0, (1..=10).map(|i| entry(i, 1)).collect()),
+            ),
+            (NodeId(3), append(2, 0, 0, vec![])),
+            (
+                NodeId(3),
+                append(2, 4, 1, (5..=7).map(|i| entry(i, 2)).collect()),
+            ),
+        ];
+        for cut in 0.. {
+            let dir = TempDir::new("raftcut").unwrap();
+            let registry = Registry::new();
+            let engine =
+                LsmEngine::open_with_registry(dir.path(), LsmOptions::default(), Some(&registry))
+                    .unwrap();
+            let storage = Arc::new(CutAfter {
+                inner: KvRaftStorage::new(Arc::new(engine)),
+                budget: cut.into(),
+            });
+            let mut n = RaftNode::new(NodeId(2), g, members.clone(), RaftConfig::default(), 9);
+            n.set_storage(storage.clone()).unwrap();
+            let mut held = vec![log_image(&n.persistent_state().log)];
+            let mut step_wal_appends = 0;
+            for (from, msg) in steps.clone() {
+                let before = registry.snapshot();
+                n.step(from, msg);
+                let _ = n.take_ready();
+                step_wal_appends = registry
+                    .snapshot()
+                    .diff(&before)
+                    .counter("kvwal.wal_appends");
+                held.push(log_image(&n.persistent_state().log));
+            }
+            let uncut = storage.pass();
+            drop((n, storage));
+
+            let reloaded = open(dir.path())
+                .load(g)
+                .unwrap()
+                .map(|s| log_image(&s.log))
+                .unwrap_or_else(|| log_image(&RaftLog::new()));
+            assert!(
+                reloaded.1.windows(2).all(|w| w[0].term <= w[1].term),
+                "cut after call {cut}: reloaded terms go down: {:?}",
+                reloaded.1
+            );
+            assert!(
+                held.contains(&reloaded),
+                "cut after call {cut}: reloaded a log the node never held: {reloaded:?}"
+            );
+            if uncut {
+                assert_eq!(
+                    step_wal_appends, 1,
+                    "a conflicting append is one WAL record"
+                );
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn retransmitted_entries_below_the_base_store_no_rows() {
+        use crate::config::RaftConfig;
+        use crate::message::Message;
+        use crate::node::RaftNode;
+
+        // The leader never saw the follower's ack, so it resends 1..=10
+        // after the follower applied and compacted 1..=8. Only 9 and 10
+        // may become rows: nothing would ever delete one below the base.
+        let dir = TempDir::new("raftkv").unwrap();
+        let g = RaftGroupId(1);
+        let storage = Arc::new(open(dir.path()));
+        let members = vec![NodeId(1), NodeId(2), NodeId(3)];
+        let mut n = RaftNode::new(NodeId(2), g, members, RaftConfig::default(), 9);
+        n.set_storage(storage.clone()).unwrap();
+        let append = |last, leader_commit| Message::AppendEntries {
+            term: 1,
+            prev_index: 0,
+            prev_term: 0,
+            entries: (1..=last).map(|i| entry(i, 1)).collect(),
+            leader_commit,
+            probe: 0,
+        };
+        n.step(NodeId(1), append(8, 8));
+        let _ = n.take_ready();
+        let (last_index, last_term) = n.compaction_point();
+        n.compact(SnapshotPayload {
+            last_index,
+            last_term,
+            data: b"sm@8".to_vec(),
+        });
+        n.step(NodeId(1), append(10, 8));
+        let rows: Vec<u64> = storage
+            .stored_log_keys(g)
+            .unwrap()
+            .into_iter()
+            .map(|(_, index)| index)
+            .collect();
+        assert_eq!(rows, vec![9, 10]);
+    }
+
     #[test]
     fn crash_during_engine_compaction_leaves_raft_state_intact() {
         let dir = TempDir::new("raftkv").unwrap();
@@ -424,7 +634,8 @@ mod tests {
         {
             let s = open(dir.path());
             s.set_hard_state(g, 5, Some(NodeId(1))).unwrap();
-            s.append_entries(g, &[entry(1, 4), entry(2, 5)]).unwrap();
+            s.append_entries(g, &[entry(1, 4), entry(2, 5)], 0..0)
+                .unwrap();
             s.engine().flush().unwrap();
         }
         // A crash mid-compaction leaves a half-written sorted run: a staged
@@ -468,9 +679,9 @@ mod tests {
         let s = open(dir.path());
         let (a, b) = (RaftGroupId(1), RaftGroupId(2));
         s.set_hard_state(a, 1, None).unwrap();
-        s.append_entries(a, &[entry(1, 1)]).unwrap();
+        s.append_entries(a, &[entry(1, 1)], 0..0).unwrap();
         s.set_hard_state(b, 9, None).unwrap();
-        s.append_entries(b, &[entry(1, 9)]).unwrap();
+        s.append_entries(b, &[entry(1, 9)], 0..0).unwrap();
 
         let mut groups = s.groups().unwrap();
         groups.sort_by_key(|g| g.raw());

@@ -1270,6 +1270,117 @@ fn heartbeat_budget_check_rejects_per_report_proposals() {
     );
 }
 
+// ----- flat create cost budget --------------------------------------------
+
+/// Creates in the flat-cost history. A create is two raft entries, so
+/// 5,000 creates pass 2 × 4,096 entries and every meta replica compacts
+/// twice, at about creates #2,050 and #4,100 — the second time inside the
+/// measured tail.
+const FLAT_CREATES: u64 = 5_000;
+/// Creates that price one create, at the start of the history.
+const FLAT_HEAD: u64 = 100;
+/// Creates in the measured tail, at the end of the history.
+const FLAT_TAIL: u64 = 1_000;
+/// WAL records one create costs on a default cluster: two raft entries,
+/// each written by the leader and both followers of the meta partition.
+const FLAT_RECORDS_PER_CREATE: u64 = 6;
+
+/// The flat-cost budget over `creates` creates at the end of a long
+/// history: no stored row was scanned, and the WAL took exactly
+/// `per_create` records per create plus one per compaction (snapshot,
+/// base and the dropped prefix in one batch) — what the creates wrote,
+/// whatever the log held.
+fn check_flat_create_budget(window: &MetricsSnapshot, creates: u64, per_create: u64) {
+    let scanned = window.counter("kvwal.rows_scanned");
+    assert!(
+        scanned == 0,
+        "flat create budget regression: {creates} creates scanned {scanned} \
+         stored rows; a create costs the rows it writes, not the log it joins"
+    );
+    let snapshots = window.counter("meta.snapshots_taken");
+    let wal = window.counter("kvwal.wal_appends");
+    let want = creates * per_create + snapshots;
+    assert!(
+        wal == want,
+        "flat create budget regression: {creates} creates and {snapshots} \
+         compactions wrote {wal} WAL records, expected exactly {want} \
+         ({per_create} per create + 1 per compaction)"
+    );
+}
+
+#[test]
+fn flat_create_cost_budget() {
+    let cluster = ClusterBuilder::new().build().unwrap();
+    cluster.create_volume("budget-flat", 1, 4).unwrap();
+    let client = cluster.mount("budget-flat").unwrap();
+    let root = client.root();
+    cluster.settle(200);
+    let create = |i: u64| drop(client.create(root, &format!("f{i}")).unwrap());
+
+    let before = cluster.metrics_snapshot();
+    (1..=FLAT_HEAD).for_each(create);
+    let head = cluster.metrics_snapshot().diff(&before);
+    assert_eq!(head.counter("meta.snapshots_taken"), 0);
+    assert_eq!(
+        head.counter("kvwal.wal_appends"),
+        FLAT_HEAD * FLAT_RECORDS_PER_CREATE,
+        "creates #1–#{FLAT_HEAD} price a create"
+    );
+
+    (FLAT_HEAD + 1..=FLAT_CREATES - FLAT_TAIL).for_each(create);
+    let before = cluster.metrics_snapshot();
+    (FLAT_CREATES - FLAT_TAIL + 1..=FLAT_CREATES).for_each(create);
+    let tail = cluster.metrics_snapshot().diff(&before);
+    assert!(
+        tail.counter("meta.snapshots_taken") >= 1,
+        "the tail must include a compaction"
+    );
+    check_flat_create_budget(&tail, FLAT_TAIL, FLAT_RECORDS_PER_CREATE);
+}
+
+#[test]
+fn flat_create_budget_check_rejects_the_log_walk() {
+    // Every follower append scanning the group's stored log: per create,
+    // two entries on each of two followers, each scan visiting the
+    // ~3,000 rows the log holds on average over the tail.
+    let registry = cfs::Registry::new();
+    registry
+        .counter("kvwal.rows_scanned")
+        .add(FLAT_TAIL * 2 * 2 * 3_000);
+    registry
+        .counter("kvwal.wal_appends")
+        .add(FLAT_TAIL * FLAT_RECORDS_PER_CREATE + 3);
+    registry.counter("meta.snapshots_taken").add(3);
+    let snap = registry.snapshot();
+    let err = std::panic::catch_unwind(|| {
+        check_flat_create_budget(&snap, FLAT_TAIL, FLAT_RECORDS_PER_CREATE)
+    })
+    .expect_err("a log walk per follower append must fail the budget");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("stored rows"),
+        "unexpected panic message: {msg}"
+    );
+
+    // A compaction written as two records (snapshot row, then base and
+    // deletes) on each of the three replicas.
+    let registry = cfs::Registry::new();
+    registry
+        .counter("kvwal.wal_appends")
+        .add(FLAT_TAIL * FLAT_RECORDS_PER_CREATE + 2 * 3);
+    registry.counter("meta.snapshots_taken").add(3);
+    let snap = registry.snapshot();
+    let err = std::panic::catch_unwind(|| {
+        check_flat_create_budget(&snap, FLAT_TAIL, FLAT_RECORDS_PER_CREATE)
+    })
+    .expect_err("a two-record compaction must fail the budget");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("WAL records"),
+        "unexpected panic message: {msg}"
+    );
+}
+
 // ----- extent append budget ----------------------------------------------
 
 const EXTENT_PACKET: usize = 128 * 1024;
