@@ -13,9 +13,8 @@
 //! classified (lease fast path vs quorum barrier), and wall time.
 //! Besides the human-readable table, the bench writes a JSON record with
 //! one full [`MetricsSnapshot`] per run (diffed over the measured
-//! section) to `BENCH_JSON_PATH` (default
-//! `target/ablation_meta_ops.json`) for regression tracking and CI
-//! artifact upload.
+//! section) to `BENCH_META_OPS_JSON_PATH` (default: `BENCH_meta_ops.json`
+//! at the repo root) for regression tracking and CI artifact upload.
 //!
 //! With the lease off (`lease_ticks = 0`), every read pays a
 //! ReadIndex-style quorum barrier: a heartbeat round trip before the

@@ -10,9 +10,9 @@
 //! *virtual* fabric clock (the 1 ms/call is scheduled ticks, not sleeps),
 //! so the ablation isolates protocol structure from host noise. Besides the human-readable table,
 //! the bench writes a JSON record with one full [`MetricsSnapshot`] per
-//! run (diffed over the measured section) to `BENCH_JSON_PATH` (default
-//! `target/ablation_pipeline.json`) for regression tracking and CI
-//! artifact upload.
+//! run (diffed over the measured section) to `BENCH_PIPELINE_JSON_PATH`
+//! (default: `BENCH_pipeline.json` at the repo root) for regression
+//! tracking and CI artifact upload.
 //!
 //! Note the structural ceiling: chain forwarding stays ordered per
 //! partition (leader order, §2.7.1), so only the client→leader leg and

@@ -20,7 +20,9 @@
 //!   nodes with the lowest memory (meta) or disk (data) utilization,
 //!   preferring nodes of one *Raft set* (§2.5.1) to bound heartbeat
 //!   fan-out. No data ever moves when nodes are added — new capacity just
-//!   attracts future placements (tested by `ablation_placement`).
+//!   attracts future placements (tested by
+//!   `state::tests::placement_prefers_low_utilization` and shown by the
+//!   `capacity_expansion` example).
 //! * **Meta partition splitting** (Algorithm 1): when the newest partition
 //!   of a volume approaches its item limit, its inode range is cut at
 //!   `maxInodeID + Δ` and a successor partition `[end+1, ∞)` is placed on

@@ -19,8 +19,7 @@
 //! [`Network::try_take`]) drains completions by driving the earliest
 //! pending delivery. Simulated latency is *virtual ticks* on the shared
 //! clock — never `thread::sleep` — so a window of N submitted packets
-//! costs one latency, not N, and no OS thread is ever spawned per RPC
-//! (pinned by [`Network::threads_spawned`] and the fabric budget test).
+//! costs one latency, not N, and no OS thread is ever spawned per RPC.
 //!
 //! Delivery order is deterministic: pending entries deliver in
 //! `(deliver_at, submit seq)` order, so a window of packets submitted
@@ -151,10 +150,6 @@ struct Counters {
     /// (the budget tests pin it to the configured window).
     inflight: AtomicU64,
     inflight_hwm: AtomicU64,
-    /// OS threads the fabric has spawned to carry RPCs. The event model
-    /// never spawns any; any future delivery path that must is required to
-    /// account for itself here, and the fabric budget pins this to zero.
-    threads_spawned: AtomicU64,
 }
 
 /// `drops` split by the fault kind that caused each loss. The four causes
@@ -200,9 +195,7 @@ struct NetObs {
     rejections: Counter,
     /// Fabric-wide completion-model counters: `fabric.submits`,
     /// `fabric.completions`, and `fabric.inflight` (gauge with high
-    /// water). `fabric.threads` is registered at bind time but has no
-    /// handle here: no delivery path spawns, so nothing ever bumps it,
-    /// and the fabric budget pins it to zero.
+    /// water).
     fabric_submits: Counter,
     fabric_completions: Counter,
     fabric_inflight: Gauge,
@@ -212,9 +205,6 @@ impl NetObs {
     fn new(registry: Registry, fabric: &str) -> NetObs {
         let c =
             |cause: &str| registry.counter(&format!("net.drops{{fabric={fabric},cause={cause}}}"));
-        // Register the thread-spawn counter so snapshots always carry it
-        // at zero; the registry owns the metric, no handle is needed.
-        registry.counter(&format!("fabric.threads{{fabric={fabric}}}"));
         NetObs {
             fabric: fabric.to_string(),
             routes: RwLock::new(HashMap::new()),
@@ -757,12 +747,6 @@ impl<Req, Resp> Network<Req, Resp> {
         self.inner.counters.inflight_hwm.load(Ordering::Relaxed)
     }
 
-    /// OS threads spawned by the fabric to carry RPCs — the event model
-    /// never spawns any, and the fabric budget test pins this to zero.
-    pub fn threads_spawned(&self) -> u64 {
-        self.inner.counters.threads_spawned.load(Ordering::Relaxed)
-    }
-
     /// Calls lost to injected faults: down node, cut link, shared fault
     /// state, or a delivery-hook drop.
     pub fn drop_count(&self) -> u64 {
@@ -960,7 +944,6 @@ mod tests {
         assert_eq!(s.counter("fabric.submits{fabric=test}"), 3);
         assert_eq!(s.counter("fabric.completions{fabric=test}"), 3);
         assert_eq!(s.gauge("fabric.inflight{fabric=test}").unwrap().value, 0);
-        assert_eq!(s.counter("fabric.threads{fabric=test}"), 0);
     }
 
     #[test]
@@ -1005,7 +988,6 @@ mod tests {
         }
         assert_eq!(net.inflight(), 0);
         assert_eq!(net.completion_count(), net.call_count());
-        assert_eq!(net.threads_spawned(), 0);
         // The window shares one scheduled latency instead of stacking
         // four: deliveries were all due at t = 1ms.
         assert_eq!(net.virtual_now(), 1_000_000);
@@ -1154,6 +1136,5 @@ mod tests {
         assert_eq!(net.completion_count(), 2);
         // Client hop + nested hop, each one virtual millisecond.
         assert_eq!(net.virtual_now(), 2_000_000);
-        assert_eq!(net.threads_spawned(), 0);
     }
 }

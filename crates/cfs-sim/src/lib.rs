@@ -17,20 +17,14 @@
 //! * [`Join`] implements fork/join (e.g. "wait for a replication quorum").
 
 mod engine;
-pub mod fleet;
 mod join;
-mod metrics;
 mod model;
 pub mod plan;
 pub mod schedule;
 mod station;
 
 pub use engine::{Sim, SimTime};
-pub use fleet::{
-    run_fleet_sim, BucketConfig, FleetConfig, FleetOutcome, ServicedOp, TenantReport, TenantSpec,
-};
 pub use join::Join;
-pub use metrics::LatencyStats;
 pub use model::HardwareModel;
 pub use plan::{run_plan, Step};
 pub use station::StationId;

@@ -23,7 +23,6 @@
 //! ```
 
 mod cluster;
-pub mod fleet;
 
 pub use cluster::{Cluster, ClusterBuilder, RecoverReport};
 

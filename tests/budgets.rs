@@ -175,17 +175,11 @@ fn append_budget_check_rejects_perturbed_counters() {
 }
 
 /// The event-fabric budget: `rpcs` submitted RPCs must ride the
-/// scheduled-delivery queue — zero threads spawned, every token drained
-/// (submits == completions), and the in-flight high water bounded by the
-/// append window plus the chain's nested forwards (head → middle → tail
-/// hops count as in-flight while the window is open).
+/// scheduled-delivery queue — every token drained (submits ==
+/// completions), and the in-flight high water bounded by the append
+/// window plus the chain's nested forwards (head → middle → tail hops
+/// count as in-flight while the window is open).
 fn check_fabric_budget(window: &MetricsSnapshot, rpcs: u64, max_inflight: i64) {
-    let threads = window.counter("fabric.threads{fabric=data}");
-    assert!(
-        threads == 0,
-        "fabric budget regression: {threads} threads spawned for {rpcs} \
-         RPCs, the completion model allows 0"
-    );
     let submits = window.counter("fabric.submits{fabric=data}");
     let completions = window.counter("fabric.completions{fabric=data}");
     assert!(
@@ -249,7 +243,7 @@ fn fabric_completion_budget() {
     let window = cluster.metrics_snapshot().diff(&before);
 
     // >1k packet RPCs rode the queue: depth-deep window, two extra chain
-    // hops while the head/middle forward, zero fabric threads.
+    // hops while the head/middle forward.
     check_fabric_budget(
         &window,
         FABRIC_PACKETS,
@@ -267,22 +261,6 @@ fn fabric_completion_budget() {
 
 #[test]
 fn fabric_budget_check_rejects_perturbed_counters() {
-    // A single spawned thread must trip the zero-thread pin.
-    let registry = cfs::Registry::new();
-    registry.counter("fabric.submits{fabric=data}").add(1_024);
-    registry
-        .counter("fabric.completions{fabric=data}")
-        .add(1_024);
-    registry.counter("fabric.threads{fabric=data}").add(1);
-    let snap = registry.snapshot();
-    let err = std::panic::catch_unwind(|| check_fabric_budget(&snap, 1_024, 6))
-        .expect_err("a spawned fabric thread must fail the budget");
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(
-        msg.contains("threads spawned"),
-        "unexpected panic message: {msg}"
-    );
-
     // A leaked completion token must trip the drain identity.
     let registry = cfs::Registry::new();
     registry.counter("fabric.submits{fabric=data}").add(1_024);
@@ -375,6 +353,17 @@ fn check_meta_async_ack_budget(window: &MetricsSnapshot, acks: u64) {
     );
 }
 
+/// The async barrier budget: the strong barrier drains every journal-acked
+/// sub-op of the storm in exactly one group-commit proposal.
+fn check_meta_async_barrier_budget(window: &MetricsSnapshot, sub_ops: u64) {
+    let rounds = window.counter("raft.proposals");
+    assert!(
+        rounds == 1,
+        "async barrier budget regression: {rounds} raft rounds to drain \
+         {sub_ops} journal-acked sub-ops, expected exactly 1"
+    );
+}
+
 /// The (single) meta partition's current leader replica.
 fn meta_partition_leader(cluster: &Cluster) -> (PartitionId, Arc<MetaNode>) {
     for n in cluster.meta_nodes() {
@@ -462,14 +451,11 @@ fn meta_async_ack_budget() {
         "every acked sub-op still owes its barrier"
     );
 
-    // The strong barrier pays the deferred rounds: everything group
-    // commits, nothing is compensated, and every file is durable.
+    // The strong barrier pays the deferred round: one group commit drains
+    // every sub-op, nothing is compensated, and every file is durable.
     client.drain_async_commits().unwrap();
     let after = cluster.metrics_snapshot().diff(&before);
-    assert!(
-        after.counter("raft.proposals") > 0,
-        "the barrier must drive the deferred group commit"
-    );
+    check_meta_async_barrier_budget(&after, 2 * CREATES);
     assert_eq!(after.counter("meta.async.completions"), 2 * CREATES);
     assert_eq!(after.counter("meta.async.compensations"), 0);
     assert_eq!(client.async_pending_count(), 0);
@@ -560,6 +546,18 @@ fn meta_hot_path_budget_checks_reject_perturbed_counters() {
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(
         msg.contains("async ack budget regression"),
+        "unexpected panic message: {msg}"
+    );
+
+    // A barrier that proposes each sub-op on its own must trip.
+    let registry = cfs::Registry::new();
+    registry.counter("raft.proposals").add(2 * CREATES);
+    let snap = registry.snapshot();
+    let err = std::panic::catch_unwind(|| check_meta_async_barrier_budget(&snap, 2 * CREATES))
+        .expect_err("one proposal per sub-op must fail the budget");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("async barrier budget regression"),
         "unexpected panic message: {msg}"
     );
 }

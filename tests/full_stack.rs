@@ -51,6 +51,23 @@ fn concurrent_clients_from_real_threads() {
 }
 
 #[test]
+fn many_mounts_share_one_volume() {
+    // Containers of one service share a volume (§2.1): 512 live mounts on
+    // the event-driven fabrics, every one able to serve a metadata op.
+    const MOUNTS: usize = 512;
+    let cluster = ClusterBuilder::new().build().unwrap();
+    cluster.create_volume("fleet", 1, 4).unwrap();
+    let clients: Vec<_> = (0..MOUNTS)
+        .map(|_| cluster.mount("fleet").unwrap())
+        .collect();
+    let failures = clients.iter().filter(|c| c.stat(c.root()).is_err()).count();
+    assert_eq!(
+        failures, 0,
+        "root stat failed on {failures} of {MOUNTS} mounts"
+    );
+}
+
+#[test]
 fn dentries_always_reference_live_inodes_under_failures() {
     // The §2.6 invariant: whatever fails, a dentry must always point at an
     // existing inode (orphan inodes are allowed; dangling dentries are
