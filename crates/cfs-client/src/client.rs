@@ -335,9 +335,9 @@ pub(crate) struct CacheState {
     pub inode_cache: HashMap<InodeId, Inode>,
     /// Lookup cache: (parent, name) → positive or negative entry.
     pub lookup_cache: HashMap<(InodeId, String), LookupEntry>,
-    /// Local orphan-inode list (§2.6.1): (partition, inode) pairs awaiting
-    /// an evict request.
-    pub orphans: Vec<(PartitionId, InodeId)>,
+    /// Local orphan-inode list (§2.6.1): inodes awaiting an evict request,
+    /// routed by id when it is sent.
+    pub orphans: Vec<InodeId>,
     /// Async-commit intents acked but not yet barriered (DESIGN §12),
     /// drained by the next `fsync`/`close`.
     pub async_pending: Vec<crate::async_commit::AsyncIntent>,
@@ -909,7 +909,7 @@ impl Client {
         link_target: &[u8],
         parent: InodeId,
         name: &str,
-    ) -> Result<(PartitionId, Inode)> {
+    ) -> Result<Inode> {
         let ctx = self
             .options
             .async_meta
@@ -934,7 +934,7 @@ impl Client {
                 Ok((v, acked)) => {
                     let inode = v.into_inode()?;
                     self.record_async_intent(acked, true, parent, inode.id);
-                    return Ok((partition, inode));
+                    return Ok(inode);
                 }
                 Err(
                     e @ (CfsError::PartitionFull(_)
@@ -1064,8 +1064,8 @@ impl Client {
         self.cache.lock().orphans.len()
     }
 
-    pub(crate) fn push_orphan(&self, partition: PartitionId, inode: InodeId) {
-        self.cache.lock().orphans.push((partition, inode));
+    pub(crate) fn push_orphan(&self, inode: InodeId) {
+        self.cache.lock().orphans.push(inode);
     }
 }
 

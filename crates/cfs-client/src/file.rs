@@ -813,7 +813,7 @@ impl Client {
         let _ = self.drain_async_commits();
         let orphans = std::mem::take(&mut self.cache.lock().orphans);
         let mut reclaimed = 0;
-        for (partition, inode) in orphans {
+        for inode in orphans {
             // Route by inode id — a split may have moved the range since
             // the orphan was recorded.
             match self.meta_write_at(inode, MetaCommand::Evict { inode }) {
@@ -825,7 +825,7 @@ impl Client {
                     reclaimed += 1;
                 }
                 Err(CfsError::NotFound(_)) => reclaimed += 1,
-                Err(_) => self.cache.lock().orphans.push((partition, inode)),
+                Err(_) => self.cache.lock().orphans.push(inode),
             }
         }
         // Run the data-side queues on every partition we know about.

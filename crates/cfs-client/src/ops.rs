@@ -41,8 +41,7 @@ impl Client {
         // (`PartitionFull`/`RangeMoved` from the dual-serve fence): refresh
         // the table and re-pick among the partitions that can still
         // allocate (§2.3.1 — the successor partition covers the open end).
-        let (ino_partition, inode) =
-            self.create_inode_anywhere(file_type, link_target, parent, name)?;
+        let inode = self.create_inode_anywhere(file_type, link_target, parent, name)?;
 
         // Step 2: dentry on the parent's partition — possibly a different
         // meta node (§2.6: no cross-node atomicity). Routed by parent id
@@ -71,7 +70,7 @@ impl Client {
                 // A journaled step 1 still commits its inode; the unlink
                 // queues behind it on the same partition.
                 let _ = self.drop_link(inode.id);
-                self.push_orphan(ino_partition, inode.id);
+                self.push_orphan(inode.id);
                 Err(e)
             }
         }
@@ -308,14 +307,13 @@ impl Client {
     /// inline after a committed dentry delete and from the barrier after
     /// a journaled one.
     pub(crate) fn finish_unlink(&self, ino: InodeId) -> Result<()> {
-        let (ino_partition, _) = self.meta_partition_of(ino)?;
         match self.drop_link(ino) {
             Ok(inode) => {
                 self.uncache_inode(ino);
                 if inode.flag.is_mark_deleted() {
                     // Threshold reached: data reclaimed by the
                     // asynchronous delete pass.
-                    self.push_orphan(ino_partition, ino);
+                    self.push_orphan(ino);
                 }
                 Ok(())
             }
@@ -324,7 +322,7 @@ impl Client {
             Err(e) => {
                 // All retries failed: the inode is now an orphan the
                 // administrator may need to resolve (§2.6.3). Record it.
-                self.push_orphan(ino_partition, ino);
+                self.push_orphan(ino);
                 Err(e)
             }
         }

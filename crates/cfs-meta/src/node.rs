@@ -1,12 +1,21 @@
 //! The meta node: many partitions behind one MultiRaft instance.
+//!
+//! Every write joins its group's group-commit accumulator and rides one
+//! batch frame per group per hub round (§2.1.3). Reads are served at the
+//! leader under a quorum lease, or after a ReadIndex-style quorum barrier,
+//! and fenced by the partition's current inode range (Algorithm 1). An
+//! async write (DESIGN §12) is acked from the leader's speculative overlay
+//! once [`crate::intent::IntentJournal`] holds its intent row; the ticket
+//! that carries it names the intent, and the journal alone decides the
+//! intent's fate.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use cfs_kvwal::{LsmEngine, LsmOptions, TypedCf, WriteBatch};
+use cfs_kvwal::{LsmEngine, LsmOptions, TypedCf};
 use cfs_obs::{Counter, Registry, RpcRoute};
 use cfs_raft::hub::{RaftHost, RaftHub};
 use cfs_raft::{
@@ -17,14 +26,8 @@ use cfs_types::codec::{Decode, Encode};
 use cfs_types::{CfsError, InodeId, NodeId, PartitionId, RaftGroupId, Result, VolumeId};
 
 use crate::command::{apply_read, MetaCommand, MetaRead, MetaValue};
-use crate::intent::{
-    compensation_fixups, intent_effect_present, CompensationRecord, IntentContext, IntentRecord,
-};
+use crate::intent::{CompensationRecord, IntentContext, IntentJournal};
 use crate::partition::{MetaPartition, MetaPartitionConfig};
-
-/// Low 48 bits of an intent id are the node-local sequence; the high 16
-/// identify the acking node, so ids from different nodes never collide.
-const INTENT_SEQ_MASK: u64 = (1 << 48) - 1;
 
 /// Per-partition status reported to the resource manager (drives
 /// utilization-based placement and the split decision, §2.3.1–§2.3.2).
@@ -75,8 +78,6 @@ pub enum MetaRequest {
         partition: PartitionId,
         members: Vec<NodeId>,
     },
-    /// Status of one partition.
-    Info { partition: PartitionId },
     /// Status of every hosted partition (heartbeat reply body, §2.3).
     Report,
     /// Asynchronous metadata commit (DESIGN §12): ack once the op is
@@ -112,7 +113,6 @@ impl RpcRoute for MetaRequest {
             MetaRequest::Write { .. } => "meta.write",
             MetaRequest::CreatePartition { .. } => "meta.create_partition",
             MetaRequest::UpdateMembers { .. } => "meta.update_members",
-            MetaRequest::Info { .. } => "meta.info",
             MetaRequest::Report => "meta.report",
             MetaRequest::WriteAsync { .. } => "meta.write_async",
             MetaRequest::Barrier { .. } => "meta.barrier",
@@ -127,7 +127,6 @@ impl RpcRoute for MetaRequest {
 pub enum MetaResponse {
     Value(MetaValue),
     Created,
-    Info(PartitionInfo),
     Report(Vec<PartitionInfo>),
     /// Async write acked: durably journaled + speculatively applied.
     /// `value` is the overlay's apply result (e.g. the allocated inode).
@@ -155,40 +154,6 @@ impl TypedCf for PartCf {
     type Value = (Vec<u8>, Vec<NodeId>);
 }
 
-/// The crash-safe intent journal (DESIGN §12): `(partition, intent id)` →
-/// encoded [`IntentRecord`]. Each journal write goes through its own
-/// engine `WriteBatch`, i.e. one CRC-framed WAL record, so a torn tail
-/// drops whole intents, never leaves half of one.
-struct IntentCf;
-impl TypedCf for IntentCf {
-    const NAME: &'static str = "meta_intents";
-    type Key = (u64, u64);
-    type Value = Vec<u8>;
-}
-
-/// Durable compensation records for dead intents: `(partition, intent
-/// id)` → encoded [`CompensationRecord`]. Deleted once the resource
-/// manager's orphan sweep executed and acked the fixups.
-struct CompCf;
-impl TypedCf for CompCf {
-    const NAME: &'static str = "meta_comps";
-    type Key = (u64, u64);
-    type Value = Vec<u8>;
-}
-
-/// Durable memory of every intent this node ever resolved by
-/// compensation: `(partition, intent id)` → empty. Unlike [`CompCf`]
-/// this is never pruned by the orphan sweep's ack — a client may issue
-/// its strong barrier long after the sweep executed the fixups (and
-/// across further crashes), and the barrier must still report the op as
-/// compensated rather than silently promoting it to "committed".
-struct CompensatedCf;
-impl TypedCf for CompensatedCf {
-    const NAME: &'static str = "meta_compensated";
-    type Key = (u64, u64);
-    type Value = Vec<u8>;
-}
-
 /// Registry-backed meta metrics with a per-`(partition, op)` handle cache,
 /// so the apply hot path never re-resolves names.
 struct MetaObs {
@@ -213,16 +178,6 @@ struct MetaObs {
     /// fell outside this partition's `[start, end]`, so the client must
     /// refresh its partition view and re-route (split handoff).
     split_fences: Counter,
-    /// Async writes acked before consensus (journaled + overlay-applied).
-    async_acks: Counter,
-    /// Journaled intents retired because their command group-committed.
-    async_completions: Counter,
-    /// Journaled intents that died (election, power cut, withdrawn frame)
-    /// and were turned into compensation records.
-    async_compensations: Counter,
-    /// Intents that survived a node restart in the journal and then
-    /// completed through raft log replay.
-    async_replays: Counter,
     /// Async writes the leader served as synchronous writes because the
     /// partition was not in a clean window for overlay establishment.
     async_fallbacks: Counter,
@@ -240,10 +195,6 @@ impl MetaObs {
             quorum_reads: registry.counter("meta.quorum_reads"),
             split_cuts: registry.counter("meta.split.cuts"),
             split_fences: registry.counter("meta.split.fences"),
-            async_acks: registry.counter("meta.async.acks"),
-            async_completions: registry.counter("meta.async.completions"),
-            async_compensations: registry.counter("meta.async.compensations"),
-            async_replays: registry.counter("meta.async.replays"),
             async_fallbacks: registry.counter("meta.async.sync_fallbacks"),
         }
     }
@@ -259,6 +210,14 @@ impl MetaObs {
     }
 }
 
+/// One write in the group-commit pipeline: its ticket and, for an async
+/// write, the intent it carries.
+#[derive(Debug, Clone, Copy)]
+struct Ticket {
+    id: u64,
+    intent: Option<u64>,
+}
+
 struct Inner {
     multiraft: MultiRaft,
     partitions: HashMap<PartitionId, MetaPartition>,
@@ -266,12 +225,13 @@ struct Inner {
     /// per group, as `(ticket, encoded command)`. Flushed into ONE batch
     /// frame per group at the top of every `raft_drain`, so N concurrent
     /// writes commit in O(1) consensus rounds.
-    queues: HashMap<RaftGroupId, VecDeque<(u64, Vec<u8>)>>,
+    queues: HashMap<RaftGroupId, VecDeque<(Ticket, Vec<u8>)>>,
     /// The one batch frame per group currently going through consensus:
     /// `(term at propose, log index, tickets in frame order)`. One frame
     /// in flight per group — later writes accumulate into the next frame.
-    inflight: HashMap<RaftGroupId, (u64, u64, Vec<u64>)>,
-    /// Resolved batched writes awaiting pickup, keyed by ticket.
+    inflight: HashMap<RaftGroupId, (u64, u64, Vec<Ticket>)>,
+    /// Resolved sync writes awaiting pickup, keyed by ticket. An async
+    /// ticket's outcome lives in the intent journal, never here.
     ticket_results: HashMap<u64, Result<MetaValue>>,
     next_ticket: u64,
     /// Leader-side speculative overlays (DESIGN §12): a clone of the
@@ -282,49 +242,21 @@ struct Inner {
     /// while it lives and is torn down (with a convergence check) once
     /// the partition quiesces.
     overlays: HashMap<PartitionId, (u64, MetaPartition)>,
-    /// The intent journal's in-memory view, mirrored durably in
-    /// [`IntentCf`].
-    intents: HashMap<PartitionId, BTreeMap<u64, IntentRecord>>,
-    /// Compensation records for dead intents, mirrored in [`CompCf`],
-    /// awaiting the resource manager's orphan sweep.
-    comps: HashMap<PartitionId, BTreeMap<u64, CompensationRecord>>,
-    /// Tickets that carry an async intent, until the frame is durably
-    /// stamped `proposed` (at which point the journal record itself
-    /// drives resolution and the ticket entry is dropped).
-    ticket_intents: HashMap<u64, (PartitionId, u64)>,
-    /// Intents this node resolved by compensation (barrier reporting).
-    compensated_log: HashSet<u64>,
-    /// Intents found in the journal at open time: retiring one of these
-    /// through log replay counts as `meta.async.replays`.
-    recovered_intents: HashSet<u64>,
-    /// Next intent sequence number (low 48 bits of the intent id).
-    next_intent_seq: u64,
+    /// Every async intent this node acked, in whatever state it is in.
+    intents: IntentJournal,
     obs: Option<MetaObs>,
-    /// Durable storage engine: partition configs, paged-out trees, the
-    /// intent journal, and — via [`KvRaftStorage`] — every hosted group's
-    /// raft state.
+    /// Durable storage engine: partition configs, the intent journal, and
+    /// — via [`KvRaftStorage`] — every hosted group's raft state.
     engine: Arc<LsmEngine>,
 }
 
 impl Inner {
-    fn fresh(multiraft: MultiRaft, obs: Option<MetaObs>, engine: Arc<LsmEngine>) -> Inner {
-        Inner {
-            multiraft,
-            partitions: HashMap::new(),
-            queues: HashMap::new(),
-            inflight: HashMap::new(),
-            ticket_results: HashMap::new(),
-            next_ticket: 1,
-            overlays: HashMap::new(),
-            intents: HashMap::new(),
-            comps: HashMap::new(),
-            ticket_intents: HashMap::new(),
-            compensated_log: HashSet::new(),
-            recovered_intents: HashSet::new(),
-            next_intent_seq: 1,
-            obs,
-            engine,
-        }
+    /// Volume of a hosted partition (compensation records route by it).
+    fn volume_of(&self, pid: PartitionId) -> VolumeId {
+        self.partitions
+            .get(&pid)
+            .map(|p| p.config().volume_id)
+            .unwrap_or(VolumeId(0))
     }
 
     /// Persist `pid`'s registry row (config + members).
@@ -356,142 +288,20 @@ impl Inner {
     }
 
     /// Fail every ticket with the same error (group lost leadership, frame
-    /// overwritten by another leader's entry…). The blocked writers pick
-    /// the error up and retry against the new leader.
-    ///
-    /// An async intent riding a failed ticket dies here: tickets are only
-    /// removed from `ticket_intents` once their frame was durably stamped
-    /// `proposed`, so anything still tracked is definitively absent from
-    /// the raft log and safe to compensate immediately.
-    fn fail_tickets(&mut self, tickets: Vec<u64>, err: CfsError) {
+    /// overwritten by another leader's entry…). The blocked sync writers
+    /// pick the error up and retry against the new leader; an async
+    /// ticket's intent is handed to the journal, which compensates it if
+    /// it was never stamped.
+    fn fail_tickets(&mut self, pid: PartitionId, tickets: Vec<Ticket>, err: CfsError) {
+        let volume = self.volume_of(pid);
         for t in tickets {
-            if let Some((pid, iid)) = self.ticket_intents.remove(&t) {
-                if let Some(rec) = self.intents.get_mut(&pid).and_then(|m| m.remove(&iid)) {
-                    debug_assert!(rec.proposed.is_none());
-                    // On failure the record is back in the journal and
-                    // `resolve_intents` retries it next round.
-                    let _ = self.compensate_intent(pid, rec);
+            match t.intent {
+                Some(iid) => self.intents.ticket_failed(pid, iid, volume),
+                None => {
+                    self.ticket_results.insert(t.id, Err(err.clone()));
                 }
             }
-            self.ticket_results.insert(t, Err(err.clone()));
         }
-    }
-
-    /// Mint a node-unique intent id: acking node in the high 16 bits,
-    /// node-local sequence (restored from the journal scan at open) below.
-    fn mint_intent(&mut self, node: NodeId) -> u64 {
-        let seq = self.next_intent_seq;
-        self.next_intent_seq += 1;
-        ((node.raw() & 0xFFFF) << 48) | (seq & INTENT_SEQ_MASK)
-    }
-
-    /// Durably journal one intent — its own engine `WriteBatch`, i.e. one
-    /// CRC-framed WAL record — before the ack leaves the node. A failed
-    /// write leaves no in-memory intent behind.
-    fn journal_intent(&mut self, pid: PartitionId, rec: IntentRecord) -> Result<()> {
-        let mut b = WriteBatch::new();
-        b.put::<IntentCf>(&(pid.raw(), rec.id), &rec.to_bytes());
-        self.engine.write(b)?;
-        self.intents.entry(pid).or_default().insert(rec.id, rec);
-        Ok(())
-    }
-
-    /// Durably stamp `(term, index)` into every intent riding the frame
-    /// about to be proposed, *before* the entries can reach the raft log:
-    /// a crash on either side of the propose then leaves the journal
-    /// classifiable — a never-stamped record is definitively absent from
-    /// the log (dead), a stamped one is decided by the log itself once
-    /// the applied index passes its stamp.
-    ///
-    /// A failed stamp write aborts the frame: the caller must not propose
-    /// it. Tickets not yet stamped stay in `ticket_intents` (unstamped,
-    /// so `fail_tickets` compensates them); the ones already stamped are
-    /// settled against the tree once the applied index passes the stamp.
-    fn stamp_proposed(&mut self, tickets: &[u64], term: u64, index: u64) -> Result<()> {
-        for t in tickets {
-            let Some(&(pid, iid)) = self.ticket_intents.get(t) else {
-                continue;
-            };
-            if let Some(rec) = self.intents.get_mut(&pid).and_then(|m| m.get_mut(&iid)) {
-                rec.proposed = Some((term, index));
-                let mut b = WriteBatch::new();
-                b.put::<IntentCf>(&(pid.raw(), iid), &rec.to_bytes());
-                if let Err(e) = self.engine.write(b) {
-                    rec.proposed = None;
-                    return Err(e);
-                }
-            }
-            self.ticket_intents.remove(t);
-        }
-        Ok(())
-    }
-
-    /// Drop the journal row of a committed intent and count the
-    /// completion (and the replay, if the intent survived a restart).
-    fn retire_resolved(&mut self, pid: PartitionId, iid: u64) {
-        // A row that outlives a failed delete is re-settled after the next
-        // reopen: its stamp is below the applied index, so log replay
-        // retires it again.
-        let _ = self.engine.delete::<IntentCf>(&(pid.raw(), iid));
-        let replayed = self.recovered_intents.remove(&iid);
-        if let Some(o) = self.obs.as_ref() {
-            o.async_completions.inc();
-            if replayed {
-                o.async_replays.inc();
-            }
-        }
-    }
-
-    /// Retire an intent whose tagged command just applied (the normal,
-    /// group-commit completion path).
-    fn retire_intent(&mut self, pid: PartitionId, iid: u64) {
-        if self
-            .intents
-            .get_mut(&pid)
-            .and_then(|m| m.remove(&iid))
-            .is_none()
-        {
-            return;
-        }
-        self.retire_resolved(pid, iid);
-    }
-
-    /// Turn a dead intent into a durable compensation record: atomically
-    /// (one `WriteBatch`) delete the intent row and persist the fixups
-    /// for the orphan sweep. The caller already removed the record from
-    /// the in-memory journal; if the batch cannot be written the record
-    /// goes back there, so `resolve_intents` retries it next round.
-    fn compensate_intent(&mut self, pid: PartitionId, rec: IntentRecord) -> Result<()> {
-        let volume = self
-            .partitions
-            .get(&pid)
-            .map(|p| p.config().volume_id)
-            .unwrap_or(VolumeId(0));
-        let comp = CompensationRecord {
-            id: rec.id,
-            partition: pid,
-            volume,
-            fixups: compensation_fixups(&rec.cmd, &rec.ctx),
-        };
-        let mut b = WriteBatch::new();
-        b.delete::<IntentCf>(&(pid.raw(), rec.id));
-        if !comp.fixups.is_empty() {
-            b.put::<CompCf>(&(pid.raw(), rec.id), &comp.to_bytes());
-        }
-        b.put::<CompensatedCf>(&(pid.raw(), rec.id), &Vec::new());
-        if let Err(e) = self.engine.write(b) {
-            self.intents.entry(pid).or_default().insert(rec.id, rec);
-            return Err(e);
-        }
-        self.recovered_intents.remove(&rec.id);
-        self.compensated_log.insert(rec.id);
-        if !comp.fixups.is_empty() {
-            self.comps.entry(pid).or_default().insert(rec.id, comp);
-        }
-        if let Some(o) = self.obs.as_ref() {
-            o.async_compensations.inc();
-        }
-        Ok(())
     }
 
     /// Drop every overlay whose leader term ended: its speculated suffix
@@ -507,76 +317,15 @@ impl Inner {
         });
     }
 
-    /// Decide the fate of journal entries that the normal tagged-apply
-    /// path will never retire. Runs every hub round, leader or follower:
-    ///
-    /// * never-proposed intent with no live ticket — its command is
-    ///   definitively not in the log (node rebooted, or the frame was
-    ///   withdrawn) → compensate;
-    /// * proposed intent whose stamp the applied index has passed, yet
-    ///   still journaled — either another leader overwrote its slot, or
-    ///   its effect arrived inside an installed snapshot (which skips
-    ///   per-entry retirement). The tree itself disambiguates.
+    /// Settle journal entries that the normal tagged-apply path will never
+    /// retire (see [`IntentJournal::resolve`]). Runs every hub round,
+    /// leader or follower.
     fn resolve_intents(&mut self) {
-        let pids: Vec<PartitionId> = self
-            .intents
-            .iter()
-            .filter(|(_, m)| !m.is_empty())
-            .map(|(p, _)| *p)
-            .collect();
-        for pid in pids {
-            let Some(applied) = self
-                .multiraft
-                .group(RaftGroupId(pid.raw()))
-                .map(|g| g.applied_index())
-            else {
-                continue;
-            };
-            let ids: Vec<u64> = self
-                .intents
-                .get(&pid)
-                .map(|m| m.keys().copied().collect())
-                .unwrap_or_default();
-            for iid in ids {
-                let decided = {
-                    let Some(rec) = self.intents.get(&pid).and_then(|m| m.get(&iid)) else {
-                        continue;
-                    };
-                    match rec.proposed {
-                        None => !self
-                            .ticket_intents
-                            .values()
-                            .any(|&(p, i)| p == pid && i == iid),
-                        Some((_, index)) => applied >= index,
-                    }
-                };
-                if !decided {
-                    continue;
-                }
-                let Some(rec) = self.intents.get_mut(&pid).and_then(|m| m.remove(&iid)) else {
-                    continue;
-                };
-                // A never-stamped record is definitively absent from the
-                // log (the stamp is durable before the frame can reach
-                // it), so compensate without consulting the tree — right
-                // after a restart the tree may still be catching up
-                // through log replay, and judging a dead intent by a
-                // stale tree can mis-retire it as committed.
-                let present = rec.proposed.is_some()
-                    && self
-                        .partitions
-                        .get(&pid)
-                        .map(|p| intent_effect_present(&rec.cmd, &rec.ctx, p))
-                        .unwrap_or(false);
-                if present {
-                    self.retire_resolved(pid, rec.id);
-                } else {
-                    // A failed write re-journals the record: retried next
-                    // round.
-                    let _ = self.compensate_intent(pid, rec);
-                }
-            }
-        }
+        let (multiraft, partitions) = (&self.multiraft, &self.partitions);
+        self.intents.resolve(|pid| {
+            let applied = multiraft.group(RaftGroupId(pid.raw()))?.applied_index();
+            Some((applied, partitions.get(&pid)?))
+        });
     }
 
     /// Tear down overlays whose partition fully quiesced (empty queue, no
@@ -592,7 +341,7 @@ impl Inner {
                 let gid = RaftGroupId(pid.raw());
                 self.queues.get(&gid).map(|q| q.is_empty()).unwrap_or(true)
                     && !self.inflight.contains_key(&gid)
-                    && self.intents.get(pid).map(|m| m.is_empty()).unwrap_or(true)
+                    && self.intents.quiet(*pid)
             })
             .collect();
         for pid in done {
@@ -638,13 +387,12 @@ impl Inner {
         };
         if let MetaCommand::Tagged { intent, .. } = &cmd {
             match &result {
-                Ok(_) => self.retire_intent(pid, *intent),
+                Ok(_) => self.intents.retire(pid, *intent),
+                // A failed write leaves the row journaled; the resolution
+                // pass then settles it against the tree.
                 Err(_) => {
-                    if let Some(rec) = self.intents.get_mut(&pid).and_then(|m| m.remove(intent)) {
-                        // Re-journaled on a failed write; `resolve_intents`
-                        // then settles it against the tree.
-                        let _ = self.compensate_intent(pid, rec);
-                    }
+                    let volume = self.volume_of(pid);
+                    self.intents.compensate(pid, *intent, volume);
                 }
             }
         }
@@ -679,7 +427,7 @@ impl Inner {
                 };
                 if stale {
                     let (_, _, tickets) = self.inflight.remove(&gid).expect("checked above");
-                    self.fail_tickets(tickets, CfsError::NotLeader { partition, hint });
+                    self.fail_tickets(partition, tickets, CfsError::NotLeader { partition, hint });
                 }
             }
             if self.inflight.contains_key(&gid) {
@@ -691,10 +439,11 @@ impl Inner {
             if queue.is_empty() {
                 continue;
             }
-            let (tickets, cmds): (Vec<u64>, Vec<Vec<u8>>) = queue.drain(..).unzip();
+            let (tickets, cmds): (Vec<Ticket>, Vec<Vec<u8>>) = queue.drain(..).unzip();
             // Predict the frame's slot so async intents riding it can be
             // durably stamped `proposed` BEFORE the entry can reach the
-            // raft log (see [`Inner::stamp_proposed`]).
+            // raft log (see [`IntentJournal::stamp`]). A failed stamp
+            // aborts the frame.
             let predicted = match self.multiraft.group(gid) {
                 Some(g) if g.is_leader() => Ok((g.term(), g.last_index() + 1)),
                 Some(g) => Err(CfsError::NotLeader {
@@ -704,7 +453,9 @@ impl Inner {
                 None => Err(CfsError::NotFound(format!("{partition}"))),
             };
             let proposed = predicted.and_then(|(term, next_index)| {
-                self.stamp_proposed(&tickets, term, next_index)?;
+                for iid in tickets.iter().filter_map(|t| t.intent) {
+                    self.intents.stamp(partition, iid, term, next_index)?;
+                }
                 match self.multiraft.group_mut(gid) {
                     Some(g) if g.is_leader() => g.propose_batch(cmds).map(|index| {
                         debug_assert_eq!(index, next_index, "stamped index must match propose");
@@ -725,7 +476,7 @@ impl Inner {
                     // The overlay speculated on commands that will now
                     // never commit; it can no longer converge.
                     self.overlays.remove(&partition);
-                    self.fail_tickets(tickets, e);
+                    self.fail_tickets(partition, tickets, e);
                 }
             }
         }
@@ -805,48 +556,22 @@ impl MetaNode {
             }
         }
 
-        // Compensation-engine recovery: reload the intent journal and any
-        // unexecuted compensations. Surviving intents are classified by
-        // the resolution pass once the groups rejoin — never-proposed ⇒
-        // compensate, proposed ⇒ decided by log replay (retirements out
-        // of this set count as `meta.async.replays`).
-        let mut intents: HashMap<PartitionId, BTreeMap<u64, IntentRecord>> = HashMap::new();
-        let mut comps: HashMap<PartitionId, BTreeMap<u64, CompensationRecord>> = HashMap::new();
-        let mut recovered = HashSet::new();
-        let mut max_seq = 0u64;
-        for ((praw, iid), bytes) in engine.scan::<IntentCf>()? {
-            let rec = IntentRecord::from_bytes(&bytes)?;
-            recovered.insert(iid);
-            max_seq = max_seq.max(iid & INTENT_SEQ_MASK);
-            intents
-                .entry(PartitionId(praw))
-                .or_default()
-                .insert(iid, rec);
-        }
-        for ((praw, cid), bytes) in engine.scan::<CompCf>()? {
-            max_seq = max_seq.max(cid & INTENT_SEQ_MASK);
-            comps
-                .entry(PartitionId(praw))
-                .or_default()
-                .insert(cid, CompensationRecord::from_bytes(&bytes)?);
-        }
-        // The durable compensated log: barrier reporting must survive a
-        // compensate → sweep-ack → crash sequence, and the ids must stay
-        // retired from the sequence space so a reboot can never mint an
-        // intent id that the log already brands as compensated.
-        let mut compensated_log = HashSet::new();
-        for ((_, cid), _) in engine.scan::<CompensatedCf>()? {
-            max_seq = max_seq.max(cid & INTENT_SEQ_MASK);
-            compensated_log.insert(cid);
-        }
-
-        let mut inner = Inner::fresh(multiraft, registry.map(MetaObs::new), engine);
-        inner.partitions = partitions;
-        inner.intents = intents;
-        inner.comps = comps;
-        inner.compensated_log = compensated_log;
-        inner.recovered_intents = recovered;
-        inner.next_intent_seq = max_seq + 1;
+        // Compensation-engine recovery: surviving intents are classified
+        // by the resolution pass once the groups rejoin — never-proposed ⇒
+        // compensate, proposed ⇒ decided by log replay.
+        let intents = IntentJournal::open(engine.clone(), id, registry)?;
+        let inner = Inner {
+            multiraft,
+            partitions,
+            queues: HashMap::new(),
+            inflight: HashMap::new(),
+            ticket_results: HashMap::new(),
+            next_ticket: 1,
+            overlays: HashMap::new(),
+            intents,
+            obs: registry.map(MetaObs::new),
+            engine,
+        };
         let node = Arc::new(MetaNode {
             id,
             hub: hub.clone(),
@@ -883,7 +608,6 @@ impl MetaNode {
                 self.update_members(partition, members)?;
                 Ok(MetaResponse::Created)
             }
-            MetaRequest::Info { partition } => self.info(partition).map(MetaResponse::Info),
             MetaRequest::Report => Ok(MetaResponse::Report(self.report())),
             MetaRequest::WriteAsync {
                 partition,
@@ -1066,7 +790,7 @@ impl MetaNode {
         // retry cannot apply it twice.
         if let Some(q) = inner.queues.get_mut(&Self::group_of(partition)) {
             let before = q.len();
-            q.retain(|(t, _)| *t != ticket);
+            q.retain(|(t, _)| t.id != ticket);
             if q.len() != before {
                 // The overlay already speculated on the withdrawn command;
                 // it can no longer converge — discard it.
@@ -1111,11 +835,15 @@ impl MetaNode {
         }
         let ticket = inner.next_ticket;
         inner.next_ticket += 1;
+        let t = Ticket {
+            id: ticket,
+            intent: None,
+        };
         inner
             .queues
             .entry(Self::group_of(partition))
             .or_default()
-            .push_back((ticket, cmd.to_bytes()));
+            .push_back((t, cmd.to_bytes()));
         Ok(ticket)
     }
 
@@ -1180,11 +908,7 @@ impl MetaNode {
             let clean = caught_up
                 && inner.queues.get(&gid).map(|q| q.is_empty()).unwrap_or(true)
                 && !inner.inflight.contains_key(&gid)
-                && inner
-                    .intents
-                    .get(&partition)
-                    .map(|m| m.is_empty())
-                    .unwrap_or(true);
+                && inner.intents.quiet(partition);
             if !clean {
                 if let Some(o) = inner.obs.as_ref() {
                     o.async_fallbacks.inc();
@@ -1227,20 +951,19 @@ impl MetaNode {
 
         // Durable intent first, then the group-commit enqueue: the ack
         // must never outrun the journal.
-        let intent = inner.mint_intent(self.id);
-        let rec = IntentRecord {
-            id: intent,
-            cmd: pinned.clone(),
-            ctx,
-            proposed: None,
+        let intent = match inner.intents.journal(partition, pinned.clone(), ctx) {
+            Ok(intent) => intent,
+            Err(e) => {
+                // Nothing acked: drop the overlay, which already speculated
+                // on this command and can no longer converge.
+                inner.overlays.remove(&partition);
+                return Err(e);
+            }
         };
-        if let Err(e) = inner.journal_intent(partition, rec) {
-            // Nothing acked: drop the overlay, which already speculated on
-            // this command and can no longer converge.
-            inner.overlays.remove(&partition);
-            return Err(e);
-        }
-        let ticket = inner.next_ticket;
+        let ticket = Ticket {
+            id: inner.next_ticket,
+            intent: Some(intent),
+        };
         inner.next_ticket += 1;
         let framed = MetaCommand::Tagged {
             intent,
@@ -1251,10 +974,6 @@ impl MetaNode {
             .entry(gid)
             .or_default()
             .push_back((ticket, framed.to_bytes()));
-        inner.ticket_intents.insert(ticket, (partition, intent));
-        if let Some(o) = inner.obs.as_ref() {
-            o.async_acks.inc();
-        }
         Ok(MetaResponse::Acked { intent, value })
     }
 
@@ -1273,14 +992,7 @@ impl MetaNode {
             }
         }
         let drained = self.hub.pump_until(
-            || {
-                let inner = self.inner.lock();
-                inner
-                    .intents
-                    .get(&partition)
-                    .map(|m| intents.iter().all(|i| !m.contains_key(i)))
-                    .unwrap_or(true)
-            },
+            || self.inner.lock().intents.settled(partition, intents),
             self.commit_timeout_ticks,
         );
         if !drained {
@@ -1288,111 +1000,31 @@ impl MetaNode {
                 "{partition}: async commit barrier"
             )));
         }
-        let inner = self.inner.lock();
-        let compensated: Vec<u64> = intents
-            .iter()
-            .copied()
-            .filter(|i| {
-                inner.compensated_log.contains(i)
-                    || inner
-                        .comps
-                        .get(&partition)
-                        .map(|m| m.contains_key(i))
-                        .unwrap_or(false)
-            })
-            .collect();
+        let compensated = self.inner.lock().intents.compensated(intents);
         Ok(MetaResponse::Drained { compensated })
     }
 
     /// Unexecuted compensation records across all hosted partitions,
     /// sorted by intent id (heartbeat reconciliation payload).
     pub fn compensations(&self) -> Vec<CompensationRecord> {
-        let inner = self.inner.lock();
-        let mut all: Vec<CompensationRecord> = inner
-            .comps
-            .values()
-            .flat_map(|m| m.values().cloned())
-            .collect();
-        all.sort_by_key(|c| c.id);
-        all
+        self.inner.lock().intents.compensations()
     }
 
-    /// Drop compensation records the orphan sweep has executed.
+    /// Mark compensation records the orphan sweep has executed.
     pub fn ack_compensations(&self, partition: PartitionId, ids: &[u64]) {
-        let inner = &mut *self.inner.lock();
-        let Some(m) = inner.comps.get_mut(&partition) else {
-            return;
-        };
-        for id in ids {
-            // A record whose row could not be deleted stays pending: the
-            // sweep fetches it again and re-acks (fixups are idempotent).
-            if m.contains_key(id)
-                && inner
-                    .engine
-                    .delete::<CompCf>(&(partition.raw(), *id))
-                    .is_ok()
-            {
-                m.remove(id);
-            }
-        }
-        if m.is_empty() {
-            inner.comps.remove(&partition);
-        }
+        self.inner.lock().intents.ack(partition, ids);
     }
 
     /// Journaled intents not yet resolved, across all partitions (chaos
     /// quiesce + fsck drain signal).
     pub fn pending_intent_count(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.intents.values().map(|m| m.len() as u64).sum()
+        self.inner.lock().intents.pending_total().0
     }
 
     /// Compensation records awaiting the orphan sweep, across all
     /// partitions.
     pub fn pending_compensation_count(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.comps.values().map(|m| m.len() as u64).sum()
-    }
-
-    /// Status of one partition.
-    pub fn info(&self, partition: PartitionId) -> Result<PartitionInfo> {
-        let inner = self.inner.lock();
-        let p = inner
-            .partitions
-            .get(&partition)
-            .ok_or_else(|| CfsError::NotFound(format!("{partition}")))?;
-        let group = inner.multiraft.group(Self::group_of(partition));
-        let pending = Self::pending_counts(&inner, partition);
-        Ok(Self::mk_info(p, group, pending))
-    }
-
-    /// `(pending intents, pending compensations)` of one partition.
-    fn pending_counts(inner: &Inner, pid: PartitionId) -> (u64, u64) {
-        (
-            inner.intents.get(&pid).map(|m| m.len() as u64).unwrap_or(0),
-            inner.comps.get(&pid).map(|m| m.len() as u64).unwrap_or(0),
-        )
-    }
-
-    fn mk_info(
-        p: &MetaPartition,
-        group: Option<&cfs_raft::RaftNode>,
-        pending: (u64, u64),
-    ) -> PartitionInfo {
-        let cfg = p.config();
-        PartitionInfo {
-            partition_id: cfg.partition_id,
-            volume_id: cfg.volume_id,
-            start: cfg.start,
-            end: cfg.end,
-            item_count: p.item_count(),
-            max_inode: p.max_inode(),
-            applied: group.map(|g| g.applied_index()).unwrap_or(0),
-            is_leader: group.map(|g| g.is_leader()).unwrap_or(false),
-            leader_hint: group.and_then(|g| g.leader_hint()),
-            pending_intents: pending.0,
-            pending_compensations: pending.1,
-        }
+        self.inner.lock().intents.pending_total().1
     }
 
     /// Status of all partitions (heartbeat payload to the resource
@@ -1403,12 +1035,23 @@ impl MetaNode {
             .partitions
             .values()
             .map(|p| {
-                let pid = p.config().partition_id;
-                Self::mk_info(
-                    p,
-                    inner.multiraft.group(Self::group_of(pid)),
-                    Self::pending_counts(&inner, pid),
-                )
+                let cfg = p.config();
+                let group = inner.multiraft.group(Self::group_of(cfg.partition_id));
+                let (pending_intents, pending_compensations) =
+                    inner.intents.pending(cfg.partition_id);
+                PartitionInfo {
+                    partition_id: cfg.partition_id,
+                    volume_id: cfg.volume_id,
+                    start: cfg.start,
+                    end: cfg.end,
+                    item_count: p.item_count(),
+                    max_inode: p.max_inode(),
+                    applied: group.map(|g| g.applied_index()).unwrap_or(0),
+                    is_leader: group.map(|g| g.is_leader()).unwrap_or(false),
+                    leader_hint: group.and_then(|g| g.leader_hint()),
+                    pending_intents,
+                    pending_compensations,
+                }
             })
             .collect();
         infos.sort_by_key(|i| i.partition_id);
@@ -1435,16 +1078,6 @@ impl MetaNode {
             .group(Self::group_of(partition))
             .map(|g| g.is_leader())
             .unwrap_or(false)
-    }
-
-    /// Drain the free list of a partition (background cleaner hook).
-    pub fn drain_free_list(&self, partition: PartitionId) -> Vec<InodeId> {
-        self.inner
-            .lock()
-            .partitions
-            .get_mut(&partition)
-            .map(|p| p.drain_free_list())
-            .unwrap_or_default()
     }
 
     /// Hosted partition ids, sorted.
@@ -1553,6 +1186,7 @@ impl RaftHost for MetaNode {
                             let (_, _, tickets) =
                                 inner.inflight.remove(&gid).expect("checked above");
                             inner.fail_tickets(
+                                pid,
                                 tickets,
                                 CfsError::NotLeader {
                                     partition: pid,
@@ -1593,7 +1227,9 @@ impl RaftHost for MetaNode {
                                 inner.inflight.remove(&gid).expect("claimed above");
                             debug_assert_eq!(tickets.len(), results.len());
                             for (t, r) in tickets.into_iter().zip(results) {
-                                inner.ticket_results.insert(t, r);
+                                if t.intent.is_none() {
+                                    inner.ticket_results.insert(t.id, r);
+                                }
                             }
                         }
                     }
@@ -1602,7 +1238,7 @@ impl RaftHost for MetaNode {
                         if frame_is_ours {
                             let (_, _, tickets) =
                                 inner.inflight.remove(&gid).expect("claimed above");
-                            inner.fail_tickets(tickets, e);
+                            inner.fail_tickets(pid, tickets, e);
                         }
                     }
                 }
@@ -1636,7 +1272,8 @@ impl RaftHost for MetaNode {
         // partition fully quiesced.
         inner.resolve_intents();
         inner.teardown_overlays();
-        // Bound the orphaned-results map (abandoned client requests…).
+        // Bound the orphaned-results map: a sync write that timed out
+        // while its frame was in flight never picks its result up.
         if inner.ticket_results.len() > 65_536 {
             inner.ticket_results.clear();
         }
@@ -1651,6 +1288,7 @@ impl RaftHost for MetaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intent::{IntentCf, IntentRecord, IntentState, MARK_KEY};
     use cfs_types::testutil::TempDir;
     use cfs_types::FileType;
 
@@ -1697,6 +1335,13 @@ mod tests {
         let p = PartitionId(pid);
         assert!(hub.pump_until(|| nodes.iter().any(|n| n.is_leader_for(p)), 5_000));
         p
+    }
+
+    fn info(node: &MetaNode, p: PartitionId) -> PartitionInfo {
+        node.report()
+            .into_iter()
+            .find(|i| i.partition_id == p)
+            .expect("hosted partition")
     }
 
     fn leader_of(nodes: &[Arc<MetaNode>], p: PartitionId) -> Arc<MetaNode> {
@@ -1883,7 +1528,7 @@ mod tests {
             .unwrap();
         assert_eq!(a.id, InodeId(1));
         assert_eq!(b.id, InodeId(1));
-        assert_eq!(l1.info(p1).unwrap().item_count, 1);
+        assert_eq!(info(&l1, p1).item_count, 1);
     }
 
     #[test]
@@ -2132,7 +1777,7 @@ mod tests {
 
         faults.set_down(laggard.id(), false);
         assert!(hub.pump_until(|| laggard.total_items() == 50, 10_000));
-        assert_eq!(laggard.info(p).unwrap().max_inode, InodeId(50));
+        assert_eq!(info(&laggard, p).max_inode, InodeId(50));
     }
 
     /// Lease safety: a deposed leader must never answer a read from its
@@ -2478,6 +2123,9 @@ mod tests {
         };
         assert!(compensated.is_empty());
         assert_eq!(leader.pending_intent_count(), 0);
+        // Async tickets report through the journal, so their frame left
+        // no result behind for a sync writer to pick up.
+        assert!(leader.inner.lock().ticket_results.is_empty());
         for _ in 0..200 {
             hub.tick_and_pump();
         }
@@ -2520,7 +2168,10 @@ mod tests {
                     link_target: vec![],
                     now_ns: 2,
                 },
-                IntentContext::None,
+                IntentContext::PlannedDentry {
+                    parent: InodeId(1),
+                    name: "f".into(),
+                },
             )
             .unwrap();
         // The leader declined to journal it and committed it instead,
@@ -2543,7 +2194,10 @@ mod tests {
                         link_target: vec![],
                         now_ns: 3,
                     },
-                    IntentContext::None,
+                    IntentContext::PlannedDentry {
+                        parent: InodeId(1),
+                        name: "g".into(),
+                    },
                 )
                 .unwrap(),
             MetaResponse::Acked { .. }
@@ -2584,7 +2238,7 @@ mod tests {
                     inode: ino,
                     file_type: FileType::File,
                 },
-                IntentContext::None,
+                IntentContext::FreshInode { ctime_ns: 2 },
             )
             .unwrap_err();
         assert!(matches!(err, CfsError::Exists(_)));
@@ -2595,10 +2249,8 @@ mod tests {
     fn power_loss_before_group_commit_compensates_on_recovery() {
         let dir = TempDir::new("meta-async-crash").unwrap();
         let registry = Registry::new();
-        let root;
-        {
-            let hub = RaftHub::new();
-            let node = MetaNode::open_with_registry(
+        let open = |hub: &RaftHub| {
+            MetaNode::open_with_registry(
                 NodeId(7),
                 hub.clone(),
                 dir.path(),
@@ -2606,7 +2258,12 @@ mod tests {
                 3,
                 Some(&registry),
             )
-            .unwrap();
+            .unwrap()
+        };
+        let (root, i1, i2);
+        {
+            let hub = RaftHub::new();
+            let node = open(&hub);
             let p = engine_partition(&hub, &node, 1);
             root = node
                 .write(
@@ -2625,52 +2282,123 @@ mod tests {
             }
             // Ack a create and CRASH before any hub round can propose it:
             // the intent is journaled (proposed = None), the tree is not.
-            let (_, _, _ino) = async_create(&node, p, root.id, "doomed", 5);
+            (i1, i2, _) = async_create(&node, p, root.id, "doomed", 5);
             assert_eq!(node.pending_intent_count(), 2);
         }
 
         // Recovery: the journal scan finds both intents; never-proposed ⇒
         // definitively absent from the log ⇒ compensated, not replayed.
-        let hub = RaftHub::new();
-        let node = MetaNode::open_with_registry(
-            NodeId(7),
-            hub.clone(),
-            dir.path(),
-            RaftConfig::default(),
-            3,
-            Some(&registry),
-        )
-        .unwrap();
         let p = PartitionId(1);
-        assert_eq!(node.pending_intent_count(), 2);
-        assert!(hub.pump_until(
-            || node.is_leader_for(p) && node.pending_intent_count() == 0,
-            10_000
-        ));
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("meta.async.compensations"), 2);
-        assert_eq!(snap.counter("meta.async.replays"), 0);
-        // Fixups for the dead create (dentry removal + orphan eviction)
-        // await the orphan sweep.
-        assert!(node.pending_compensation_count() >= 1);
-        let comps = node.compensations();
-        assert!(!comps.is_empty());
-        assert!(comps.iter().any(|c| !c.fixups.is_empty()));
-        // Invariant (i): the acked-then-crashed create is fully invisible.
-        assert!(matches!(
-            node.read(
-                p,
-                &MetaRead::Lookup {
-                    parent: root.id,
-                    name: "doomed".into()
-                }
-            ),
-            Err(CfsError::NotFound(_))
-        ));
-        // Sweep ack clears the records durably.
-        let ids: Vec<u64> = comps.iter().map(|c| c.id).collect();
-        node.ack_compensations(p, &ids);
+        {
+            let hub = RaftHub::new();
+            let node = open(&hub);
+            assert_eq!(node.pending_intent_count(), 2);
+            assert!(hub.pump_until(
+                || node.is_leader_for(p) && node.pending_intent_count() == 0,
+                10_000
+            ));
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("meta.async.compensations"), 2);
+            assert_eq!(snap.counter("meta.async.replays"), 0);
+            // Fixups for the dead create (dentry removal + orphan eviction)
+            // await the orphan sweep.
+            assert!(node.pending_compensation_count() >= 1);
+            let comps = node.compensations();
+            assert!(!comps.is_empty());
+            assert!(comps.iter().any(|c| !c.fixups.is_empty()));
+            // Invariant (i): the acked-then-crashed create is fully invisible.
+            assert!(matches!(
+                node.read(
+                    p,
+                    &MetaRead::Lookup {
+                        parent: root.id,
+                        name: "doomed".into()
+                    }
+                ),
+                Err(CfsError::NotFound(_))
+            ));
+            // Sweep ack clears the records durably.
+            let ids: Vec<u64> = comps.iter().map(|c| c.id).collect();
+            node.ack_compensations(p, &ids);
+            assert_eq!(node.pending_compensation_count(), 0);
+        }
+
+        // Across one more reboot, the acked records still answer the
+        // barrier as rolled back and owe the sweep nothing.
+        let hub = RaftHub::new();
+        let node = open(&hub);
+        let MetaResponse::Drained { compensated } = node.barrier(p, &[i1, i2]).unwrap() else {
+            panic!("expected drained");
+        };
+        assert_eq!(compensated, vec![i1, i2]);
         assert_eq!(node.pending_compensation_count(), 0);
+        // One row per intent id, and only in `meta_intents`: no other
+        // meta family holds anything but the partition registry.
+        let inner = node.inner.lock();
+        let mut rows: Vec<u64> = inner
+            .engine
+            .scan::<IntentCf>()
+            .unwrap()
+            .into_iter()
+            .filter(|(key, _)| *key != MARK_KEY)
+            .map(|(key, _)| key.1)
+            .collect();
+        rows.sort_unstable();
+        assert_eq!(rows, vec![i1.min(i2), i1.max(i2)]);
+        for (raw, _) in inner.engine.scan_prefix_raw(&[]) {
+            let name = &raw[1..1 + raw[0] as usize];
+            if name.starts_with(b"meta_") {
+                assert!(
+                    name == b"meta_parts" || name == b"meta_intents",
+                    "{}",
+                    String::from_utf8_lossy(name)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn intent_ids_never_repeat_after_reboot() {
+        let dir = TempDir::new("meta-intent-ids").unwrap();
+        let open = |hub: &RaftHub| {
+            MetaNode::open(NodeId(7), hub.clone(), dir.path(), RaftConfig::default(), 3).unwrap()
+        };
+        let (root, before) = {
+            let hub = RaftHub::new();
+            let node = open(&hub);
+            let p = engine_partition(&hub, &node, 1);
+            let root = node
+                .write(
+                    p,
+                    &MetaCommand::CreateInode {
+                        file_type: FileType::Dir,
+                        link_target: vec![],
+                        now_ns: 1,
+                    },
+                )
+                .unwrap()
+                .into_inode()
+                .unwrap();
+            for _ in 0..200 {
+                hub.tick_and_pump();
+            }
+            let (i1, i2, _) = async_create(&node, p, root.id, "a", 5);
+            // Both intents commit and retire: their rows are deleted.
+            assert!(hub.pump_until(|| node.pending_intent_count() == 0, 5_000));
+            (root.id, i1.max(i2))
+        };
+        let hub = RaftHub::new();
+        let node = open(&hub);
+        let p = PartitionId(1);
+        assert!(hub.pump_until(|| node.is_leader_for(p) && node.total_items() == 3, 10_000));
+        for _ in 0..200 {
+            hub.tick_and_pump();
+        }
+        let (j1, j2, _) = async_create(&node, p, root, "b", 6);
+        assert!(
+            j1.min(j2) > before,
+            "ids minted after a reboot ({j1:#x}, {j2:#x}) must lie above {before:#x}"
+        );
     }
 
     #[test]
@@ -2716,7 +2444,7 @@ mod tests {
             // crash lands between the log append and the apply. Simulate
             // the harsher half by re-journaling the rows after commit.
             assert!(hub.pump_until(|| node.pending_intent_count() == 0, 5_000));
-            let inner = &mut *node.inner.lock();
+            let inner = node.inner.lock();
             // Reconstruct the committed create's journal rows as if the
             // crash had hit between the durable log append and the apply:
             // proposed = Some((term, index)) pointing at the committed
@@ -2740,7 +2468,10 @@ mod tests {
                 },
                 proposed: Some((term, last)),
             };
-            inner.journal_intent(p, rec).unwrap();
+            inner
+                .engine
+                .put::<IntentCf>(&(p.raw(), rec.id), &IntentState::Journaled(rec).to_bytes())
+                .unwrap();
         }
 
         let hub = RaftHub::new();

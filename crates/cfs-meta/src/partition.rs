@@ -47,9 +47,6 @@ pub struct MetaPartition {
     config: MetaPartitionConfig,
     inode_tree: BTree<InodeId, Inode>,
     dentry_tree: BTree<(InodeId, String), Dentry>,
-    /// Inodes evicted but awaiting data-subsystem cleanup (the paper's
-    /// `freeList`).
-    free_list: Vec<InodeId>,
     /// Largest inode id allocated so far (`maxInodeID` in Algorithm 1).
     max_inode: InodeId,
 }
@@ -62,7 +59,6 @@ impl MetaPartition {
             config,
             inode_tree: BTree::new(),
             dentry_tree: BTree::new(),
-            free_list: Vec::new(),
             max_inode,
         }
     }
@@ -83,17 +79,14 @@ impl MetaPartition {
         (self.inode_tree.len() + self.dentry_tree.len()) as u64
     }
 
-    /// Inodes awaiting data cleanup.
-    pub fn free_list(&self) -> &[InodeId] {
-        &self.free_list
-    }
-
     // ------------------------------------------------------------------
     // Inode operations
     // ------------------------------------------------------------------
 
-    /// Allocate and insert a fresh inode. Picks the smallest unused id in
-    /// the partition's range (§2.6.1) and advances `maxInodeID`.
+    /// Allocate and insert a fresh inode at `maxInodeID + 1` (never below
+    /// the range start) and advance `maxInodeID`. Ids are never reused
+    /// within a partition, which is what lets an intent's pinned id tell
+    /// its own inode from a later one (`intent_effect_present`).
     pub fn create_inode(
         &mut self,
         file_type: FileType,
@@ -184,16 +177,13 @@ impl MetaPartition {
         Ok(ino)
     }
 
-    /// Evict an inode: remove it from the tree and queue it on the free
-    /// list for data cleanup. Returns the evicted inode (its extent list
-    /// tells the data subsystem what to delete).
+    /// Evict an inode: remove it from the tree. Returns the evicted inode;
+    /// its extent list tells the caller what data to delete, so nothing of
+    /// it stays behind here.
     pub fn evict_inode(&mut self, id: InodeId) -> Result<Inode> {
-        let ino = self
-            .inode_tree
+        self.inode_tree
             .remove(&id)
-            .ok_or_else(|| CfsError::NotFound(format!("{id}")))?;
-        self.free_list.push(id);
-        Ok(ino)
+            .ok_or_else(|| CfsError::NotFound(format!("{id}")))
     }
 
     /// Conditional eviction (compensation fixup): evict `id` only if it is
@@ -211,11 +201,6 @@ impl MetaPartition {
             }
             _ => Ok(None),
         }
-    }
-
-    /// Drain the free list (the background cleaner collected the data).
-    pub fn drain_free_list(&mut self) -> Vec<InodeId> {
-        std::mem::take(&mut self.free_list)
     }
 
     /// Record where newly written file bytes landed and the new size
@@ -377,7 +362,6 @@ impl MetaPartition {
         let mut enc = Encoder::new();
         self.config.encode(&mut enc);
         self.max_inode.encode(&mut enc);
-        self.free_list.to_vec().encode(&mut enc);
         let inodes: Vec<Inode> = self.inode_tree.iter().map(|(_, v)| v.clone()).collect();
         inodes.encode(&mut enc);
         let dentries: Vec<Dentry> = self.dentry_tree.iter().map(|(_, v)| v.clone()).collect();
@@ -405,7 +389,6 @@ impl MetaPartition {
         let mut dec = Decoder::new(data);
         let config = MetaPartitionConfig::decode(&mut dec)?;
         let max_inode = InodeId::decode(&mut dec)?;
-        let free_list = Vec::<InodeId>::decode(&mut dec)?;
         let inodes = Vec::<Inode>::decode(&mut dec)?;
         let dentries = Vec::<Dentry>::decode(&mut dec)?;
         if !dec.is_exhausted() {
@@ -413,7 +396,6 @@ impl MetaPartition {
         }
         let mut p = MetaPartition::new(config);
         p.max_inode = max_inode;
-        p.free_list = free_list;
         for ino in inodes {
             p.inode_tree.insert(ino.id, ino);
         }
@@ -536,15 +518,25 @@ mod tests {
     }
 
     #[test]
-    fn evict_moves_to_free_list() {
+    fn evict_leaves_nothing_behind() {
         let mut p = part(1, u64::MAX);
         let f = p.create_inode(FileType::File, b"", 0).unwrap();
         p.evict_inode(f.id).unwrap();
         assert!(p.get_inode(f.id).is_err());
-        assert_eq!(p.free_list(), &[f.id]);
         assert!(p.evict_inode(f.id).is_err(), "double evict");
-        assert_eq!(p.drain_free_list(), vec![f.id]);
-        assert!(p.free_list().is_empty());
+
+        // An evicted inode costs the snapshot nothing: 100 create+evict
+        // rounds image exactly as long as 1 (the ids differ only in
+        // `maxInodeID`, a fixed-width field).
+        let churned = |n: usize| {
+            let mut q = part(1, u64::MAX);
+            for _ in 0..n {
+                let f = q.create_inode(FileType::File, b"", 0).unwrap();
+                q.evict_inode(f.id).unwrap();
+            }
+            q.snapshot_bytes().len()
+        };
+        assert_eq!(churned(100), churned(1));
     }
 
     #[test]
@@ -604,7 +596,6 @@ mod tests {
         let q = MetaPartition::from_snapshot(PartitionId(1), &bytes).unwrap();
         assert_eq!(q.item_count(), p.item_count());
         assert_eq!(q.max_inode(), p.max_inode());
-        assert_eq!(q.free_list(), p.free_list());
         assert_eq!(q.readdir(dir.id).len(), 50);
         assert_eq!(q.get_inode(link.id).unwrap().link_target, b"/target");
         assert!(q.get_inode(victim).is_err());

@@ -1357,7 +1357,6 @@ impl Chaos {
                     let a = MetaPartition::from_snapshot(pid, &snaps[0]).unwrap();
                     let b = MetaPartition::from_snapshot(pid, s).unwrap();
                     eprintln!("max_inode: {:?} vs {:?}", a.max_inode(), b.max_inode());
-                    eprintln!("free: {:?} vs {:?}", a.free_list(), b.free_list());
                     eprintln!(
                         "inodes: {} vs {}",
                         a.all_inodes().len(),
