@@ -655,9 +655,10 @@ impl DataNode {
         Ok(())
     }
 
-    /// Primary-backup append (§2.7.1 steps 3–7): verify CRC, apply
-    /// locally, forward down the chain; the PB leader advances the
-    /// committed watermark only after the whole chain acked.
+    /// Primary-backup append (§2.7.1 steps 3–7): apply locally — the store
+    /// verifies the packet's CRC in the one pass that also folds it into
+    /// the extent's CRC — forward down the chain; the PB leader advances
+    /// the committed watermark only after the whole chain acked.
     #[allow(clippy::too_many_arguments)]
     fn handle_append(
         &self,
@@ -669,9 +670,6 @@ impl DataNode {
         replicas: Vec<NodeId>,
         request_id: u64,
     ) -> Result<DataResponse> {
-        if crc32(&data) != crc {
-            return Err(CfsError::Corrupt("append packet crc mismatch".into()));
-        }
         let hosted = self.hosted(partition)?;
         let am_chain_head = replicas.first() == Some(&self.id);
         if !am_chain_head {
@@ -690,7 +688,7 @@ impl DataNode {
                         self.id
                     )));
                 }
-                r.apply_append(extent, offset, &data)?;
+                r.apply_append(extent, offset, &data, crc)?;
                 self.metrics.chain_applies.inc();
             }
             self.forward_chain(
@@ -733,7 +731,7 @@ impl DataNode {
                     if offset <= r.extent_size(extent).unwrap_or(0) {
                         // Our turn (or a misordered duplicate, which the
                         // strict offset==size append check rejects).
-                        r.apply_append(extent, offset, &data)?;
+                        r.apply_append(extent, offset, &data, crc)?;
                         self.metrics.chain_applies.inc();
                         let ticket = seq.next_ticket;
                         seq.next_ticket += 1;
@@ -813,7 +811,7 @@ impl DataNode {
         // Serialize pack + forward per partition (see [`ChainState`]).
         let hosted = self.hosted(partition)?;
         let _order_guard = hosted.chain.small.lock();
-        let (locs, members) = {
+        let (locs, crcs, members) = {
             let mut r = hosted.replica.lock();
             if r.pb_leader() != self.id {
                 return Err(CfsError::NotLeader {
@@ -822,7 +820,8 @@ impl DataNode {
                 });
             }
             let views: Vec<&[u8]> = records.iter().map(|b| b.as_ref()).collect();
-            (r.write_small_batch(&views)?, r.members().to_vec())
+            let (locs, crcs) = r.write_small_batch(&views)?;
+            (locs, crcs, r.members().to_vec())
         };
         let replicas = if replicas.is_empty() {
             members
@@ -830,8 +829,9 @@ impl DataNode {
             replicas
         };
         // Locations are contiguous runs per extent by construction
-        // (rotation starts a new run); each run is one chain forward +
-        // one watermark commit.
+        // (rotation starts a new run); each run is one segment the store
+        // summed, one chain forward and one watermark commit.
+        let mut crcs = crcs.into_iter();
         let mut committed_records = 0usize;
         let mut failure: Option<CfsError> = None;
         let mut i = 0usize;
@@ -856,7 +856,9 @@ impl DataNode {
                     Bytes::from(payload)
                 }
             };
-            let crc = crc32(&payload);
+            let crc = crcs
+                .next()
+                .ok_or_else(|| CfsError::Internal("small-file segment without a CRC".into()))?;
             let forwarded = self.forward_chain(
                 &replicas,
                 DataRequest::Append {

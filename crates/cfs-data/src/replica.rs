@@ -283,14 +283,23 @@ impl DataPartitionReplica {
         Ok(id)
     }
 
-    /// Apply an append locally; returns the new local watermark.
-    /// Auto-creates the extent on followers (the leader allocated it).
-    pub fn apply_append(&mut self, extent: ExtentId, offset: u64, data: &[u8]) -> Result<u64> {
+    /// Apply an append of a packet its sender summed to `crc`; returns the
+    /// new local watermark. The store checks the packet in the same pass
+    /// that folds it into the extent's CRC, so a corrupt packet is
+    /// `Corrupt` before any byte lands. Auto-creates the extent on
+    /// followers (the leader allocated it).
+    pub fn apply_append(
+        &mut self,
+        extent: ExtentId,
+        offset: u64,
+        data: &[u8],
+        crc: u32,
+    ) -> Result<u64> {
         self.check_writable()?;
         if !self.store.has_extent(extent) {
             self.store.create_extent_with_id(extent)?;
         }
-        self.store.append(extent, offset, data)
+        self.store.append_checked(extent, offset, data, crc)
     }
 
     /// Apply an in-place overwrite (Raft apply path).
@@ -307,8 +316,11 @@ impl DataPartitionReplica {
     /// Write a batch of small files into the shared extent(s) (leader
     /// side): one aggregated store append per extent segment, returning
     /// where each record landed in order so followers can replay
-    /// deterministically.
-    pub fn write_small_batch(&mut self, records: &[&[u8]]) -> Result<Vec<SmallFileLocation>> {
+    /// deterministically, and each segment's CRC to forward with it.
+    pub fn write_small_batch(
+        &mut self,
+        records: &[&[u8]],
+    ) -> Result<(Vec<SmallFileLocation>, Vec<u32>)> {
         self.check_writable()?;
         self.store.write_small_batch(records)
     }
@@ -439,6 +451,7 @@ impl DataPartitionReplica {
 mod tests {
     use super::*;
     use cfs_kvwal::LsmOptions;
+    use cfs_types::crc::crc32;
     use cfs_types::testutil::TempDir;
 
     fn open_engine(dir: &TempDir) -> Arc<LsmEngine> {
@@ -460,11 +473,16 @@ mod tests {
         (r, dir)
     }
 
+    /// Apply an append the way a chain hop does, with the packet's CRC.
+    fn append(r: &mut DataPartitionReplica, e: ExtentId, offset: u64, data: &[u8]) -> Result<u64> {
+        r.apply_append(e, offset, data, crc32(data))
+    }
+
     #[test]
     fn committed_watermark_gates_reads() {
         let (mut r, _dir) = replica();
         let e = r.allocate_extent().unwrap();
-        r.apply_append(e, 0, &[1u8; 100]).unwrap();
+        append(&mut r, e, 0, &[1u8; 100]).unwrap();
         // Nothing committed yet: leader-enforced read fails.
         assert!(r.read(e, 0, 10, true).is_err());
         // Uncommitted (stale-tail-tolerant) read sees the bytes.
@@ -483,11 +501,11 @@ mod tests {
     fn read_only_blocks_new_data_not_modification() {
         let (mut r, _dir) = replica();
         let e = r.allocate_extent().unwrap();
-        r.apply_append(e, 0, &[7u8; 64]).unwrap();
+        append(&mut r, e, 0, &[7u8; 64]).unwrap();
         r.set_read_only(true).unwrap();
         assert!(r.is_read_only());
         assert!(r.allocate_extent().is_err());
-        assert!(r.apply_append(e, 64, b"more").is_err());
+        assert!(append(&mut r, e, 64, b"more").is_err());
         assert!(r.write_small_batch(&[b"x"]).is_err());
         // In-place modification and deletion still possible (§2.3.1).
         r.apply_overwrite(e, 0, b"mod").unwrap();
@@ -499,7 +517,7 @@ mod tests {
     fn follower_auto_creates_extent_on_append() {
         let (mut f, _dir) = replica();
         // Leader allocated extent 5; the follower sees the first append.
-        f.apply_append(ExtentId(5), 0, b"replicated").unwrap();
+        append(&mut f, ExtentId(5), 0, b"replicated").unwrap();
         assert!(f.has_extent(ExtentId(5)));
         assert_eq!(f.extent_size(ExtentId(5)).unwrap(), 10);
     }
@@ -508,7 +526,7 @@ mod tests {
     fn truncate_clamps_committed() {
         let (mut r, _dir) = replica();
         let e = r.allocate_extent().unwrap();
-        r.apply_append(e, 0, &[2u8; 1000]).unwrap();
+        append(&mut r, e, 0, &[2u8; 1000]).unwrap();
         r.commit(e, 1000).unwrap();
         r.truncate(e, 400).unwrap();
         assert_eq!(r.committed(e), 400);
@@ -518,7 +536,7 @@ mod tests {
     #[test]
     fn delete_queue_is_asynchronous() {
         let (mut r, _dir) = replica();
-        let loc = r.write_small_batch(&[&[3u8; 8192]]).unwrap()[0];
+        let loc = r.write_small_batch(&[&[3u8; 8192]]).unwrap().0[0];
         let before = r.stats().store.physical_bytes;
         r.queue_punch(loc.extent_id, loc.offset, loc.len).unwrap();
         assert_eq!(r.pending_deletes(), 1);
@@ -533,7 +551,7 @@ mod tests {
     fn bad_delete_task_does_not_wedge_queue() {
         let (mut r, _dir) = replica();
         r.queue_delete_extent(ExtentId(999)).unwrap(); // nonexistent
-        let loc = r.write_small_batch(&[&[1u8; 4096]]).unwrap()[0];
+        let loc = r.write_small_batch(&[&[1u8; 4096]]).unwrap().0[0];
         r.queue_punch(loc.extent_id, loc.offset, loc.len).unwrap();
         assert_eq!(r.process_delete_queue().unwrap(), 2);
         assert_eq!(r.stats().store.punched_bytes, 4096);
@@ -554,9 +572,9 @@ mod tests {
             )
             .unwrap();
             let e = r.allocate_extent().unwrap();
-            r.apply_append(e, 0, &[9u8; 300]).unwrap();
+            append(&mut r, e, 0, &[9u8; 300]).unwrap();
             r.commit(e, 300).unwrap();
-            let loc = r.write_small_batch(&[&[5u8; 4096]]).unwrap()[0];
+            let loc = r.write_small_batch(&[&[5u8; 4096]]).unwrap().0[0];
             r.queue_punch(loc.extent_id, loc.offset, loc.len).unwrap();
             r.queue_delete_extent(ExtentId(999)).unwrap();
             r.set_read_only(true).unwrap();
@@ -609,7 +627,7 @@ mod tests {
         let mut len_with_one = 0;
         for _ in 0..64 {
             let e = r.allocate_extent().unwrap();
-            r.apply_append(e, 0, &[1u8; 16]).unwrap();
+            append(&mut r, e, 0, &[1u8; 16]).unwrap();
             r.commit(e, 8).unwrap();
             extents.push(e);
             // Rewrite the row, as any membership/flag/queue change does.
@@ -634,7 +652,7 @@ mod tests {
     fn stats_reflect_state() {
         let (mut r, _dir) = replica();
         let e = r.allocate_extent().unwrap();
-        r.apply_append(e, 0, &[1u8; 5000]).unwrap();
+        append(&mut r, e, 0, &[1u8; 5000]).unwrap();
         let s = r.stats();
         assert_eq!(s.partition_id, PartitionId(1));
         assert_eq!(s.store.extent_count, 1);

@@ -8,6 +8,7 @@ use bytes::Bytes;
 
 use cfs_data::{DataNode, DataRequest, DataResponse};
 use cfs_net::Network;
+use cfs_obs::Registry;
 use cfs_raft::{RaftConfig, RaftHub};
 use cfs_types::crc::crc32;
 use cfs_types::testutil::TempDir;
@@ -23,6 +24,11 @@ struct Cluster {
 }
 
 fn cluster(n: u64) -> Cluster {
+    cluster_with_registry(n, None)
+}
+
+/// A cluster whose nodes all bind their metrics to `registry`.
+fn cluster_with_registry(n: u64, registry: Option<&Registry>) -> Cluster {
     let hub = RaftHub::new();
     let net: Network<DataRequest, cfs_types::Result<DataResponse>> = Network::new();
     let faults = FaultState::new();
@@ -32,13 +38,14 @@ fn cluster(n: u64) -> Cluster {
     let nodes: Vec<Arc<DataNode>> = (1..=n)
         .zip(&dirs)
         .map(|(i, dir)| {
-            DataNode::open(
+            DataNode::open_with_registry(
                 NodeId(i),
                 hub.clone(),
                 net.clone(),
                 dir.path(),
                 RaftConfig::default(),
                 7,
+                registry,
             )
             .unwrap()
         })
@@ -186,6 +193,49 @@ fn append_at_wrong_watermark_is_rejected() {
     // packet of a pipelined window; with no such packet it times out.
     let err = append(&c, p, e, 20, b"gap", &members).unwrap_err();
     assert!(matches!(err, CfsError::Timeout(_)));
+}
+
+/// The packet CRC check lives in the store, so pin that every hop still
+/// makes it: a packet whose CRC does not match, sent to the chain head or
+/// straight to a follower, is `Corrupt` there, and no replica's extent
+/// grows and no engine write happens anywhere.
+#[test]
+fn corrupt_packet_is_rejected_at_every_hop() {
+    let registry = Registry::new();
+    let c = cluster_with_registry(3, Some(&registry));
+    let (p, members) = mk_partition(&c, 1);
+    let e = create_extent(&c, p, members[0]);
+    append(&c, p, e, 0, b"0123456789", &members).unwrap();
+    let sizes = || -> Vec<u64> {
+        members
+            .iter()
+            .map(|&m| extent_info(&c, p, m, e).size)
+            .collect()
+    };
+    let wal_appends = || registry.snapshot().counter("kvwal.wal_appends");
+    let data = Bytes::from_static(b"flipped in flight");
+    let corrupt = DataRequest::Append {
+        partition: p,
+        extent: e,
+        offset: 10,
+        data: data.clone(),
+        crc: crc32(&data) ^ 0x8000_0000,
+        replicas: members.clone(),
+        request_id: 0,
+    };
+    for hop in [members[0], members[1]] {
+        let before = wal_appends();
+        let res = c.net.call(NodeId(99), hop, corrupt.clone()).unwrap();
+        assert!(matches!(res, Err(CfsError::Corrupt(_))), "{hop}: {res:?}");
+        assert_eq!(sizes(), vec![10; 3], "{hop}: no replica grew");
+        assert_eq!(wal_appends(), before, "{hop}: no engine write");
+    }
+    // The chain is unharmed: the same bytes with their CRC land, and
+    // landing is what the counter sees.
+    let before = wal_appends();
+    assert_eq!(append(&c, p, e, 10, &data, &members).unwrap(), 27);
+    assert_eq!(sizes(), vec![27; 3]);
+    assert!(wal_appends() > before);
 }
 
 #[test]

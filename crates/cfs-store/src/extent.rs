@@ -1,6 +1,6 @@
 //! A single extent: append-only tail, in-place overwrite, CRC cache.
 
-use cfs_types::crc::Crc32;
+use cfs_types::crc::{crc32, crc32_combine, Crc32};
 use cfs_types::{CfsError, ExtentId, Result};
 
 use crate::device::{BlockDevice, MemDevice};
@@ -13,9 +13,9 @@ const CRC_CHUNK: u64 = 1 << 20;
 /// An extent has a *write watermark* (`size`): appends must land exactly at
 /// the watermark (the sequential-write protocol guarantees in-order packet
 /// delivery; a mismatch means a lost or duplicated packet), overwrites must
-/// stay strictly below it. The CRC of the whole extent is cached and
-/// incrementally folded on append so integrity checks never re-read the
-/// disk (§2.2.1).
+/// stay strictly below it. The CRC of the whole extent is cached (§2.2.1):
+/// an append folds the packet's CRC into it by combination, so keeping it
+/// warm costs no pass over the bytes beyond the one that checks them.
 pub struct Extent {
     id: ExtentId,
     dev: Box<dyn BlockDevice>,
@@ -25,10 +25,10 @@ pub struct Extent {
     /// (advanced only at the chain head, 0 elsewhere). Never above `size`,
     /// never regresses except through [`Extent::truncate`] (§2.2.5).
     committed: u64,
-    /// Cached CRC32-C over `[0, size)`. Appends fold incrementally;
-    /// overwrites and hole punches force a recompute on next access.
+    /// Cached CRC32-C over `[0, size)`. Appends fold into it; overwrites,
+    /// hole punches and truncates clear it, and it stays `None` until
+    /// [`Extent::crc`] recomputes it from the stored bytes.
     crc: Option<u32>,
-    crc_state: Crc32,
     /// Bytes logically punched out (for utilization accounting).
     punched_bytes: u64,
 }
@@ -60,7 +60,6 @@ impl Extent {
             size: 0,
             committed: 0,
             crc: Some(0),
-            crc_state: Crc32::new(),
             punched_bytes: 0,
         }
     }
@@ -82,7 +81,6 @@ impl Extent {
             size,
             committed: committed.min(size),
             crc: None,
-            crc_state: Crc32::new(),
             punched_bytes,
         }
     }
@@ -127,20 +125,53 @@ impl Extent {
     }
 
     /// Append `data` at `offset`, which must equal the current watermark.
+    /// Sums `data` only to keep a warm CRC cache warm.
     pub fn append(&mut self, offset: u64, data: &[u8]) -> Result<u64> {
+        self.check_tail(offset)?;
+        let crc = self.crc.map(|_| crc32(data));
+        self.land(data, crc)
+    }
+
+    /// [`Extent::append`] of a packet the sender summed to `crc`: `data`
+    /// is summed once, a mismatch is `Corrupt` before any byte lands, and
+    /// the checked CRC is what folds into the cache.
+    pub fn append_checked(&mut self, offset: u64, data: &[u8], crc: u32) -> Result<u64> {
+        self.check_tail(offset)?;
+        let actual = crc32(data);
+        if actual != crc {
+            return Err(CfsError::Corrupt(format!(
+                "{}: append packet crc mismatch: sent {crc:#x}, got {actual:#x}",
+                self.id
+            )));
+        }
+        self.land(data, Some(crc))
+    }
+
+    /// [`Extent::append`] of `data` the caller itself summed to `crc`.
+    pub(crate) fn append_summed(&mut self, offset: u64, data: &[u8], crc: u32) -> Result<u64> {
+        self.check_tail(offset)?;
+        self.land(data, Some(crc))
+    }
+
+    fn check_tail(&self, offset: u64) -> Result<()> {
         if offset != self.size {
             return Err(CfsError::InvalidArgument(format!(
                 "append at {offset} but watermark is {}",
                 self.size
             )));
         }
-        self.dev.write_at(offset, data)?;
+        Ok(())
+    }
+
+    /// Write `data` at the watermark and fold its CRC (when known) into a
+    /// warm cache.
+    fn land(&mut self, data: &[u8], crc: Option<u32>) -> Result<u64> {
+        self.dev.write_at(self.size, data)?;
         self.size += data.len() as u64;
-        // Fold into the running CRC so the cache stays warm.
-        self.crc_state.update(data);
-        if self.crc.is_some() {
-            self.crc = Some(self.crc_state.finish());
-        }
+        self.crc = self
+            .crc
+            .zip(crc)
+            .map(|(head, tail)| crc32_combine(head, tail, data.len() as u64));
         Ok(self.size)
     }
 
@@ -195,8 +226,14 @@ impl Extent {
         if let Some(c) = self.crc {
             return Ok(c);
         }
-        // One streamed pass, which also rebuilds the incremental state so
-        // future appends keep folding.
+        let c = self.stored_crc()?;
+        self.crc = Some(c);
+        Ok(c)
+    }
+
+    /// CRC32-C of the stored bytes `[0, size)`, in one streamed pass over
+    /// the device.
+    fn stored_crc(&self) -> Result<u32> {
         let mut st = Crc32::new();
         let mut buf = vec![0u8; self.size.min(CRC_CHUNK) as usize];
         let mut pos = 0;
@@ -206,14 +243,13 @@ impl Extent {
             st.update(&buf[..n]);
             pos += n as u64;
         }
-        self.crc_state = st;
-        self.crc = Some(st.finish());
         Ok(st.finish())
     }
 
-    /// Verify stored bytes against an expected CRC.
-    pub fn verify(&mut self, expected: u32) -> Result<()> {
-        let actual = self.crc()?;
+    /// Verify the stored bytes, re-read from the device, against an
+    /// expected CRC.
+    pub fn verify(&self, expected: u32) -> Result<()> {
+        let actual = self.stored_crc()?;
         if actual != expected {
             return Err(CfsError::Corrupt(format!(
                 "{}: crc mismatch: expected {expected:#x}, got {actual:#x}",
@@ -301,6 +337,19 @@ mod tests {
         assert_eq!(
             e.crc().unwrap(),
             cfs_types::crc::crc32(b"PART one part two!")
+        );
+        // A checked append folds the CRC it checked; a corrupt packet
+        // lands nothing.
+        let sum = cfs_types::crc::crc32(b"?");
+        assert!(matches!(
+            e.append_checked(18, b"?", sum ^ 1),
+            Err(CfsError::Corrupt(_))
+        ));
+        assert_eq!(e.size(), 18);
+        e.append_checked(18, b"?", sum).unwrap();
+        assert_eq!(
+            e.crc().unwrap(),
+            cfs_types::crc::crc32(b"PART one part two!?")
         );
     }
 

@@ -4,6 +4,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use cfs_types::crc::crc32;
 use cfs_types::{CfsError, ExtentId, Result};
 
 use crate::device::FileDevice;
@@ -196,10 +197,30 @@ impl ExtentStore {
     /// Append at the extent watermark; returns the new watermark.
     pub fn append(&mut self, id: ExtentId, offset: u64, data: &[u8]) -> Result<u64> {
         let watermark = self.extent_mut(id)?.append(offset, data)?;
-        self.metrics.bytes_written.add(data.len() as u64);
-        self.metrics.live_bytes.add(data.len() as i64);
-        self.persist_extent_meta(id)?;
+        self.appended(id, data.len())?;
         Ok(watermark)
+    }
+
+    /// [`ExtentStore::append`] of a packet its sender summed to `crc`:
+    /// the one pass that checks the packet also keeps the extent's CRC
+    /// warm, and a mismatch is `Corrupt` before any byte or row lands.
+    pub fn append_checked(
+        &mut self,
+        id: ExtentId,
+        offset: u64,
+        data: &[u8],
+        crc: u32,
+    ) -> Result<u64> {
+        let watermark = self.extent_mut(id)?.append_checked(offset, data, crc)?;
+        self.appended(id, data.len())?;
+        Ok(watermark)
+    }
+
+    /// Account `len` appended bytes and write the extent's row through.
+    fn appended(&mut self, id: ExtentId, len: usize) -> Result<()> {
+        self.metrics.bytes_written.add(len as u64);
+        self.metrics.live_bytes.add(len as i64);
+        self.persist_extent_meta(id)
     }
 
     /// In-place overwrite below the watermark.
@@ -251,7 +272,7 @@ impl ExtentStore {
     /// Write one small file into the active shared extent, rotating if
     /// needed. Returns where it landed. A batch of one record.
     pub fn write_small_file(&mut self, data: &[u8]) -> Result<SmallFileLocation> {
-        Ok(self.write_small_batch(&[data])?[0])
+        Ok(self.write_small_batch(&[data])?.0[0])
     }
 
     /// Write a batch of small files into the shared extent(s) with one
@@ -261,8 +282,17 @@ impl ExtentStore {
     /// small-file hot path. Record placement depends only on the record
     /// sequence, never on how it was cut into batches, so followers
     /// replaying per-segment appends converge.
-    pub fn write_small_batch(&mut self, records: &[&[u8]]) -> Result<Vec<SmallFileLocation>> {
+    ///
+    /// Returns where each record landed, and the CRC32-C of each segment
+    /// in order — a segment being a maximal run of locations contiguous in
+    /// one extent — so the caller forwards a segment without summing it
+    /// again.
+    pub fn write_small_batch(
+        &mut self,
+        records: &[&[u8]],
+    ) -> Result<(Vec<SmallFileLocation>, Vec<u32>)> {
         let mut locs = Vec::with_capacity(records.len());
+        let mut crcs = Vec::new();
         let mut i = 0;
         while i < records.len() {
             let first_len = records[i].len() as u64;
@@ -303,10 +333,13 @@ impl ExtentStore {
                 [one] => Cow::Borrowed(*one),
                 many => Cow::Owned(many.concat()),
             };
-            self.append(id, base, &segment)?;
+            let crc = crc32(&segment);
+            self.extent_mut(id)?.append_summed(base, &segment, crc)?;
+            self.appended(id, segment.len())?;
+            crcs.push(crc);
             i = j;
         }
-        Ok(locs)
+        Ok((locs, crcs))
     }
 
     /// Delete a small file by punching its range out of the shared extent
@@ -373,12 +406,12 @@ impl ExtentStore {
         s
     }
 
-    /// Verify every extent against its cached CRC recomputed from bytes —
-    /// a full-store scrub used in recovery tests.
+    /// Re-read every extent from its device and compare the CRC of the
+    /// stored bytes with the cached one (the folded value, or a fresh
+    /// recompute for a cold cache) — a full-store scrub used in recovery
+    /// tests. `Corrupt` names the first extent that differs.
     pub fn scrub(&mut self) -> Result<()> {
-        let ids = self.extent_ids();
-        for id in ids {
-            let e = self.extent_mut(id)?;
+        for e in self.extents.values_mut() {
             let cached = e.crc()?;
             e.verify(cached)?;
         }
@@ -444,7 +477,7 @@ mod tests {
         let mut seq = ExtentStore::new(250, 0);
         let records: Vec<Vec<u8>> = (0..7u8).map(|i| vec![i; 60 + i as usize * 20]).collect();
         let views: Vec<&[u8]> = records.iter().map(|r| r.as_slice()).collect();
-        let batch_locs = batch.write_small_batch(&views).unwrap();
+        let (batch_locs, crcs) = batch.write_small_batch(&views).unwrap();
         let seq_locs: Vec<_> = records
             .iter()
             .map(|r| seq.write_small_file(r).unwrap())
@@ -457,6 +490,17 @@ mod tests {
                 rec
             );
         }
+        // One CRC per segment (the records of one extent), of its bytes.
+        let mut segments: Vec<Vec<u8>> = Vec::new();
+        for (k, rec) in records.iter().enumerate() {
+            if k == 0 || batch_locs[k].extent_id != batch_locs[k - 1].extent_id {
+                segments.push(Vec::new());
+            }
+            segments.last_mut().unwrap().extend_from_slice(rec);
+        }
+        assert!(segments.len() > 1, "the batch rotates");
+        let expected: Vec<u32> = segments.iter().map(|s| crc32(s)).collect();
+        assert_eq!(crcs, expected);
     }
 
     #[test]
@@ -464,7 +508,7 @@ mod tests {
         let mut st = ExtentStore::new(200, 0);
         let big = vec![9u8; 500];
         let records: Vec<&[u8]> = vec![&[1u8; 50], big.as_slice(), &[2u8; 50]];
-        let locs = st.write_small_batch(&records).unwrap();
+        let (locs, _) = st.write_small_batch(&records).unwrap();
         assert_ne!(locs[0].extent_id, locs[1].extent_id);
         assert_ne!(locs[1].extent_id, locs[2].extent_id);
         assert_eq!(locs[1].offset, 0);
@@ -560,6 +604,42 @@ mod tests {
         st.append(e, 0, &[5u8; 10_000]).unwrap();
         st.write_small_file(&[6u8; 500]).unwrap();
         st.scrub().unwrap();
+    }
+
+    /// Forced-failure twin of `scrub_passes_on_clean_store`: a byte flipped
+    /// in an extent file behind the store's back is found, because the
+    /// scrub re-reads the device instead of comparing the cache with
+    /// itself.
+    #[test]
+    fn scrub_detects_a_flipped_byte() {
+        use crate::persist::StorePersist;
+        use cfs_kvwal::{LsmEngine, LsmOptions};
+        use cfs_types::testutil::TempDir;
+        use std::os::unix::fs::FileExt;
+
+        let dir = TempDir::new("storescrub").unwrap();
+        let engine = Arc::new(LsmEngine::open(dir.path(), LsmOptions::default()).unwrap());
+        let persist = Arc::new(StorePersist::new(engine, 3));
+        let mut st = ExtentStore::new_persistent(1 << 20, 0, persist.clone()).unwrap();
+        let e = st.create_extent().unwrap();
+        let data: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+        st.append(e, 0, &data).unwrap();
+        st.write_small_file(&[6u8; 500]).unwrap();
+        st.scrub().unwrap();
+
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(persist.extent_path(e))
+            .unwrap();
+        let mut byte = [0u8];
+        file.read_exact_at(&mut byte, 12_345).unwrap();
+        file.write_all_at(&[byte[0] ^ 0x10], 12_345).unwrap();
+
+        match st.scrub() {
+            Err(CfsError::Corrupt(msg)) => assert!(msg.contains(&e.to_string()), "{msg}"),
+            other => panic!("a flipped byte must fail the scrub, got {other:?}"),
+        }
     }
 
     /// Forced failure: a perturbed ledger (a write the gauge never saw)
@@ -770,7 +850,7 @@ mod tests {
                 let n = chunk_sizes[round % chunk_sizes.len()].min(records.len() - i);
                 let views: Vec<&[u8]> =
                     records[i..i + n].iter().map(|r| r.as_slice()).collect();
-                let batch_locs = batch.write_small_batch(&views).unwrap();
+                let (batch_locs, _) = batch.write_small_batch(&views).unwrap();
                 for (k, r) in records[i..i + n].iter().enumerate() {
                     let s = seq.write_small_file(r).unwrap();
                     prop_assert_eq!(batch_locs[k], s, "placement parity at record {}", i + k);
@@ -800,6 +880,78 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// The CRC cache stays the CRC of the stored bytes: over any mix
+        /// of plain and checked appends (sizes crossing the CRC kernel's
+        /// lane and block boundaries), rejected corrupt packets,
+        /// overwrites, punches, truncates and reopens, `extent_crc` after
+        /// every step equals the CRC of `read(0, size)`. A reopen is
+        /// followed by an append, which lands on a cold cache.
+        #[test]
+        fn prop_warm_crc_equals_cold_crc(
+            steps in proptest::collection::vec((0u8..8, any::<u32>(), any::<u32>()), 1..16),
+        ) {
+            use crate::persist::StorePersist;
+            use cfs_kvwal::{LsmEngine, LsmOptions};
+            use cfs_types::testutil::TempDir;
+
+            let dir = TempDir::new("storecrc").unwrap();
+            let open = || {
+                let engine = LsmEngine::open(dir.path(), LsmOptions::default()).unwrap();
+                Arc::new(StorePersist::new(Arc::new(engine), 5))
+            };
+            let mut st = ExtentStore::new_persistent(1 << 30, 0, open()).unwrap();
+            let e = st.create_extent().unwrap();
+            for (i, &(kind, x, y)) in steps.iter().enumerate() {
+                let size = st.extent_size(e).unwrap();
+                let bytes = |n: u32| -> Vec<u8> {
+                    (0..n).map(|k| (k.wrapping_mul(2_654_435_761) ^ y) as u8).collect()
+                };
+                let packet = bytes(1 + x % 14_000);
+                match kind {
+                    0 | 1 => {
+                        st.append(e, size, &packet).unwrap();
+                    }
+                    2 => {
+                        st.append_checked(e, size, &packet, crc32(&packet)).unwrap();
+                    }
+                    3 => {
+                        let wrong = crc32(&packet) ^ (1 | y);
+                        prop_assert!(matches!(
+                            st.append_checked(e, size, &packet, wrong),
+                            Err(CfsError::Corrupt(_))
+                        ));
+                        prop_assert_eq!(st.extent_size(e).unwrap(), size, "nothing landed");
+                    }
+                    4 if size > 0 => {
+                        let off = x as u64 % size;
+                        let n = (y as u64 % 9_000).clamp(1, size - off) as usize;
+                        st.overwrite(e, off, &bytes(n as u32)).unwrap();
+                    }
+                    5 if size > 0 => {
+                        let offset = x as u64 % size;
+                        let len = (y as u64 % 9_000).clamp(1, size - offset);
+                        st.delete_small_file(SmallFileLocation { extent_id: e, offset, len })
+                            .unwrap();
+                    }
+                    6 => st.truncate_extent(e, x as u64 % (size + 1)).unwrap(),
+                    7 => {
+                        drop(st);
+                        st = ExtentStore::restore(1 << 30, 0, open()).unwrap();
+                        st.append_checked(e, size, &packet, crc32(&packet)).unwrap();
+                    }
+                    _ => {}
+                }
+                let size = st.extent_size(e).unwrap();
+                let stored = st.read(e, 0, size as usize).unwrap();
+                prop_assert_eq!(
+                    st.extent_crc(e).unwrap(),
+                    crc32(&stored),
+                    "step {} (kind {}), {} bytes", i, kind, size
+                );
+            }
+            st.scrub().unwrap();
         }
 
         /// Appends, commits, arbitrary in-range overwrites and a truncate

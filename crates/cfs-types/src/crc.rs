@@ -2,13 +2,23 @@
 //!
 //! The extent store caches the CRC of each extent in memory "to speed up the
 //! check for data integrity" (§2.2.1), and every data packet is summed by
-//! the client, verified by each replica and folded into the extent's
-//! running CRC — seven passes over each written byte at three replicas. So
-//! the checksum runs at memory speed: on x86-64 with SSE4.2 (checked once
-//! at run time) the `crc32` instruction folds eight bytes per step; anywhere
-//! else a slice-by-8 table walk does the same with eight lookups. Both
-//! compute the same function as the byte-at-a-time loop kept in the tests
-//! as the reference. No external dependency.
+//! the client and verified by each replica. Each hop sums a packet once:
+//! the replica that verifies a packet folds the CRC it just checked into
+//! the extent's cached CRC with [`crc32_combine`], which never touches the
+//! bytes — four passes over each byte appended at three replicas (client
+//! plus one per replica), three over a small-file segment (the chain head
+//! sums the segment it packed and forwards that CRC).
+//!
+//! So the checksum runs at memory speed. On x86-64 with SSE4.2 (checked
+//! once at run time) the `crc32` instruction folds eight bytes per step,
+//! and inputs of at least three lanes of [`LANE`] bytes run three
+//! independent instruction chains over three consecutive lanes, joined by
+//! a fixed "shift by one lane" table lookup — the instruction's latency is
+//! three times its issue interval, so one chain leaves two thirds of it
+//! idle. Shorter inputs and tails take one chain. Anywhere else a
+//! slice-by-8 table walk does the same with eight lookups. Every path
+//! computes the same function as the byte-at-a-time loop kept in the
+//! tests as the reference. No external dependency.
 
 /// Polynomial for CRC32-C (Castagnoli), reflected form.
 const POLY: u32 = 0x82F6_3B78;
@@ -47,6 +57,90 @@ const fn build_tables() -> [[u32; 256]; 8] {
         k += 1;
     }
     tables
+}
+
+/// Bytes per lane of the three-lane hardware kernel. A block of three
+/// lanes costs one lane-shift join, so the lane is long enough to amortise
+/// it and short enough that a 128 KiB packet leaves a small one-chain tail.
+const LANE: usize = 2048;
+
+/// `x^0` in the reflected representation: the multiplicative identity.
+const ONE: u32 = 1 << 31;
+
+/// `a * b mod P` over GF(2), both in the reflected representation.
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut m = ONE;
+    let mut p = 0;
+    loop {
+        if a & m != 0 {
+            p ^= b;
+            if a & (m - 1) == 0 {
+                return p;
+            }
+        }
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+}
+
+/// `X2N[k]` is `x^(2^k) mod P`, for every bit of a bit count `8n` with
+/// `n: u64`. For this polynomial `x^(2^32) != x mod P`, so the powers do
+/// not repeat with period 32 and zlib's 32-entry table would be wrong for
+/// lengths of 2^29 bytes and more.
+const X2N: [u32; 67] = build_x2n();
+
+const fn build_x2n() -> [u32; 67] {
+    let mut t = [0u32; 67];
+    t[0] = ONE >> 1; // x^1
+    let mut k = 1;
+    while k < 67 {
+        t[k] = multmodp(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+}
+
+/// `x^(8n) mod P`: the operator that appends `n` zero bytes to a CRC.
+const fn x8nmodp(mut n: u64) -> u32 {
+    let mut p = ONE;
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X2N[k], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// "Shift by one lane" as four byte tables: `LANE_SHIFT[k][b]` is
+/// `(b << 8k) * x^(8 LANE) mod P`, so a register shifts past `LANE` zero
+/// bytes with four lookups.
+const LANE_SHIFT: [[u32; 256]; 4] = build_lane_shift();
+
+const fn build_lane_shift() -> [[u32; 256]; 4] {
+    let op = x8nmodp(LANE as u64);
+    let mut t = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            t[k][b] = multmodp(op, (b as u32) << (8 * k));
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// The CRC register after `LANE` more zero bytes.
+#[inline]
+fn shift_lane(crc: u32) -> u32 {
+    LANE_SHIFT[0][(crc & 0xff) as usize]
+        ^ LANE_SHIFT[1][((crc >> 8) & 0xff) as usize]
+        ^ LANE_SHIFT[2][((crc >> 16) & 0xff) as usize]
+        ^ LANE_SHIFT[3][(crc >> 24) as usize]
 }
 
 /// Portable path: slice-by-8 over whole 8-byte words, byte table for the
@@ -89,13 +183,32 @@ fn update_hw(crc: u32, data: &[u8]) -> Option<u32> {
 /// The CPU must support SSE4.2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
-unsafe fn update_sse42(crc: u32, data: &[u8]) -> u32 {
+unsafe fn update_sse42(mut crc: u32, data: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let word = |w: &[u8]| u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+    // Three lanes at a time: the first continues `crc`, the other two
+    // start from zero, and the shift operator joins them — CRC(A‖B) over
+    // raw registers is shift(CRC(A), |B|) ^ CRC_0(B).
+    let mut blocks = data.chunks_exact(3 * LANE);
+    for block in &mut blocks {
+        let (a, rest) = block.split_at(LANE);
+        let (b, c) = rest.split_at(LANE);
+        let (mut ca, mut cb, mut cc) = (crc as u64, 0u64, 0u64);
+        for ((wa, wb), wc) in a
+            .chunks_exact(8)
+            .zip(b.chunks_exact(8))
+            .zip(c.chunks_exact(8))
+        {
+            ca = _mm_crc32_u64(ca, word(wa));
+            cb = _mm_crc32_u64(cb, word(wb));
+            cc = _mm_crc32_u64(cc, word(wc));
+        }
+        crc = shift_lane(shift_lane(ca as u32) ^ cb as u32) ^ cc as u32;
+    }
     let mut wide = crc as u64;
-    let mut words = data.chunks_exact(8);
+    let mut words = blocks.remainder().chunks_exact(8);
     for w in &mut words {
-        let word = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
-        wide = _mm_crc32_u64(wide, word);
+        wide = _mm_crc32_u64(wide, word(w));
     }
     let mut crc = wide as u32;
     for &b in words.remainder() {
@@ -138,6 +251,13 @@ pub fn crc32(data: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(data);
     c.finish()
+}
+
+/// CRC32-C of `A‖B` from `crc_a = crc32(A)`, `crc_b = crc32(B)` and
+/// `len_b = B.len()`, in O(log `len_b`) GF(2) multiplications and without
+/// the bytes (zlib's `crc32_combine`).
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    multmodp(x8nmodp(len_b), crc_a) ^ crc_b
 }
 
 #[cfg(test)]
@@ -190,6 +310,32 @@ mod tests {
         }
     }
 
+    /// Bytes at an alignment cut into successive updates through the
+    /// table path, the hardware path (where the CPU has it) and the
+    /// public API; each must equal the reference loop over the whole.
+    fn check_paths(data: &[u8], cuts: &[u16]) {
+        let mut cuts: Vec<usize> = cuts
+            .iter()
+            .map(|&c| c as usize % (data.len() + 1))
+            .collect();
+        cuts.push(data.len());
+        cuts.sort_unstable();
+        let expected = update_reference(!0, data);
+        let (mut table, mut hw, mut api) = (!0u32, Some(!0u32), Crc32::new());
+        let mut from = 0;
+        for &to in &cuts {
+            table = update_table(table, &data[from..to]);
+            hw = hw.and_then(|c| update_hw(c, &data[from..to]));
+            api.update(&data[from..to]);
+            from = to;
+        }
+        assert_eq!(table, expected, "table path, {} bytes", data.len());
+        if let Some(hw) = hw {
+            assert_eq!(hw, expected, "hardware path, {} bytes", data.len());
+        }
+        assert_eq!(api.finish(), !expected, "Crc32, {} bytes", data.len());
+    }
+
     proptest! {
         /// Arbitrary bytes at an arbitrary alignment, cut at arbitrary
         /// points into successive updates: the table path and (where the
@@ -201,25 +347,48 @@ mod tests {
             skew in 0usize..8,
             cuts in proptest::collection::vec(any::<u16>(), 0..6),
         ) {
-            let data = &data[skew.min(data.len())..];
-            let mut cuts: Vec<usize> =
-                cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
-            cuts.push(data.len());
-            cuts.sort_unstable();
-            let expected = update_reference(!0, data);
-            let (mut table, mut hw, mut api) = (!0u32, Some(!0u32), Crc32::new());
-            let mut from = 0;
-            for &to in &cuts {
-                table = update_table(table, &data[from..to]);
-                hw = hw.and_then(|c| update_hw(c, &data[from..to]));
-                api.update(&data[from..to]);
-                from = to;
-            }
-            prop_assert_eq!(table, expected);
-            if let Some(hw) = hw {
-                prop_assert_eq!(hw, expected);
-            }
-            prop_assert_eq!(api.finish(), !expected);
+            check_paths(&data[skew.min(data.len())..], &cuts);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The same over inputs long enough for whole three-lane blocks
+        /// plus a one-chain tail (up to four lanes and seven bytes), so
+        /// the lane join and every cut through a block are exercised.
+        #[test]
+        fn prop_multi_lane_paths_equal_reference(
+            len in 0usize..=4 * LANE + 7,
+            seed in any::<u64>(),
+            skew in 0usize..8,
+            cuts in proptest::collection::vec(any::<u16>(), 0..6),
+        ) {
+            let mut x = seed | 1;
+            let data: Vec<u8> = (0..len + skew)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect();
+            check_paths(&data[skew..], &cuts);
+        }
+
+        /// Combination equals summing the concatenation, empty sides
+        /// included.
+        #[test]
+        fn prop_combine_equals_concatenation(
+            a in proptest::collection::vec(any::<u8>(), 0..300),
+            b_len in 0usize..=3 * LANE + 9,
+            fill in any::<u8>(),
+        ) {
+            let b: Vec<u8> = (0..b_len).map(|i| (i as u8).wrapping_mul(31) ^ fill).collect();
+            let whole = [a.as_slice(), b.as_slice()].concat();
+            prop_assert_eq!(crc32_combine(crc32(&a), crc32(&b), b.len() as u64), crc32(&whole));
+            prop_assert_eq!(crc32_combine(crc32(&a), crc32(&[]), 0), crc32(&a));
+            prop_assert_eq!(crc32_combine(crc32(&[]), crc32(&b), b.len() as u64), crc32(&b));
         }
     }
 }

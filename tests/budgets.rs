@@ -1427,10 +1427,11 @@ fn append_one_mib_to_a_replica(payload_in_engine: bool) -> (u64, u64) {
     .unwrap();
     replica.create_extent(ExtentId(1)).unwrap();
     let packet = vec![0x5a_u8; EXTENT_PACKET];
+    let crc = cfs_types::crc::crc32(&packet);
     let before = registry.snapshot();
     for i in 0..EXTENT_PACKETS {
         replica
-            .apply_append(ExtentId(1), i * EXTENT_PACKET as u64, &packet)
+            .apply_append(ExtentId(1), i * EXTENT_PACKET as u64, &packet, crc)
             .unwrap();
         if payload_in_engine {
             engine.put::<PayloadCf>(&i, &packet).unwrap();
