@@ -41,36 +41,32 @@ impl DataCommand {
     }
 }
 
+/// An overwrite is the only command, and it rides a group-commit frame
+/// that delimits it: no tag, and the payload is whatever follows the
+/// fixed fields.
 impl Encode for DataCommand {
     fn encode(&self, enc: &mut Encoder) {
-        match self {
-            DataCommand::Overwrite {
-                extent,
-                offset,
-                data,
-                crc,
-            } => {
-                enc.put_u8(0);
-                extent.encode(enc);
-                enc.put_u64(*offset);
-                enc.put_bytes(data);
-                enc.put_u32(*crc);
-            }
-        }
+        let DataCommand::Overwrite {
+            extent,
+            offset,
+            data,
+            crc,
+        } = self;
+        extent.encode(enc);
+        enc.put_u64(*offset);
+        enc.put_u32(*crc);
+        enc.put_raw(data);
     }
 }
 
 impl Decode for DataCommand {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        match dec.get_u8()? {
-            0 => Ok(DataCommand::Overwrite {
-                extent: ExtentId::decode(dec)?,
-                offset: dec.get_u64()?,
-                data: dec.get_bytes()?.to_vec(),
-                crc: dec.get_u32()?,
-            }),
-            b => Err(CfsError::Corrupt(format!("invalid data command tag {b}"))),
-        }
+        Ok(DataCommand::Overwrite {
+            extent: ExtentId::decode(dec)?,
+            offset: dec.get_u64()?,
+            crc: dec.get_u32()?,
+            data: dec.take(dec.remaining())?.to_vec(),
+        })
     }
 }
 
@@ -105,7 +101,9 @@ mod tests {
     }
 
     #[test]
-    fn invalid_tag_rejected() {
+    fn truncated_command_rejected() {
         assert!(DataCommand::from_bytes(&[42]).is_err());
+        let bytes = DataCommand::overwrite(ExtentId(1), 0, vec![]).to_bytes();
+        assert!(DataCommand::from_bytes(&bytes[..bytes.len() - 1]).is_err());
     }
 }

@@ -18,7 +18,7 @@ use cfs_kvwal::{LsmEngine, LsmOptions};
 use cfs_net::Network;
 use cfs_obs::{Registry, RequestId, RpcRoute, Span};
 use cfs_raft::hub::{RaftHost, RaftHub};
-use cfs_raft::{KvRaftStorage, MultiRaft, RaftConfig, RaftMetrics, RaftStorage, WireEnvelope};
+use cfs_raft::{GroupCommit, MultiRaft, RaftConfig, WireEnvelope, COMMIT_TIMEOUT_TICKS};
 use cfs_store::{SmallFileLocation, StoreMetrics};
 use cfs_types::codec::{Decode, Encode};
 use cfs_types::crc::crc32;
@@ -211,7 +211,6 @@ pub struct DataNode {
     /// out under the read lock ([`DataNode::hosted`]).
     partitions: RwLock<HashMap<PartitionId, Arc<Hosted>>>,
     raft: Mutex<RaftState>,
-    commit_timeout_ticks: u64,
     /// Bound when the node was opened `open_with_registry`; used for
     /// trace spans of traced requests.
     registry: Option<Registry>,
@@ -227,7 +226,7 @@ pub struct DataNode {
 
 struct RaftState {
     multiraft: MultiRaft,
-    results: HashMap<(RaftGroupId, u64), Result<()>>,
+    commits: GroupCommit<()>,
 }
 
 /// Everything the node keeps for one partition it hosts.
@@ -342,23 +341,14 @@ impl DataNode {
             LsmOptions::default(),
             registry,
         )?);
-        let mut multiraft = MultiRaft::new(id, raft_config, seed, true);
-        if let Some(r) = registry {
-            multiraft.set_metrics(RaftMetrics::bind(r));
-        }
-        let storage = Arc::new(KvRaftStorage::new(engine.clone()));
-        multiraft.set_storage(storage.clone())?;
+        let mut multiraft = MultiRaft::persistent(id, raft_config, seed, engine.clone(), registry);
         let store_metrics: StoreMetrics = registry.map(StoreMetrics::bind).unwrap_or_default();
         let mut partitions = HashMap::new();
         for (pid_raw, _) in engine.scan::<ReplicaCf>()? {
             let pid = PartitionId(pid_raw);
             let mut replica = DataPartitionReplica::restore(pid, engine.clone())?;
             replica.set_store_metrics(store_metrics.clone());
-            let gid = Self::group_of(pid);
-            match storage.load(gid)? {
-                Some(state) => multiraft.restore_group(gid, replica.members().to_vec(), state)?,
-                None => multiraft.create_group(gid, replica.members().to_vec())?,
-            }
+            multiraft.rehost_group(Self::group_of(pid), replica.members().to_vec())?;
             partitions.insert(pid, Hosted::new(replica));
         }
         let node = Arc::new(DataNode {
@@ -368,9 +358,8 @@ impl DataNode {
             partitions: RwLock::new(partitions),
             raft: Mutex::new(RaftState {
                 multiraft,
-                results: HashMap::new(),
+                commits: GroupCommit::default(),
             }),
-            commit_timeout_ticks: 2_000,
             registry: registry.cloned(),
             metrics: registry.map(DataMetrics::bind).unwrap_or_default(),
             latency: registry.map(DataLatency::bind).unwrap_or_default(),
@@ -898,7 +887,8 @@ impl DataNode {
         Ok(DataResponse::SmallBatch(locs[..committed_records].to_vec()))
     }
 
-    /// Raft-replicated overwrite: propose and pump to commit (§2.2.4).
+    /// Raft-replicated overwrite: group-commit it and pump until its frame
+    /// applies (§2.2.4).
     fn handle_overwrite(
         &self,
         partition: PartitionId,
@@ -908,28 +898,25 @@ impl DataNode {
     ) -> Result<()> {
         let group = Self::group_of(partition);
         let cmd = DataCommand::overwrite(extent, offset, data.to_vec());
-        let index = {
+        let ticket = {
             let mut raft = self.raft.lock();
-            let node = raft
-                .multiraft
-                .group_mut(group)
-                .ok_or_else(|| CfsError::NotFound(format!("{partition}")))?;
-            node.propose(cmd.to_bytes())?
+            raft.multiraft
+                .group(group)
+                .ok_or_else(|| CfsError::NotFound(format!("{partition}")))?
+                .require_leader()?;
+            raft.commits.enqueue(group, cmd.to_bytes())
         };
-        let committed = self.hub.pump_until(
-            || self.raft.lock().results.contains_key(&(group, index)),
-            self.commit_timeout_ticks,
+        self.hub.pump_until(
+            || self.raft.lock().commits.is_resolved(ticket),
+            COMMIT_TIMEOUT_TICKS,
         );
-        if !committed {
-            return Err(CfsError::Timeout(format!(
-                "{partition}: overwrite commit at index {index}"
-            )));
-        }
-        self.raft
-            .lock()
-            .results
-            .remove(&(group, index))
-            .expect("result present per pump predicate")
+        let mut raft = self.raft.lock();
+        raft.commits.take(ticket).unwrap_or_else(|| {
+            raft.commits.abandon(group, ticket);
+            Err(CfsError::Timeout(format!(
+                "{partition}: overwrite commit of ticket {ticket}"
+            )))
+        })
     }
 
     /// Recovery step 1 (§2.2.5): the PB leader aligns every extent across
@@ -1167,42 +1154,29 @@ impl RaftHost for DataNode {
     }
 
     fn raft_drain(&self) -> Vec<WireEnvelope> {
-        let mut raft = self.raft.lock();
+        let mut guard = self.raft.lock();
+        let raft = &mut *guard;
+        raft.commits.flush(&mut raft.multiraft, |_, _, _| Ok(()));
         let (msgs, readies) = raft.multiraft.drain();
         for (gid, ready) in readies {
             let pid = PartitionId(gid.raw());
-            let is_leader = raft
-                .multiraft
-                .group(gid)
-                .map(|g| g.is_leader())
-                .unwrap_or(false);
-            for entry in ready.committed {
-                if entry.data.is_empty() {
-                    continue;
-                }
-                let result = (|| -> Result<()> {
-                    let cmd = DataCommand::from_bytes(&entry.data)?;
-                    cmd.verify()?;
-                    let DataCommand::Overwrite {
-                        extent,
-                        offset,
-                        data,
-                        ..
-                    } = cmd;
-                    let hosted = self.hosted(pid)?;
-                    let mut r = hosted.replica.lock();
-                    r.apply_overwrite(extent, offset, &data)
-                })();
+            let hint = raft.multiraft.group(gid).and_then(|g| g.leader_hint());
+            raft.commits.apply(gid, ready.committed, hint, |bytes| {
+                let cmd = DataCommand::from_bytes(bytes)?;
+                cmd.verify()?;
+                let DataCommand::Overwrite {
+                    extent,
+                    offset,
+                    data,
+                    ..
+                } = cmd;
+                let hosted = self.hosted(pid)?;
+                let result = hosted.replica.lock().apply_overwrite(extent, offset, &data);
                 if result.is_ok() {
                     self.metrics.overwrites_applied.inc();
                 }
-                if is_leader {
-                    raft.results.insert((gid, entry.index), result);
-                }
-            }
-        }
-        if raft.results.len() > 65_536 {
-            raft.results.clear();
+                result
+            });
         }
         msgs
     }

@@ -1,6 +1,5 @@
 //! Resource-manager replicas: one Raft group + key-value persistence.
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -9,9 +8,7 @@ use parking_lot::Mutex;
 use cfs_kvwal::{LsmEngine, LsmOptions};
 use cfs_obs::{Counter, Registry, RpcRoute};
 use cfs_raft::hub::{RaftHost, RaftHub};
-use cfs_raft::{
-    KvRaftStorage, MultiRaft, RaftConfig, RaftMetrics, RaftStorage, SnapshotPayload, WireEnvelope,
-};
+use cfs_raft::{GroupCommit, MultiRaft, RaftConfig, WireEnvelope, COMMIT_TIMEOUT_TICKS};
 use cfs_types::codec::{Decode, Encode};
 use cfs_types::{CfsError, ClusterConfig, NodeId, PartitionId, RaftGroupId, Result, VolumeId};
 
@@ -115,7 +112,7 @@ pub enum MasterResponse {
 struct Inner {
     multiraft: MultiRaft,
     state: MasterState,
-    results: HashMap<u64, Result<ApplyOutcome>>,
+    commits: GroupCommit<ApplyOutcome>,
 }
 
 impl Inner {
@@ -132,14 +129,13 @@ impl Inner {
 
 /// One resource-manager replica (§2.3). The replicas form a single Raft
 /// group whose log, hard state and compaction snapshot live on an
-/// [`LsmEngine`] via [`KvRaftStorage`] (the paper's RocksDB role) — the
+/// [`LsmEngine`] via [`cfs_raft::KvRaftStorage`] (the paper's RocksDB role) — the
 /// state machine's only durable image, so a restarted replica recovers
 /// entirely from local disk.
 pub struct MasterNode {
     id: NodeId,
     hub: RaftHub,
     inner: Mutex<Inner>,
-    commit_timeout_ticks: u64,
     metrics: MasterMetrics,
 }
 
@@ -185,28 +181,12 @@ impl MasterNode {
             LsmOptions::default(),
             registry,
         )?);
-        let mut multiraft = MultiRaft::new(id, raft_config, seed, true);
-        if let Some(r) = registry {
-            multiraft.set_metrics(RaftMetrics::bind(r));
-        }
+        let mut multiraft = MultiRaft::persistent(id, raft_config, seed, engine, registry);
         // The state machine restarts from the group's durable snapshot (or
-        // fresh); committed entries above the snapshot base re-apply
-        // through the normal `Ready` path (§2.1.3).
-        let storage = Arc::new(KvRaftStorage::new(engine));
-        multiraft.set_storage(storage.clone())?;
-        let state = match storage.load(MASTER_GROUP)? {
-            Some(persisted) => {
-                let state = match &persisted.snapshot {
-                    Some(snap) => MasterState::from_snapshot(cluster_config, &snap.data)?,
-                    None => MasterState::new(cluster_config),
-                };
-                multiraft.restore_group(MASTER_GROUP, members, persisted)?;
-                state
-            }
-            None => {
-                multiraft.create_group(MASTER_GROUP, members)?;
-                MasterState::new(cluster_config)
-            }
+        // fresh).
+        let state = match multiraft.rehost_group(MASTER_GROUP, members)? {
+            Some(snap) => MasterState::from_snapshot(cluster_config, &snap.data)?,
+            None => MasterState::new(cluster_config),
         };
 
         let node = Arc::new(MasterNode {
@@ -215,9 +195,8 @@ impl MasterNode {
             inner: Mutex::new(Inner {
                 multiraft,
                 state,
-                results: HashMap::new(),
+                commits: GroupCommit::default(),
             }),
-            commit_timeout_ticks: 2_000,
             metrics: registry.map(MasterMetrics::bind).unwrap_or_default(),
         });
         hub.register(node.clone() as Arc<dyn RaftHost>);
@@ -313,30 +292,36 @@ impl MasterNode {
         }
     }
 
+    /// Queue a command for the replicas' next group-commit frame; the
+    /// ticket resolves once that frame applies or fails.
+    fn submit(&self, cmd: &MasterCommand) -> Result<u64> {
+        let mut inner = self.inner.lock();
+        inner
+            .multiraft
+            .group(MASTER_GROUP)
+            .ok_or_else(|| CfsError::Internal("master group missing".into()))?
+            .require_leader()?;
+        Ok(inner.commits.enqueue(MASTER_GROUP, cmd.to_bytes()))
+    }
+
     /// Propose a command through the replicas' Raft group and wait for the
     /// apply outcome.
     pub fn propose(&self, cmd: &MasterCommand) -> Result<ApplyOutcome> {
-        let index = {
-            let mut inner = self.inner.lock();
-            let node = inner
-                .multiraft
-                .group_mut(MASTER_GROUP)
-                .ok_or_else(|| CfsError::Internal("master group missing".into()))?;
-            node.propose(cmd.to_bytes())?
-        };
-        let committed = self.hub.pump_until(
-            || self.inner.lock().results.contains_key(&index),
-            self.commit_timeout_ticks,
+        let ticket = self.submit(cmd)?;
+        self.hub.pump_until(
+            || self.inner.lock().commits.is_resolved(ticket),
+            COMMIT_TIMEOUT_TICKS,
         );
-        if !committed {
-            return Err(CfsError::Timeout(format!("master commit of index {index}")));
-        }
-        let result = self
-            .inner
-            .lock()
-            .results
-            .remove(&index)
-            .expect("result present per pump predicate");
+        let result = {
+            let mut inner = self.inner.lock();
+            let Some(result) = inner.commits.take(ticket) else {
+                inner.commits.abandon(MASTER_GROUP, ticket);
+                return Err(CfsError::Timeout(format!(
+                    "master commit of ticket {ticket}"
+                )));
+            };
+            result
+        };
         // Repair counters are proposal-side (leader-only) so they count
         // each scheduling decision once, not once per replica apply.
         if let Ok(outcome) = &result {
@@ -409,7 +394,9 @@ impl RaftHost for MasterNode {
     }
 
     fn raft_drain(&self) -> Vec<WireEnvelope> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        inner.commits.flush(&mut inner.multiraft, |_, _, _| Ok(()));
         let (msgs, readies) = inner.multiraft.drain();
         for (gid, ready) in readies {
             debug_assert_eq!(gid, MASTER_GROUP);
@@ -424,50 +411,25 @@ impl RaftHost for MasterNode {
                 }
             }
 
-            let is_leader = inner
-                .multiraft
-                .group(gid)
-                .map(|g| g.is_leader())
-                .unwrap_or(false);
-            for entry in ready.committed {
-                if entry.data.is_empty() {
-                    continue;
-                }
-                let result = MasterCommand::from_bytes(&entry.data).and_then(|cmd| {
-                    let r = inner.state.apply(&cmd);
-                    if r.is_ok() {
-                        self.metrics.commands_applied.inc();
-                        if matches!(cmd, MasterCommand::CreateVolume { .. }) {
-                            self.metrics.volumes_created.inc();
-                        }
+            let hint = inner.multiraft.group(gid).and_then(|g| g.leader_hint());
+            let state = &mut inner.state;
+            inner.commits.apply(gid, ready.committed, hint, |bytes| {
+                let cmd = MasterCommand::from_bytes(bytes)?;
+                let r = state.apply(&cmd);
+                if r.is_ok() {
+                    self.metrics.commands_applied.inc();
+                    if matches!(cmd, MasterCommand::CreateVolume { .. }) {
+                        self.metrics.volumes_created.inc();
                     }
-                    r
-                });
-                if is_leader {
-                    inner.results.insert(entry.index, result);
                 }
-            }
+                r
+            });
 
             // Log compaction (§2.1.3): the state snapshot becomes the
             // group's, which `KvRaftStorage` persists.
-            if inner
-                .multiraft
-                .group(gid)
-                .is_some_and(|g| g.wants_compaction())
-            {
-                let data = inner.state.snapshot_bytes();
-                if let Some(g) = inner.multiraft.group_mut(gid) {
-                    let (last_index, last_term) = g.compaction_point();
-                    g.compact(SnapshotPayload {
-                        last_index,
-                        last_term,
-                        data,
-                    });
-                }
+            if let Some(g) = inner.multiraft.group_mut(gid) {
+                g.maybe_compact(|| inner.state.snapshot_bytes());
             }
-        }
-        if inner.results.len() > 65_536 {
-            inner.results.clear();
         }
         msgs
     }
@@ -484,6 +446,15 @@ mod tests {
     use cfs_types::testutil::TempDir;
 
     fn replica_set(dir: &TempDir, hub: &RaftHub, n: u64) -> Vec<Arc<MasterNode>> {
+        replica_set_with(dir, hub, n, RaftConfig::default())
+    }
+
+    fn replica_set_with(
+        dir: &TempDir,
+        hub: &RaftHub,
+        n: u64,
+        raft_config: RaftConfig,
+    ) -> Vec<Arc<MasterNode>> {
         let members: Vec<NodeId> = (1001..1001 + n).map(NodeId).collect();
         members
             .iter()
@@ -494,7 +465,7 @@ mod tests {
                     &dir.path().join(format!("m{id}")),
                     members.clone(),
                     ClusterConfig::default(),
-                    RaftConfig::default(),
+                    raft_config.clone(),
                     3,
                 )
                 .unwrap()
@@ -699,5 +670,101 @@ mod tests {
                 kind: NodeKind::Data,
             })
             .unwrap();
+    }
+
+    /// `(term, commit, last index)` of a replica's group.
+    fn indices(m: &MasterNode) -> (u64, u64, u64) {
+        let inner = m.inner.lock();
+        let g = inner.multiraft.group(MASTER_GROUP).unwrap();
+        (g.term(), g.commit_index(), g.last_index())
+    }
+
+    /// Tick only `m`, then deliver: the test decides who times out.
+    fn step_alone(hub: &RaftHub, m: &MasterNode, until: impl Fn() -> bool) {
+        for _ in 0..2_000 {
+            if until() {
+                return;
+            }
+            m.raft_tick();
+            hub.pump();
+        }
+        panic!("condition not reached by ticking {} alone", m.id());
+    }
+
+    /// A deposed leader's command must never resolve with the result of
+    /// the entry that replaced it, even when that leader is re-elected and
+    /// applies the replacement while leading.
+    #[test]
+    fn re_elected_leader_never_hands_a_lost_command_another_result() {
+        let dir = TempDir::new("master").unwrap();
+        let hub = RaftHub::new();
+        let faults = cfs_types::FaultState::new();
+        hub.set_faults(faults.clone());
+        // No vote stickiness, so ticking one replica alone decides who
+        // wins each election.
+        let config = RaftConfig {
+            lease_ticks: 0,
+            ..RaftConfig::default()
+        };
+        let masters = replica_set_with(&dir, &hub, 3, config);
+        let old = elect(&hub, &masters);
+        for _ in 0..100 {
+            hub.tick_and_pump();
+        }
+        let others: Vec<Arc<MasterNode>> = masters
+            .iter()
+            .filter(|m| m.id() != old.id())
+            .cloned()
+            .collect();
+        let (new, third) = (&others[0], &others[1]);
+        let register = |n| MasterCommand::RegisterNode {
+            node: NodeId(n),
+            kind: NodeKind::Data,
+        };
+
+        // Cut off, the leader proposes X, then A into the slot after it.
+        faults.set_partitioned(old.id(), new.id(), true);
+        faults.set_partitioned(old.id(), third.id(), true);
+        let x = old.submit(&register(1)).unwrap();
+        hub.pump();
+        let a = old.submit(&register(2)).unwrap();
+        hub.pump();
+
+        // The majority elects `new`; its no-op takes X's index.
+        step_alone(&hub, new, || new.is_leader());
+        // `new` reaches `old` only. `old` steps down and drops X and A.
+        faults.set_partitioned(new.id(), third.id(), true);
+        faults.set_partitioned(old.id(), new.id(), false);
+        step_alone(&hub, new, || indices(&old) == indices(new));
+        // B takes A's index and commits with `old`'s ack; `old` holds B
+        // but has not learnt that it committed.
+        let b = new.submit(&register(3)).unwrap();
+        hub.pump();
+        assert!(matches!(new.inner.lock().commits.take(b), Some(Ok(_))));
+        let (_, commit, last) = indices(&old);
+        assert_eq!(last, commit + 1, "B is in old's log, uncommitted");
+
+        // `old` is re-elected with `third`'s vote and applies B as leader.
+        faults.set_partitioned(old.id(), new.id(), true);
+        faults.set_partitioned(old.id(), third.id(), false);
+        step_alone(&hub, &old, || old.is_leader());
+        old.with_state(|s| {
+            assert!(s
+                .nodes_of_kind(NodeKind::Data)
+                .iter()
+                .any(|n| n.node == NodeId(3)))
+        });
+
+        // The callers of A and X never see B's result.
+        let outcome = old.inner.lock().commits.take(a);
+        assert!(
+            matches!(outcome, Some(Err(CfsError::NotLeader { .. }))),
+            "A's caller got {outcome:?}"
+        );
+        let outcome = old.inner.lock().commits.take(x);
+        assert!(
+            matches!(outcome, Some(Err(CfsError::NotLeader { .. }))),
+            "X's caller got {outcome:?}"
+        );
     }
 }

@@ -1,15 +1,16 @@
 //! The meta node: many partitions behind one MultiRaft instance.
 //!
-//! Every write joins its group's group-commit accumulator and rides one
-//! batch frame per group per hub round (§2.1.3). Reads are served at the
-//! leader under a quorum lease, or after a ReadIndex-style quorum barrier,
-//! and fenced by the partition's current inode range (Algorithm 1). An
-//! async write (DESIGN §12) is acked from the leader's speculative overlay
-//! once [`crate::intent::IntentJournal`] holds its intent row; the ticket
-//! that carries it names the intent, and the journal alone decides the
-//! intent's fate.
+//! Every write goes through the node's [`GroupCommit`] pipeline and rides
+//! one batch frame per group per hub round (§2.1.3). Reads are served at
+//! the leader under a quorum lease, or after a ReadIndex barrier (both
+//! [`cfs_raft::RaftNode::read_index`]), and fenced by the partition's
+//! current inode range (Algorithm 1). An async write (DESIGN §12) is acked
+//! from the leader's speculative overlay once
+//! [`crate::intent::IntentJournal`] holds its intent row; it rides the
+//! pipeline as a detached command tagged with its intent, and the journal
+//! alone decides the intent's fate.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -18,10 +19,7 @@ use parking_lot::Mutex;
 use cfs_kvwal::{LsmEngine, LsmOptions, TypedCf};
 use cfs_obs::{Counter, Registry, RpcRoute};
 use cfs_raft::hub::{RaftHost, RaftHub};
-use cfs_raft::{
-    decode_batch_frame, KvRaftStorage, MultiRaft, RaftConfig, RaftMetrics, RaftStorage,
-    SnapshotPayload, WireEnvelope,
-};
+use cfs_raft::{GroupCommit, MultiRaft, RaftConfig, RaftNode, WireEnvelope, COMMIT_TIMEOUT_TICKS};
 use cfs_types::codec::{Decode, Encode};
 use cfs_types::{CfsError, InodeId, NodeId, PartitionId, RaftGroupId, Result, VolumeId};
 
@@ -210,30 +208,13 @@ impl MetaObs {
     }
 }
 
-/// One write in the group-commit pipeline: its ticket and, for an async
-/// write, the intent it carries.
-#[derive(Debug, Clone, Copy)]
-struct Ticket {
-    id: u64,
-    intent: Option<u64>,
-}
-
 struct Inner {
     multiraft: MultiRaft,
     partitions: HashMap<PartitionId, MetaPartition>,
-    /// Group-commit accumulator: writes enqueued since the last hub round,
-    /// per group, as `(ticket, encoded command)`. Flushed into ONE batch
-    /// frame per group at the top of every `raft_drain`, so N concurrent
-    /// writes commit in O(1) consensus rounds.
-    queues: HashMap<RaftGroupId, VecDeque<(Ticket, Vec<u8>)>>,
-    /// The one batch frame per group currently going through consensus:
-    /// `(term at propose, log index, tickets in frame order)`. One frame
-    /// in flight per group — later writes accumulate into the next frame.
-    inflight: HashMap<RaftGroupId, (u64, u64, Vec<Ticket>)>,
-    /// Resolved sync writes awaiting pickup, keyed by ticket. An async
-    /// ticket's outcome lives in the intent journal, never here.
-    ticket_results: HashMap<u64, Result<MetaValue>>,
-    next_ticket: u64,
+    /// Every write, sync or async. An async write is a detached command
+    /// tagged with its intent id: its outcome lives in the intent journal,
+    /// never in the pipeline.
+    commits: GroupCommit<MetaValue, u64>,
     /// Leader-side speculative overlays (DESIGN §12): a clone of the
     /// partition tree that async writes apply to at ack time, pinned to
     /// the leader term it was established under. Every *enqueued* write
@@ -246,19 +227,54 @@ struct Inner {
     intents: IntentJournal,
     obs: Option<MetaObs>,
     /// Durable storage engine: partition configs, the intent journal, and
-    /// — via [`KvRaftStorage`] — every hosted group's raft state.
+    /// — via [`cfs_raft::KvRaftStorage`] — every hosted group's raft state.
     engine: Arc<LsmEngine>,
 }
 
-impl Inner {
-    /// Volume of a hosted partition (compensation records route by it).
-    fn volume_of(&self, pid: PartitionId) -> VolumeId {
-        self.partitions
-            .get(&pid)
-            .map(|p| p.config().volume_id)
-            .unwrap_or(VolumeId(0))
-    }
+/// Volume of a hosted partition (compensation records route by it).
+fn volume_of(partitions: &HashMap<PartitionId, MetaPartition>, pid: PartitionId) -> VolumeId {
+    partitions
+        .get(&pid)
+        .map(|p| p.config().volume_id)
+        .unwrap_or(VolumeId(0))
+}
 
+/// Decode + apply one committed command, moving the apply counters, and
+/// settle its intent if it was tagged: a committed tagged command retires
+/// its journal row; a *failed* one (the acked op lost a deterministic
+/// race, e.g. a committed range cut made the pinned id out-of-range) is
+/// honored by compensation, never by a half-visible state.
+fn apply_one(
+    partitions: &mut HashMap<PartitionId, MetaPartition>,
+    intents: &mut IntentJournal,
+    obs: &mut Option<MetaObs>,
+    pid: PartitionId,
+    bytes: &[u8],
+) -> Result<MetaValue> {
+    let cmd = MetaCommand::from_bytes(bytes)?;
+    if let Some(o) = obs.as_mut() {
+        o.apply_counter(pid, cmd.kind()).inc();
+        o.batch_entries.inc();
+        if matches!(cmd, MetaCommand::UpdateEnd { .. }) {
+            o.split_cuts.inc();
+        }
+    }
+    let result = match partitions.get_mut(&pid) {
+        Some(p) => cmd.apply(p),
+        None => Err(CfsError::NotFound(format!("{pid}"))),
+    };
+    if let MetaCommand::Tagged { intent, .. } = &cmd {
+        match &result {
+            Ok(_) => intents.retire(pid, *intent),
+            // A failed write leaves the row journaled; the resolution
+            // pass then settles it against the tree.
+            Err(_) => intents.compensate(pid, *intent, volume_of(partitions, pid)),
+        }
+    }
+    result
+}
+
+impl Inner {
     /// Persist `pid`'s registry row (config + members).
     fn persist_partition_config(&self, pid: PartitionId, members: &[NodeId]) -> Result<()> {
         let Some(p) = self.partitions.get(&pid) else {
@@ -287,21 +303,21 @@ impl Inner {
         })
     }
 
-    /// Fail every ticket with the same error (group lost leadership, frame
-    /// overwritten by another leader's entry…). The blocked sync writers
-    /// pick the error up and retry against the new leader; an async
-    /// ticket's intent is handed to the journal, which compensates it if
-    /// it was never stamped.
-    fn fail_tickets(&mut self, pid: PartitionId, tickets: Vec<Ticket>, err: CfsError) {
-        let volume = self.volume_of(pid);
-        for t in tickets {
-            match t.intent {
-                Some(iid) => self.intents.ticket_failed(pid, iid, volume),
-                None => {
-                    self.ticket_results.insert(t.id, Err(err.clone()));
-                }
-            }
-        }
+    /// A write joins `partition`'s pipeline only at the group's leader and
+    /// only inside the partition's current range.
+    fn admit(&self, partition: PartitionId, cmd: &MetaCommand) -> Result<&RaftNode> {
+        let not_found = || CfsError::NotFound(format!("{partition}"));
+        let p = self.partitions.get(&partition).ok_or_else(not_found)?;
+        let g = self
+            .multiraft
+            .group(RaftGroupId(partition.raw()))
+            .ok_or_else(not_found)?;
+        g.require_leader()?;
+        self.fence(
+            partition,
+            cmd.out_of_range(p.config().start, p.config().end),
+        )?;
+        Ok(g)
     }
 
     /// Drop every overlay whose leader term ended: its speculated suffix
@@ -328,21 +344,16 @@ impl Inner {
         });
     }
 
-    /// Tear down overlays whose partition fully quiesced (empty queue, no
-    /// inflight frame, empty journal). By then the replicated tree has
-    /// caught up with everything the overlay speculated, and the two must
-    /// be byte-identical.
+    /// Tear down overlays whose partition fully quiesced (idle pipeline,
+    /// empty journal). By then the replicated tree has caught up with
+    /// everything the overlay speculated, and the two must be
+    /// byte-identical.
     fn teardown_overlays(&mut self) {
         let done: Vec<PartitionId> = self
             .overlays
             .keys()
             .copied()
-            .filter(|pid| {
-                let gid = RaftGroupId(pid.raw());
-                self.queues.get(&gid).map(|q| q.is_empty()).unwrap_or(true)
-                    && !self.inflight.contains_key(&gid)
-                    && self.intents.quiet(*pid)
-            })
+            .filter(|pid| self.commits.is_idle(RaftGroupId(pid.raw())) && self.intents.quiet(*pid))
             .collect();
         for pid in done {
             let (_, overlay) = self.overlays.remove(&pid).expect("listed above");
@@ -366,120 +377,26 @@ impl Inner {
             .or_else(|| self.partitions.get(&pid))
     }
 
-    /// Decode + apply one committed command, moving the apply counters,
-    /// and settle its intent if it was tagged: a committed tagged command
-    /// retires its journal row; a *failed* one (the acked op lost a
-    /// deterministic race, e.g. a committed range cut made the pinned id
-    /// out-of-range) is honored by compensation, never by a half-visible
-    /// state.
-    fn apply_one(&mut self, pid: PartitionId, bytes: &[u8]) -> Result<MetaValue> {
-        let cmd = MetaCommand::from_bytes(bytes)?;
-        if let Some(o) = self.obs.as_mut() {
-            o.apply_counter(pid, cmd.kind()).inc();
-            o.batch_entries.inc();
-            if matches!(cmd, MetaCommand::UpdateEnd { .. }) {
-                o.split_cuts.inc();
-            }
+    /// Answer a read from the leader's view, fenced against the range as
+    /// of *now* (a cut that applied while a quorum barrier was pending
+    /// must still be honored), and count how it was served.
+    fn serve_read(
+        &self,
+        partition: PartitionId,
+        read: &MetaRead,
+        served: fn(&MetaObs) -> &Counter,
+    ) -> Result<MetaValue> {
+        // Overlay-aware view: an acked async op must be readable before
+        // its group commit lands (read-your-writes).
+        let p = self
+            .read_view(partition)
+            .ok_or_else(|| CfsError::Unavailable(format!("{partition}: not hosted here")))?;
+        let (start, end) = (p.config().start, p.config().end);
+        self.fence(partition, read.out_of_range(start, end))?;
+        if let Some(o) = self.obs.as_ref() {
+            served(o).inc();
         }
-        let result = match self.partitions.get_mut(&pid) {
-            Some(p) => cmd.apply(p),
-            None => Err(CfsError::NotFound(format!("{pid}"))),
-        };
-        if let MetaCommand::Tagged { intent, .. } = &cmd {
-            match &result {
-                Ok(_) => self.intents.retire(pid, *intent),
-                // A failed write leaves the row journaled; the resolution
-                // pass then settles it against the tree.
-                Err(_) => {
-                    let volume = self.volume_of(pid);
-                    self.intents.compensate(pid, *intent, volume);
-                }
-            }
-        }
-        result
-    }
-
-    /// Group commit: once per hub round, fold everything each group's
-    /// accumulator collected since the last round into ONE batch frame and
-    /// propose it. One frame in flight per group — writes arriving while a
-    /// frame is replicating accumulate into the next one, which is what
-    /// bounds N concurrent writes to O(1) consensus rounds.
-    ///
-    /// Also the fence for stale state: an inflight frame whose group lost
-    /// leadership (or changed term, which implies an intervening
-    /// election) can never resolve, so its tickets fail with `NotLeader`
-    /// here rather than hanging until the client timeout.
-    fn flush_group_commit(&mut self) {
-        let mut gids: Vec<RaftGroupId> = self
-            .inflight
-            .keys()
-            .chain(self.queues.keys())
-            .copied()
-            .collect();
-        gids.sort_unstable();
-        gids.dedup();
-        for gid in gids {
-            let partition = PartitionId(gid.raw());
-            if let Some(&(term, _, _)) = self.inflight.get(&gid) {
-                let (stale, hint) = match self.multiraft.group(gid) {
-                    Some(g) => (!g.is_leader() || g.term() != term, g.leader_hint()),
-                    None => (true, None),
-                };
-                if stale {
-                    let (_, _, tickets) = self.inflight.remove(&gid).expect("checked above");
-                    self.fail_tickets(partition, tickets, CfsError::NotLeader { partition, hint });
-                }
-            }
-            if self.inflight.contains_key(&gid) {
-                continue; // previous frame still replicating
-            }
-            let Some(queue) = self.queues.get_mut(&gid) else {
-                continue;
-            };
-            if queue.is_empty() {
-                continue;
-            }
-            let (tickets, cmds): (Vec<Ticket>, Vec<Vec<u8>>) = queue.drain(..).unzip();
-            // Predict the frame's slot so async intents riding it can be
-            // durably stamped `proposed` BEFORE the entry can reach the
-            // raft log (see [`IntentJournal::stamp`]). A failed stamp
-            // aborts the frame.
-            let predicted = match self.multiraft.group(gid) {
-                Some(g) if g.is_leader() => Ok((g.term(), g.last_index() + 1)),
-                Some(g) => Err(CfsError::NotLeader {
-                    partition,
-                    hint: g.leader_hint(),
-                }),
-                None => Err(CfsError::NotFound(format!("{partition}"))),
-            };
-            let proposed = predicted.and_then(|(term, next_index)| {
-                for iid in tickets.iter().filter_map(|t| t.intent) {
-                    self.intents.stamp(partition, iid, term, next_index)?;
-                }
-                match self.multiraft.group_mut(gid) {
-                    Some(g) if g.is_leader() => g.propose_batch(cmds).map(|index| {
-                        debug_assert_eq!(index, next_index, "stamped index must match propose");
-                        (term, index)
-                    }),
-                    Some(g) => Err(CfsError::NotLeader {
-                        partition,
-                        hint: g.leader_hint(),
-                    }),
-                    None => Err(CfsError::NotFound(format!("{partition}"))),
-                }
-            });
-            match proposed {
-                Ok((term, index)) => {
-                    self.inflight.insert(gid, (term, index, tickets));
-                }
-                Err(e) => {
-                    // The overlay speculated on commands that will now
-                    // never commit; it can no longer converge.
-                    self.overlays.remove(&partition);
-                    self.fail_tickets(partition, tickets, e);
-                }
-            }
-        }
+        apply_read(read, p)
     }
 }
 
@@ -490,9 +407,6 @@ pub struct MetaNode {
     id: NodeId,
     hub: RaftHub,
     inner: Mutex<Inner>,
-    /// Max ticks to wait for a proposal to commit before reporting a
-    /// timeout to the client (who retries per §2.1.3).
-    commit_timeout_ticks: u64,
 }
 
 impl MetaNode {
@@ -525,35 +439,18 @@ impl MetaNode {
             LsmOptions::default(),
             registry,
         )?);
-        let mut multiraft = MultiRaft::new(id, raft_config, seed, true);
-        if let Some(r) = registry {
-            multiraft.set_metrics(RaftMetrics::bind(r));
-        }
-        let storage = Arc::new(KvRaftStorage::new(engine.clone()));
-        multiraft.set_storage(storage.clone())?;
-
-        // Re-host every registered partition. The tree restarts from the
-        // group's durable snapshot (or empty); committed entries above the
-        // snapshot base re-apply through the normal `Ready` path (§2.1.3).
+        let mut multiraft = MultiRaft::persistent(id, raft_config, seed, engine.clone(), registry);
+        // Re-host every registered partition; its tree restarts from the
+        // group's durable snapshot (or empty).
         let mut partitions = HashMap::new();
         for (_, (cfg_bytes, members)) in engine.scan::<PartCf>()? {
             let config = MetaPartitionConfig::from_bytes(&cfg_bytes)?;
             let pid = config.partition_id;
-            let gid = Self::group_of(pid);
-            match storage.load(gid)? {
-                Some(state) => {
-                    let partition = match &state.snapshot {
-                        Some(s) => MetaPartition::from_snapshot(pid, &s.data)?,
-                        None => MetaPartition::new(config),
-                    };
-                    multiraft.restore_group(gid, members, state)?;
-                    partitions.insert(pid, partition);
-                }
-                None => {
-                    multiraft.create_group(gid, members)?;
-                    partitions.insert(pid, MetaPartition::new(config));
-                }
-            }
+            let partition = match multiraft.rehost_group(Self::group_of(pid), members)? {
+                Some(s) => MetaPartition::from_snapshot(pid, &s.data)?,
+                None => MetaPartition::new(config),
+            };
+            partitions.insert(pid, partition);
         }
 
         // Compensation-engine recovery: surviving intents are classified
@@ -563,10 +460,7 @@ impl MetaNode {
         let inner = Inner {
             multiraft,
             partitions,
-            queues: HashMap::new(),
-            inflight: HashMap::new(),
-            ticket_results: HashMap::new(),
-            next_ticket: 1,
+            commits: GroupCommit::default(),
             overlays: HashMap::new(),
             intents,
             obs: registry.map(MetaObs::new),
@@ -576,7 +470,6 @@ impl MetaNode {
             id,
             hub: hub.clone(),
             inner: Mutex::new(inner),
-            commit_timeout_ticks: 2_000,
         });
         hub.register(node.clone() as Arc<dyn RaftHost>);
         Ok(node)
@@ -675,65 +568,23 @@ impl MetaNode {
     }
 
     /// Leader read. Fast path: a leader holding a valid quorum lease and
-    /// fully caught up (`applied == commit`) answers from its in-memory
-    /// tree without a consensus round. Otherwise the read pays a quorum
-    /// barrier ([`Self::quorum_read`]).
+    /// fully caught up answers from its in-memory tree without a consensus
+    /// round. Otherwise the read waits out a ReadIndex barrier (see
+    /// [`cfs_raft::RaftNode::read_index`]).
     pub fn read(&self, partition: PartitionId, read: &MetaRead) -> Result<MetaValue> {
-        {
-            let inner = self.inner.lock();
-            // Reads on a node that does not (yet) host the partition are
-            // `Unavailable`, not `NotFound`: retryable, so every
-            // non-retryable error a client sees comes from a read the
-            // leader actually served (and counted as lease or quorum).
-            let group = inner
-                .multiraft
-                .group(Self::group_of(partition))
-                .ok_or_else(|| CfsError::Unavailable(format!("{partition}: not hosted here")))?;
-            if !group.is_leader() {
-                return Err(CfsError::NotLeader {
-                    partition,
-                    hint: group.leader_hint(),
-                });
-            }
-            if group.lease_valid() && group.applied_index() == group.commit_index() {
-                // Overlay-aware view: an acked async op must be readable
-                // before its group commit lands (read-your-writes).
-                let p = inner.read_view(partition).ok_or_else(|| {
-                    CfsError::Unavailable(format!("{partition}: not hosted here"))
-                })?;
-                let (start, end) = (p.config().start, p.config().end);
-                inner.fence(partition, read.out_of_range(start, end))?;
-                if let Some(o) = inner.obs.as_ref() {
-                    o.lease_reads.inc();
-                }
-                return apply_read(read, p);
-            }
-        }
-        self.quorum_read(partition, read)
-    }
-
-    /// ReadIndex-style quorum read: record the commit index and the local
-    /// clock, force a heartbeat, and wait until a quorum has acked probes
-    /// stamped at-or-after that clock (proving this node was still the
-    /// leader when the read started) and the recorded index is applied.
-    fn quorum_read(&self, partition: PartitionId, read: &MetaRead) -> Result<MetaValue> {
         let gid = Self::group_of(partition);
-        let (barrier, read_commit) = {
+        // Reads on a node that does not (yet) host the partition are
+        // `Unavailable`, not `NotFound`: retryable, so every non-retryable
+        // error a client sees comes from a read the leader actually served
+        // (and counted as lease or quorum).
+        let not_hosted = || CfsError::Unavailable(format!("{partition}: not hosted here"));
+        let barrier = {
             let mut inner = self.inner.lock();
-            let group = inner
-                .multiraft
-                .group_mut(gid)
-                .ok_or_else(|| CfsError::Unavailable(format!("{partition}: not hosted here")))?;
-            if !group.is_leader() {
-                return Err(CfsError::NotLeader {
-                    partition,
-                    hint: group.leader_hint(),
-                });
+            let group = inner.multiraft.group_mut(gid).ok_or_else(not_hosted)?;
+            match group.read_index()? {
+                None => return inner.serve_read(partition, read, |o| &o.lease_reads),
+                Some(barrier) => barrier,
             }
-            let barrier = group.clock();
-            let read_commit = group.commit_index();
-            group.force_heartbeat();
-            (barrier, read_commit)
         };
         let confirmed = self.hub.pump_until(
             || {
@@ -741,61 +592,40 @@ impl MetaNode {
                 inner
                     .multiraft
                     .group(gid)
-                    .map(|g| g.quorum_contact_since(barrier) && g.applied_index() >= read_commit)
-                    .unwrap_or(false)
+                    .is_some_and(|g| g.barrier_passed(barrier))
             },
-            self.commit_timeout_ticks,
+            COMMIT_TIMEOUT_TICKS,
         );
         let inner = self.inner.lock();
-        let group = inner
+        inner
             .multiraft
             .group(gid)
-            .ok_or_else(|| CfsError::Unavailable(format!("{partition}: not hosted here")))?;
-        if !group.is_leader() {
-            return Err(CfsError::NotLeader {
-                partition,
-                hint: group.leader_hint(),
-            });
-        }
+            .ok_or_else(not_hosted)?
+            .require_leader()?;
         if !confirmed {
             return Err(CfsError::Timeout(format!("{partition}: quorum read")));
         }
-        let p = inner
-            .read_view(partition)
-            .ok_or_else(|| CfsError::Unavailable(format!("{partition}: not hosted here")))?;
-        // Fence against the range as of *now*: a cut that applied while
-        // the quorum barrier was pending must still be honored.
-        let (start, end) = (p.config().start, p.config().end);
-        inner.fence(partition, read.out_of_range(start, end))?;
-        if let Some(o) = inner.obs.as_ref() {
-            o.quorum_reads.inc();
-        }
-        apply_read(read, p)
+        inner.serve_read(partition, read, |o| &o.quorum_reads)
     }
 
     /// Raft-replicated write: the command joins the partition's
     /// group-commit accumulator and resolves when its frame applies.
     pub fn write(&self, partition: PartitionId, cmd: &MetaCommand) -> Result<MetaValue> {
         let ticket = self.enqueue_write(partition, cmd)?;
-        let done = self.hub.pump_until(
-            || self.inner.lock().ticket_results.contains_key(&ticket),
-            self.commit_timeout_ticks,
+        self.hub.pump_until(
+            || self.inner.lock().commits.is_resolved(ticket),
+            COMMIT_TIMEOUT_TICKS,
         );
         let mut inner = self.inner.lock();
-        if let Some(r) = inner.ticket_results.remove(&ticket) {
+        if let Some(r) = inner.commits.take(ticket) {
             return r;
         }
-        let _ = done;
         // Withdraw the command if it never made it into a frame, so a
         // retry cannot apply it twice.
-        if let Some(q) = inner.queues.get_mut(&Self::group_of(partition)) {
-            let before = q.len();
-            q.retain(|(t, _)| t.id != ticket);
-            if q.len() != before {
-                // The overlay already speculated on the withdrawn command;
-                // it can no longer converge — discard it.
-                inner.overlays.remove(&partition);
-            }
+        if inner.commits.abandon(Self::group_of(partition), ticket) {
+            // The overlay already speculated on the withdrawn command; it
+            // can no longer converge — discard it.
+            inner.overlays.remove(&partition);
         }
         Err(CfsError::Timeout(format!(
             "{partition}: group commit of ticket {ticket}"
@@ -809,48 +639,22 @@ impl MetaNode {
     /// deterministically; [`Self::write`] is the blocking wrapper.
     pub fn enqueue_write(&self, partition: PartitionId, cmd: &MetaCommand) -> Result<u64> {
         let mut inner = self.inner.lock();
-        if !inner.partitions.contains_key(&partition) {
-            return Err(CfsError::NotFound(format!("{partition}")));
-        }
-        let group = inner
-            .multiraft
-            .group(Self::group_of(partition))
-            .ok_or_else(|| CfsError::NotFound(format!("{partition}")))?;
-        if !group.is_leader() {
-            return Err(CfsError::NotLeader {
-                partition,
-                hint: group.leader_hint(),
-            });
-        }
-        let (start, end) = {
-            let p = inner.partitions.get(&partition).expect("checked above");
-            (p.config().start, p.config().end)
-        };
-        inner.fence(partition, cmd.out_of_range(start, end))?;
+        inner.admit(partition, cmd)?;
         // Keep a live overlay exactly `replicated tree ⊕ queued prefix`:
         // sync writes replay onto it in queue order too (result ignored —
         // the replicated apply is what the ticket resolves with).
         if let Some((_, overlay)) = inner.overlays.get_mut(&partition) {
             let _ = cmd.apply(overlay);
         }
-        let ticket = inner.next_ticket;
-        inner.next_ticket += 1;
-        let t = Ticket {
-            id: ticket,
-            intent: None,
-        };
-        inner
-            .queues
-            .entry(Self::group_of(partition))
-            .or_default()
-            .push_back((t, cmd.to_bytes()));
-        Ok(ticket)
+        Ok(inner
+            .commits
+            .enqueue(Self::group_of(partition), cmd.to_bytes()))
     }
 
     /// Take the resolved result of an enqueued write, if its frame has
     /// applied.
     pub fn take_write_result(&self, ticket: u64) -> Option<Result<MetaValue>> {
-        self.inner.lock().ticket_results.remove(&ticket)
+        self.inner.lock().commits.take(ticket)
     }
 
     /// Asynchronous metadata commit (DESIGN §12). The op is applied to
@@ -873,27 +677,10 @@ impl MetaNode {
     ) -> Result<MetaResponse> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        if !inner.partitions.contains_key(&partition) {
-            return Err(CfsError::NotFound(format!("{partition}")));
-        }
         let gid = Self::group_of(partition);
-        let (is_leader, term, hint, caught_up) = match inner.multiraft.group(gid) {
-            Some(g) => (
-                g.is_leader(),
-                g.term(),
-                g.leader_hint(),
-                g.applied_index() == g.commit_index() && g.commit_index() == g.last_index(),
-            ),
-            None => return Err(CfsError::NotFound(format!("{partition}"))),
-        };
-        if !is_leader {
-            return Err(CfsError::NotLeader { partition, hint });
-        }
-        let (start, end) = {
-            let p = inner.partitions.get(&partition).expect("checked above");
-            (p.config().start, p.config().end)
-        };
-        inner.fence(partition, cmd.out_of_range(start, end))?;
+        let g = inner.admit(partition, cmd)?;
+        let term = g.term();
+        let caught_up = g.applied_index() == g.commit_index() && g.commit_index() == g.last_index();
 
         // Establish (or validate) the overlay.
         let valid = match inner.overlays.get(&partition) {
@@ -905,10 +692,7 @@ impl MetaNode {
             None => false,
         };
         if !valid {
-            let clean = caught_up
-                && inner.queues.get(&gid).map(|q| q.is_empty()).unwrap_or(true)
-                && !inner.inflight.contains_key(&gid)
-                && inner.intents.quiet(partition);
+            let clean = caught_up && inner.commits.is_idle(gid) && inner.intents.quiet(partition);
             if !clean {
                 if let Some(o) = inner.obs.as_ref() {
                     o.async_fallbacks.inc();
@@ -960,20 +744,13 @@ impl MetaNode {
                 return Err(e);
             }
         };
-        let ticket = Ticket {
-            id: inner.next_ticket,
-            intent: Some(intent),
-        };
-        inner.next_ticket += 1;
         let framed = MetaCommand::Tagged {
             intent,
             inner: Box::new(pinned),
         };
         inner
-            .queues
-            .entry(gid)
-            .or_default()
-            .push_back((ticket, framed.to_bytes()));
+            .commits
+            .enqueue_detached(gid, framed.to_bytes(), intent);
         Ok(MetaResponse::Acked { intent, value })
     }
 
@@ -993,7 +770,7 @@ impl MetaNode {
         }
         let drained = self.hub.pump_until(
             || self.inner.lock().intents.settled(partition, intents),
-            self.commit_timeout_ticks,
+            COMMIT_TIMEOUT_TICKS,
         );
         if !drained {
             return Err(CfsError::Timeout(format!(
@@ -1114,7 +891,7 @@ impl MetaNode {
     }
 
     /// Wire-level MultiRaft traffic counters for this node (the raft-set
-    /// budget test and `ablation_raftsets` read these).
+    /// budget test reads these).
     pub fn multiraft_stats(&self) -> cfs_raft::MultiRaftStats {
         self.inner.lock().multiraft.stats()
     }
@@ -1124,17 +901,6 @@ impl MetaNode {
     /// many partitions the node hosts.
     pub fn raft_distinct_peers(&self) -> usize {
         self.inner.lock().multiraft.distinct_peers()
-    }
-
-    /// Whether the partition's group currently holds a valid read lease
-    /// (leader only; see [`cfs_raft::RaftNode::lease_valid`]).
-    pub fn holds_lease_for(&self, partition: PartitionId) -> bool {
-        let inner = self.inner.lock();
-        inner
-            .multiraft
-            .group(Self::group_of(partition))
-            .map(|g| g.is_leader() && g.lease_valid())
-            .unwrap_or(false)
     }
 }
 
@@ -1148,10 +914,34 @@ impl RaftHost for MetaNode {
     }
 
     fn raft_drain(&self) -> Vec<WireEnvelope> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         // Group commit: everything enqueued since the last round goes out
         // as one batch frame per group, ahead of this round's messages.
-        inner.flush_group_commit();
+        // Async intents riding a frame are durably stamped `proposed` at
+        // its slot BEFORE the entry can reach the raft log (see
+        // [`IntentJournal::stamp`]); a failed stamp aborts the frame, and
+        // the overlay that speculated on it can no longer converge.
+        let (intents, overlays) = (&mut inner.intents, &mut inner.overlays);
+        let lost = inner
+            .commits
+            .flush(&mut inner.multiraft, |gid, (term, index), tags| {
+                let pid = PartitionId(gid.raw());
+                let stamped = tags
+                    .iter()
+                    .try_for_each(|&intent| intents.stamp(pid, intent, term, index));
+                if stamped.is_err() {
+                    overlays.remove(&pid);
+                }
+                stamped
+            });
+        // Async writes whose frame could not be proposed go to the journal,
+        // which compensates any intent that was never stamped.
+        for (gid, intent) in lost {
+            let pid = PartitionId(gid.raw());
+            let volume = volume_of(&inner.partitions, pid);
+            inner.intents.ticket_failed(pid, intent, volume);
+        }
         // Overlays pinned to an ended leader term can no longer converge.
         inner.sweep_overlays();
         let (msgs, readies) = inner.multiraft.drain();
@@ -1172,97 +962,24 @@ impl RaftHost for MetaNode {
                 }
             }
 
-            for entry in ready.committed {
-                // Was this index claimed by our inflight batch frame?
-                let claimed = inner.inflight.get(&gid).map(|&(t, i, _)| (t, i));
-                let frame_is_ours = match claimed {
-                    Some((term, index)) if index == entry.index => {
-                        if term == entry.term {
-                            true
-                        } else {
-                            // Another leader's entry landed at our frame's
-                            // index: the frame was lost in an election.
-                            let hint = inner.multiraft.group(gid).and_then(|g| g.leader_hint());
-                            let (_, _, tickets) =
-                                inner.inflight.remove(&gid).expect("checked above");
-                            inner.fail_tickets(
-                                pid,
-                                tickets,
-                                CfsError::NotLeader {
-                                    partition: pid,
-                                    hint,
-                                },
-                            );
-                            false
-                        }
-                    }
-                    _ => false,
-                };
-                if entry.data.is_empty() {
-                    continue; // leader no-op
-                }
-                // Every write is group-committed, so a non-empty entry
-                // that is not a batch frame cannot have been proposed by
-                // this code: reject it, never apply it.
-                let decoded = decode_batch_frame(&entry.data).unwrap_or_else(|| {
-                    Err(CfsError::Corrupt(format!(
-                        "{pid}: log entry {} is not a batch frame",
-                        entry.index
-                    )))
-                });
-                match decoded {
-                    Ok(cmds) => {
-                        // `apply_one` moves both counters together, once
-                        // per apply *attempt* (deterministic error
-                        // outcomes are replicated state too), so
-                        // `raft.batch.entries == Σ meta.applies` holds on
-                        // every replica; it also settles tagged intents
-                        // (retire on commit, compensate on failure).
-                        let mut results = Vec::with_capacity(cmds.len());
-                        for bytes in &cmds {
-                            results.push(inner.apply_one(pid, bytes));
-                        }
-                        if frame_is_ours {
-                            let (_, _, tickets) =
-                                inner.inflight.remove(&gid).expect("claimed above");
-                            debug_assert_eq!(tickets.len(), results.len());
-                            for (t, r) in tickets.into_iter().zip(results) {
-                                if t.intent.is_none() {
-                                    inner.ticket_results.insert(t.id, r);
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        debug_assert!(false, "corrupt batch frame: {e}");
-                        if frame_is_ours {
-                            let (_, _, tickets) =
-                                inner.inflight.remove(&gid).expect("claimed above");
-                            inner.fail_tickets(pid, tickets, e);
-                        }
-                    }
-                }
-            }
+            // `apply_one` moves both counters together, once per apply
+            // *attempt* (deterministic error outcomes are replicated state
+            // too), so `raft.batch.entries == Σ meta.applies` holds on
+            // every replica; it also settles tagged intents (retire on
+            // commit, compensate on failure).
+            let hint = inner.multiraft.group(gid).and_then(|g| g.leader_hint());
+            let (partitions, intents, obs) =
+                (&mut inner.partitions, &mut inner.intents, &mut inner.obs);
+            inner.commits.apply(gid, ready.committed, hint, |bytes| {
+                apply_one(partitions, intents, obs, pid, bytes)
+            });
 
             // Log compaction (§2.1.3): snapshot the partition and truncate.
-            let wants = inner
-                .multiraft
-                .group(gid)
-                .map(|g| g.wants_compaction())
-                .unwrap_or(false);
-            if wants {
-                if let Some(p) = inner.partitions.get(&pid) {
-                    let data = p.snapshot_bytes();
-                    if let Some(g) = inner.multiraft.group_mut(gid) {
-                        let (idx, term) = g.compaction_point();
-                        g.compact(SnapshotPayload {
-                            last_index: idx,
-                            last_term: term,
-                            data,
-                        });
-                        if let Some(o) = inner.obs.as_ref() {
-                            o.snapshots_taken.inc();
-                        }
+            if let (Some(g), Some(p)) = (inner.multiraft.group_mut(gid), inner.partitions.get(&pid))
+            {
+                if g.maybe_compact(|| p.snapshot_bytes()) {
+                    if let Some(o) = inner.obs.as_ref() {
+                        o.snapshots_taken.inc();
                     }
                 }
             }
@@ -1272,11 +989,6 @@ impl RaftHost for MetaNode {
         // partition fully quiesced.
         inner.resolve_intents();
         inner.teardown_overlays();
-        // Bound the orphaned-results map: a sync write that timed out
-        // while its frame was in flight never picks its result up.
-        if inner.ticket_results.len() > 65_536 {
-            inner.ticket_results.clear();
-        }
         msgs
     }
 
@@ -1289,6 +1001,7 @@ impl RaftHost for MetaNode {
 mod tests {
     use super::*;
     use crate::intent::{IntentCf, IntentRecord, IntentState, MARK_KEY};
+    use cfs_raft::SnapshotPayload;
     use cfs_types::testutil::TempDir;
     use cfs_types::FileType;
 
@@ -1611,7 +1324,7 @@ mod tests {
         assert!(hub.pump_until(
             || tickets
                 .iter()
-                .all(|&t| leader.inner.lock().ticket_results.contains_key(&t)),
+                .all(|&t| leader.inner.lock().commits.is_resolved(t)),
             5_000
         ));
         let mut ids = Vec::new();
@@ -1688,7 +1401,7 @@ mod tests {
         assert!(hub.pump_until(
             || {
                 let inner = leader.inner.lock();
-                inner.ticket_results.contains_key(&t1) && inner.ticket_results.contains_key(&t2)
+                inner.commits.is_resolved(t1) && inner.commits.is_resolved(t2)
             },
             5_000
         ));
@@ -1792,7 +1505,12 @@ mod tests {
         hub.set_faults(faults.clone());
         let p = mk_partition(&hub, &nodes, 1);
         let old_leader = leader_of(&nodes, p);
-        assert!(old_leader.holds_lease_for(p), "steady-state lease held");
+        let holds_lease = |n: &MetaNode| {
+            let inner = n.inner.lock();
+            let g = inner.multiraft.group(RaftGroupId(p.raw())).unwrap();
+            g.is_leader() && g.lease_valid()
+        };
+        assert!(holds_lease(&old_leader), "steady-state lease held");
         let old_term = old_leader.raft_term(p).unwrap();
 
         // Partition the leader away and let the survivors elect.
@@ -1816,7 +1534,7 @@ mod tests {
         // silent ticks — longer than the lease — so the deposed leader's
         // lease must already be gone even though it heard nothing.
         assert!(
-            !old_leader.holds_lease_for(p),
+            !holds_lease(&old_leader),
             "lease expired before a rival could be elected"
         );
 
@@ -2123,9 +1841,9 @@ mod tests {
         };
         assert!(compensated.is_empty());
         assert_eq!(leader.pending_intent_count(), 0);
-        // Async tickets report through the journal, so their frame left
+        // Async writes report through the journal, so their frame left
         // no result behind for a sync writer to pick up.
-        assert!(leader.inner.lock().ticket_results.is_empty());
+        assert!(leader.inner.lock().commits.is_empty());
         for _ in 0..200 {
             hub.tick_and_pump();
         }

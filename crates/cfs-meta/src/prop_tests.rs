@@ -558,7 +558,7 @@ proptest! {
             .into_iter()
             .find(|e| e.index == index)
             .expect("frame committed");
-        let decoded = decode_batch_frame(&entry.data).expect("is a frame").unwrap();
+        let decoded = decode_batch_frame(&entry.data).expect("is a frame");
         prop_assert_eq!(decoded.len(), log.len());
 
         let mut batched = partition();

@@ -16,9 +16,14 @@
 //!   and coalesces heartbeat traffic: empty AppendEntries between the same
 //!   pair of nodes are folded into one wire message per tick, which is the
 //!   property the paper's *Raft set* optimization builds on (§2.5.1).
+//! * [`GroupCommit`]: the one way a state machine proposes. Commands
+//!   ride one batch frame per group per hub round, and a result reaches a
+//!   caller only from the frame this node proposed at that `(term,
+//!   index)`.
 //! * [`RaftLog`]: in-memory log with a compacted prefix; compaction +
 //!   snapshot install implement the recovery-time bound of §2.1.3.
 
+mod commit;
 mod config;
 pub mod hub;
 mod log;
@@ -31,6 +36,7 @@ mod storage;
 #[cfg(test)]
 mod harness_tests;
 
+pub use commit::{GroupCommit, COMMIT_TIMEOUT_TICKS};
 pub use config::RaftConfig;
 pub use hub::{DeliverySchedule, RaftHost, RaftHub};
 pub use log::{Entry, RaftLog};
@@ -38,6 +44,6 @@ pub use message::{Envelope, Message, SnapshotPayload};
 pub use metrics::RaftMetrics;
 pub use multiraft::{GroupBeat, MultiRaft, MultiRaftStats, WireEnvelope, WireMsg};
 pub use node::{
-    decode_batch_frame, PersistentRaftState, RaftNode, Ready, Role, BATCH_FRAME_MARKER,
+    decode_batch_frame, PersistentRaftState, RaftNode, ReadBarrier, Ready, Role, BATCH_FRAME_MARKER,
 };
 pub use storage::{KvRaftStorage, RaftStorage};

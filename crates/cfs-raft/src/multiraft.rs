@@ -4,20 +4,22 @@
 //! per-group heartbeats would send `groups × peers` messages every
 //! heartbeat interval; MultiRaft folds all empty heartbeats between the
 //! same `(from, to)` node pair into one wire message (§2.1.2), and §2.5.1's
-//! Raft sets bound how many distinct `to` nodes exist at all. The ablation
-//! bench `ablation_raftsets` measures both effects via
-//! [`MultiRaft::stats`].
+//! Raft sets bound how many distinct `to` nodes exist at all.
+//! [`MultiRaft::stats`] and [`MultiRaft::distinct_peers`] count both
+//! effects; the raft-set budget test pins them.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use cfs_kvwal::LsmEngine;
+use cfs_obs::Registry;
 use cfs_types::{NodeId, RaftGroupId, Result};
 
 use crate::config::RaftConfig;
-use crate::message::{Envelope, Message};
+use crate::message::{Envelope, Message, SnapshotPayload};
 use crate::metrics::RaftMetrics;
 use crate::node::{RaftNode, Ready};
-use crate::storage::RaftStorage;
+use crate::storage::{KvRaftStorage, RaftStorage};
 
 /// One group's heartbeat folded into a coalesced frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,15 +57,14 @@ pub struct WireEnvelope {
     pub msg: WireMsg,
 }
 
-/// Traffic counters for the heartbeat ablation.
+/// Wire traffic counters (coalescing folds heartbeats, Raft sets bound
+/// their destinations).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MultiRaftStats {
     /// Wire messages sent (after coalescing, if enabled).
     pub wire_messages_sent: u64,
     /// Raw per-group messages generated before coalescing.
     pub raw_messages_generated: u64,
-    /// Heartbeats folded away by coalescing.
-    pub heartbeats_coalesced: u64,
 }
 
 /// All Raft groups hosted by one node.
@@ -80,7 +81,7 @@ pub struct MultiRaft {
     /// Every distinct destination node this host has ever sent a wire
     /// message to. With §2.5.1 Raft sets this stays bounded by the set
     /// size no matter how many groups the node hosts — the quantity the
-    /// raft-set budget test and `ablation_raftsets` pin.
+    /// raft-set budget test pins.
     peers: HashSet<NodeId>,
     /// Shared by every hosted group, present and future.
     metrics: RaftMetrics,
@@ -116,25 +117,41 @@ impl MultiRaft {
         }
     }
 
-    /// Attach durable raft storage. Every hosted group — and every group
-    /// created or restored from here on — writes its durable state through
-    /// it (see [`RaftNode::set_storage`]).
-    pub fn set_storage(&mut self, storage: Arc<dyn RaftStorage>) -> Result<()> {
-        for node in self.groups.values_mut() {
-            node.set_storage(storage.clone())?;
+    /// The host of a node persisting under `engine`: every group it hosts
+    /// writes its durable state there (see [`RaftNode::set_storage`]), and
+    /// its consensus counters bind to `registry` (`None`: detached).
+    pub fn persistent(
+        node_id: NodeId,
+        config: RaftConfig,
+        seed: u64,
+        engine: Arc<LsmEngine>,
+        registry: Option<&Registry>,
+    ) -> Self {
+        MultiRaft {
+            metrics: registry.map(RaftMetrics::bind).unwrap_or_default(),
+            storage: Some(Arc::new(KvRaftStorage::new(engine))),
+            ..MultiRaft::new(node_id, config, seed, true)
         }
-        self.storage = Some(storage);
-        Ok(())
     }
 
-    /// Attach consensus counters; shared with every group hosted now or
-    /// created/restored later. Call before the first `create_group` so no
-    /// events land in the detached default.
-    pub fn set_metrics(&mut self, metrics: RaftMetrics) {
-        for node in self.groups.values_mut() {
-            node.set_metrics(metrics.clone());
+    /// Host `group` again from its durable state, or fresh if it has none.
+    /// Returns the compaction snapshot its state machine restarts from
+    /// (`None`: empty); committed entries above it re-apply through the
+    /// normal `Ready` path (§2.1.3).
+    pub fn rehost_group(
+        &mut self,
+        group: RaftGroupId,
+        members: Vec<NodeId>,
+    ) -> Result<Option<&SnapshotPayload>> {
+        let stored = match &self.storage {
+            Some(s) => s.load(group)?,
+            None => None,
+        };
+        match stored {
+            Some(state) => self.restore_group(group, members, state)?,
+            None => self.create_group(group, members)?,
         }
-        self.metrics = metrics;
+        Ok(self.groups[&group].snapshot())
     }
 
     /// Create (and host) a new group replica on this node.
@@ -358,7 +375,6 @@ impl MultiRaft {
             }
         }
         for (to, list) in beats {
-            self.stats.heartbeats_coalesced += list.len().saturating_sub(1) as u64;
             wire.push(WireEnvelope {
                 from: self.node_id,
                 to,
@@ -366,7 +382,6 @@ impl MultiRaft {
             });
         }
         for (to, list) in acks {
-            self.stats.heartbeats_coalesced += list.len().saturating_sub(1) as u64;
             wire.push(WireEnvelope {
                 from: self.node_id,
                 to,

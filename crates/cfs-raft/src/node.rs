@@ -49,6 +49,14 @@ impl Ready {
     }
 }
 
+/// A pending ReadIndex barrier ([`RaftNode::read_index`]): the leader's
+/// clock and commit index when the read arrived.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadBarrier {
+    clock: u64,
+    commit: u64,
+}
+
 /// Per-peer replication progress kept by the leader.
 #[derive(Debug, Clone, Copy)]
 struct Progress {
@@ -73,7 +81,7 @@ pub struct PersistentRaftState {
 /// One member of one Raft group.
 ///
 /// Drive it with [`RaftNode::tick`] (time) and [`RaftNode::step`] (inbound
-/// messages); propose with [`RaftNode::propose`]; drain effects with
+/// messages); propose with [`RaftNode::propose_batch`]; drain effects with
 /// [`RaftNode::take_ready`]. The node never blocks, spawns, or reads a
 /// clock, so a test can run thousands of deterministic elections.
 pub struct RaftNode {
@@ -378,14 +386,14 @@ impl RaftNode {
         &self.members
     }
 
+    /// Last compaction snapshot (the log's base), if one was taken.
+    pub(crate) fn snapshot(&self) -> Option<&SnapshotPayload> {
+        self.snapshot_payload.as_ref()
+    }
+
     /// Live (uncompacted) log length, used to decide when to compact.
     pub fn live_log_len(&self) -> usize {
         self.log.live_len()
-    }
-
-    /// Current value of the local tick clock (the lease timebase).
-    pub fn clock(&self) -> u64 {
-        self.clock
     }
 
     /// Is this leader's read lease currently valid? True when a quorum
@@ -404,12 +412,37 @@ impl RaftNode {
         self.quorum_contact_since(horizon)
     }
 
+    /// Gate for a linearizable read (Raft dissertation §6.4), leader only.
+    /// `None`: the lease holds and every committed entry is applied, so
+    /// the state machine may answer now. `Some(barrier)`: the ReadIndex
+    /// path — note the clock and commit index, force a heartbeat, and
+    /// answer once [`Self::barrier_passed`] holds.
+    pub fn read_index(&mut self) -> Result<Option<ReadBarrier>> {
+        self.require_leader()?;
+        if self.lease_valid() && self.applied == self.commit {
+            return Ok(None);
+        }
+        let barrier = ReadBarrier {
+            clock: self.clock,
+            commit: self.commit,
+        };
+        self.force_heartbeat();
+        Ok(Some(barrier))
+    }
+
+    /// Has `barrier` passed? A quorum acked probes stamped at or after its
+    /// clock — so this node still led when the read arrived — and its
+    /// commit index is applied.
+    pub fn barrier_passed(&self, barrier: ReadBarrier) -> bool {
+        self.quorum_contact_since(barrier.clock) && self.applied >= barrier.commit
+    }
+
     /// True when this node is leader and a quorum (counting self) has
     /// acked an append probed at local clock `>= since` in the current
     /// term. `since = 0` accepts any current-term ack, which is how
     /// snapshot acks (probe 0) earn credit only while the clock itself is
     /// still inside the first lease window.
-    pub fn quorum_contact_since(&self, since: u64) -> bool {
+    fn quorum_contact_since(&self, since: u64) -> bool {
         if self.role != Role::Leader {
             return false;
         }
@@ -476,14 +509,23 @@ impl RaftNode {
         }
     }
 
-    /// Propose a command. Only the leader accepts; returns its log index.
-    pub fn propose(&mut self, data: Vec<u8>) -> Result<u64> {
-        if self.role != Role::Leader {
-            return Err(CfsError::NotLeader {
-                partition: cfs_types::PartitionId(self.group.raw()),
-                hint: self.leader_hint,
-            });
+    /// `Ok` on the leader; elsewhere a retryable `NotLeader` naming the
+    /// group and the leader hint.
+    pub fn require_leader(&self) -> Result<()> {
+        if self.role == Role::Leader {
+            return Ok(());
         }
+        Err(CfsError::NotLeader {
+            partition: cfs_types::PartitionId(self.group.raw()),
+            hint: self.leader_hint,
+        })
+    }
+
+    /// Propose one raw log entry. Only the leader accepts; returns its log
+    /// index. State machines propose through [`crate::GroupCommit`], whose
+    /// frames are the only entries they apply.
+    pub(crate) fn propose(&mut self, data: Vec<u8>) -> Result<u64> {
+        self.require_leader()?;
         self.metrics.proposals.inc();
         let index = self.log.append_new(self.term, data);
         self.store_appended_at(index);
@@ -497,16 +539,11 @@ impl RaftNode {
     /// Group commit: propose many commands as ONE log entry (sub-entry
     /// framing, see [`decode_batch_frame`]), so N commands queued within
     /// the same hub round cost one consensus round instead of N. Returns
-    /// the index of the single frame entry; the embedding state machine
+    /// the index of the single frame entry; [`crate::GroupCommit::apply`]
     /// unpacks the frame at apply time and resolves each sub-command's
     /// result individually.
     pub fn propose_batch(&mut self, cmds: Vec<Vec<u8>>) -> Result<u64> {
-        if self.role != Role::Leader {
-            return Err(CfsError::NotLeader {
-                partition: cfs_types::PartitionId(self.group.raw()),
-                hint: self.leader_hint,
-            });
-        }
+        self.require_leader()?;
         if cmds.is_empty() {
             return Err(CfsError::InvalidArgument("empty batch proposal".into()));
         }
@@ -544,6 +581,23 @@ impl RaftNode {
         );
         self.compact_and_store(&snapshot);
         self.snapshot_payload = Some(snapshot);
+    }
+
+    /// Log compaction (§2.1.3): when the threshold calls for it, snapshot
+    /// the state machine at the applied index with `snapshot` and compact
+    /// the log up to it. Returns whether it compacted.
+    pub fn maybe_compact(&mut self, snapshot: impl FnOnce() -> Vec<u8>) -> bool {
+        if !self.wants_compaction() {
+            return false;
+        }
+        let (last_index, last_term) = self.compaction_point();
+        let data = snapshot();
+        self.compact(SnapshotPayload {
+            last_index,
+            last_term,
+            data,
+        });
+        true
     }
 
     /// Does the configured threshold call for compaction now?
@@ -1013,16 +1067,15 @@ impl RaftNode {
 }
 
 /// First byte of a group-commit frame produced by
-/// [`RaftNode::propose_batch`]. Chosen well clear of the small tag bytes
-/// state machines use for their own command encodings, so an embedding
-/// layer can distinguish frames from single commands by the leading byte.
+/// [`RaftNode::propose_batch`]: the marker, then each command as a
+/// little-endian `u32` length and its bytes. Every non-empty entry a state
+/// machine applies is a frame; anything else is corrupt.
 pub const BATCH_FRAME_MARKER: u8 = 0xFE;
 
-fn encode_batch_frame(cmds: &[Vec<u8>]) -> Vec<u8> {
+pub(crate) fn encode_batch_frame(cmds: &[Vec<u8>]) -> Vec<u8> {
     let payload: usize = cmds.iter().map(|c| 4 + c.len()).sum();
-    let mut out = Vec::with_capacity(5 + payload);
+    let mut out = Vec::with_capacity(1 + payload);
     out.push(BATCH_FRAME_MARKER);
-    out.extend_from_slice(&(cmds.len() as u32).to_le_bytes());
     for c in cmds {
         out.extend_from_slice(&(c.len() as u32).to_le_bytes());
         out.extend_from_slice(c);
@@ -1030,38 +1083,24 @@ fn encode_batch_frame(cmds: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-/// Split a committed group-commit frame back into its sub-commands.
-/// Returns `None` when `data` is not a batch frame (the embedding layer
-/// then treats it as a single command); a malformed frame is an error.
-pub fn decode_batch_frame(data: &[u8]) -> Option<Result<Vec<Vec<u8>>>> {
+/// Split a committed group-commit frame back into its sub-commands,
+/// borrowed from `data`. Bytes that are not a well-formed frame are
+/// `Corrupt`.
+pub fn decode_batch_frame(data: &[u8]) -> Result<Vec<&[u8]>> {
     if data.first() != Some(&BATCH_FRAME_MARKER) {
-        return None;
+        return Err(CfsError::Corrupt("log entry is not a batch frame".into()));
     }
     let corrupt = || CfsError::Corrupt("truncated raft batch frame".into());
-    let parse = || -> Result<Vec<Vec<u8>>> {
-        let count_bytes: [u8; 4] = data.get(1..5).ok_or_else(corrupt)?.try_into().unwrap();
-        let count = u32::from_le_bytes(count_bytes) as usize;
-        let mut out = Vec::with_capacity(count);
-        let mut pos = 5;
-        for _ in 0..count {
-            let len_bytes: [u8; 4] = data
-                .get(pos..pos + 4)
-                .ok_or_else(corrupt)?
-                .try_into()
-                .unwrap();
-            let len = u32::from_le_bytes(len_bytes) as usize;
-            pos += 4;
-            out.push(data.get(pos..pos + len).ok_or_else(corrupt)?.to_vec());
-            pos += len;
-        }
-        if pos != data.len() {
-            return Err(CfsError::Corrupt(
-                "trailing bytes after raft batch frame".into(),
-            ));
-        }
-        Ok(out)
-    };
-    Some(parse())
+    let mut out = Vec::new();
+    let mut rest = &data[1..];
+    while !rest.is_empty() {
+        let (len, tail) = rest.split_at_checked(4).ok_or_else(corrupt)?;
+        let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+        let (cmd, tail) = tail.split_at_checked(len).ok_or_else(corrupt)?;
+        out.push(cmd);
+        rest = tail;
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1270,7 +1309,7 @@ mod tests {
         assert!(!n.lease_valid(), "no acks of our own term yet");
 
         // Ack one probed append from one peer: quorum (self + 1) reached.
-        let probe = n.clock();
+        let probe = n.clock;
         let term = n.term();
         n.step(
             NodeId(2),
@@ -1291,7 +1330,7 @@ mod tests {
         assert!(!n.lease_valid(), "unrenewed lease expired");
 
         // A fresh probed ack revives it; a term change fences it.
-        let probe = n.clock();
+        let probe = n.clock;
         n.step(
             NodeId(2),
             Message::AppendEntriesResp {
@@ -1402,7 +1441,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_frame_roundtrip_and_single_commands_pass_through() {
+    fn batch_frame_roundtrip_and_non_frames_are_corrupt() {
         let cmds = vec![b"alpha".to_vec(), vec![], b"b".to_vec()];
         let mut n = node(1, &[1], 3);
         for _ in 0..RaftConfig::default().election_timeout_max {
@@ -1416,18 +1455,18 @@ mod tests {
             .iter()
             .find(|e| e.index == idx)
             .expect("frame committed");
-        let decoded = decode_batch_frame(&entry.data)
-            .expect("is a frame")
-            .expect("well-formed");
+        let decoded = decode_batch_frame(&entry.data).expect("well-formed frame");
         assert_eq!(decoded, cmds);
 
-        // Non-frame payloads are passed through as `None`.
-        assert!(decode_batch_frame(b"\x01plain").is_none());
-        assert!(decode_batch_frame(&[]).is_none());
+        // A payload that is not a frame is corrupt, never a single command.
+        assert!(matches!(
+            decode_batch_frame(b"\x01plain"),
+            Err(CfsError::Corrupt(_))
+        ));
+        assert!(matches!(decode_batch_frame(&[]), Err(CfsError::Corrupt(_))));
         // Truncated frames are an error, not a silent misparse.
-        assert!(decode_batch_frame(&[BATCH_FRAME_MARKER, 9, 0, 0, 0])
-            .unwrap()
-            .is_err());
+        assert!(decode_batch_frame(&[BATCH_FRAME_MARKER, 9, 0, 0, 0]).is_err());
+        assert!(decode_batch_frame(&[BATCH_FRAME_MARKER, 1, 0, 0]).is_err());
         // Empty batches are rejected at propose time.
         assert!(n.propose_batch(vec![]).is_err());
     }

@@ -113,7 +113,8 @@ impl<'a> Decoder<'a> {
         self.remaining() == 0
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    /// The next `n` bytes, raw (the reading side of [`Encoder::put_raw`]).
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(CfsError::Corrupt(format!(
                 "decode underflow: need {n} bytes, have {}",

@@ -995,6 +995,61 @@ fn raftset_fanout_budget_at_10x_partitions() {
     );
 }
 
+/// Peak per-node raft fan-out and the meta nodes' steady-state wire
+/// messages over a fixed settle window, for 12 meta nodes placed in sets
+/// of `set_size`, after the seed partition is split 9 times (10x).
+fn raftset_fanout_and_heartbeat_traffic(set_size: usize) -> (usize, u64) {
+    let config = ClusterConfig {
+        raft_set_size: set_size,
+        ..ClusterConfig::default()
+    };
+    let cluster = ClusterBuilder::new()
+        .meta_nodes(12)
+        .config(config)
+        .build()
+        .unwrap();
+    let vol = cluster.create_volume("raftsets", 1, 4).unwrap();
+    let client = cluster.mount("raftsets").unwrap();
+    let root = client.root();
+    for i in 0..16 {
+        client.create(root, &format!("f{i}")).unwrap();
+    }
+    cluster.settle(200);
+    for _ in 0..RAFTSET_SPLITS {
+        assert_eq!(cluster.split_newest_meta_partition(vol, true).unwrap(), 2);
+        cluster.settle(100);
+    }
+    cluster.heartbeat().unwrap();
+    cluster.settle(200);
+    // Every group is elected, so the window carries heartbeat upkeep
+    // only: the cost Raft sets bound.
+    let wire = || -> u64 {
+        cluster
+            .meta_nodes()
+            .iter()
+            .map(|n| n.multiraft_stats().wire_messages_sent)
+            .sum()
+    };
+    let before = wire();
+    cluster.settle(2_000);
+    let peers_max = cluster
+        .meta_nodes()
+        .iter()
+        .map(|n| n.raft_distinct_peers())
+        .max()
+        .unwrap_or(0);
+    (peers_max, wire() - before)
+}
+
+/// §2.5.1 against no confinement at all: sets of 3 hold each node's
+/// fan-out at 2 peers where one set of 12 lets it reach 5, and fold the
+/// window's heartbeats into 480 wire messages instead of 1,600.
+#[test]
+fn raftsets_bound_fanout_and_heartbeat_traffic_against_one_set_of_12() {
+    assert_eq!(raftset_fanout_and_heartbeat_traffic(RAFTSET_SIZE), (2, 480));
+    assert_eq!(raftset_fanout_and_heartbeat_traffic(12), (5, 1_600));
+}
+
 #[test]
 fn split_and_raftset_budget_checks_reject_perturbed_counts() {
     let msg_of = |payload: Box<dyn std::any::Any + Send>| {
