@@ -8,6 +8,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::async_commit::Acked;
+use crate::route::Group;
 use cfs_data::{DataRequest, DataResponse};
 use cfs_master::{DataPartitionMeta, MasterRequest, MasterResponse, MetaPartitionMeta};
 use cfs_meta::{IntentContext, MetaCommand, MetaRead, MetaRequest, MetaResponse, MetaValue};
@@ -329,8 +330,9 @@ pub(crate) enum LookupEntry {
 pub(crate) struct CacheState {
     pub meta_partitions: Vec<MetaPartitionMeta>,
     pub data_partitions: Vec<DataPartitionMeta>,
-    /// Last identified Raft leader per partition (§2.4).
-    pub leader_cache: HashMap<PartitionId, NodeId>,
+    /// Last identified Raft leader per group (§2.4); only the routing
+    /// code in `route.rs` reads or writes it.
+    pub leader_cache: HashMap<Group, NodeId>,
     /// Inode cache (§2.4), force-synced on open.
     pub inode_cache: HashMap<InodeId, Inode>,
     /// Lookup cache: (parent, name) → positive or negative entry.
@@ -341,7 +343,6 @@ pub(crate) struct CacheState {
     /// Async-commit intents acked but not yet barriered (DESIGN §12),
     /// drained by the next `fsync`/`close`.
     pub async_pending: Vec<crate::async_commit::AsyncIntent>,
-    pub master_leader: Option<NodeId>,
     pub rng: SmallRng,
 }
 
@@ -407,7 +408,6 @@ impl Client {
                 lookup_cache: HashMap::new(),
                 orphans: Vec::new(),
                 async_pending: Vec::new(),
-                master_leader: None,
                 rng: SmallRng::seed_from_u64(seed),
             }),
             coalesce: Mutex::new(crate::coalesce::CoalesceState::default()),
@@ -514,71 +514,20 @@ impl Client {
         }
     }
 
-    /// A full scan of a partition's members failed: the cached view may be
-    /// stale (the repair scheduler moves replicas, §2.3.3). Evict the
-    /// leader cache entry and re-fetch routing from the resource manager;
-    /// returns the partition's current data members if it still exists.
-    fn refresh_data_view(&self, partition: PartitionId) -> Option<Vec<NodeId>> {
-        self.cache.lock().leader_cache.remove(&partition);
-        self.refresh_partition_table().ok()?;
-        self.stats.view_refreshes.inc();
-        let cache = self.cache.lock();
-        cache
-            .data_partitions
-            .iter()
-            .find(|p| p.partition == partition)
-            .map(|p| p.members.clone())
-    }
-
-    /// [`Self::refresh_data_view`]'s meta-partition counterpart.
-    fn refresh_meta_view(&self, partition: PartitionId) -> Option<Vec<NodeId>> {
-        self.cache.lock().leader_cache.remove(&partition);
-        self.refresh_partition_table().ok()?;
-        self.stats.view_refreshes.inc();
-        let cache = self.cache.lock();
-        cache
-            .meta_partitions
-            .iter()
-            .find(|p| p.partition == partition)
-            .map(|p| p.members.clone())
-    }
-
     // ------------------------------------------------------------------
     // Resource-manager communication (non-persistent connections, §2.5.2)
     // ------------------------------------------------------------------
 
-    /// Call the master, discovering/re-discovering its leader.
+    /// Call the master group's leader.
     pub(crate) fn master_call(&self, req: MasterRequest) -> Result<MasterResponse> {
-        let cached = self.cache.lock().master_leader;
-        let mut candidates: Vec<NodeId> = Vec::new();
-        if let Some(l) = cached {
-            candidates.push(l);
-        }
-        candidates.extend(self.master_replicas.iter().copied());
-        let mut last_err = CfsError::Unavailable("no master replicas".into());
-        for pass in 0..=MAX_RETRIES {
-            self.retry_pause(pass, "master", |_| Ok(()))?;
-            for &node in &candidates {
-                match self.fabrics.master.call(self.id, node, req.clone()) {
-                    Ok(Ok(resp)) => {
-                        self.cache.lock().master_leader = Some(node);
-                        return Ok(resp);
-                    }
-                    Ok(Err(CfsError::NotLeader { hint: Some(h), .. })) => {
-                        self.cache.lock().master_leader = Some(h);
-                        match self.fabrics.master.call(self.id, h, req.clone()) {
-                            Ok(Ok(resp)) => return Ok(resp),
-                            Ok(Err(e)) => last_err = e,
-                            Err(e) => last_err = e,
-                        }
-                    }
-                    Ok(Err(e)) if e.is_retryable() => last_err = e,
-                    Ok(Err(e)) => return Err(e),
-                    Err(e) => last_err = e,
-                }
-            }
-        }
-        Err(last_err)
+        let answer = self.route(
+            &self.fabrics.master,
+            Group::Master,
+            &self.master_replicas,
+            MAX_RETRIES + 1,
+            || req.clone(),
+        )?;
+        Ok(answer?.1)
     }
 
     fn fetch_volume(&self, name: &str) -> Result<VolumeId> {
@@ -673,69 +622,32 @@ impl Client {
     pub fn data_partition_members(&self, partition: PartitionId) -> Result<Vec<NodeId>> {
         let cache = self.cache.lock();
         cache
-            .data_partitions
-            .iter()
-            .find(|p| p.partition == partition)
-            .map(|p| p.members.clone())
+            .members(Group::Data(partition))
+            .map(<[NodeId]>::to_vec)
             .ok_or_else(|| CfsError::NotFound(format!("{partition}")))
     }
 
-    /// Issue one data RPC to a partition's Raft leader: cached leader first
-    /// (§2.4), then every member, for up to `attempts` scan passes.
-    /// `NotLeader{hint}` replies update the leader cache between tries; a
-    /// non-retryable error aborts immediately. The caller matches the
-    /// returned response against the variant it expects.
+    /// Issue one data RPC to a partition's Raft leader, for up to
+    /// `attempts` scan passes. The caller matches the returned response
+    /// against the variant it expects.
     pub(crate) fn call_leader(
         &self,
         partition: PartitionId,
         attempts: u32,
-        mut req: impl FnMut() -> DataRequest,
+        req: impl FnMut() -> DataRequest,
     ) -> Result<DataResponse> {
-        let mut members = self.data_partition_members(partition)?;
-        let mut last_err = CfsError::Unavailable("no data replicas".into());
-        for pass in 0..attempts.max(1) {
-            // Every member refused or was unreachable: the view may be
-            // stale (a repaired partition has new members) — re-fetch
-            // routing, then back off before rescanning.
-            self.retry_pause(pass, "data", |c| {
-                if let Some(m) = c.refresh_data_view(partition) {
-                    members = m;
-                }
-                Ok(())
-            })?;
-            let mut order: Vec<NodeId> = Vec::with_capacity(members.len() + 1);
-            if let Some(&l) = self.cache.lock().leader_cache.get(&partition) {
-                order.push(l);
-            }
-            let cached0 = order.first().copied();
-            order.extend(members.iter().copied().filter(|m| Some(*m) != cached0));
-            for node in order {
-                match self.fabrics.data.call(self.id, node, req()) {
-                    Ok(Ok(resp)) => {
-                        self.cache.lock().leader_cache.insert(partition, node);
-                        return Ok(resp);
-                    }
-                    Ok(Err(CfsError::NotLeader { hint, .. })) => {
-                        if let Some(h) = hint {
-                            self.cache.lock().leader_cache.insert(partition, h);
-                        }
-                        last_err = CfsError::NotLeader { partition, hint };
-                    }
-                    Ok(Err(e)) if e.is_retryable() => last_err = e,
-                    Ok(Err(e)) => return Err(e),
-                    Err(e) => last_err = e,
-                }
-            }
-        }
-        Err(last_err)
+        let members = self.data_partition_members(partition)?;
+        let group = Group::Data(partition);
+        Ok(self
+            .route(&self.fabrics.data, group, &members, attempts, req)??
+            .1)
     }
 
     // ------------------------------------------------------------------
     // Meta RPC with leader cache + retries
     // ------------------------------------------------------------------
 
-    /// Issue a meta RPC to the partition's leader, using the cached leader
-    /// first (§2.4) and scanning members on a miss; retries per §2.1.3.
+    /// Issue a meta RPC to the partition's leader; retries per §2.1.3.
     /// Returns the value and — when the leader acked a `WriteAsync` from
     /// its intent journal instead of committing it (DESIGN §12) — where
     /// that intent lives, so the barrier can go back to the acking node.
@@ -746,83 +658,40 @@ impl Client {
         req: MetaRequest,
     ) -> Result<(MetaValue, Option<Acked>)> {
         let is_read = matches!(req, MetaRequest::Read { .. });
-        let mut members = members.to_vec();
-        let mut last_err = CfsError::Unavailable("no meta replicas".into());
-        for pass in 0..=MAX_RETRIES {
-            self.retry_pause(pass, "meta", |c| {
-                if let Some(m) = c.refresh_meta_view(partition) {
-                    members = m;
+        let group = Group::Meta(partition);
+        let answer = self
+            .route(&self.fabrics.meta, group, members, MAX_RETRIES + 1, || {
+                req.clone()
+            })
+            .map_err(|last| {
+                CfsError::RetriesExhausted {
+                    op: format!("meta_call({partition})"),
+                    attempts: MAX_RETRIES + 1,
                 }
-                Ok(())
+                .max_specific(last)
             })?;
-            // Try the cached leader first, then every member.
-            let mut order: Vec<NodeId> = Vec::with_capacity(members.len() + 1);
-            if let Some(&l) = self.cache.lock().leader_cache.get(&partition) {
-                order.push(l);
-            }
-            let cached0 = order.first().copied();
-            order.extend(members.iter().copied().filter(|m| Some(*m) != cached0));
-
-            for node in order {
-                match self.fabrics.meta.call(self.id, node, req.clone()) {
-                    Ok(Ok(resp)) => {
-                        self.cache.lock().leader_cache.insert(partition, node);
-                        if is_read {
-                            self.stats.meta_reads_served.inc();
-                        }
-                        return match resp {
-                            MetaResponse::Value(v) => Ok((v, None)),
-                            MetaResponse::Acked { intent, value } => Ok((
-                                value,
-                                Some(Acked {
-                                    partition,
-                                    node,
-                                    intent,
-                                }),
-                            )),
-                            _ => Err(CfsError::Internal("unexpected meta response".into())),
-                        };
-                    }
-                    Ok(Err(CfsError::NotLeader { hint, .. })) => {
-                        let mut cache = self.cache.lock();
-                        match hint {
-                            Some(h) => {
-                                cache.leader_cache.insert(partition, h);
-                            }
-                            None => {
-                                cache.leader_cache.remove(&partition);
-                            }
-                        }
-                        last_err = CfsError::NotLeader { partition, hint };
-                    }
-                    Ok(Err(e)) if e.is_retryable() => last_err = e,
-                    Ok(Err(e)) => {
-                        // Non-retryable domain errors (NotFound, Exists,
-                        // ...) only arise after the leader classified and
-                        // served the read, so they count as served too —
-                        // keeping `client.meta_reads_served` reconcilable
-                        // with `meta.lease_reads + meta.quorum_reads`.
-                        // `RangeMoved` is the exception: the dual-serve
-                        // fence fires *before* lease/quorum classification
-                        // (the partition no longer owns the inode), so it
-                        // must not count as a served read.
-                        if is_read && !matches!(e, CfsError::RangeMoved { .. }) {
-                            self.stats.meta_reads_served.inc();
-                        }
-                        return Err(e);
-                    }
-                    Err(e) => {
-                        self.cache.lock().leader_cache.remove(&partition);
-                        last_err = e;
-                    }
-                }
-            }
+        // A leader answered, so it served the read — domain errors
+        // (NotFound, Exists, ...) included, since they only arise after
+        // the leader classified the read as lease or quorum; this keeps
+        // `client.meta_reads_served` reconcilable with `meta.lease_reads +
+        // meta.quorum_reads`. `RangeMoved` is the exception: the
+        // dual-serve fence fires *before* classification (the partition
+        // no longer owns the inode).
+        if is_read && !matches!(answer, Err(CfsError::RangeMoved { .. })) {
+            self.stats.meta_reads_served.inc();
         }
-        Err(CfsError::RetriesExhausted {
-            op: format!("meta_call({partition})"),
-            attempts: MAX_RETRIES + 1,
+        match answer? {
+            (_, MetaResponse::Value(v)) => Ok((v, None)),
+            (node, MetaResponse::Acked { intent, value }) => Ok((
+                value,
+                Some(Acked {
+                    partition,
+                    node,
+                    intent,
+                }),
+            )),
+            _ => Err(CfsError::Internal("unexpected meta response".into())),
         }
-        .max_specific(last_err))
     }
 
     /// Convenience: replicated write to a partition.

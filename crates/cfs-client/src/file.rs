@@ -1,5 +1,7 @@
 //! Handle-based file I/O: the §2.7 read/write paths.
 
+use std::ops::ControlFlow;
+
 use bytes::Bytes;
 
 use cfs_data::{DataRequest, DataResponse};
@@ -8,6 +10,7 @@ use cfs_types::crc::crc32;
 use cfs_types::{CfsError, ExtentId, ExtentKey, FileType, InodeId, NodeId, PartitionId, Result};
 
 use crate::client::{Client, MAX_RETRIES};
+use crate::route::Group;
 
 /// An open file: inode, cursor, and the client's write-position cache
 /// (data partition id / extent id / offset, §2.4).
@@ -55,11 +58,6 @@ fn extent_covering(extents: &[ExtentKey], offset: u64) -> Result<ExtentKey> {
         .copied()
         .ok_or_else(|| CfsError::Internal(format!("no extent covering offset {offset}")))
 }
-
-/// One read-fanout segment after submit: destination offset in the output
-/// buffer, the source `(key, lo, hi)` segment, and — when a target replica
-/// was resolvable — the node it was sent to plus the completion token.
-type SubmittedRead<'a> = (usize, &'a (ExtentKey, u64, u64), Option<(NodeId, u64)>);
 
 impl Client {
     /// Open `parent/name` for I/O. Forces the cached metadata to
@@ -618,102 +616,61 @@ impl Client {
             }
         }
 
-        if segments.len() <= 1 {
-            for &(key, lo, hi) in &segments {
-                let piece = self.read_extent(
-                    key.partition_id,
-                    key.extent_id,
-                    key.extent_offset + (lo - key.file_offset),
-                    hi - lo,
-                )?;
-                let dst = (lo - offset) as usize;
-                out[dst..dst + piece.len()].copy_from_slice(&piece);
-            }
-            return Ok(out);
-        }
-
-        self.stats.parallel_read_fanouts.inc();
-        let rid = self.next_request_id();
-        let _span = self.op_span(rid, "read_fanout");
+        // Only a range over several extents counts (and is traced) as a
+        // fanout; a one-segment read is a batch of one.
+        let _span = if segments.len() > 1 {
+            self.stats.parallel_read_fanouts.inc();
+            let rid = self.next_request_id();
+            self.op_span(rid, "read_fanout")
+        } else {
+            None
+        };
         for batch in segments.chunks(self.options.pipeline_depth as usize) {
-            // Submit the whole batch to each partition's best-guess leader
-            // (cached, else the first member), then poll the completions:
-            // the batch shares one scheduled round trip on the fabric
-            // clock instead of spawning one reader thread per segment. A
-            // miss — stale leader, fault, redirect — falls back to the
-            // fully retrying `read_extent` scan for just that segment.
-            let submitted: Vec<SubmittedRead<'_>> = batch
+            // Submit the whole batch, each segment to the head of its
+            // partition's try order, then poll the completions: the batch
+            // shares one scheduled round trip on the fabric clock instead
+            // of spawning one reader thread per segment. A miss — stale
+            // leader, fault, redirect — falls back to the full
+            // `read_extent` scan for just that segment.
+            let tokens: Vec<Option<(NodeId, u64)>> = batch
                 .iter()
-                .map(|seg| {
-                    let &(key, lo, hi) = seg;
-                    let dst = (lo - offset) as usize;
-                    // Drop the cache guard before the miss path: resolving
-                    // members re-enters the cache lock.
-                    let cached = {
-                        self.cache
-                            .lock()
-                            .leader_cache
-                            .get(&key.partition_id)
-                            .copied()
+                .map(|&(key, lo, hi)| {
+                    let node = self.first_target(Group::Data(key.partition_id))?;
+                    let req = DataRequest::Read {
+                        partition: key.partition_id,
+                        extent: key.extent_id,
+                        offset: key.extent_offset + (lo - key.file_offset),
+                        len: hi - lo,
+                        enforce_committed: false,
                     };
-                    let target = cached.or_else(|| {
-                        self.data_partition_members(key.partition_id)
-                            .ok()?
-                            .first()
-                            .copied()
-                    });
-                    let token = target.map(|node| {
-                        let req = DataRequest::Read {
-                            partition: key.partition_id,
-                            extent: key.extent_id,
-                            offset: key.extent_offset + (lo - key.file_offset),
-                            len: hi - lo,
-                            enforce_committed: false,
-                        };
-                        (node, self.fabrics.data.submit(self.id, node, req))
-                    });
-                    (dst, seg, token)
+                    Some((node, self.fabrics.data.submit(self.id, node, req)))
                 })
                 .collect();
             // Take every completion before acting on any failure, so no
             // token is ever abandoned in the delivery queue.
-            let mut copy_jobs: Vec<(usize, Result<Vec<u8>>)> = Vec::with_capacity(batch.len());
-            for (dst, seg, sub) in submitted {
-                let &(key, lo, hi) = seg;
-                let fast = sub.map(|(node, token)| (node, self.fabrics.data.wait(token)));
-                let piece = match fast {
-                    Some((node, Ok(Ok(DataResponse::Data(d))))) => {
-                        self.cache
-                            .lock()
-                            .leader_cache
-                            .insert(key.partition_id, node);
-                        Ok(d)
-                    }
-                    Some((_, Ok(Ok(_)))) => Err(CfsError::Internal("bad Read reply".into())),
-                    Some((_, Ok(Err(e)))) | Some((_, Err(e)))
-                        if !(e.is_retryable() || matches!(e, CfsError::NotLeader { .. })) =>
-                    {
-                        Err(e)
-                    }
-                    _ => {
-                        // Redirect or retryable miss: note the hint if the
-                        // leader moved, then take the slow path.
-                        if let Some((_, Ok(Err(CfsError::NotLeader { hint: Some(h), .. })))) = &fast
-                        {
-                            self.cache.lock().leader_cache.insert(key.partition_id, *h);
-                        }
-                        self.read_extent(
-                            key.partition_id,
-                            key.extent_id,
-                            key.extent_offset + (lo - key.file_offset),
-                            hi - lo,
-                        )
-                    }
+            let replies: Vec<_> = batch
+                .iter()
+                .zip(tokens)
+                .map(|(&(key, ..), sub)| {
+                    let (node, token) = sub?;
+                    let reply = self.fabrics.data.wait(token);
+                    Some(self.learn(Group::Data(key.partition_id), node, reply))
+                })
+                .collect();
+            for (&(key, lo, hi), reply) in batch.iter().zip(replies) {
+                let piece = match reply {
+                    Some(ControlFlow::Break(answer)) => match answer? {
+                        DataResponse::Data(d) => d,
+                        _ => return Err(CfsError::Internal("bad Read reply".into())),
+                    },
+                    _ => self.read_extent(
+                        key.partition_id,
+                        key.extent_id,
+                        key.extent_offset + (lo - key.file_offset),
+                        hi - lo,
+                    )?,
                 };
-                copy_jobs.push((dst, piece));
-            }
-            for (dst, r) in copy_jobs {
-                let piece = r?;
+                let dst = (lo - offset) as usize;
                 out[dst..dst + piece.len()].copy_from_slice(&piece);
             }
         }

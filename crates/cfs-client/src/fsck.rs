@@ -104,7 +104,7 @@ impl Client {
         let alive: HashSet<NodeId> = match self.master_call(MasterRequest::ListNodes)? {
             MasterResponse::Nodes(nodes) => nodes
                 .iter()
-                .filter(|n| !n.is_dead(&self.config))
+                .filter(|n| !n.is_dead())
                 .map(|n| n.node)
                 .collect(),
             _ => return Err(CfsError::Internal("bad ListNodes reply".into())),

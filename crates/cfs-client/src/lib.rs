@@ -53,6 +53,7 @@ mod ops;
 mod path;
 mod readcache;
 mod retry;
+mod route;
 
 pub use client::{Client, ClientOptions, DataPathSnapshot, Fabrics};
 pub use file::FileHandle;

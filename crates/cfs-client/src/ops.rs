@@ -179,7 +179,9 @@ impl Client {
                 c.stats.view_refreshes.inc();
                 c.refresh_partition_table()
             })?;
-            let mut by_partition: std::collections::HashMap<
+            // Partition order, so the batches go out in the same order on
+            // every run.
+            let mut by_partition: std::collections::BTreeMap<
                 cfs_types::PartitionId,
                 (Vec<cfs_types::NodeId>, Vec<InodeId>),
             > = Default::default();

@@ -1122,10 +1122,9 @@ impl DataNode {
     pub fn extent_manifest(&self, partition: PartitionId) -> Option<Vec<ExtentInfo>> {
         let hosted = self.hosted(partition).ok()?;
         let mut r = hosted.replica.lock();
-        let mut ids = r.extent_ids();
-        ids.sort();
         Some(
-            ids.into_iter()
+            r.extent_ids()
+                .into_iter()
                 .map(|e| ExtentInfo {
                     extent: e,
                     size: r.extent_size(e).unwrap_or(0),

@@ -36,6 +36,9 @@ use crate::compact::{self, Run, RunEntry};
 use crate::record::Record;
 use crate::wal::Wal;
 
+/// Number of levels (L0 .. L(MAX_LEVELS-1)).
+const MAX_LEVELS: usize = 3;
+
 /// Tuning knobs for [`LsmEngine`].
 #[derive(Debug, Clone)]
 pub struct LsmOptions {
@@ -50,8 +53,6 @@ pub struct LsmOptions {
     /// Cascade a level-`i` run into level `i+1` once it exceeds
     /// `level_base_bytes << (3 * i)`.
     pub level_base_bytes: u64,
-    /// Number of levels (L0 .. L(max_levels-1)).
-    pub max_levels: usize,
     /// Disable automatic flushing entirely (the forced-failure twin in the
     /// recovery budget test: every restart replays the whole history).
     pub flush_enabled: bool,
@@ -64,7 +65,6 @@ impl Default for LsmOptions {
             memtable_flush_bytes: 256 * 1024,
             l0_compact_runs: 4,
             level_base_bytes: 4 * 1024 * 1024,
-            max_levels: 3,
             flush_enabled: true,
         }
     }
@@ -169,7 +169,7 @@ impl LsmEngine {
             }
         }
 
-        let mut levels: Vec<Vec<Arc<Run>>> = vec![Vec::new(); options.max_levels];
+        let mut levels: Vec<Vec<Arc<Run>>> = vec![Vec::new(); MAX_LEVELS];
         let mut wal_upto = 0u64;
         let mut next_run_seq = 1u64;
         for path in run_paths {
@@ -177,7 +177,7 @@ impl LsmEngine {
                 Ok(run) => {
                     wal_upto = wal_upto.max(run.wal_upto);
                     next_run_seq = next_run_seq.max(run.seq + 1);
-                    let level = run.level.min(options.max_levels - 1);
+                    let level = run.level.min(MAX_LEVELS - 1);
                     levels[level].push(run);
                 }
                 Err(_) => {
@@ -368,7 +368,7 @@ impl LsmEngine {
     pub fn compact_all(&self) -> Result<()> {
         let mut inner = self.inner.lock();
         self.flush_locked(&mut inner)?;
-        let bottom = inner.options.max_levels - 1;
+        let bottom = MAX_LEVELS - 1;
         self.merge_into_locked(&mut inner, 0, bottom)
     }
 
@@ -425,7 +425,7 @@ impl LsmEngine {
             self.merge_into_locked(inner, 0, 1)?;
         }
         // Size cascade: an oversized level spills into the next one.
-        for level in 1..inner.options.max_levels - 1 {
+        for level in 1..MAX_LEVELS - 1 {
             let bytes: u64 = inner.levels[level].iter().map(|r| r.bytes).sum();
             let limit = inner.options.level_base_bytes << (3 * (level - 1));
             if bytes > limit {
@@ -438,7 +438,7 @@ impl LsmEngine {
     /// Merge every run in levels `from..=into` into one run at `into`.
     /// Tombstones are dropped iff nothing deeper than `into` holds data.
     fn merge_into_locked(&self, inner: &mut Inner, from: usize, into: usize) -> Result<()> {
-        let into = into.min(inner.options.max_levels - 1);
+        let into = into.min(MAX_LEVELS - 1);
         let mut inputs: Vec<Arc<Run>> = Vec::new();
         // Precedence order: shallower level first; within a level newest
         // (highest seq) first.

@@ -3,7 +3,10 @@
 use std::collections::BTreeMap;
 
 use cfs_types::codec::{Decode, Decoder, Encode, Encoder};
-use cfs_types::{CfsError, ClusterConfig, InodeId, NodeId, PartitionId, Result, VolumeId};
+use cfs_types::{
+    CfsError, ClusterConfig, InodeId, NodeId, PartitionId, Result, VolumeId, DEAD_AFTER_MISSED,
+    SPLIT_DELTA, SUSPECT_AFTER_MISSED, VOLUME_REFILL_WATERMARK,
+};
 
 use crate::placement::{choose_replicas, NodeLoad};
 
@@ -61,22 +64,22 @@ pub struct NodeStatus {
     /// Raft set membership (§2.5.1).
     pub raft_set: u32,
     /// Consecutive heartbeat rounds this node failed to report in.
-    /// `>= suspect_after_missed` makes the node a non-target for
-    /// placement; `>= dead_after_missed` triggers repair (§2.3.3).
+    /// `>= SUSPECT_AFTER_MISSED` makes the node a non-target for
+    /// placement; `>= DEAD_AFTER_MISSED` triggers repair (§2.3.3).
     pub missed_heartbeats: u32,
 }
 
 impl NodeStatus {
-    /// Detection state relative to `config` thresholds: a node the
-    /// scheduler must re-replicate away from.
-    pub fn is_dead(&self, config: &ClusterConfig) -> bool {
-        self.missed_heartbeats >= config.dead_after_missed
+    /// Past the detection threshold: a node the scheduler must
+    /// re-replicate away from.
+    pub fn is_dead(&self) -> bool {
+        self.missed_heartbeats >= DEAD_AFTER_MISSED
     }
 
     /// Suspect or worse: excluded from new placements but not yet
     /// repaired around.
-    pub fn is_suspect(&self, config: &ClusterConfig) -> bool {
-        self.missed_heartbeats >= config.suspect_after_missed
+    pub fn is_suspect(&self) -> bool {
+        self.missed_heartbeats >= SUSPECT_AFTER_MISSED
     }
 }
 
@@ -586,7 +589,7 @@ impl MasterState {
                 raft_set: n.raft_set,
                 // Suspects are excluded from new placements before they
                 // are declared dead (§2.3.3); the dead are suspect too.
-                alive: !n.is_suspect(&self.config),
+                alive: !n.is_suspect(),
             })
             .collect()
     }
@@ -714,7 +717,7 @@ impl MasterState {
             return Ok(ApplyOutcome::default());
         }
         // Line 8: end ← maxInodeID + Δ.
-        let end = InodeId(max_inode.raw() + self.config.split_delta);
+        let end = InodeId(max_inode.raw() + SPLIT_DELTA);
         mp.end = end;
         let mut tasks = vec![Task::UpdateMetaPartitionEnd {
             partition: pid,
@@ -754,7 +757,7 @@ impl MasterState {
         let dead: Vec<NodeId> = self
             .nodes
             .values()
-            .filter(|n| n.is_dead(&self.config))
+            .filter(|n| n.is_dead())
             .map(|n| n.node)
             .collect();
         let mut outcome = ApplyOutcome::default();
@@ -953,7 +956,7 @@ impl MasterState {
             }
             let writable = parts.iter().filter(|p| !p.full && !p.read_only).count();
             let ratio = writable as f64 / parts.len() as f64;
-            if ratio < self.config.volume_refill_watermark {
+            if ratio < VOLUME_REFILL_WATERMARK {
                 for _ in 0..self.config.partitions_per_allocation {
                     let (_, t) = self.new_data_partition(vid)?;
                     outcome.tasks.push(t);
@@ -1271,7 +1274,7 @@ mod tests {
             .apply(&MasterCommand::SplitMetaPartition { partition: pid })
             .unwrap();
         assert_eq!(out.tasks.len(), 2);
-        let delta = st.config().split_delta;
+        let delta = SPLIT_DELTA;
         match &out.tasks[0] {
             Task::UpdateMetaPartitionEnd { end, .. } => {
                 assert_eq!(*end, InodeId(500 + delta), "end = maxInodeID + Δ");
@@ -1623,11 +1626,11 @@ mod tests {
         // Default thresholds: suspect at 2 misses, dead at 3.
         miss_round(&mut st, victim);
         let n = st.node(victim).unwrap();
-        assert!(!n.is_suspect(&st.config) && !n.is_dead(&st.config));
+        assert!(!n.is_suspect() && !n.is_dead());
 
         miss_round(&mut st, victim);
         let n = st.node(victim).unwrap();
-        assert!(n.is_suspect(&st.config) && !n.is_dead(&st.config));
+        assert!(n.is_suspect() && !n.is_dead());
         // Suspects are no longer placement targets.
         assert!(st
             .loads(NodeKind::Data)
@@ -1636,12 +1639,12 @@ mod tests {
 
         miss_round(&mut st, victim);
         let n = st.node(victim).unwrap();
-        assert!(n.is_dead(&st.config));
+        assert!(n.is_dead());
 
         // A node that comes back fully recovers.
         round(&mut st, vec![], vec![], vec![]);
         let n = st.node(victim).unwrap();
-        assert!(!n.is_dead(&st.config) && n.missed_heartbeats == 0 && !n.is_suspect(&st.config));
+        assert!(!n.is_dead() && n.missed_heartbeats == 0 && !n.is_suspect());
     }
 
     #[test]
@@ -1663,7 +1666,7 @@ mod tests {
             .find(|n| !members.contains(n))
             .unwrap();
 
-        for _ in 0..st.config.dead_after_missed {
+        for _ in 0..DEAD_AFTER_MISSED {
             miss_round(&mut st, victim);
         }
         let out = st.apply(&MasterCommand::RepairTick).unwrap();
@@ -1726,7 +1729,7 @@ mod tests {
         let dpid = st.volume(out.volume.unwrap()).unwrap().data_partitions[0];
         let members = st.data_partition(dpid).unwrap().members.clone();
         let head = members[0];
-        for _ in 0..st.config.dead_after_missed {
+        for _ in 0..DEAD_AFTER_MISSED {
             miss_round(&mut st, head);
         }
         st.apply(&MasterCommand::RepairTick).unwrap();
@@ -1767,7 +1770,7 @@ mod tests {
             .filter(|p| p.members.contains(&victim))
             .map(|p| p.partition)
             .collect();
-        for _ in 0..st.config.dead_after_missed {
+        for _ in 0..DEAD_AFTER_MISSED {
             miss_round(&mut st, victim);
         }
         let out = st.apply(&MasterCommand::RepairTick).unwrap();
@@ -1809,7 +1812,7 @@ mod tests {
             .unwrap();
         let dpid = st.volume(out.volume.unwrap()).unwrap().data_partitions[0];
         let members = st.data_partition(dpid).unwrap().members.clone();
-        for _ in 0..st.config.dead_after_missed {
+        for _ in 0..DEAD_AFTER_MISSED {
             miss_round(&mut st, members[1]);
         }
         let out = st.apply(&MasterCommand::RepairTick).unwrap();

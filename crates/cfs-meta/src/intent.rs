@@ -29,7 +29,7 @@
 //! else reads or writes them. One more row in the family, the id
 //! high-water mark, keeps intent ids unique across reboots.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cfs_kvwal::{LsmEngine, TypedCf};
@@ -275,7 +275,9 @@ struct Row {
 /// the only code that moves an intent from one state to the next.
 pub(crate) struct IntentJournal {
     engine: Arc<LsmEngine>,
-    rows: HashMap<PartitionId, BTreeMap<u64, Row>>,
+    /// Rows by partition, in id order: resolution settles them in the
+    /// same order on every run.
+    rows: BTreeMap<PartitionId, BTreeMap<u64, Row>>,
     /// Acking node, placed in the high 16 bits of every minted id.
     node: u64,
     /// Next node-local sequence.
@@ -299,7 +301,7 @@ impl IntentJournal {
         node: NodeId,
         registry: Option<&Registry>,
     ) -> Result<IntentJournal> {
-        let mut rows: HashMap<PartitionId, BTreeMap<u64, Row>> = HashMap::new();
+        let mut rows: BTreeMap<PartitionId, BTreeMap<u64, Row>> = BTreeMap::new();
         let (mut reserved, mut max_seq) = (0, 0);
         for ((praw, id), bytes) in engine.scan::<IntentCf>()? {
             if (praw, id) == MARK_KEY {

@@ -1494,7 +1494,7 @@ mod tests {
     }
 
     /// Lease safety: a deposed leader must never answer a read from its
-    /// stale tree. The config invariant `lease_ticks < election_timeout_min`
+    /// stale tree. The config invariant `lease_ticks < ELECTION_TIMEOUT_MIN`
     /// guarantees that by the time any replacement leader can be elected,
     /// the old leader's lease has already expired on its own clock — so the
     /// read falls back to the quorum barrier, which a cut node cannot pass.
@@ -1530,7 +1530,7 @@ mod tests {
             "replacement leads a later term"
         );
 
-        // The replacement could only campaign after >= election_timeout_min
+        // The replacement could only campaign after >= ELECTION_TIMEOUT_MIN
         // silent ticks — longer than the lease — so the deposed leader's
         // lease must already be gone even though it heard nothing.
         assert!(

@@ -533,7 +533,7 @@ proptest! {
     fn batched_frame_apply_equals_sequential_apply(
         seeds in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..60)
     ) {
-        use cfs_raft::{decode_batch_frame, RaftConfig, RaftNode};
+        use cfs_raft::{decode_batch_frame, RaftConfig, RaftNode, ELECTION_TIMEOUT_MAX};
         use cfs_types::codec::{Decode, Encode};
         use cfs_types::NodeId;
 
@@ -547,7 +547,7 @@ proptest! {
             RaftConfig::default(),
             7,
         );
-        for _ in 0..RaftConfig::default().election_timeout_max {
+        for _ in 0..ELECTION_TIMEOUT_MAX {
             node.tick();
         }
         prop_assert!(node.is_leader());

@@ -27,8 +27,7 @@
 //! exactly once per RPC, *at scheduled delivery time*: `Drop` completes
 //! the token with a `Timeout`, `Delay(us)` reschedules the delivery
 //! `us` virtual microseconds later (already-verdicted entries are not
-//! re-verdicted), and down/cut/fault checks run after the verdict in the
-//! same order the old synchronous path used.
+//! re-verdicted), and the fault-state check runs after the verdict.
 //!
 //! Calls made from *inside* a handler (chain forwarding on the data
 //! plane) dispatch inline on the caller's stack: they advance the clock
@@ -41,7 +40,7 @@
 
 use std::cell::Cell;
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -131,8 +130,8 @@ fn in_handler() -> bool {
 #[derive(Debug, Default)]
 struct Counters {
     calls: AtomicU64,
-    /// Calls lost to injected faults: down node, cut link, shared fault
-    /// state, or a delivery-hook drop. Surface as `Timeout`.
+    /// Calls lost to injected faults: the shared fault state (down node,
+    /// cut link) or a delivery-hook drop. Surface as `Timeout`.
     drops: AtomicU64,
     /// Calls refused because no handler is registered for the destination.
     /// Surface as `Unavailable`.
@@ -140,8 +139,6 @@ struct Counters {
     /// Per-cause split of `drops`, so chaos reconciliation can match each
     /// loss to the fault kind that injected it.
     hook_drops: AtomicU64,
-    down_drops: AtomicU64,
-    cut_drops: AtomicU64,
     fault_drops: AtomicU64,
     /// Completion-side twins of `calls`: every submitted RPC must complete
     /// exactly once (checked by chaos reconciliation).
@@ -152,24 +149,20 @@ struct Counters {
     inflight_hwm: AtomicU64,
 }
 
-/// `drops` split by the fault kind that caused each loss. The four causes
-/// partition the total: `hook + down + cut + fault == drop_count()`.
+/// `drops` split by the fault kind that caused each loss. The causes
+/// partition the total: `hook + fault == drop_count()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DropCauses {
     /// Scripted delivery-hook drop (chaos `DropRpcs` schedules).
     pub hook: u64,
-    /// Destination node marked down.
-    pub down: u64,
-    /// Directed link cut on this fabric.
-    pub cut: u64,
-    /// Shared cluster-wide fault state (node kill / link cut installed on
-    /// the fault switchboard rather than this fabric).
+    /// Shared cluster-wide fault state: a node marked down or a cut link
+    /// on the fault switchboard.
     pub fault: u64,
 }
 
 impl DropCauses {
     pub fn total(&self) -> u64 {
-        self.hook + self.down + self.cut + self.fault
+        self.hook + self.fault
     }
 }
 
@@ -189,8 +182,6 @@ struct NetObs {
     fabric: String,
     routes: RwLock<HashMap<&'static str, RouteHandles>>,
     hook_drops: Counter,
-    down_drops: Counter,
-    cut_drops: Counter,
     fault_drops: Counter,
     rejections: Counter,
     /// Fabric-wide completion-model counters: `fabric.submits`,
@@ -209,8 +200,6 @@ impl NetObs {
             fabric: fabric.to_string(),
             routes: RwLock::new(HashMap::new()),
             hook_drops: c("hook"),
-            down_drops: c("down"),
-            cut_drops: c("cut"),
             fault_drops: c("fault"),
             rejections: registry.counter(&format!("net.rejections{{fabric={fabric}}}")),
             fabric_submits: registry.counter(&format!("fabric.submits{{fabric={fabric}}}")),
@@ -311,12 +300,9 @@ pub struct Network<Req, Resp> {
 
 struct Inner<Req, Resp> {
     services: RwLock<HashMap<NodeId, Arc<dyn Service<Req, Resp>>>>,
-    /// Nodes that are down: calls to them time out.
-    down: RwLock<HashSet<NodeId>>,
-    /// Directed links that are cut: calls over them time out.
-    cut: RwLock<HashSet<(NodeId, NodeId)>>,
-    /// Optional cluster-wide fault switches shared with the raft hub, so
-    /// one "kill node" affects RPC and consensus traffic alike.
+    /// Optional cluster-wide fault switches (down nodes, cut links) shared
+    /// with the raft hub, so one "kill node" affects RPC and consensus
+    /// traffic alike. Calls they block time out.
     faults: RwLock<Option<FaultState>>,
     /// Simulated per-call latency in nanoseconds (0 = instant), charged as
     /// virtual ticks: a submitted RPC delivers at `now + latency`, so a
@@ -358,8 +344,6 @@ impl<Req, Resp> Network<Req, Resp> {
         Network {
             inner: Arc::new(Inner {
                 services: RwLock::new(HashMap::new()),
-                down: RwLock::new(HashSet::new()),
-                cut: RwLock::new(HashSet::new()),
                 faults: RwLock::new(None),
                 latency_ns: AtomicU64::new(0),
                 clock: RwLock::new(SimClock::new()),
@@ -586,9 +570,9 @@ impl<Req, Resp> Network<Req, Resp> {
         true
     }
 
-    /// Post-verdict delivery: fault checks in the legacy order (down,
-    /// cut, shared fault state), then the handler. Runs at current
-    /// virtual time; the route latency histogram records virtual elapsed.
+    /// Post-verdict delivery: the shared fault-state check, then the
+    /// handler. Runs at current virtual time; the route latency histogram
+    /// records virtual elapsed.
     fn finish_delivery(
         &self,
         submitted_at: u64,
@@ -606,14 +590,6 @@ impl<Req, Resp> Network<Req, Resp> {
             rid.is_traced()
                 .then(|| o.registry.tracer().span(rid, "net", req.route()))
         });
-        if self.inner.down.read().contains(&to) {
-            self.note_drop(obs.as_ref(), &counters.down_drops, |o| &o.down_drops);
-            return Err(CfsError::Timeout(format!("{from} -> {to}")));
-        }
-        if self.inner.cut.read().contains(&(from, to)) {
-            self.note_drop(obs.as_ref(), &counters.cut_drops, |o| &o.cut_drops);
-            return Err(CfsError::Timeout(format!("{from} -> {to}")));
-        }
         if self.fault_blocked(from, to) {
             self.note_drop(obs.as_ref(), &counters.fault_drops, |o| &o.fault_drops);
             return Err(CfsError::Timeout(format!("{from} -> {to}")));
@@ -685,44 +661,15 @@ impl<Req, Resp> Network<Req, Resp> {
         }
     }
 
-    /// Synchronous RPC: submit + wait. Fails with `Timeout` if the
-    /// destination is down or the link is cut, and `Unavailable` if
-    /// nothing is registered there.
+    /// Synchronous RPC: submit + wait. Fails with `Timeout` if the fault
+    /// state has the destination down or the link cut, and `Unavailable`
+    /// if nothing is registered there.
     pub fn call(&self, from: NodeId, to: NodeId, req: Req) -> Result<Resp>
     where
         Req: RpcRoute,
     {
         let token = self.submit(from, to, req);
         self.wait(token)
-    }
-
-    /// Take a node down (calls to it time out) or bring it back.
-    pub fn set_down(&self, node: NodeId, down: bool) {
-        if down {
-            self.inner.down.write().insert(node);
-        } else {
-            self.inner.down.write().remove(&node);
-        }
-    }
-
-    /// True if the node is currently marked down.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.inner.down.read().contains(&node)
-    }
-
-    /// Cut or restore the directed link `from → to`.
-    pub fn set_link_cut(&self, from: NodeId, to: NodeId, cut: bool) {
-        if cut {
-            self.inner.cut.write().insert((from, to));
-        } else {
-            self.inner.cut.write().remove(&(from, to));
-        }
-    }
-
-    /// Cut or restore both directions between two nodes.
-    pub fn set_partitioned(&self, a: NodeId, b: NodeId, cut: bool) {
-        self.set_link_cut(a, b, cut);
-        self.set_link_cut(b, a, cut);
     }
 
     /// Total calls attempted (== RPCs submitted).
@@ -747,20 +694,18 @@ impl<Req, Resp> Network<Req, Resp> {
         self.inner.counters.inflight_hwm.load(Ordering::Relaxed)
     }
 
-    /// Calls lost to injected faults: down node, cut link, shared fault
-    /// state, or a delivery-hook drop.
+    /// Calls lost to injected faults: the shared fault state or a
+    /// delivery-hook drop.
     pub fn drop_count(&self) -> u64 {
         self.inner.counters.drops.load(Ordering::Relaxed)
     }
 
-    /// `drop_count` split by cause; the four causes always sum to the
-    /// total (checked by the chaos reconciliation invariant).
+    /// `drop_count` split by cause; the causes always sum to the total
+    /// (checked by the chaos reconciliation invariant).
     pub fn drop_causes(&self) -> DropCauses {
         let c = &self.inner.counters;
         DropCauses {
             hook: c.hook_drops.load(Ordering::Relaxed),
-            down: c.down_drops.load(Ordering::Relaxed),
-            cut: c.cut_drops.load(Ordering::Relaxed),
             fault: c.fault_drops.load(Ordering::Relaxed),
         }
     }
@@ -800,6 +745,23 @@ mod tests {
         net
     }
 
+    /// Drops every call.
+    struct DropAll;
+
+    impl DeliveryHook for DropAll {
+        fn verdict(&self, _s: u64, _f: NodeId, _t: NodeId) -> DeliveryVerdict {
+            DeliveryVerdict::Drop
+        }
+    }
+
+    /// [`echo_network`] wired to a fresh fault switchboard.
+    fn faulty_echo_network() -> (Network<String, String>, FaultState) {
+        let net = echo_network();
+        let faults = FaultState::new();
+        net.set_faults(faults.clone());
+        (net, faults)
+    }
+
     #[test]
     fn basic_call_roundtrip() {
         let net = echo_network();
@@ -811,15 +773,14 @@ mod tests {
 
     #[test]
     fn down_node_times_out_and_recovers() {
-        let net = echo_network();
-        net.set_down(NodeId(2), true);
-        assert!(net.is_down(NodeId(2)));
+        let (net, faults) = faulty_echo_network();
+        faults.set_down(NodeId(2), true);
         let err = net.call(NodeId(1), NodeId(2), "x".into()).unwrap_err();
         assert!(matches!(err, CfsError::Timeout(_)));
         assert!(err.is_retryable());
         // Other nodes unaffected.
         net.call(NodeId(1), NodeId(3), "x".into()).unwrap();
-        net.set_down(NodeId(2), false);
+        faults.set_down(NodeId(2), false);
         net.call(NodeId(1), NodeId(2), "x".into()).unwrap();
         assert_eq!(net.drop_count(), 1);
         assert_eq!(net.rejection_count(), 0);
@@ -828,21 +789,21 @@ mod tests {
 
     #[test]
     fn cut_link_is_directional() {
-        let net = echo_network();
-        net.set_link_cut(NodeId(1), NodeId(2), true);
+        let (net, faults) = faulty_echo_network();
+        faults.set_link_cut(NodeId(1), NodeId(2), true);
         assert!(net.call(NodeId(1), NodeId(2), "x".into()).is_err());
         assert!(net.call(NodeId(2), NodeId(1), "x".into()).is_ok());
-        net.set_link_cut(NodeId(1), NodeId(2), false);
+        faults.set_link_cut(NodeId(1), NodeId(2), false);
         assert!(net.call(NodeId(1), NodeId(2), "x".into()).is_ok());
     }
 
     #[test]
     fn partition_cuts_both_directions() {
-        let net = echo_network();
-        net.set_partitioned(NodeId(1), NodeId(3), true);
+        let (net, faults) = faulty_echo_network();
+        faults.set_partitioned(NodeId(1), NodeId(3), true);
         assert!(net.call(NodeId(1), NodeId(3), "x".into()).is_err());
         assert!(net.call(NodeId(3), NodeId(1), "x".into()).is_err());
-        net.set_partitioned(NodeId(1), NodeId(3), false);
+        faults.set_partitioned(NodeId(1), NodeId(3), false);
         assert!(net.call(NodeId(1), NodeId(3), "x".into()).is_ok());
     }
 
@@ -862,10 +823,10 @@ mod tests {
 
     #[test]
     fn drops_and_rejections_are_distinguished() {
-        let net = echo_network();
-        net.set_down(NodeId(2), true);
+        let (net, faults) = faulty_echo_network();
+        faults.set_down(NodeId(2), true);
         let _ = net.call(NodeId(1), NodeId(2), "x".into()); // drop
-        net.set_link_cut(NodeId(1), NodeId(3), true);
+        faults.set_link_cut(NodeId(1), NodeId(3), true);
         let _ = net.call(NodeId(1), NodeId(3), "x".into()); // drop
         let _ = net.call(NodeId(1), NodeId(9), "x".into()); // rejection
         assert_eq!(net.drop_count(), 2);
@@ -898,26 +859,19 @@ mod tests {
 
     #[test]
     fn drop_causes_partition_the_total() {
-        let net = echo_network();
-        net.set_down(NodeId(2), true);
+        let (net, faults) = faulty_echo_network();
+        faults.set_down(NodeId(2), true);
         let _ = net.call(NodeId(1), NodeId(2), "x".into()); // down
-        net.set_down(NodeId(2), false);
-        net.set_link_cut(NodeId(1), NodeId(3), true);
+        faults.set_down(NodeId(2), false);
+        faults.set_link_cut(NodeId(1), NodeId(3), true);
         let _ = net.call(NodeId(1), NodeId(3), "x".into()); // cut
-        struct DropAll;
-        impl DeliveryHook for DropAll {
-            fn verdict(&self, _s: u64, _f: NodeId, _t: NodeId) -> DeliveryVerdict {
-                DeliveryVerdict::Drop
-            }
-        }
+        faults.heal_all();
         net.set_delivery_hook(Some(Arc::new(DropAll)));
         let _ = net.call(NodeId(1), NodeId(2), "x".into()); // hook
         net.set_delivery_hook(None);
         let causes = net.drop_causes();
         assert_eq!(causes.hook, 1);
-        assert_eq!(causes.down, 1);
-        assert_eq!(causes.cut, 1);
-        assert_eq!(causes.fault, 0);
+        assert_eq!(causes.fault, 2);
         assert_eq!(causes.total(), net.drop_count());
     }
 
@@ -948,17 +902,18 @@ mod tests {
 
     #[test]
     fn bound_registry_splits_drops_by_cause() {
-        let net = echo_network();
+        let (net, faults) = faulty_echo_network();
         let registry = cfs_obs::Registry::new();
         net.bind_metrics(&registry, "test");
-        net.set_down(NodeId(2), true);
+        faults.set_down(NodeId(2), true);
         let _ = net.call(NodeId(1), NodeId(2), "x".into());
-        net.set_link_cut(NodeId(1), NodeId(3), true);
+        faults.set_link_cut(NodeId(1), NodeId(3), true);
+        let _ = net.call(NodeId(1), NodeId(3), "x".into());
+        net.set_delivery_hook(Some(Arc::new(DropAll)));
         let _ = net.call(NodeId(1), NodeId(3), "x".into());
         let s = registry.snapshot();
-        assert_eq!(s.counter("net.drops{fabric=test,cause=down}"), 1);
-        assert_eq!(s.counter("net.drops{fabric=test,cause=cut}"), 1);
-        assert_eq!(s.counter("net.drops{fabric=test,cause=hook}"), 0);
+        assert_eq!(s.counter("net.drops{fabric=test,cause=fault}"), 2);
+        assert_eq!(s.counter("net.drops{fabric=test,cause=hook}"), 1);
         assert_eq!(s.counter_sum("net.drops{fabric=test"), net.drop_count());
     }
 
@@ -966,10 +921,17 @@ mod tests {
     fn clone_shares_fabric() {
         let net = echo_network();
         let net2 = net.clone();
-        net2.set_down(NodeId(1), true);
-        assert!(net.is_down(NodeId(1)));
+        let faults = FaultState::new();
+        net2.set_faults(faults.clone());
+        faults.set_down(NodeId(1), true);
+        // The clone installed the switchboard; the original consults it.
+        assert!(matches!(
+            net.call(NodeId(3), NodeId(1), "x".into()),
+            Err(CfsError::Timeout(_))
+        ));
         net2.call(NodeId(3), NodeId(2), "via clone".into()).unwrap();
-        assert_eq!(net.call_count(), 1);
+        assert_eq!(net.call_count(), 2);
+        assert_eq!(net.drop_count(), 1);
     }
 
     #[test]
@@ -1055,35 +1017,25 @@ mod tests {
         assert_eq!(*hook.seen.lock(), vec![0, 1, 2]);
     }
 
-    /// Chaos-semantics regression: verdict/fault precedence is unchanged
-    /// from the synchronous fabric — the hook rules first, so a scripted
-    /// drop on a down node is accounted to the hook, not the node.
+    /// Chaos-semantics regression: the hook rules first, so a scripted
+    /// drop on a down node is accounted to the hook, not the fault state.
     #[test]
     fn hook_verdict_precedes_down_and_cut_checks() {
-        struct DropAll;
-        impl DeliveryHook for DropAll {
-            fn verdict(&self, _s: u64, _f: NodeId, _t: NodeId) -> DeliveryVerdict {
-                DeliveryVerdict::Drop
-            }
-        }
-        let net = echo_network();
-        net.set_down(NodeId(2), true);
-        net.set_link_cut(NodeId(1), NodeId(3), true);
+        let (net, faults) = faulty_echo_network();
+        faults.set_down(NodeId(2), true);
+        faults.set_link_cut(NodeId(1), NodeId(3), true);
         net.set_delivery_hook(Some(Arc::new(DropAll)));
         let _ = net.call(NodeId(1), NodeId(2), "x".into());
         let _ = net.call(NodeId(1), NodeId(3), "x".into());
         net.set_delivery_hook(None);
         let causes = net.drop_causes();
         assert_eq!(causes.hook, 2);
-        assert_eq!(causes.down, 0);
-        assert_eq!(causes.cut, 0);
-        // With the hook cleared the node/link faults take effect, in the
-        // same down-before-cut order as before.
+        assert_eq!(causes.fault, 0);
+        // With the hook cleared the node/link faults take effect.
         let _ = net.call(NodeId(1), NodeId(2), "x".into());
         let _ = net.call(NodeId(1), NodeId(3), "x".into());
         let causes = net.drop_causes();
-        assert_eq!(causes.down, 1);
-        assert_eq!(causes.cut, 1);
+        assert_eq!(causes.fault, 2);
     }
 
     /// Deliveries due at the same tick run in submission order, so a

@@ -285,7 +285,7 @@ mod tests {
     use cfs_types::FaultState;
 
     use super::*;
-    use crate::config::RaftConfig;
+    use crate::config::{RaftConfig, ELECTION_TIMEOUT_MAX};
     use crate::hub::{RaftHost, RaftHub};
     use crate::multiraft::WireEnvelope;
     use crate::node::encode_batch_frame;
@@ -296,7 +296,7 @@ mod tests {
     fn solo() -> MultiRaft {
         let mut mr = MultiRaft::new(NodeId(1), RaftConfig::default(), 1, true);
         mr.create_group(G, vec![NodeId(1)]).unwrap();
-        for _ in 0..RaftConfig::default().election_timeout_max {
+        for _ in 0..ELECTION_TIMEOUT_MAX {
             mr.tick_all();
         }
         assert!(mr.group(G).unwrap().is_leader());

@@ -2,24 +2,40 @@
 
 /// Timing is expressed in abstract *ticks*; the embedding layer decides the
 /// tick length (the in-memory cluster uses 1 tick = 1 ms).
+///
+/// Election timeout lower bound (ticks). Each timer reset draws a fresh
+/// timeout uniformly from `[ELECTION_TIMEOUT_MIN, ELECTION_TIMEOUT_MAX)`.
+pub const ELECTION_TIMEOUT_MIN: u64 = 150;
+/// Election timeout upper bound (ticks), exclusive.
+pub const ELECTION_TIMEOUT_MAX: u64 = 300;
+/// Leader heartbeat period (ticks).
+pub const HEARTBEAT_INTERVAL: u64 = 50;
+/// Max log entries carried by one AppendEntries message.
+pub const MAX_ENTRIES_PER_MESSAGE: usize = 256;
+
+const _: () = assert!(
+    0 < ELECTION_TIMEOUT_MIN && ELECTION_TIMEOUT_MIN < ELECTION_TIMEOUT_MAX,
+    "election timeout range must be non-empty and positive"
+);
+const _: () = assert!(
+    0 < HEARTBEAT_INTERVAL && HEARTBEAT_INTERVAL < ELECTION_TIMEOUT_MIN,
+    "heartbeat interval must be positive and below the election timeout"
+);
+const _: () = assert!(
+    MAX_ENTRIES_PER_MESSAGE > 0,
+    "MAX_ENTRIES_PER_MESSAGE must be positive"
+);
+
+/// The per-group knobs a deployment sets.
 #[derive(Debug, Clone)]
 pub struct RaftConfig {
-    /// Election timeout lower bound (ticks). Each timer reset draws a fresh
-    /// timeout uniformly from `[election_timeout_min, election_timeout_max)`.
-    pub election_timeout_min: u64,
-    /// Election timeout upper bound (ticks), exclusive.
-    pub election_timeout_max: u64,
-    /// Leader heartbeat period (ticks).
-    pub heartbeat_interval: u64,
-    /// Max log entries carried by one AppendEntries message.
-    pub max_entries_per_message: usize,
     /// Compact the log once this many entries are applied past the last
     /// snapshot. `0` disables automatic compaction.
     pub snapshot_threshold: u64,
     /// Leader read-lease duration (ticks): a leader that has collected
     /// quorum acks probed within the last `lease_ticks` may serve reads
     /// locally without a consensus round. Must stay strictly below
-    /// `election_timeout_min` so a peer still inside some leader's lease
+    /// [`ELECTION_TIMEOUT_MIN`] so a peer still inside some leader's lease
     /// window is also still inside its own vote-stickiness window and
     /// cannot help elect a competing leader. `0` disables lease reads
     /// (and vote stickiness with them).
@@ -29,10 +45,6 @@ pub struct RaftConfig {
 impl Default for RaftConfig {
     fn default() -> Self {
         RaftConfig {
-            election_timeout_min: 150,
-            election_timeout_max: 300,
-            heartbeat_interval: 50,
-            max_entries_per_message: 256,
             snapshot_threshold: 4096,
             lease_ticks: 120,
         }
@@ -42,25 +54,8 @@ impl Default for RaftConfig {
 impl RaftConfig {
     /// Validate the invariants the node relies on.
     pub fn validate(&self) -> cfs_types::Result<()> {
-        use cfs_types::CfsError;
-        if self.election_timeout_min == 0 || self.election_timeout_max <= self.election_timeout_min
-        {
-            return Err(CfsError::InvalidArgument(
-                "election timeout range must be non-empty and positive".into(),
-            ));
-        }
-        if self.heartbeat_interval == 0 || self.heartbeat_interval >= self.election_timeout_min {
-            return Err(CfsError::InvalidArgument(
-                "heartbeat interval must be positive and below the election timeout".into(),
-            ));
-        }
-        if self.max_entries_per_message == 0 {
-            return Err(CfsError::InvalidArgument(
-                "max_entries_per_message must be positive".into(),
-            ));
-        }
-        if self.lease_ticks >= self.election_timeout_min {
-            return Err(CfsError::InvalidArgument(
+        if self.lease_ticks >= ELECTION_TIMEOUT_MIN {
+            return Err(cfs_types::CfsError::InvalidArgument(
                 "lease_ticks must be below the election timeout (lease safety)".into(),
             ));
         }
@@ -81,25 +76,7 @@ mod tests {
     fn rejects_degenerate_timeouts() {
         let base = RaftConfig::default();
         let c = RaftConfig {
-            election_timeout_max: base.election_timeout_min,
-            ..base.clone()
-        };
-        assert!(c.validate().is_err());
-
-        let c = RaftConfig {
-            heartbeat_interval: base.election_timeout_min,
-            ..base.clone()
-        };
-        assert!(c.validate().is_err());
-
-        let c = RaftConfig {
-            max_entries_per_message: 0,
-            ..base.clone()
-        };
-        assert!(c.validate().is_err());
-
-        let c = RaftConfig {
-            lease_ticks: base.election_timeout_min,
+            lease_ticks: ELECTION_TIMEOUT_MIN,
             ..base.clone()
         };
         assert!(c.validate().is_err());

@@ -37,7 +37,10 @@ mod storage;
 mod harness_tests;
 
 pub use commit::{GroupCommit, COMMIT_TIMEOUT_TICKS};
-pub use config::RaftConfig;
+pub use config::{
+    RaftConfig, ELECTION_TIMEOUT_MAX, ELECTION_TIMEOUT_MIN, HEARTBEAT_INTERVAL,
+    MAX_ENTRIES_PER_MESSAGE,
+};
 pub use hub::{DeliverySchedule, RaftHost, RaftHub};
 pub use log::{Entry, RaftLog};
 pub use message::{Envelope, Message, SnapshotPayload};

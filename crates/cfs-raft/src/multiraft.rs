@@ -8,14 +8,14 @@
 //! [`MultiRaft::stats`] and [`MultiRaft::distinct_peers`] count both
 //! effects; the raft-set budget test pins them.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use cfs_kvwal::LsmEngine;
 use cfs_obs::Registry;
 use cfs_types::{NodeId, RaftGroupId, Result};
 
-use crate::config::RaftConfig;
+use crate::config::{RaftConfig, HEARTBEAT_INTERVAL};
 use crate::message::{Envelope, Message, SnapshotPayload};
 use crate::metrics::RaftMetrics;
 use crate::node::{RaftNode, Ready};
@@ -72,7 +72,9 @@ pub struct MultiRaft {
     node_id: NodeId,
     config: RaftConfig,
     seed: u64,
-    groups: HashMap<RaftGroupId, RaftNode>,
+    /// Hosted groups, in id order: ticks, drains and therefore wire
+    /// messages run in the same order on every run.
+    groups: BTreeMap<RaftGroupId, RaftNode>,
     /// Fold heartbeat traffic per destination (the MultiRaft optimization).
     coalesce: bool,
     /// Node-level heartbeat phase shared by every hosted group.
@@ -107,7 +109,7 @@ impl MultiRaft {
             node_id,
             config,
             seed,
-            groups: HashMap::new(),
+            groups: BTreeMap::new(),
             coalesce,
             heartbeat_elapsed: 0,
             stats: MultiRaftStats::default(),
@@ -250,7 +252,7 @@ impl MultiRaft {
             node.tick();
         }
         self.heartbeat_elapsed += 1;
-        if self.heartbeat_elapsed >= self.config.heartbeat_interval {
+        if self.heartbeat_elapsed >= HEARTBEAT_INTERVAL {
             self.heartbeat_elapsed = 0;
             for node in self.groups.values_mut() {
                 node.force_heartbeat();
@@ -330,8 +332,10 @@ impl MultiRaft {
             return (wire, readies);
         }
 
-        let mut beats: HashMap<NodeId, Vec<GroupBeat>> = HashMap::new();
-        let mut acks: HashMap<NodeId, Vec<GroupBeatAck>> = HashMap::new();
+        // Keyed in node order so the coalesced frames go out in the same
+        // order on every run.
+        let mut beats: BTreeMap<NodeId, Vec<GroupBeat>> = BTreeMap::new();
+        let mut acks: BTreeMap<NodeId, Vec<GroupBeatAck>> = BTreeMap::new();
         for env in raw {
             match env.msg {
                 Message::AppendEntries {

@@ -10,7 +10,10 @@ use rand::{Rng, SeedableRng};
 
 use cfs_types::{CfsError, NodeId, RaftGroupId, Result};
 
-use crate::config::RaftConfig;
+use crate::config::{
+    RaftConfig, ELECTION_TIMEOUT_MAX, ELECTION_TIMEOUT_MIN, HEARTBEAT_INTERVAL,
+    MAX_ENTRIES_PER_MESSAGE,
+};
 use crate::log::{Entry, RaftLog};
 use crate::message::{Envelope, Message, SnapshotPayload};
 use crate::metrics::RaftMetrics;
@@ -171,8 +174,7 @@ impl RaftNode {
     ) -> Self {
         debug_assert!(members.contains(&id), "members must include self");
         let mut rng = SmallRng::seed_from_u64(seed ^ id.raw() ^ (group.raw() << 32));
-        let election_timeout =
-            rng.gen_range(config.election_timeout_min..config.election_timeout_max);
+        let election_timeout = rng.gen_range(ELECTION_TIMEOUT_MIN..ELECTION_TIMEOUT_MAX);
         RaftNode {
             id,
             group,
@@ -401,7 +403,7 @@ impl RaftNode {
     /// `lease_ticks` ticks of the current term. While this holds, no
     /// competing leader can be elected: every peer contributing to the
     /// lease had leader contact more recently than `lease_ticks <
-    /// election_timeout_min` ticks ago, so each is still inside its
+    /// ELECTION_TIMEOUT_MIN` ticks ago, so each is still inside its
     /// vote-stickiness window, and any election quorum must intersect
     /// the lease quorum. Always false when `lease_ticks == 0`.
     pub fn lease_valid(&self) -> bool {
@@ -467,7 +469,7 @@ impl RaftNode {
         }
         match self.role {
             Role::Leader => self.lease_valid(),
-            Role::Follower => self.ticks_since_leader_contact < self.config.election_timeout_min,
+            Role::Follower => self.ticks_since_leader_contact < ELECTION_TIMEOUT_MIN,
             Role::Candidate => false,
         }
     }
@@ -495,7 +497,7 @@ impl RaftNode {
                     return;
                 }
                 self.heartbeat_elapsed += 1;
-                if self.heartbeat_elapsed >= self.config.heartbeat_interval {
+                if self.heartbeat_elapsed >= HEARTBEAT_INTERVAL {
                     self.heartbeat_elapsed = 0;
                     self.broadcast_append();
                 }
@@ -621,7 +623,7 @@ impl RaftNode {
         self.election_elapsed = 0;
         self.election_timeout = self
             .rng
-            .gen_range(self.config.election_timeout_min..self.config.election_timeout_max);
+            .gen_range(ELECTION_TIMEOUT_MIN..ELECTION_TIMEOUT_MAX);
     }
 
     fn start_election(&mut self) {
@@ -737,9 +739,7 @@ impl RaftNode {
                 return;
             }
         };
-        let entries = self
-            .log
-            .slice(pr.next_index, self.config.max_entries_per_message);
+        let entries = self.log.slice(pr.next_index, MAX_ENTRIES_PER_MESSAGE);
         let term = self.term;
         let commit = self.commit;
         let probe = self.clock;
@@ -1120,7 +1120,7 @@ mod tests {
     #[test]
     fn single_member_group_self_elects_and_commits() {
         let mut n = node(1, &[1], 42);
-        for _ in 0..RaftConfig::default().election_timeout_max {
+        for _ in 0..ELECTION_TIMEOUT_MAX {
             n.tick();
         }
         assert!(n.is_leader());
@@ -1142,7 +1142,7 @@ mod tests {
     #[test]
     fn candidate_steps_down_on_higher_term() {
         let mut n = node(1, &[1, 2, 3], 7);
-        for _ in 0..RaftConfig::default().election_timeout_max {
+        for _ in 0..ELECTION_TIMEOUT_MAX {
             n.tick();
         }
         assert_eq!(n.role(), Role::Candidate);
@@ -1275,7 +1275,7 @@ mod tests {
     fn single_member_leader_holds_lease_immediately() {
         let mut n = node(1, &[1], 42);
         assert!(!n.lease_valid(), "no lease before election");
-        for _ in 0..RaftConfig::default().election_timeout_max {
+        for _ in 0..ELECTION_TIMEOUT_MAX {
             n.tick();
         }
         assert!(n.is_leader());
@@ -1286,7 +1286,7 @@ mod tests {
     fn lease_renews_on_probed_acks_and_expires_without_them() {
         let cfg = RaftConfig::default();
         let mut n = node(1, &[1, 2, 3], 42);
-        for _ in 0..cfg.election_timeout_max * 4 {
+        for _ in 0..ELECTION_TIMEOUT_MAX * 4 {
             n.tick();
             if n.is_leader() {
                 break;
@@ -1394,7 +1394,6 @@ mod tests {
 
         // Once contact goes stale past the minimum election timeout the
         // same candidacy is granted (log is up to date).
-        let cfg = RaftConfig::default();
         let mut stale = node(1, &[1, 2, 3], 7);
         stale.step(
             NodeId(2),
@@ -1410,7 +1409,7 @@ mod tests {
         let _ = stale.take_ready();
         // Age the contact without firing our own election timer: the
         // timer redraws per reset, so stop just short of eto_min.
-        for _ in 0..cfg.election_timeout_min - 1 {
+        for _ in 0..ELECTION_TIMEOUT_MIN - 1 {
             stale.tick();
         }
         if stale.role() == Role::Follower {
@@ -1444,7 +1443,7 @@ mod tests {
     fn batch_frame_roundtrip_and_non_frames_are_corrupt() {
         let cmds = vec![b"alpha".to_vec(), vec![], b"b".to_vec()];
         let mut n = node(1, &[1], 3);
-        for _ in 0..RaftConfig::default().election_timeout_max {
+        for _ in 0..ELECTION_TIMEOUT_MAX {
             n.tick();
         }
         assert!(n.is_leader());

@@ -387,9 +387,12 @@ impl ExtentStore {
         Ok(())
     }
 
-    /// Ids of all extents, unordered.
+    /// Ids of all extents, in id order (recovery walks them in this
+    /// order, so its per-extent RPCs go out the same way on every run).
     pub fn extent_ids(&self) -> Vec<ExtentId> {
-        self.extents.keys().copied().collect()
+        let mut ids: Vec<ExtentId> = self.extents.keys().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Utilization snapshot.

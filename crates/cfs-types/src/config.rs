@@ -5,6 +5,29 @@
 //! capacity thresholds that drive resource-manager placement and splitting
 //! (§2.3.1–§2.3.2).
 
+/// Algorithm 1's `Δ`: headroom added above `maxInodeID` when cutting a
+/// meta partition's inode range.
+pub const SPLIT_DELTA: u64 = 1 << 16;
+/// When the fraction of writable partitions in a volume drops below this,
+/// the resource manager tops the volume up (§2.3.1 "about to be full").
+pub const VOLUME_REFILL_WATERMARK: f64 = 0.2;
+/// Consecutive missed heartbeat rounds before the resource manager marks a
+/// node *suspect* (its partitions are no longer placement targets,
+/// §2.3.3).
+pub const SUSPECT_AFTER_MISSED: u32 = 2;
+/// Consecutive missed heartbeat rounds before a suspect node is declared
+/// *dead* and the repair scheduler starts re-replicating its partitions.
+pub const DEAD_AFTER_MISSED: u32 = 3;
+
+const _: () = assert!(
+    0.0 <= VOLUME_REFILL_WATERMARK && VOLUME_REFILL_WATERMARK <= 1.0,
+    "VOLUME_REFILL_WATERMARK must be in [0,1]"
+);
+const _: () = assert!(
+    1 <= SUSPECT_AFTER_MISSED && SUSPECT_AFTER_MISSED <= DEAD_AFTER_MISSED,
+    "need DEAD_AFTER_MISSED >= SUSPECT_AFTER_MISSED >= 1"
+);
+
 /// Tunable parameters shared by clients, meta/data nodes and the resource
 /// manager. One instance is created at cluster bootstrap and cloned into
 /// every component. Per-mount client tunables (append window, meta-sync
@@ -29,9 +52,6 @@ pub struct ClusterConfig {
     /// data (§2.3.1: "no new data can be stored on this partition, although
     /// it can still be modified or deleted").
     pub data_partition_extent_limit: u64,
-    /// Algorithm 1's `Δ`: headroom added above `maxInodeID` when cutting a
-    /// meta partition's inode range.
-    pub split_delta: u64,
     /// Write-rate split trigger (§2.3.2): when a meta partition applies at
     /// least this many Raft entries between two heartbeat reports, the
     /// maintenance sweep splits it even if the item limit is not reached.
@@ -39,21 +59,9 @@ pub struct ClusterConfig {
     /// How many meta/data partitions a volume asks the resource manager for
     /// in one allocation round (§2.3.1).
     pub partitions_per_allocation: usize,
-    /// When the fraction of writable partitions in a volume drops below
-    /// this, the resource manager tops the volume up (§2.3.1 "about to be
-    /// full").
-    pub volume_refill_watermark: f64,
     /// Nodes per Raft set (§2.5.1). Placement prefers replicas within one
     /// set to bound heartbeat fan-out.
     pub raft_set_size: usize,
-    /// Consecutive missed heartbeat rounds before the resource manager
-    /// marks a node *suspect* (its partitions are no longer placement
-    /// targets, §2.3.3).
-    pub suspect_after_missed: u32,
-    /// Consecutive missed heartbeat rounds before a suspect node is
-    /// declared *dead* and the repair scheduler starts re-replicating its
-    /// partitions. Must be ≥ `suspect_after_missed`.
-    pub dead_after_missed: u32,
     /// Master-side self-healing: when true, each heartbeat round runs the
     /// repair reconciliation sweep (§2.3.3 exception handling).
     pub repair_enabled: bool,
@@ -74,13 +82,9 @@ impl Default for ClusterConfig {
             extent_size_limit: GB,
             meta_partition_item_limit: 1 << 20,
             data_partition_extent_limit: 1 << 16,
-            split_delta: 1 << 16,
             meta_partition_write_load_limit: 1 << 20,
             partitions_per_allocation: 10,
-            volume_refill_watermark: 0.2,
             raft_set_size: 5,
-            suspect_after_missed: 2,
-            dead_after_missed: 3,
             repair_enabled: true,
             max_repairs_per_tick: 4,
         }
@@ -109,19 +113,9 @@ impl ClusterConfig {
                 "small_file_threshold exceeds extent_size_limit".into(),
             ));
         }
-        if !(0.0..=1.0).contains(&self.volume_refill_watermark) {
-            return Err(CfsError::InvalidArgument(
-                "volume_refill_watermark must be in [0,1]".into(),
-            ));
-        }
         if self.meta_partition_write_load_limit == 0 {
             return Err(CfsError::InvalidArgument(
                 "meta_partition_write_load_limit must be > 0".into(),
-            ));
-        }
-        if self.suspect_after_missed == 0 || self.dead_after_missed < self.suspect_after_missed {
-            return Err(CfsError::InvalidArgument(
-                "need dead_after_missed >= suspect_after_missed >= 1".into(),
             ));
         }
         if self.max_repairs_per_tick == 0 {
@@ -170,25 +164,6 @@ mod tests {
         assert!(c.validate().is_err());
 
         let c = ClusterConfig {
-            volume_refill_watermark: 1.5,
-            ..ClusterConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        // Detection thresholds must be ordered: dead ≥ suspect ≥ 1.
-        let c = ClusterConfig {
-            suspect_after_missed: 0,
-            ..ClusterConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ClusterConfig {
-            suspect_after_missed: 4,
-            dead_after_missed: 2,
-            ..ClusterConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = ClusterConfig {
             max_repairs_per_tick: 0,
             ..ClusterConfig::default()
         };
@@ -199,7 +174,6 @@ mod tests {
     fn self_healing_defaults_ordered() {
         let c = ClusterConfig::default();
         assert!(c.repair_enabled);
-        assert!(c.dead_after_missed >= c.suspect_after_missed);
-        assert!(c.suspect_after_missed >= 1);
+        assert_eq!((SUSPECT_AFTER_MISSED, DEAD_AFTER_MISSED), (2, 3));
     }
 }

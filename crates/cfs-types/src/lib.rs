@@ -16,7 +16,9 @@ pub mod inode;
 pub mod testutil;
 
 pub use codec::{Decode, Decoder, Encode, Encoder};
-pub use config::ClusterConfig;
+pub use config::{
+    ClusterConfig, DEAD_AFTER_MISSED, SPLIT_DELTA, SUSPECT_AFTER_MISSED, VOLUME_REFILL_WATERMARK,
+};
 pub use error::{CfsError, Result};
 pub use faults::FaultState;
 pub use ids::{

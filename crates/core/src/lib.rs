@@ -43,5 +43,5 @@ pub use cfs_obs::{MetricsSnapshot, Registry, RequestId, RpcRoute, Span, SpanReco
 pub use cfs_raft::{DeliverySchedule, RaftConfig, RaftHub};
 pub use cfs_types::{
     CfsError, ClusterConfig, Dentry, ExtentId, ExtentKey, FaultState, FileType, Inode, InodeId,
-    NodeId, PartitionId, Result, VolumeId, ROOT_INODE,
+    NodeId, PartitionId, Result, VolumeId, DEAD_AFTER_MISSED, ROOT_INODE,
 };
