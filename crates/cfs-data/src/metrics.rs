@@ -28,9 +28,10 @@ pub struct DataMetrics {
     pub recoveries: Counter,
     /// Individual repairs (truncations + re-ships) those passes made.
     pub recovery_repairs: Counter,
-    /// Repair membership adoptions (replica array + Raft group rebuilt).
+    /// Repair membership adoptions (replica array + Raft member list).
     pub join_members_updates: Counter,
-    /// Head promotions: committed watermarks recomputed from survivors.
+    /// Recovery passes that recomputed committed watermarks from the
+    /// survivors (a newly promoted head).
     pub join_promotions: Counter,
 }
 

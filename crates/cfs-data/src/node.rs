@@ -129,23 +129,21 @@ pub enum DataRequest {
         extent: ExtentId,
         size: u64,
     },
-    /// PB-leader recovery: align every extent across replicas, then Raft
-    /// replay proceeds (§2.2.5).
-    Recover { partition: PartitionId },
-    /// Repair (§2.3.3): adopt a post-decommission replica array
-    /// (survivors in chain order, replacement appended) and rebuild the
-    /// partition's Raft group with the new membership.
+    /// PB-leader recovery (§2.2.5): align every extent across replicas,
+    /// then Raft replay proceeds. A newly promoted chain head names the
+    /// `survivors` whose applied sizes bound each extent's committed
+    /// watermark, since only the old head's extent rows held one; empty
+    /// keeps the head's own watermarks.
+    Recover {
+        partition: PartitionId,
+        survivors: Vec<NodeId>,
+    },
+    /// Repair (§2.3.3): adopt a post-repair replica array (survivors in
+    /// chain order, replacement appended); the partition's Raft group
+    /// changes its member list in place.
     UpdateMembers {
         partition: PartitionId,
         members: Vec<NodeId>,
-    },
-    /// Repair: the (possibly newly promoted) chain head recomputes each
-    /// extent's committed watermark as the minimum applied size across
-    /// the `sync_from` survivors — only the old head's extent rows held
-    /// one (§2.2.5).
-    PromoteHead {
-        partition: PartitionId,
-        sync_from: Vec<NodeId>,
     },
     /// Utilization report (heartbeat body).
     Report,
@@ -169,7 +167,6 @@ impl RpcRoute for DataRequest {
             DataRequest::TruncateExtent { .. } => "data.truncate_extent",
             DataRequest::Recover { .. } => "data.recover",
             DataRequest::UpdateMembers { .. } => "data.update_members",
-            DataRequest::PromoteHead { .. } => "data.promote_head",
             DataRequest::Report => "data.report",
         }
     }
@@ -510,13 +507,15 @@ impl DataNode {
                     crc,
                 }))
             }
+            // A chain-replicated delete is queued here only once every
+            // successor queued it: a lost forward leaves no replica
+            // deleting alone, so the replicas stay byte-identical.
             DataRequest::QueueDeleteExtent {
                 partition,
                 extent,
                 replicas,
             } => {
                 let hosted = self.hosted(partition)?;
-                hosted.replica.lock().queue_delete_extent(extent)?;
                 self.forward_chain(
                     &replicas,
                     DataRequest::QueueDeleteExtent {
@@ -525,6 +524,7 @@ impl DataNode {
                         replicas: replicas.clone(),
                     },
                 )?;
+                hosted.replica.lock().queue_delete_extent(extent)?;
                 Ok(DataResponse::None)
             }
             DataRequest::QueuePunch {
@@ -535,7 +535,6 @@ impl DataNode {
                 replicas,
             } => {
                 let hosted = self.hosted(partition)?;
-                hosted.replica.lock().queue_punch(extent, offset, len)?;
                 self.forward_chain(
                     &replicas,
                     DataRequest::QueuePunch {
@@ -546,6 +545,7 @@ impl DataNode {
                         replicas: replicas.clone(),
                     },
                 )?;
+                hosted.replica.lock().queue_punch(extent, offset, len)?;
                 Ok(DataResponse::None)
             }
             DataRequest::ProcessDeletes { partition } => {
@@ -567,20 +567,16 @@ impl DataNode {
                 hosted.replica.lock().truncate(extent, size)?;
                 Ok(DataResponse::None)
             }
-            DataRequest::Recover { partition } => {
-                let repaired = self.recover_partition(partition)?;
+            DataRequest::Recover {
+                partition,
+                survivors,
+            } => {
+                let repaired = self.recover_partition(partition, &survivors)?;
                 Ok(DataResponse::Processed(repaired))
             }
             DataRequest::UpdateMembers { partition, members } => {
                 self.update_members(partition, members)?;
                 Ok(DataResponse::None)
-            }
-            DataRequest::PromoteHead {
-                partition,
-                sync_from,
-            } => {
-                let updated = self.promote_head(partition, &sync_from)?;
-                Ok(DataResponse::Processed(updated))
             }
             DataRequest::Report => {
                 let parts = self.partitions.read();
@@ -923,7 +919,13 @@ impl DataNode {
     /// replicas — truncating stale tails above the committed watermark and
     /// re-shipping missing committed bytes. Raft replay (step 2) then
     /// proceeds through the normal MultiRaft machinery.
-    fn recover_partition(&self, partition: PartitionId) -> Result<usize> {
+    ///
+    /// A newly promoted head (non-empty `survivors`) first raises each
+    /// extent's watermark to the minimum applied size across itself and
+    /// the survivors: every chain-acked byte is present on all of them, so
+    /// the minimum never cuts committed data, and `commit` never regresses.
+    /// One `ExtentInfo` per (extent, peer) serves both steps.
+    fn recover_partition(&self, partition: PartitionId, survivors: &[NodeId]) -> Result<usize> {
         let hosted = self.hosted(partition)?;
         let (extents, members) = {
             let r = hosted.replica.lock();
@@ -936,10 +938,41 @@ impl DataNode {
             (r.extent_ids(), r.members().to_vec())
         };
         self.metrics.recoveries.inc();
+        if !survivors.is_empty() {
+            self.metrics.join_promotions.inc();
+        }
         let mut repaired = 0;
         for extent in extents {
+            let mut sizes = Vec::with_capacity(members.len());
+            for &peer in members.iter().filter(|&&m| m != self.id) {
+                let size = match self.net.call(
+                    self.id,
+                    peer,
+                    DataRequest::ExtentInfo { partition, extent },
+                ) {
+                    Ok(Ok(DataResponse::Info(i))) => i.size,
+                    Ok(Ok(_)) => return Err(CfsError::Internal("bad ExtentInfo reply".into())),
+                    Ok(Err(CfsError::NotFound(_))) => 0,
+                    Ok(Err(e)) => return Err(e),
+                    // A survivor's size bounds the watermark. Any other
+                    // unreachable peer (down or partitioned) is skipped:
+                    // the repair scheduler restores the replication factor.
+                    Err(e) if survivors.contains(&peer) => return Err(e),
+                    Err(_) => continue,
+                };
+                sizes.push((peer, size));
+            }
             let committed = {
                 let mut r = hosted.replica.lock();
+                if !survivors.is_empty() {
+                    let watermark = sizes
+                        .iter()
+                        .filter(|(peer, _)| survivors.contains(peer))
+                        .fold(r.extent_size(extent).unwrap_or(0), |w, &(_, s)| w.min(s));
+                    if watermark > r.committed(extent) {
+                        r.commit(extent, watermark)?;
+                    }
+                }
                 let c = r.committed(extent);
                 // Drop our own stale tail first.
                 if r.extent_size(extent)? > c {
@@ -948,27 +981,8 @@ impl DataNode {
                 }
                 c
             };
-            for &peer in members.iter().filter(|&&m| m != self.id) {
-                let info = match self.net.call(
-                    self.id,
-                    peer,
-                    DataRequest::ExtentInfo { partition, extent },
-                ) {
-                    Ok(Ok(DataResponse::Info(i))) => i,
-                    Ok(Ok(_)) => return Err(CfsError::Internal("bad ExtentInfo reply".into())),
-                    Ok(Err(CfsError::NotFound(_))) => ExtentInfo {
-                        extent,
-                        size: 0,
-                        committed: 0,
-                        crc: 0,
-                    },
-                    Ok(Err(e)) => return Err(e),
-                    // Peer unreachable (down or partitioned): align the
-                    // reachable survivors; the repair scheduler is what
-                    // restores the replication factor.
-                    Err(_) => continue,
-                };
-                if info.size > committed {
+            for (peer, size) in sizes {
+                if size > committed {
                     // Stale tail on the peer: align down.
                     self.net.call(
                         self.id,
@@ -980,12 +994,12 @@ impl DataNode {
                         },
                     )??;
                     repaired += 1;
-                } else if info.size < committed {
+                } else if size < committed {
                     // Peer is missing committed bytes: re-ship them.
                     let missing = hosted.replica.lock().read(
                         extent,
-                        info.size,
-                        (committed - info.size) as usize,
+                        size,
+                        (committed - size) as usize,
                         true,
                     )?;
                     let crc = crc32(&missing);
@@ -995,7 +1009,7 @@ impl DataNode {
                         DataRequest::Append {
                             partition,
                             extent,
-                            offset: info.size,
+                            offset: size,
                             data: Bytes::from(missing),
                             crc,
                             // Point-to-point repair: no further forwarding.
@@ -1012,9 +1026,9 @@ impl DataNode {
     }
 
     /// Adopt a repaired replica array (§2.3.3): update the chain order and
-    /// rebuild the partition's Raft group around the durable log so the
-    /// surviving consensus state carries into the new membership.
-    /// Idempotent for task retries.
+    /// change the partition's Raft group's member list in place, keeping
+    /// its log and applied state. An unchanged array is a no-op, so task
+    /// retries are safe.
     pub fn update_members(&self, partition: PartitionId, members: Vec<NodeId>) -> Result<()> {
         {
             let hosted = self.hosted(partition)?;
@@ -1024,61 +1038,12 @@ impl DataNode {
             }
             r.set_members(members.clone())?;
         }
-        let gid = Self::group_of(partition);
-        let mut raft = self.raft.lock();
-        if let Some(state) = raft.multiraft.persist_group(gid) {
-            raft.multiraft.remove_group(gid);
-            raft.multiraft.restore_group(gid, members, state)?;
-        } else {
-            raft.multiraft.create_group(gid, members)?;
-        }
+        self.raft
+            .lock()
+            .multiraft
+            .set_members(Self::group_of(partition), members)?;
         self.metrics.join_members_updates.inc();
         Ok(())
-    }
-
-    /// §2.2.5 head promotion: committed watermarks were advanced only on
-    /// the old PB leader, so a newly promoted head recomputes each
-    /// extent's watermark as the minimum applied size across the
-    /// surviving replicas — every chain-acked byte is present on all of
-    /// them, so the minimum can never cut committed data. `commit` never
-    /// regresses, so re-running on a head that already has watermarks is
-    /// harmless.
-    fn promote_head(&self, partition: PartitionId, sync_from: &[NodeId]) -> Result<usize> {
-        let hosted = self.hosted(partition)?;
-        let extents = {
-            let r = hosted.replica.lock();
-            if r.pb_leader() != self.id {
-                return Err(CfsError::NotLeader {
-                    partition,
-                    hint: Some(r.pb_leader()),
-                });
-            }
-            r.extent_ids()
-        };
-        let mut updated = 0;
-        for extent in extents {
-            let mut watermark = hosted.replica.lock().extent_size(extent).unwrap_or(0);
-            for &peer in sync_from.iter().filter(|&&m| m != self.id) {
-                let size = match self.net.call(
-                    self.id,
-                    peer,
-                    DataRequest::ExtentInfo { partition, extent },
-                )? {
-                    Ok(DataResponse::Info(i)) => i.size,
-                    Ok(_) => return Err(CfsError::Internal("bad ExtentInfo reply".into())),
-                    Err(CfsError::NotFound(_)) => 0,
-                    Err(e) => return Err(e),
-                };
-                watermark = watermark.min(size);
-            }
-            let mut r = hosted.replica.lock();
-            if watermark > r.committed(extent) {
-                r.commit(extent, watermark)?;
-                updated += 1;
-            }
-        }
-        self.metrics.join_promotions.inc();
-        Ok(updated)
     }
 
     /// Utilization for placement (disk-bytes analog, §2.3.1).

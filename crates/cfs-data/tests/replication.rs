@@ -280,7 +280,14 @@ fn partial_chain_failure_leaves_uncommitted_stale_tail() {
     // Recovery aligns every replica back to the committed watermark.
     c.faults.heal_all();
     c.net
-        .call(NodeId(99), leader, DataRequest::Recover { partition: p })
+        .call(
+            NodeId(99),
+            leader,
+            DataRequest::Recover {
+                partition: p,
+                survivors: vec![],
+            },
+        )
         .unwrap()
         .unwrap();
     for &m in &members {
@@ -316,7 +323,14 @@ fn recovery_reships_missing_committed_bytes() {
     assert_eq!(extent_info(&c, p, members[2], e).size, 1000);
 
     c.net
-        .call(NodeId(99), leader, DataRequest::Recover { partition: p })
+        .call(
+            NodeId(99),
+            leader,
+            DataRequest::Recover {
+                partition: p,
+                survivors: vec![],
+            },
+        )
         .unwrap()
         .unwrap();
     let i = extent_info(&c, p, members[2], e);
@@ -522,7 +536,14 @@ fn mid_batch_chain_failure_commits_only_the_leading_segment() {
 
     // Recovery truncates the stale tail back to the committed watermark.
     c.net
-        .call(NodeId(99), leader, DataRequest::Recover { partition: p })
+        .call(
+            NodeId(99),
+            leader,
+            DataRequest::Recover {
+                partition: p,
+                survivors: vec![],
+            },
+        )
         .unwrap()
         .unwrap();
     assert_eq!(extent_info(&c, p, leader, tail).size, 0, "tail truncated");
@@ -627,6 +648,91 @@ fn raft_overwrite_applies_on_all_replicas() {
         DataResponse::Data(d) => assert_eq!(d, b"OVERWRITTEN"),
         other => panic!("unexpected {other:?}"),
     }
+}
+
+/// A chain-replicated delete whose forward is lost is queued on no
+/// replica, so no replica later punches or deletes alone.
+#[test]
+fn lost_delete_forward_queues_on_no_replica() {
+    let c = cluster(3);
+    let (p, members) = mk_partition(&c, 1);
+    let e = create_extent(&c, p, members[0]);
+    append(&c, p, e, 0, b"committed!", &members).unwrap();
+
+    c.faults.set_link_cut(members[1], members[2], true);
+    let deletes = [
+        DataRequest::QueuePunch {
+            partition: p,
+            extent: e,
+            offset: 0,
+            len: 4,
+            replicas: members.clone(),
+        },
+        DataRequest::QueueDeleteExtent {
+            partition: p,
+            extent: e,
+            replicas: members.clone(),
+        },
+    ];
+    for req in deletes {
+        let reply = c.net.call(NodeId(99), members[0], req).unwrap();
+        assert!(reply.is_err(), "the chain forward was cut: {reply:?}");
+    }
+    for n in &c.nodes {
+        assert_eq!(n.pending_deletes(p), Some(0), "{} queued a delete", n.id());
+    }
+}
+
+/// A membership change keeps each replica's applied state: rotating the
+/// member list re-applies no overwrite (3 overwrites on 3 replicas stay 9
+/// applies), and the replicas stay byte-identical.
+#[test]
+fn member_rotation_reapplies_no_overwrite() {
+    let registry = Registry::new();
+    let c = cluster_with_registry(3, Some(&registry));
+    let (p, members) = mk_partition(&c, 1);
+    let e = create_extent(&c, p, members[0]);
+    append(&c, p, e, 0, &[0u8; 1024], &members).unwrap();
+    let raft_leader = c
+        .nodes
+        .iter()
+        .find(|n| n.is_raft_leader_for(p))
+        .unwrap()
+        .id();
+    for i in 0..3u64 {
+        c.net
+            .call(
+                NodeId(99),
+                raft_leader,
+                DataRequest::Overwrite {
+                    partition: p,
+                    extent: e,
+                    offset: 100 * i,
+                    data: Bytes::from_static(b"OVERWRITTEN"),
+                },
+            )
+            .unwrap()
+            .unwrap();
+    }
+    for _ in 0..200 {
+        c.hub.tick_and_pump();
+    }
+    let applied = || registry.snapshot().counter("data.overwrites_applied");
+    assert_eq!(applied(), 9);
+
+    let rotated = vec![members[1], members[2], members[0]];
+    for n in &c.nodes {
+        n.update_members(p, rotated.clone()).unwrap();
+    }
+    assert!(c
+        .hub
+        .pump_until(|| c.nodes.iter().any(|n| n.is_raft_leader_for(p)), 5_000));
+    for _ in 0..200 {
+        c.hub.tick_and_pump();
+    }
+    assert_eq!(applied(), 9, "a member rotation re-applied overwrites");
+    let infos: Vec<_> = members.iter().map(|&m| extent_info(&c, p, m, e)).collect();
+    assert!(infos.iter().all(|i| i.crc == infos[0].crc), "{infos:?}");
 }
 
 /// `CreatePartition` tasks and the hub pump that applies a committed

@@ -57,9 +57,10 @@ pub struct MasterMetrics {
     pub volumes_created: Counter,
     /// Repair-scheduler sweeps proposed (`RepairTick`).
     pub repair_ticks: Counter,
-    /// Dead replicas scheduled for decommission by the repair sweep.
+    /// Dead replicas scheduled for decommission by the repair sweep (one
+    /// per `ReplaceReplica`).
     pub repair_decommissions: Counter,
-    /// Replacement replicas scheduled (`AddDataReplica`/`AddMetaReplica`).
+    /// Replacement replicas scheduled (one per `ReplaceReplica`).
     pub repair_replacements: Counter,
     /// Joins confirmed complete (`ConfirmReplicaJoined` accepted).
     pub repair_confirms: Counter,
@@ -329,15 +330,9 @@ impl MasterNode {
                 MasterCommand::RepairTick => {
                     self.metrics.repair_ticks.inc();
                     for t in &outcome.tasks {
-                        match t {
-                            crate::state::Task::DecommissionReplica { .. } => {
-                                self.metrics.repair_decommissions.inc()
-                            }
-                            crate::state::Task::AddDataReplica { .. }
-                            | crate::state::Task::AddMetaReplica { .. } => {
-                                self.metrics.repair_replacements.inc()
-                            }
-                            _ => {}
+                        if let crate::state::Task::ReplaceReplica { .. } = t {
+                            self.metrics.repair_decommissions.inc();
+                            self.metrics.repair_replacements.inc();
                         }
                     }
                 }
@@ -600,8 +595,9 @@ mod tests {
             let tail = inner.multiraft.group(MASTER_GROUP).unwrap().live_log_len() > 0;
             let snapshot = inner
                 .multiraft
-                .persist_group(MASTER_GROUP)
+                .group(MASTER_GROUP)
                 .unwrap()
+                .persistent_state()
                 .snapshot
                 .is_some();
             (inner.state.snapshot_bytes(), snapshot && tail)

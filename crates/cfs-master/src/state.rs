@@ -256,33 +256,19 @@ pub enum Task {
         members: Vec<NodeId>,
         read_only: bool,
     },
-    /// Repair (§2.3.3): tell the surviving replicas of a partition that a
-    /// dead member was removed — `members` is the post-decommission array
-    /// (survivors in chain order, replacement appended).
-    DecommissionReplica {
-        partition: PartitionId,
+    /// Repair (§2.3.3): replace the dead member `dead` of a partition
+    /// with a replica on `new_node`. `members` is the post-repair array
+    /// (survivors in chain order, replacement appended; index 0 of a data
+    /// partition is the possibly newly promoted PB leader). `start..=end`
+    /// is a meta partition's inode range (both zero for a data partition).
+    ReplaceReplica {
         kind: NodeKind,
-        node: NodeId,
-        members: Vec<NodeId>,
-    },
-    /// Repair: host a replacement replica of a data partition on
-    /// `new_node` and run the §2.2.5 join (extent alignment from the chain
-    /// head + raft log replay). `members` is the new replica array; index
-    /// 0 is the (possibly newly promoted) PB leader.
-    AddDataReplica {
-        partition: PartitionId,
-        volume: VolumeId,
-        members: Vec<NodeId>,
-        new_node: NodeId,
-    },
-    /// Repair: host a replacement replica of a meta partition on
-    /// `new_node` (snapshot install + log replay catch-up).
-    AddMetaReplica {
         partition: PartitionId,
         volume: VolumeId,
         start: InodeId,
         end: InodeId,
         members: Vec<NodeId>,
+        dead: NodeId,
         new_node: NodeId,
     },
 }
@@ -746,13 +732,13 @@ impl MasterState {
     }
 
     /// One reconciliation sweep of the repair scheduler (§2.3.3): for up
-    /// to `max_repairs_per_tick` partitions with a dead member, pick a
-    /// replacement with the placement policy, rewrite the membership
-    /// (survivors keep their chain order; a dead head promotes the next
-    /// survivor), and emit a decommission + add-replica task pair. The
-    /// partition is parked in `pending_joins` (data partitions also go
-    /// read-only in the routing table) until the driver confirms the
-    /// replacement is aligned and caught up.
+    /// to `max_repairs_per_tick` partitions with a dead member, meta
+    /// partitions first, pick a replacement with the placement policy,
+    /// rewrite the membership (survivors keep their chain order; a dead
+    /// head promotes the next survivor), and emit one `ReplaceReplica`
+    /// task. The partition is parked in `pending_joins` (data partitions
+    /// also go read-only in the routing table) until the driver confirms
+    /// the replacement is aligned and caught up.
     fn repair_tick(&mut self) -> Result<ApplyOutcome> {
         let dead: Vec<NodeId> = self
             .nodes
@@ -764,24 +750,37 @@ impl MasterState {
         if dead.is_empty() {
             return Ok(outcome);
         }
-        let mut budget = self.config.max_repairs_per_tick;
-
-        let meta_pids: Vec<PartitionId> = self.meta_partitions.keys().copied().collect();
-        for pid in meta_pids {
-            if budget == 0 {
+        let candidates: Vec<(NodeKind, PartitionId)> = self
+            .meta_partitions
+            .keys()
+            .map(|&pid| (NodeKind::Meta, pid))
+            .chain(
+                self.data_partitions
+                    .keys()
+                    .map(|&pid| (NodeKind::Data, pid)),
+            )
+            .collect();
+        for (kind, pid) in candidates {
+            if outcome.tasks.len() >= self.config.max_repairs_per_tick {
                 break;
             }
             if self.pending_joins.contains_key(&pid) {
                 continue;
             }
-            let (volume, start, end, members) = {
-                let mp = self.meta_partitions.get(&pid).expect("listed above");
-                (mp.volume, mp.start, mp.end, mp.members.clone())
+            let (volume, start, end, members) = match kind {
+                NodeKind::Meta => {
+                    let mp = &self.meta_partitions[&pid];
+                    (mp.volume, mp.start, mp.end, &mp.members)
+                }
+                NodeKind::Data => {
+                    let dp = &self.data_partitions[&pid];
+                    (dp.volume, InodeId(0), InodeId(0), &dp.members)
+                }
             };
             let Some(&dead_member) = members.iter().find(|m| dead.contains(m)) else {
                 continue;
             };
-            let Some(new_node) = self.place_replacement(NodeKind::Meta, &members) else {
+            let Some(new_node) = self.place_replacement(kind, members) else {
                 continue; // no spare node yet; retried next sweep
             };
             let mut new_members: Vec<NodeId> = members
@@ -790,74 +789,31 @@ impl MasterState {
                 .filter(|&m| m != dead_member)
                 .collect();
             new_members.push(new_node);
-            self.meta_partitions
-                .get_mut(&pid)
-                .expect("listed above")
-                .members = new_members.clone();
+            match kind {
+                NodeKind::Meta => {
+                    let mp = self.meta_partitions.get_mut(&pid).expect("listed above");
+                    mp.members = new_members.clone();
+                }
+                NodeKind::Data => {
+                    let dp = self.data_partitions.get_mut(&pid).expect("listed above");
+                    dp.members = new_members.clone();
+                    // Routed read-only while the join is in flight: clients
+                    // place new extents elsewhere, but the survivors stay
+                    // replica-writable so §2.2.5 alignment can re-ship bytes.
+                    dp.read_only = true;
+                }
+            }
             self.pending_joins.insert(pid, new_node);
-            outcome.tasks.push(Task::DecommissionReplica {
-                partition: pid,
-                kind: NodeKind::Meta,
-                node: dead_member,
-                members: new_members.clone(),
-            });
-            outcome.tasks.push(Task::AddMetaReplica {
+            outcome.tasks.push(Task::ReplaceReplica {
+                kind,
                 partition: pid,
                 volume,
                 start,
                 end,
                 members: new_members,
+                dead: dead_member,
                 new_node,
             });
-            budget -= 1;
-        }
-
-        let data_pids: Vec<PartitionId> = self.data_partitions.keys().copied().collect();
-        for pid in data_pids {
-            if budget == 0 {
-                break;
-            }
-            if self.pending_joins.contains_key(&pid) {
-                continue;
-            }
-            let (volume, members) = {
-                let dp = self.data_partitions.get(&pid).expect("listed above");
-                (dp.volume, dp.members.clone())
-            };
-            let Some(&dead_member) = members.iter().find(|m| dead.contains(m)) else {
-                continue;
-            };
-            let Some(new_node) = self.place_replacement(NodeKind::Data, &members) else {
-                continue;
-            };
-            let mut new_members: Vec<NodeId> = members
-                .iter()
-                .copied()
-                .filter(|&m| m != dead_member)
-                .collect();
-            new_members.push(new_node);
-            {
-                let dp = self.data_partitions.get_mut(&pid).expect("listed above");
-                dp.members = new_members.clone();
-                // Routed read-only while the join is in flight: clients
-                // place new extents elsewhere, but the survivors stay
-                // replica-writable so §2.2.5 alignment can re-ship bytes.
-                dp.read_only = true;
-            }
-            self.pending_joins.insert(pid, new_node);
-            outcome.tasks.push(Task::DecommissionReplica {
-                partition: pid,
-                kind: NodeKind::Data,
-                node: dead_member,
-                members: new_members.clone(),
-            });
-            outcome.tasks.push(Task::AddDataReplica {
-                partition: pid,
-                volume,
-                members: new_members,
-                new_node,
-            });
-            budget -= 1;
         }
         Ok(outcome)
     }
@@ -1670,20 +1626,18 @@ mod tests {
             miss_round(&mut st, victim);
         }
         let out = st.apply(&MasterCommand::RepairTick).unwrap();
-        let decomms: Vec<_> = out
-            .tasks
-            .iter()
-            .filter(|t| matches!(t, Task::DecommissionReplica { .. }))
-            .collect();
-        assert_eq!(decomms.len(), 1);
-        match &out.tasks[1] {
-            Task::AddDataReplica {
+        assert_eq!(out.tasks.len(), 1);
+        match &out.tasks[0] {
+            Task::ReplaceReplica {
+                kind: NodeKind::Data,
                 partition,
                 members: new_members,
+                dead,
                 new_node,
                 ..
             } => {
                 assert_eq!(*partition, dpid);
+                assert_eq!(*dead, victim);
                 assert_eq!(*new_node, spare);
                 assert!(!new_members.contains(&victim));
                 assert_eq!(new_members[0], members[0], "head unchanged");
@@ -1774,17 +1728,20 @@ mod tests {
             miss_round(&mut st, victim);
         }
         let out = st.apply(&MasterCommand::RepairTick).unwrap();
-        // Budget of 1: exactly one decommission+add pair per sweep.
-        assert_eq!(out.tasks.len(), 2);
-        match &out.tasks[1] {
-            Task::AddMetaReplica {
+        // Budget of 1: exactly one replacement per sweep.
+        assert_eq!(out.tasks.len(), 1);
+        match &out.tasks[0] {
+            Task::ReplaceReplica {
+                kind: NodeKind::Meta,
                 partition,
                 start,
                 end,
                 members,
+                dead,
                 new_node,
                 ..
             } => {
+                assert_eq!(*dead, victim);
                 let mp = st.meta_partition(*partition).unwrap();
                 assert_eq!((mp.start, mp.end), (*start, *end));
                 assert_eq!(&mp.members, members);
@@ -1796,7 +1753,7 @@ mod tests {
         // Remaining degraded partitions are picked up by later sweeps.
         if degraded_before.len() > 1 {
             let out = st.apply(&MasterCommand::RepairTick).unwrap();
-            assert_eq!(out.tasks.len(), 2);
+            assert_eq!(out.tasks.len(), 1);
         }
     }
 
@@ -1827,7 +1784,7 @@ mod tests {
         })
         .unwrap();
         let out = st.apply(&MasterCommand::RepairTick).unwrap();
-        assert_eq!(out.tasks.len(), 2);
+        assert_eq!(out.tasks.len(), 1);
         assert_eq!(st.pending_joins().get(&dpid), Some(&NodeId(104)));
     }
 }

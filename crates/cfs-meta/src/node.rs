@@ -545,26 +545,24 @@ impl MetaNode {
         Ok(())
     }
 
-    /// Rebuild a hosted partition's Raft group with a repaired membership
-    /// (§2.3.3). The durable consensus state (term, vote, log, last
-    /// snapshot) carries over, so replicated data is untouched; a new
-    /// member catches up through the ordinary snapshot-install + replay
-    /// path. Idempotent for task retries.
+    /// Adopt a repaired membership (§2.3.3): the partition's Raft group
+    /// changes its member list in place, keeping its log and applied
+    /// state, so the tree is untouched; a new member catches up through
+    /// the ordinary snapshot-install + replay path. An unchanged list is a
+    /// no-op, so task retries are safe.
     pub fn update_members(&self, partition: PartitionId, members: Vec<NodeId>) -> Result<()> {
         let mut inner = self.inner.lock();
-        if !inner.partitions.contains_key(&partition) {
-            return Err(CfsError::NotFound(format!("{partition}")));
-        }
         let gid = Self::group_of(partition);
-        // Rebuilding the group invalidates any speculative overlay.
-        inner.overlays.remove(&partition);
-        if let Some(state) = inner.multiraft.persist_group(gid) {
-            inner.multiraft.remove_group(gid);
-            inner.multiraft.restore_group(gid, members.clone(), state)?;
-        } else {
-            inner.multiraft.create_group(gid, members.clone())?;
+        let current = inner.multiraft.group(gid).map(|g| g.members());
+        match current {
+            None => return Err(CfsError::NotFound(format!("{partition}"))),
+            Some(current) if current == members.as_slice() => return Ok(()),
+            Some(_) => {}
         }
-        inner.persist_partition_config(partition, &members)
+        inner.persist_partition_config(partition, &members)?;
+        // The leader steps down, which ends any speculative overlay.
+        inner.overlays.remove(&partition);
+        inner.multiraft.set_members(gid, members)
     }
 
     /// Leader read. Fast path: a leader holding a valid quorum lease and
@@ -1063,6 +1061,60 @@ mod tests {
             .find(|n| n.is_leader_for(p))
             .expect("leader exists")
             .clone()
+    }
+
+    /// A membership update changes the group's member list in place: with
+    /// the same list or a rotated one, no replica re-applies its log, so
+    /// item counts and tree images stay as they were.
+    #[test]
+    fn update_members_keeps_the_applied_tree() {
+        let (hub, nodes, _dirs) = cluster(3);
+        let p = mk_partition(&hub, &nodes, 1);
+        let leader = leader_of(&nodes, p);
+        for now_ns in 0..5 {
+            leader
+                .write(
+                    p,
+                    &MetaCommand::CreateInode {
+                        file_type: FileType::File,
+                        link_target: vec![],
+                        now_ns,
+                    },
+                )
+                .unwrap();
+        }
+        let settle = || {
+            let settled = || {
+                let idx: Vec<_> = nodes.iter().filter_map(|n| n.raft_indices(p)).collect();
+                idx.len() == nodes.len()
+                    && idx
+                        .iter()
+                        .all(|&(commit, applied, _)| applied == commit && commit == idx[0].0)
+                    && nodes.iter().any(|n| n.is_leader_for(p))
+            };
+            assert!(hub.pump_until(settled, 5_000));
+            for _ in 0..200 {
+                hub.tick_and_pump();
+            }
+            let items: Vec<u64> = nodes.iter().map(|n| info(n, p).item_count).collect();
+            let snaps: Vec<Vec<u8>> = nodes
+                .iter()
+                .map(|n| n.partition_snapshot(p).unwrap())
+                .collect();
+            (items, snaps)
+        };
+        let (items, snaps) = settle();
+        assert_eq!(items, vec![5; nodes.len()]);
+        let members: Vec<NodeId> = nodes.iter().map(|n| n.id()).collect();
+        let rotated = vec![members[1], members[2], members[0]];
+        for list in [members, rotated] {
+            for n in &nodes {
+                n.update_members(p, list.clone()).unwrap();
+            }
+            let after = settle();
+            assert_eq!(after.0, items, "item counts after members {list:?}");
+            assert!(after.1 == snaps, "trees changed after members {list:?}");
+        }
     }
 
     #[test]

@@ -319,8 +319,9 @@ mod tests {
         let state = hosts[victim]
             .mr
             .lock()
-            .persist_group(RaftGroupId(1))
-            .unwrap();
+            .group(RaftGroupId(1))
+            .unwrap()
+            .persistent_state();
         let members: Vec<NodeId> = hosts.iter().map(|h| h.id).collect();
         hosts.remove(victim);
 

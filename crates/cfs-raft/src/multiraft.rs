@@ -202,9 +202,16 @@ impl MultiRaft {
         Ok(())
     }
 
-    /// Durable state of one hosted group (crash-consistent image).
-    pub fn persist_group(&self, group: RaftGroupId) -> Option<crate::node::PersistentRaftState> {
-        self.groups.get(&group).map(|n| n.persistent_state())
+    /// Change a hosted group's member list in place (see
+    /// [`RaftNode::set_members`]): its durable state and applied index
+    /// carry over and nothing is written.
+    pub fn set_members(&mut self, group: RaftGroupId, members: Vec<NodeId>) -> Result<()> {
+        let node = self
+            .groups
+            .get_mut(&group)
+            .ok_or_else(|| cfs_types::CfsError::NotFound(format!("{group}")))?;
+        node.set_members(members);
+        Ok(())
     }
 
     /// Remove a group replica (and its stored state, if storage is
@@ -402,6 +409,37 @@ impl MultiRaft {
 mod tests {
     use super::*;
 
+    /// Tick and exchange messages among `hosts` for `ticks` rounds,
+    /// adding to `applied[i]` the non-empty entries host `i` surfaces.
+    fn pump(hosts: &mut [MultiRaft], ticks: u64, applied: &mut [usize]) {
+        for _ in 0..ticks {
+            for h in hosts.iter_mut() {
+                h.tick_all();
+            }
+            loop {
+                let mut inflight = Vec::new();
+                for (i, h) in hosts.iter_mut().enumerate() {
+                    let (msgs, readies) = h.drain();
+                    inflight.extend(msgs);
+                    for (_, ready) in readies {
+                        applied[i] += ready
+                            .committed
+                            .iter()
+                            .filter(|e| !e.data.is_empty())
+                            .count();
+                    }
+                }
+                if inflight.is_empty() {
+                    break;
+                }
+                for env in inflight {
+                    let to = hosts.iter().position(|h| h.node_id == env.to).unwrap();
+                    hosts[to].receive(env.from, env.msg);
+                }
+            }
+        }
+    }
+
     /// Three nodes, `g` groups each, fully replicated; run until every
     /// group has a leader. Returns total wire messages.
     pub(super) fn run_cluster(groups: u64, coalesce: bool, ticks: u64) -> (u64, u64) {
@@ -415,28 +453,7 @@ mod tests {
                 h.create_group(RaftGroupId(g), ids.to_vec()).unwrap();
             }
         }
-        for _ in 0..ticks {
-            for h in hosts.iter_mut() {
-                h.tick_all();
-            }
-            // Exchange messages until quiescent this tick.
-            loop {
-                let mut any = false;
-                let mut inflight = Vec::new();
-                for h in hosts.iter_mut() {
-                    let (msgs, _) = h.drain();
-                    inflight.extend(msgs);
-                }
-                for env in inflight {
-                    any = true;
-                    let idx = ids.iter().position(|&n| n == env.to).unwrap();
-                    hosts[idx].receive(env.from, env.msg);
-                }
-                if !any {
-                    break;
-                }
-            }
-        }
+        pump(&mut hosts, ticks, &mut [0; 3]);
         let wire: u64 = hosts.iter().map(|h| h.stats().wire_messages_sent).sum();
         let raw: u64 = hosts.iter().map(|h| h.stats().raw_messages_generated).sum();
         (wire, raw)
@@ -454,27 +471,7 @@ mod tests {
                 h.create_group(RaftGroupId(g), ids.to_vec()).unwrap();
             }
         }
-        for _ in 0..600 {
-            for h in hosts.iter_mut() {
-                h.tick_all();
-            }
-            loop {
-                let mut moved = false;
-                let mut inflight = Vec::new();
-                for h in hosts.iter_mut() {
-                    let (msgs, _) = h.drain();
-                    inflight.extend(msgs);
-                }
-                for env in inflight {
-                    moved = true;
-                    let idx = ids.iter().position(|&n| n == env.to).unwrap();
-                    hosts[idx].receive(env.from, env.msg);
-                }
-                if !moved {
-                    break;
-                }
-            }
-        }
+        pump(&mut hosts, 600, &mut [0; 3]);
         for g in 1..=10 {
             let leaders: usize = hosts
                 .iter()
@@ -510,31 +507,72 @@ mod tests {
                 h.create_group(RaftGroupId(g), ids.to_vec()).unwrap();
             }
         }
-        for _ in 0..400 {
-            for h in hosts.iter_mut() {
-                h.tick_all();
-            }
-            loop {
-                let mut moved = false;
-                let mut inflight = Vec::new();
-                for h in hosts.iter_mut() {
-                    let (msgs, _) = h.drain();
-                    inflight.extend(msgs);
-                }
-                for env in inflight {
-                    moved = true;
-                    let idx = ids.iter().position(|&n| n == env.to).unwrap();
-                    hosts[idx].receive(env.from, env.msg);
-                }
-                if !moved {
-                    break;
-                }
-            }
-        }
+        pump(&mut hosts, 400, &mut [0; 3]);
         for h in &hosts {
             // 5 groups, but only 2 other nodes exist to talk to.
             assert!(h.distinct_peers() >= 1 && h.distinct_peers() <= 2);
         }
+    }
+
+    #[test]
+    fn set_members_keeps_applied_state_and_ignores_an_unchanged_list() {
+        let ids = vec![NodeId(1), NodeId(2), NodeId(3)];
+        let g = RaftGroupId(1);
+        let mut hosts: Vec<MultiRaft> = ids
+            .iter()
+            .map(|&id| MultiRaft::new(id, RaftConfig::default(), 7, true))
+            .collect();
+        for h in hosts.iter_mut() {
+            h.create_group(g, ids.clone()).unwrap();
+        }
+        let mut applied = vec![0; ids.len()];
+        pump(&mut hosts, 400, &mut applied);
+        let li = hosts
+            .iter()
+            .position(|h| h.group(g).unwrap().is_leader())
+            .expect("a leader");
+        for i in 0..5u8 {
+            hosts[li].group_mut(g).unwrap().propose(vec![i]).unwrap();
+        }
+        pump(&mut hosts, 100, &mut applied);
+        assert_eq!(applied, vec![5; ids.len()]);
+        let indices = |hosts: &[MultiRaft]| -> Vec<(u64, u64, u64)> {
+            hosts
+                .iter()
+                .map(|h| {
+                    let n = h.group(g).unwrap();
+                    (n.term(), n.commit_index(), n.applied_index())
+                })
+                .collect()
+        };
+        let before = indices(&hosts);
+        assert!(before
+            .iter()
+            .all(|&(_, commit, applied)| commit > 5 && applied == commit));
+
+        // An unchanged list is a no-op: the leader keeps leading.
+        for h in hosts.iter_mut() {
+            h.set_members(g, ids.clone()).unwrap();
+        }
+        assert!(hosts[li].group(g).unwrap().is_leader());
+        assert_eq!(indices(&hosts), before);
+
+        // A rotated list steps every replica down and keeps its term,
+        // commit and applied indexes.
+        let rotated = vec![ids[1], ids[2], ids[0]];
+        for h in hosts.iter_mut() {
+            h.set_members(g, rotated.clone()).unwrap();
+            let n = h.group(g).unwrap();
+            assert!(!n.is_leader());
+            assert_eq!(n.members(), rotated.as_slice());
+        }
+        assert_eq!(indices(&hosts), before);
+
+        // A new leader is elected and no replica re-applies an entry.
+        pump(&mut hosts, 400, &mut applied);
+        assert!(hosts.iter().any(|h| h.group(g).unwrap().is_leader()));
+        assert_eq!(applied, vec![5; ids.len()]);
+        assert!(hosts[0].set_members(RaftGroupId(9), ids).is_err());
     }
 
     #[test]

@@ -326,6 +326,27 @@ impl RaftNode {
         node
     }
 
+    /// Adopt a repaired member list in place (§2.3.3). Term, vote, log and
+    /// the commit and applied indexes carry over, so the state machine
+    /// re-applies nothing and no row is written. The node steps down to a
+    /// follower with no per-peer progress and no lease credit, and the
+    /// group elects a leader under the new quorum. An unchanged list is a
+    /// no-op.
+    pub fn set_members(&mut self, members: Vec<NodeId>) {
+        debug_assert!(members.contains(&self.id), "members must include self");
+        if self.members == members {
+            return;
+        }
+        self.members = members;
+        self.role = Role::Follower;
+        self.leader_hint = None;
+        self.votes.clear();
+        self.progress.clear();
+        self.lease_stamps.clear();
+        self.ticks_since_leader_contact = u64::MAX;
+        self.reset_election_timer();
+    }
+
     /// Hand heartbeat scheduling to the embedding layer (see
     /// [`crate::MultiRaft`]): `tick` stops auto-sending leader heartbeats;
     /// call [`RaftNode::force_heartbeat`] instead.

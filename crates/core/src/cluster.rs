@@ -485,59 +485,24 @@ impl Cluster {
                         );
                     }
                 }
-                Task::DecommissionReplica {
-                    partition,
+                Task::ReplaceReplica {
                     kind,
-                    members,
-                    ..
-                } => {
-                    // Best effort: push the post-decommission replica
-                    // array to every member. The replacement does not
-                    // host the partition yet (NotFound) and the dead
-                    // node is unreachable — both are fine; the follow-up
-                    // add-replica task is what completes the repair.
-                    for &m in members {
-                        match kind {
-                            NodeKind::Meta => {
-                                let _ = self.fabrics.meta.call(
-                                    NodeId(0),
-                                    m,
-                                    MetaRequest::UpdateMembers {
-                                        partition: *partition,
-                                        members: members.clone(),
-                                    },
-                                );
-                            }
-                            NodeKind::Data => {
-                                let _ = self.fabrics.data.call(
-                                    NodeId(0),
-                                    m,
-                                    DataRequest::UpdateMembers {
-                                        partition: *partition,
-                                        members: members.clone(),
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-                Task::AddDataReplica {
-                    partition,
-                    volume,
-                    members,
-                    new_node,
-                } => {
-                    self.add_data_replica(*partition, *volume, members, *new_node)?;
-                }
-                Task::AddMetaReplica {
                     partition,
                     volume,
                     start,
                     end,
                     members,
                     new_node,
+                    ..
                 } => {
-                    self.add_meta_replica(*partition, *volume, *start, *end, members, *new_node)?;
+                    self.replace_replica(
+                        *kind,
+                        *partition,
+                        *volume,
+                        (*start, *end),
+                        members,
+                        *new_node,
+                    )?;
                 }
             }
         }
@@ -595,122 +560,97 @@ impl Cluster {
         )?
     }
 
-    /// Complete a data-partition repair (§2.2.5 join): host the
-    /// replacement, settle membership, rebuild the committed watermark on
-    /// the (possibly newly promoted) chain head, align extents, and
-    /// confirm the join so the partition returns to read-write.
-    fn add_data_replica(
+    /// Replace a dead replica (§2.3.3): host the replacement, have the
+    /// survivors adopt the post-repair membership once, catch the
+    /// replacement up, and confirm the join so the partition leaves the
+    /// pending set (a data partition returns to read-write). `(start,
+    /// end)` is a meta partition's inode range.
+    fn replace_replica(
         &self,
+        kind: NodeKind,
         partition: PartitionId,
         volume: VolumeId,
+        (start, end): (InodeId, InodeId),
         members: &[NodeId],
         new_node: NodeId,
     ) -> Result<()> {
-        // 1. Host the replacement replica: its Raft group joins with the
-        //    repaired membership and catches up via ordinary log replay.
-        self.host_data_replica(new_node, partition, volume, members)?;
-        // 2. Every survivor adopts the membership (idempotent; the
-        //    decommission task already tried best-effort).
-        for &m in members {
-            if m == new_node {
-                continue;
+        match kind {
+            NodeKind::Meta => {
+                self.host_meta_replica(new_node, partition, volume, start, end, members)?;
             }
+            NodeKind::Data => self.host_data_replica(new_node, partition, volume, members)?,
+        }
+        // Each survivor changes its group's member list in place, once.
+        let survivors: Vec<NodeId> = members.iter().copied().filter(|&m| m != new_node).collect();
+        for &m in &survivors {
+            match kind {
+                NodeKind::Meta => {
+                    self.fabrics.meta.call(
+                        NodeId(0),
+                        m,
+                        MetaRequest::UpdateMembers {
+                            partition,
+                            members: members.to_vec(),
+                        },
+                    )??;
+                }
+                NodeKind::Data => {
+                    self.fabrics.data.call(
+                        NodeId(0),
+                        m,
+                        DataRequest::UpdateMembers {
+                            partition,
+                            members: members.to_vec(),
+                        },
+                    )??;
+                }
+            }
+        }
+        if kind == NodeKind::Data {
+            // §2.2.5 join: the head recomputes committed watermarks from
+            // the survivors (the still-empty replacement must not drag the
+            // minimum down to zero), truncates stale tails and re-ships
+            // every committed byte to the replacement; the Raft group
+            // replays the rest.
             self.fabrics.data.call(
                 NodeId(0),
-                m,
-                DataRequest::UpdateMembers {
+                members[0],
+                DataRequest::Recover {
                     partition,
-                    members: members.to_vec(),
-                },
-            )??;
-        }
-        // 3. The head recomputes committed watermarks from the survivors
-        //    (the replacement is still empty and must not drag the
-        //    minimum down to zero).
-        let head = members[0];
-        let sync_from: Vec<NodeId> = members.iter().copied().filter(|&m| m != new_node).collect();
-        self.fabrics.data.call(
-            NodeId(0),
-            head,
-            DataRequest::PromoteHead {
-                partition,
-                sync_from,
-            },
-        )??;
-        // 4. §2.2.5 alignment: truncate stale tails, re-ship every
-        //    committed byte to the replacement.
-        self.fabrics
-            .data
-            .call(NodeId(0), head, DataRequest::Recover { partition })??;
-        // 5. Wait for the rebuilt group to elect, then confirm the join:
-        //    the partition leaves the pending set and returns to r/w.
-        self.hub.pump_until(
-            || {
-                self.data_nodes
-                    .iter()
-                    .any(|n| !self.faults.is_down(n.id()) && n.is_raft_leader_for(partition))
-            },
-            10_000,
-        );
-        self.master_leader()?
-            .propose(&MasterCommand::ConfirmReplicaJoined {
-                partition,
-                node: new_node,
-            })?;
-        Ok(())
-    }
-
-    /// Complete a meta-partition repair: host the replacement (it catches
-    /// up through snapshot install + log replay, §2.1.3), settle
-    /// membership, wait until the replacement's applied index reaches the
-    /// group commit, and confirm the join.
-    fn add_meta_replica(
-        &self,
-        partition: PartitionId,
-        volume: VolumeId,
-        start: InodeId,
-        end: InodeId,
-        members: &[NodeId],
-        new_node: NodeId,
-    ) -> Result<()> {
-        self.host_meta_replica(new_node, partition, volume, start, end, members)?;
-        for &m in members {
-            if m == new_node {
-                continue;
-            }
-            self.fabrics.meta.call(
-                NodeId(0),
-                m,
-                MetaRequest::UpdateMembers {
-                    partition,
-                    members: members.to_vec(),
+                    survivors,
                 },
             )??;
         }
         self.hub.pump_until(
-            || {
-                self.meta_nodes
+            || match kind {
+                NodeKind::Meta => self
+                    .meta_nodes
                     .iter()
-                    .any(|n| !self.faults.is_down(n.id()) && n.is_leader_for(partition))
+                    .any(|n| !self.faults.is_down(n.id()) && n.is_leader_for(partition)),
+                NodeKind::Data => self
+                    .data_nodes
+                    .iter()
+                    .any(|n| !self.faults.is_down(n.id()) && n.is_raft_leader_for(partition)),
             },
             10_000,
         );
-        // Caught up = the replacement applied everything the group has
-        // committed (snapshot install + replay both count).
-        let replacement = self
-            .meta_nodes
-            .iter()
-            .find(|n| n.id() == new_node)
-            .cloned()
-            .ok_or_else(|| CfsError::NotFound(format!("{new_node}")))?;
-        self.hub.pump_until(
-            || {
-                replacement
-                    .raft_indices(partition)
-                    .is_some_and(|(commit, applied, _)| commit > 0 && applied == commit)
-            },
-            10_000,
-        );
+        if kind == NodeKind::Meta {
+            // Caught up = the replacement applied everything the group has
+            // committed (snapshot install + replay both count).
+            let replacement = self
+                .meta_nodes
+                .iter()
+                .find(|n| n.id() == new_node)
+                .ok_or_else(|| CfsError::NotFound(format!("{new_node}")))?;
+            self.hub.pump_until(
+                || {
+                    replacement
+                        .raft_indices(partition)
+                        .is_some_and(|(commit, applied, _)| commit > 0 && applied == commit)
+                },
+                10_000,
+            );
+        }
         self.master_leader()?
             .propose(&MasterCommand::ConfirmReplicaJoined {
                 partition,
@@ -1252,10 +1192,12 @@ impl Cluster {
             };
         };
         let result = (|| {
+            let mut survivors = Vec::new();
             if members.first() != Some(&head) {
                 // Configured head is down: promote the next live replica
-                // on the survivors. Live members first (original order),
-                // then the down ones, so the set is unchanged.
+                // on the survivors, which recomputes the watermarks from
+                // them. Live members first (original order), then the
+                // down ones, so the set is unchanged.
                 let mut rotated = live.clone();
                 rotated.extend(members.iter().copied().filter(|&m| self.faults.is_down(m)));
                 for &m in &live {
@@ -1268,19 +1210,15 @@ impl Cluster {
                         },
                     )??;
                 }
-                self.fabrics.data.call(
-                    NodeId(0),
-                    head,
-                    DataRequest::PromoteHead {
-                        partition: pid,
-                        sync_from: live.clone(),
-                    },
-                )??;
+                survivors = live;
             }
             match self.fabrics.data.call(
                 NodeId(0),
                 head,
-                DataRequest::Recover { partition: pid },
+                DataRequest::Recover {
+                    partition: pid,
+                    survivors,
+                },
             )?? {
                 DataResponse::Processed(k) => Ok(k),
                 _ => Err(CfsError::Internal("bad Recover reply".into())),

@@ -82,9 +82,14 @@ fn main() -> cfs::Result<()> {
 
     // Run the §2.2.5 recovery pass on the partition's PB leader: aligns
     // any stale tails across replicas to the committed watermark.
-    // (The leader is members[0] by construction.)
+    // (The leader is members[0] by construction. No `survivors`: the head
+    // was never replaced, so its own watermarks stand.)
+    let recover = DataRequest::Recover {
+        partition: dp,
+        survivors: vec![],
+    };
     match cluster.data_nodes().iter().find(|n| n.id() == members[0]) {
-        Some(leader) => match leader.handle(DataRequest::Recover { partition: dp })? {
+        Some(leader) => match leader.handle(recover)? {
             DataResponse::Processed(n) => {
                 println!("recovery pass on {dp}: {n} extent alignment action(s)")
             }

@@ -774,7 +774,7 @@ impl Chaos {
         self.check_replica_alignment();
 
         // 8. Invariant (d): meta snapshot/replay equivalence.
-        self.check_meta_snapshot_replay();
+        check_meta_snapshot_replay(&self.cluster, self.seed);
 
         // 9. Invariant (e): fault/metric reconciliation.
         self.check_net_reconciliation();
@@ -1308,91 +1308,98 @@ impl Chaos {
             self.seed
         );
     }
+}
 
-    fn check_meta_snapshot_replay(&self) {
-        let metas = self.cluster.meta_nodes();
-        let hub = self.cluster.hub();
-        let mut pids = BTreeSet::new();
-        for m in metas {
-            pids.extend(m.partition_ids());
-        }
-        for pid in pids {
-            let hosts: Vec<_> = metas
+/// Invariant (d) over the live hosts: every live replica of each meta
+/// partition applies the same committed log, their trees are
+/// byte-identical, and replaying the snapshot reproduces the tree.
+fn check_meta_snapshot_replay(cluster: &Cluster, seed: u64) {
+    let faults = cluster.faults();
+    let metas: Vec<_> = cluster
+        .meta_nodes()
+        .iter()
+        .filter(|m| !faults.is_down(m.id()))
+        .collect();
+    let hub = cluster.hub();
+    let mut pids = BTreeSet::new();
+    for m in &metas {
+        pids.extend(m.partition_ids());
+    }
+    for pid in pids {
+        let hosts: Vec<_> = metas
+            .iter()
+            .filter(|m| m.partition_ids().contains(&pid))
+            .collect();
+        // Every replica must finish applying the same committed log.
+        let ok = hub.pump_until(
+            || {
+                let idx: Vec<_> = hosts.iter().filter_map(|m| m.raft_indices(pid)).collect();
+                idx.len() == hosts.len()
+                    && idx.iter().all(|&(commit, applied, _)| commit == applied)
+                    && idx.windows(2).all(|w| w[0].0 == w[1].0)
+            },
+            30_000,
+        );
+        assert!(
+            ok,
+            "invariant (d): {pid} replicas failed to converge (seed {}): \
+             (commit, applied, last) per host = {:?}, leaders = {:?}",
+            seed,
+            hosts
                 .iter()
-                .filter(|m| m.partition_ids().contains(&pid))
-                .collect();
-            // Every replica must finish applying the same committed log.
-            let ok = hub.pump_until(
-                || {
-                    let idx: Vec<_> = hosts.iter().filter_map(|m| m.raft_indices(pid)).collect();
-                    idx.len() == hosts.len()
-                        && idx.iter().all(|&(commit, applied, _)| commit == applied)
-                        && idx.windows(2).all(|w| w[0].0 == w[1].0)
-                },
-                30_000,
-            );
-            assert!(
-                ok,
-                "invariant (d): {pid} replicas failed to converge (seed {}): \
-                 (commit, applied, last) per host = {:?}, leaders = {:?}",
-                self.seed,
-                hosts
-                    .iter()
-                    .map(|m| m.raft_indices(pid))
-                    .collect::<Vec<_>>(),
-                hosts
-                    .iter()
-                    .map(|m| (m.is_leader_for(pid), m.raft_term(pid)))
-                    .collect::<Vec<_>>()
-            );
-            let snaps: Vec<Vec<u8>> = hosts
+                .map(|m| m.raft_indices(pid))
+                .collect::<Vec<_>>(),
+            hosts
                 .iter()
-                .map(|m| {
-                    m.partition_snapshot(pid)
-                        .expect("snapshot of hosted partition")
-                })
-                .collect();
-            for (i, s) in snaps.iter().enumerate().skip(1) {
-                if s != &snaps[0] {
-                    let a = MetaPartition::from_snapshot(pid, &snaps[0]).unwrap();
-                    let b = MetaPartition::from_snapshot(pid, s).unwrap();
-                    eprintln!("max_inode: {:?} vs {:?}", a.max_inode(), b.max_inode());
-                    eprintln!(
-                        "inodes: {} vs {}",
-                        a.all_inodes().len(),
-                        b.all_inodes().len()
-                    );
-                    for (x, y) in a.all_inodes().iter().zip(b.all_inodes().iter()) {
-                        if x != y {
-                            eprintln!("inode diff:\n  {x:?}\n  {y:?}");
-                        }
+                .map(|m| (m.is_leader_for(pid), m.raft_term(pid)))
+                .collect::<Vec<_>>()
+        );
+        let snaps: Vec<Vec<u8>> = hosts
+            .iter()
+            .map(|m| {
+                m.partition_snapshot(pid)
+                    .expect("snapshot of hosted partition")
+            })
+            .collect();
+        for (i, s) in snaps.iter().enumerate().skip(1) {
+            if s != &snaps[0] {
+                let a = MetaPartition::from_snapshot(pid, &snaps[0]).unwrap();
+                let b = MetaPartition::from_snapshot(pid, s).unwrap();
+                eprintln!("max_inode: {:?} vs {:?}", a.max_inode(), b.max_inode());
+                eprintln!(
+                    "inodes: {} vs {}",
+                    a.all_inodes().len(),
+                    b.all_inodes().len()
+                );
+                for (x, y) in a.all_inodes().iter().zip(b.all_inodes().iter()) {
+                    if x != y {
+                        eprintln!("inode diff:\n  {x:?}\n  {y:?}");
                     }
-                    eprintln!(
-                        "dentries: {} vs {}",
-                        a.all_dentries().len(),
-                        b.all_dentries().len()
-                    );
-                    for (x, y) in a.all_dentries().iter().zip(b.all_dentries().iter()) {
-                        if x != y {
-                            eprintln!("dentry diff:\n  {x:?}\n  {y:?}");
-                        }
-                    }
-                    panic!(
-                        "invariant (d): replica {i} of {pid} diverges (seed {})",
-                        self.seed
-                    );
                 }
+                eprintln!(
+                    "dentries: {} vs {}",
+                    a.all_dentries().len(),
+                    b.all_dentries().len()
+                );
+                for (x, y) in a.all_dentries().iter().zip(b.all_dentries().iter()) {
+                    if x != y {
+                        eprintln!("dentry diff:\n  {x:?}\n  {y:?}");
+                    }
+                }
+                panic!(
+                    "invariant (d): replica {i} of {pid} diverges (seed {})",
+                    seed
+                );
             }
-            // Replaying the snapshot must reproduce the state exactly.
-            let restored =
-                MetaPartition::from_snapshot(pid, &snaps[0]).expect("snapshot must decode");
-            assert_eq!(
-                restored.snapshot_bytes(),
-                snaps[0],
-                "invariant (d): snapshot round-trip for {pid} (seed {})",
-                self.seed
-            );
         }
+        // Replaying the snapshot must reproduce the state exactly.
+        let restored = MetaPartition::from_snapshot(pid, &snaps[0]).expect("snapshot must decode");
+        assert_eq!(
+            restored.snapshot_bytes(),
+            snaps[0],
+            "invariant (d): snapshot round-trip for {pid} (seed {})",
+            seed
+        );
     }
 }
 
@@ -2260,6 +2267,11 @@ fn self_healing_survives_meta_host_kill() {
     drive_repair(&cluster, &client);
     verify_files_after_repair(SEED, &client, &mut files);
     assert_repair_counters(&cluster, victim_partitions);
+    // The replacement caught up to the survivors, which kept their trees
+    // through the membership change: one state, no orphaned inodes.
+    check_meta_snapshot_replay(&cluster, SEED);
+    let report = client.fsck(false).expect("fsck");
+    assert_eq!(report.orphans_found, 0, "{report:?}");
 
     // The namespace is fully writable again: a fresh create + lookup.
     let root = client.root();
