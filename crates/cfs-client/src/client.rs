@@ -200,6 +200,9 @@ pub(crate) struct DataPathStats {
     /// arise *after* the server classified the read as lease or quorum).
     /// Reconciles against `meta.lease_reads + meta.quorum_reads`.
     pub meta_reads_served: CounterPair,
+    /// Data `Read` replies taken as served; reconciles against
+    /// `data.lease_reads + data.quorum_reads`.
+    pub data_reads_served: CounterPair,
     /// Small-file first-writes taken on the aggregated-extent path: each
     /// joins the coalescing buffer (DESIGN §13), for as long as the
     /// record bound lets it wait.
@@ -248,6 +251,7 @@ impl DataPathStats {
                 registry.counter("client.lookup_cache.negative"),
             ),
             meta_reads_served: CounterPair::shared(registry.counter("client.meta_reads_served")),
+            data_reads_served: CounterPair::shared(registry.counter("client.data_reads_served")),
             smallfile_coalesced: CounterPair::shared(
                 registry.counter("client.smallfile.coalesced"),
             ),

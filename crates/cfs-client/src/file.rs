@@ -155,8 +155,16 @@ impl Client {
             len,
             enforce_committed: false, // bounds come from meta-recorded extents
         })?;
+        self.read_reply(resp)
+    }
+
+    /// The bytes of a `Read` reply, counted as a served data read.
+    fn read_reply(&self, resp: DataResponse) -> Result<Vec<u8>> {
         match resp {
-            DataResponse::Data(d) => Ok(d),
+            DataResponse::Data(d) => {
+                self.stats.data_reads_served.inc();
+                Ok(d)
+            }
             _ => Err(CfsError::Internal("bad Read reply".into())),
         }
     }
@@ -646,23 +654,21 @@ impl Client {
                     Some((node, self.fabrics.data.submit(self.id, node, req)))
                 })
                 .collect();
-            // Take every completion before acting on any failure, so no
-            // token is ever abandoned in the delivery queue.
+            // Take (and count) every completion before acting on any
+            // failure, so no token is ever abandoned in the delivery queue.
             let replies: Vec<_> = batch
                 .iter()
                 .zip(tokens)
                 .map(|(&(key, ..), sub)| {
                     let (node, token) = sub?;
                     let reply = self.fabrics.data.wait(token);
-                    Some(self.learn(Group::Data(key.partition_id), node, reply))
+                    let answer = self.learn(Group::Data(key.partition_id), node, reply);
+                    Some(answer.map_break(|a| a.and_then(|resp| self.read_reply(resp))))
                 })
                 .collect();
             for (&(key, lo, hi), reply) in batch.iter().zip(replies) {
                 let piece = match reply {
-                    Some(ControlFlow::Break(answer)) => match answer? {
-                        DataResponse::Data(d) => d,
-                        _ => return Err(CfsError::Internal("bad Read reply".into())),
-                    },
+                    Some(ControlFlow::Break(answer)) => answer?,
                     _ => self.read_extent(
                         key.partition_id,
                         key.extent_id,

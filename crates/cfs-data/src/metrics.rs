@@ -24,6 +24,10 @@ pub struct DataMetrics {
     pub gap_wait_stalls: Counter,
     /// Raft-replicated overwrites applied to the local store.
     pub overwrites_applied: Counter,
+    /// Reads served at the Raft leader under its lease.
+    pub lease_reads: Counter,
+    /// Reads served at the Raft leader after a ReadIndex barrier.
+    pub quorum_reads: Counter,
     /// PB-leader recovery passes run (§2.2.5 step 1).
     pub recoveries: Counter,
     /// Individual repairs (truncations + re-ships) those passes made.
@@ -60,6 +64,8 @@ impl DataMetrics {
             chain_forwards: registry.counter("data.chain_forwards"),
             gap_wait_stalls: registry.counter("data.gap_wait_stalls"),
             overwrites_applied: registry.counter("data.overwrites_applied"),
+            lease_reads: registry.counter("data.lease_reads"),
+            quorum_reads: registry.counter("data.quorum_reads"),
             recoveries: registry.counter("data.recoveries"),
             recovery_repairs: registry.counter("data.recovery_repairs"),
             join_members_updates: registry.counter("data.join.members_updates"),

@@ -18,7 +18,9 @@ use cfs_kvwal::{LsmEngine, LsmOptions};
 use cfs_net::Network;
 use cfs_obs::{Registry, RequestId, RpcRoute, Span};
 use cfs_raft::hub::{RaftHost, RaftHub};
-use cfs_raft::{GroupCommit, MultiRaft, RaftConfig, WireEnvelope, COMMIT_TIMEOUT_TICKS};
+use cfs_raft::{
+    leader_read, GroupCommit, MultiRaft, RaftConfig, ReadPath, WireEnvelope, COMMIT_TIMEOUT_TICKS,
+};
 use cfs_store::{SmallFileLocation, StoreMetrics};
 use cfs_types::codec::{Decode, Encode};
 use cfs_types::crc::crc32;
@@ -91,7 +93,9 @@ pub enum DataRequest {
         offset: u64,
         data: Bytes,
     },
-    /// Read committed bytes (served at the Raft leader, §2.7.4).
+    /// Read committed bytes (§2.7.4). Only the partition's Raft leader
+    /// answers ([`cfs_raft::leader_read`]); a follower answers `NotLeader`
+    /// with its leader hint.
     Read {
         partition: PartitionId,
         extent: ExtentId,
@@ -489,9 +493,16 @@ impl DataNode {
                 len,
                 enforce_committed,
             } => {
+                let group = Self::group_of(partition);
+                let (_, path) =
+                    leader_read(&self.hub, group, || self.raft.lock(), |r| &mut r.multiraft)?;
                 let hosted = self.hosted(partition)?;
                 let r = hosted.replica.lock();
                 let data = r.read(extent, offset, len as usize, enforce_committed)?;
+                match path {
+                    ReadPath::Lease => self.metrics.lease_reads.inc(),
+                    ReadPath::Quorum => self.metrics.quorum_reads.inc(),
+                }
                 Ok(DataResponse::Data(data))
             }
             DataRequest::ExtentInfo { partition, extent } => {
@@ -614,8 +625,14 @@ impl DataNode {
             }
             return Err(CfsError::Exists(format!("{partition}")));
         }
-        raft.multiraft
-            .create_group(Self::group_of(partition), members.clone())?;
+        let group = Self::group_of(partition);
+        raft.multiraft.create_group(group, members.clone())?;
+        // The chain head campaigns at once, so the node clients send
+        // appends to also leads the group that serves reads and overwrites.
+        let head = members.first() == Some(&self.id);
+        if let Some(g) = raft.multiraft.group_mut(group).filter(|_| head) {
+            g.campaign();
+        }
         let mut replica = DataPartitionReplica::new_persistent(
             partition,
             volume,

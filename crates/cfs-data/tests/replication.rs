@@ -9,7 +9,7 @@ use bytes::Bytes;
 use cfs_data::{DataNode, DataRequest, DataResponse};
 use cfs_net::Network;
 use cfs_obs::Registry;
-use cfs_raft::{RaftConfig, RaftHub};
+use cfs_raft::{RaftConfig, RaftHost, RaftHub};
 use cfs_types::crc::crc32;
 use cfs_types::testutil::TempDir;
 use cfs_types::{CfsError, ExtentId, FaultState, NodeId, PartitionId, VolumeId};
@@ -74,6 +74,22 @@ fn mk_partition(c: &Cluster, pid: u64) -> (PartitionId, Vec<NodeId>) {
         .hub
         .pump_until(|| c.nodes.iter().any(|n| n.is_raft_leader_for(p)), 5_000));
     (p, members)
+}
+
+/// Make the chain head (`c.nodes[0]`) leader of `p`'s Raft group again
+/// after a reboot by ticking it alone (at creation it campaigns first):
+/// reads are answered only at the Raft leader, and only the head tracks
+/// the all-replica commit that `enforce_committed` clamps to.
+fn elect_head(c: &Cluster, p: PartitionId) {
+    let head = &c.nodes[0];
+    for _ in 0..2_000 {
+        if head.is_raft_leader_for(p) {
+            return;
+        }
+        head.raft_tick();
+        c.hub.pump();
+    }
+    panic!("the chain head never won {p}'s election");
 }
 
 fn append(
@@ -925,9 +941,7 @@ fn engine_backed_cluster_survives_whole_cluster_power_loss() {
         assert_eq!(node.partition_count(), 1, "node {i} restored its replica");
         assert_eq!(node.hosted_partitions(), vec![(p, members.clone())]);
     }
-    assert!(c
-        .hub
-        .pump_until(|| c.nodes.iter().any(|n| n.is_raft_leader_for(p)), 10_000));
+    elect_head(&c, p);
 
     // Recovered state ≡ pre-crash acknowledged state, byte for byte.
     let post_manifests: Vec<_> = c

@@ -3,14 +3,16 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use cfs_kvwal::{LsmEngine, LsmOptions};
 use cfs_obs::{Counter, Registry, RpcRoute};
 use cfs_raft::hub::{RaftHost, RaftHub};
-use cfs_raft::{GroupCommit, MultiRaft, RaftConfig, WireEnvelope, COMMIT_TIMEOUT_TICKS};
+use cfs_raft::{
+    leader_read, GroupCommit, MultiRaft, RaftConfig, WireEnvelope, COMMIT_TIMEOUT_TICKS,
+};
 use cfs_types::codec::{Decode, Encode};
-use cfs_types::{CfsError, ClusterConfig, NodeId, PartitionId, RaftGroupId, Result, VolumeId};
+use cfs_types::{CfsError, ClusterConfig, NodeId, RaftGroupId, Result, VolumeId};
 
 use crate::state::{
     ApplyOutcome, DataPartitionMeta, MasterCommand, MasterState, MetaPartitionMeta, NodeStatus,
@@ -116,18 +118,6 @@ struct Inner {
     commits: GroupCommit<ApplyOutcome>,
 }
 
-impl Inner {
-    /// Leader *and* caught up: a restarted replica's state starts at its
-    /// snapshot base, so a fresh leader serves only once it has applied an
-    /// entry of its own term (the no-op every new leader commits). By then
-    /// it has applied every command committed before its election.
-    fn leads(&self) -> bool {
-        self.multiraft
-            .group(MASTER_GROUP)
-            .is_some_and(|g| g.is_leader() && g.compaction_point().1 == g.term())
-    }
-}
-
 /// One resource-manager replica (§2.3). The replicas form a single Raft
 /// group whose log, hard state and compaction snapshot live on an
 /// [`LsmEngine`] via [`cfs_raft::KvRaftStorage`] (the paper's RocksDB role) — the
@@ -209,19 +199,14 @@ impl MasterNode {
         self.id
     }
 
-    /// Is this replica the group leader, caught up to its own term? Only
-    /// such a leader answers queries (see `Inner::leads`).
+    /// Is this replica the group leader, caught up to its own term
+    /// ([`cfs_raft::RaftNode::applied_own_term`])?
     pub fn is_leader(&self) -> bool {
-        self.inner.lock().leads()
-    }
-
-    /// Leader hint for client redirects.
-    pub fn leader_hint(&self) -> Option<NodeId> {
         self.inner
             .lock()
             .multiraft
             .group(MASTER_GROUP)
-            .and_then(|g| g.leader_hint())
+            .is_some_and(|g| g.applied_own_term())
     }
 
     /// Handle one RPC.
@@ -229,8 +214,7 @@ impl MasterNode {
         match req {
             MasterRequest::Command(cmd) => self.propose(&cmd).map(MasterResponse::Applied),
             MasterRequest::GetVolume { name } => {
-                let inner = self.inner.lock();
-                self.require_leader(&inner)?;
+                let inner = self.read()?;
                 let vol = inner
                     .state
                     .volume_by_name(&name)
@@ -239,8 +223,7 @@ impl MasterNode {
                 Ok(Self::volume_view(&inner.state, vol))
             }
             MasterRequest::GetVolumeById { volume } => {
-                let inner = self.inner.lock();
-                self.require_leader(&inner)?;
+                let inner = self.read()?;
                 let vol = inner
                     .state
                     .volume(volume)
@@ -249,8 +232,7 @@ impl MasterNode {
                 Ok(Self::volume_view(&inner.state, vol))
             }
             MasterRequest::ListNodes => {
-                let inner = self.inner.lock();
-                self.require_leader(&inner)?;
+                let inner = self.read()?;
                 let mut nodes: Vec<NodeStatus> = Vec::new();
                 for kind in [crate::state::NodeKind::Meta, crate::state::NodeKind::Data] {
                     nodes.extend(inner.state.nodes_of_kind(kind).into_iter().cloned());
@@ -260,19 +242,11 @@ impl MasterNode {
         }
     }
 
-    fn require_leader(&self, inner: &Inner) -> Result<()> {
-        if inner.leads() {
-            return Ok(());
-        }
-        // Retryable: a leader that has not applied its term yet names
-        // itself and is ready a commit round later.
-        Err(CfsError::NotLeader {
-            partition: PartitionId(MASTER_GROUP.raw()),
-            hint: inner
-                .multiraft
-                .group(MASTER_GROUP)
-                .and_then(|g| g.leader_hint()),
-        })
+    /// The replicated state, under the one leader read rule
+    /// ([`cfs_raft::leader_read`]).
+    fn read(&self) -> Result<MutexGuard<'_, Inner>> {
+        let lock = || self.inner.lock();
+        Ok(leader_read(&self.hub, MASTER_GROUP, lock, |i| &mut i.multiraft)?.0)
     }
 
     fn volume_view(state: &MasterState, vol: VolumeMeta) -> MasterResponse {
@@ -666,6 +640,69 @@ mod tests {
                 kind: NodeKind::Data,
             })
             .unwrap();
+    }
+
+    /// A leader cut off from its peers keeps believing it leads. Once the
+    /// majority elected a new leader and committed a change to the
+    /// volume's partition table, the old leader must answer `GetVolume`
+    /// with a retryable error, never with the superseded table.
+    #[test]
+    fn cut_off_leader_never_serves_a_superseded_volume_table() {
+        let dir = TempDir::new("master").unwrap();
+        let hub = RaftHub::new();
+        let faults = cfs_types::FaultState::new();
+        hub.set_faults(faults.clone());
+        let masters = replica_set(&dir, &hub, 3);
+        let old = elect(&hub, &masters);
+        for i in 1..=3u64 {
+            for (node, kind) in [(i, NodeKind::Meta), (10 + i, NodeKind::Data)] {
+                let cmd = MasterCommand::RegisterNode {
+                    node: NodeId(node),
+                    kind,
+                };
+                old.propose(&cmd).unwrap();
+            }
+        }
+        old.propose(&MasterCommand::CreateVolume {
+            name: "v".into(),
+            meta_partition_count: 1,
+            data_partition_count: 1,
+        })
+        .unwrap();
+        let get = || MasterRequest::GetVolume { name: "v".into() };
+        let meta_partitions = |resp| match resp {
+            MasterResponse::Volume {
+                meta_partitions, ..
+            } => meta_partitions,
+            other => panic!("unexpected {other:?}"),
+        };
+        let table = meta_partitions(old.handle(get()).unwrap());
+        assert_eq!(table.len(), 1);
+
+        let others: Vec<&Arc<MasterNode>> = masters.iter().filter(|m| m.id() != old.id()).collect();
+        for m in &others {
+            faults.set_partitioned(old.id(), m.id(), true);
+        }
+        assert!(hub.pump_until(|| others.iter().any(|m| m.is_leader()), 10_000));
+        let new = others.iter().find(|m| m.is_leader()).unwrap();
+        new.propose(&MasterCommand::SplitMetaPartition {
+            partition: table[0].partition,
+        })
+        .unwrap();
+        assert_eq!(meta_partitions(new.handle(get()).unwrap()).len(), 2);
+
+        let believes = old
+            .inner
+            .lock()
+            .multiraft
+            .group(MASTER_GROUP)
+            .unwrap()
+            .is_leader();
+        assert!(believes, "the cut-off leader still believes it leads");
+        match old.handle(get()) {
+            Err(e) => assert!(e.is_retryable(), "non-retryable: {e}"),
+            Ok(resp) => panic!("a deposed leader served {resp:?}"),
+        }
     }
 
     /// `(term, commit, last index)` of a replica's group.

@@ -3,8 +3,8 @@
 //! Every write goes through the node's [`GroupCommit`] pipeline and rides
 //! one batch frame per group per hub round (§2.1.3). Reads are served at
 //! the leader under a quorum lease, or after a ReadIndex barrier (both
-//! [`cfs_raft::RaftNode::read_index`]), and fenced by the partition's
-//! current inode range (Algorithm 1). An async write (DESIGN §12) is acked
+//! [`cfs_raft::leader_read`]), and fenced by the partition's current
+//! inode range (Algorithm 1). An async write (DESIGN §12) is acked
 //! from the leader's speculative overlay once
 //! [`crate::intent::IntentJournal`] holds its intent row; it rides the
 //! pipeline as a detached command tagged with its intent, and the journal
@@ -19,7 +19,10 @@ use parking_lot::Mutex;
 use cfs_kvwal::{LsmEngine, LsmOptions, TypedCf};
 use cfs_obs::{Counter, Registry, RpcRoute};
 use cfs_raft::hub::{RaftHost, RaftHub};
-use cfs_raft::{GroupCommit, MultiRaft, RaftConfig, RaftNode, WireEnvelope, COMMIT_TIMEOUT_TICKS};
+use cfs_raft::{
+    leader_read, GroupCommit, MultiRaft, RaftConfig, RaftNode, ReadPath, WireEnvelope,
+    COMMIT_TIMEOUT_TICKS,
+};
 use cfs_types::codec::{Decode, Encode};
 use cfs_types::{CfsError, InodeId, NodeId, PartitionId, RaftGroupId, Result, VolumeId};
 
@@ -384,7 +387,7 @@ impl Inner {
         &self,
         partition: PartitionId,
         read: &MetaRead,
-        served: fn(&MetaObs) -> &Counter,
+        path: ReadPath,
     ) -> Result<MetaValue> {
         // Overlay-aware view: an acked async op must be readable before
         // its group commit lands (read-your-writes).
@@ -394,7 +397,10 @@ impl Inner {
         let (start, end) = (p.config().start, p.config().end);
         self.fence(partition, read.out_of_range(start, end))?;
         if let Some(o) = self.obs.as_ref() {
-            served(o).inc();
+            match path {
+                ReadPath::Lease => o.lease_reads.inc(),
+                ReadPath::Quorum => o.quorum_reads.inc(),
+            }
         }
         apply_read(read, p)
     }
@@ -565,45 +571,13 @@ impl MetaNode {
         inner.multiraft.set_members(gid, members)
     }
 
-    /// Leader read. Fast path: a leader holding a valid quorum lease and
-    /// fully caught up answers from its in-memory tree without a consensus
-    /// round. Otherwise the read waits out a ReadIndex barrier (see
-    /// [`cfs_raft::RaftNode::read_index`]).
+    /// Leader read ([`cfs_raft::leader_read`]), counted as a lease or a
+    /// quorum read once the range fence passes.
     pub fn read(&self, partition: PartitionId, read: &MetaRead) -> Result<MetaValue> {
-        let gid = Self::group_of(partition);
-        // Reads on a node that does not (yet) host the partition are
-        // `Unavailable`, not `NotFound`: retryable, so every non-retryable
-        // error a client sees comes from a read the leader actually served
-        // (and counted as lease or quorum).
-        let not_hosted = || CfsError::Unavailable(format!("{partition}: not hosted here"));
-        let barrier = {
-            let mut inner = self.inner.lock();
-            let group = inner.multiraft.group_mut(gid).ok_or_else(not_hosted)?;
-            match group.read_index()? {
-                None => return inner.serve_read(partition, read, |o| &o.lease_reads),
-                Some(barrier) => barrier,
-            }
-        };
-        let confirmed = self.hub.pump_until(
-            || {
-                let inner = self.inner.lock();
-                inner
-                    .multiraft
-                    .group(gid)
-                    .is_some_and(|g| g.barrier_passed(barrier))
-            },
-            COMMIT_TIMEOUT_TICKS,
-        );
-        let inner = self.inner.lock();
-        inner
-            .multiraft
-            .group(gid)
-            .ok_or_else(not_hosted)?
-            .require_leader()?;
-        if !confirmed {
-            return Err(CfsError::Timeout(format!("{partition}: quorum read")));
-        }
-        inner.serve_read(partition, read, |o| &o.quorum_reads)
+        let group = Self::group_of(partition);
+        let (inner, path) =
+            leader_read(&self.hub, group, || self.inner.lock(), |i| &mut i.multiraft)?;
+        inner.serve_read(partition, read, path)
     }
 
     /// Raft-replicated write: the command joins the partition's

@@ -20,6 +20,8 @@
 //!   ride one batch frame per group per hub round, and a result reaches a
 //!   caller only from the frame this node proposed at that `(term,
 //!   index)`.
+//! * [`leader_read`]: the one way a state machine serves a read, at the
+//!   leader under its quorum lease or after a ReadIndex barrier.
 //! * [`RaftLog`]: in-memory log with a compacted prefix; compaction +
 //!   snapshot install implement the recovery-time bound of §2.1.3.
 
@@ -31,6 +33,7 @@ mod message;
 mod metrics;
 mod multiraft;
 mod node;
+mod read;
 mod storage;
 
 #[cfg(test)]
@@ -47,6 +50,7 @@ pub use message::{Envelope, Message, SnapshotPayload};
 pub use metrics::RaftMetrics;
 pub use multiraft::{GroupBeat, MultiRaft, MultiRaftStats, WireEnvelope, WireMsg};
 pub use node::{
-    decode_batch_frame, PersistentRaftState, RaftNode, ReadBarrier, Ready, Role, BATCH_FRAME_MARKER,
+    decode_batch_frame, PersistentRaftState, RaftNode, Ready, Role, BATCH_FRAME_MARKER,
 };
+pub use read::{leader_read, ReadPath};
 pub use storage::{KvRaftStorage, RaftStorage};

@@ -55,7 +55,7 @@ impl Ready {
 /// A pending ReadIndex barrier ([`RaftNode::read_index`]): the leader's
 /// clock and commit index when the read arrived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadBarrier {
+pub(crate) struct ReadBarrier {
     clock: u64,
     commit: u64,
 }
@@ -435,14 +435,21 @@ impl RaftNode {
         self.quorum_contact_since(horizon)
     }
 
-    /// Gate for a linearizable read (Raft dissertation §6.4), leader only.
-    /// `None`: the lease holds and every committed entry is applied, so
+    /// Leader *and* caught up: it applied an entry of its own term (the
+    /// no-op every new leader commits), so its state machine holds every
+    /// command committed before the election.
+    pub fn applied_own_term(&self) -> bool {
+        self.role == Role::Leader && self.log.term(self.applied) == Some(self.term)
+    }
+
+    /// Gate for a linearizable read ([`crate::leader_read`]), leader only.
+    /// `None`: caught up in its term, under the lease and fully applied,
     /// the state machine may answer now. `Some(barrier)`: the ReadIndex
     /// path — note the clock and commit index, force a heartbeat, and
     /// answer once [`Self::barrier_passed`] holds.
-    pub fn read_index(&mut self) -> Result<Option<ReadBarrier>> {
+    pub(crate) fn read_index(&mut self) -> Result<Option<ReadBarrier>> {
         self.require_leader()?;
-        if self.lease_valid() && self.applied == self.commit {
+        if self.applied_own_term() && self.lease_valid() && self.applied == self.commit {
             return Ok(None);
         }
         let barrier = ReadBarrier {
@@ -455,9 +462,11 @@ impl RaftNode {
 
     /// Has `barrier` passed? A quorum acked probes stamped at or after its
     /// clock — so this node still led when the read arrived — and its
-    /// commit index is applied.
-    pub fn barrier_passed(&self, barrier: ReadBarrier) -> bool {
-        self.quorum_contact_since(barrier.clock) && self.applied >= barrier.commit
+    /// commit index and an entry of its own term are applied.
+    pub(crate) fn barrier_passed(&self, barrier: ReadBarrier) -> bool {
+        self.quorum_contact_since(barrier.clock)
+            && self.applied >= barrier.commit
+            && self.applied_own_term()
     }
 
     /// True when this node is leader and a quorum (counting self) has
@@ -526,7 +535,7 @@ impl RaftNode {
             Role::Follower | Role::Candidate => {
                 self.election_elapsed += 1;
                 if self.election_elapsed >= self.election_timeout {
-                    self.start_election();
+                    self.campaign();
                 }
             }
         }
@@ -647,7 +656,10 @@ impl RaftNode {
             .gen_range(ELECTION_TIMEOUT_MIN..ELECTION_TIMEOUT_MAX);
     }
 
-    fn start_election(&mut self) {
+    /// Stand for election in the next term and ask every peer for its
+    /// vote. [`Self::tick`] calls it when the election timer fires; the
+    /// embedding layer may call it to campaign at once.
+    pub fn campaign(&mut self) {
         self.metrics.elections_started.inc();
         self.term += 1;
         self.role = Role::Candidate;

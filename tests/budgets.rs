@@ -562,6 +562,102 @@ fn meta_hot_path_budget_checks_reject_perturbed_counters() {
     );
 }
 
+// ----- data lease-read budget (§2.7.4) -----------------------------------
+
+/// Cold-mount reads of a never-overwritten file in the data budget.
+const DATA_READS: u64 = 16;
+
+/// The data lease-read budget: in steady state every data read is served
+/// at the partition's Raft leader under its lease — zero barriers — and
+/// the leaders counted exactly the reads the client took as served.
+fn check_data_lease_read_budget(window: &MetricsSnapshot, reads: u64) {
+    let quorum = window.counter("data.quorum_reads");
+    assert!(
+        quorum == 0,
+        "data lease read budget regression: {quorum} quorum reads in a \
+         steady-state read loop, budget allows 0"
+    );
+    let lease = window.counter("data.lease_reads");
+    assert!(
+        lease == reads,
+        "data lease read budget regression: {lease} lease reads for {reads} \
+         reads served, expected exactly {reads}"
+    );
+}
+
+/// `DATA_READS` 4 KiB reads of distinct blocks of a settled 1 MiB file
+/// through one cold mount with the read cache off.
+fn data_read_window(raft_config: cfs::RaftConfig) -> MetricsSnapshot {
+    let cluster = ClusterBuilder::new()
+        .raft_config(raft_config)
+        .build()
+        .unwrap();
+    cluster.create_volume("budget-data", 1, 1).unwrap();
+    let writer = cluster.mount("budget-data").unwrap();
+    let root = writer.root();
+    writer.create(root, "f").unwrap();
+    let mut fh = writer.open(root, "f").unwrap();
+    let body: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+    writer.write(&mut fh, &body).unwrap();
+    writer.close(&mut fh).unwrap();
+    cluster.settle(200);
+    // The chain head — a cold mount's first try — campaigned at creation
+    // and leads, so no read is redirected.
+    let (pid, members) = cluster.data_nodes()[0].hosted_partitions()[0].clone();
+    let head = cluster.data_nodes().iter().find(|n| n.id() == members[0]);
+    assert!(head.is_some_and(|n| n.is_raft_leader_for(pid)));
+
+    let cold = cluster
+        .mount_with_options(
+            "budget-data",
+            ClientOptions {
+                read_cache_capacity: 0,
+                ..ClientOptions::default()
+            },
+        )
+        .unwrap();
+    let fh = cold.open(root, "f").unwrap();
+    let before = cluster.metrics_snapshot();
+    for i in 0..DATA_READS as usize {
+        let at = i * 4096 * 7;
+        let got = cold.read_at(&fh, at as u64, 4096).unwrap();
+        assert_eq!(got, body[at..at + 4096]);
+    }
+    cluster.metrics_snapshot().diff(&before)
+}
+
+#[test]
+fn data_lease_read_budget() {
+    let window = data_read_window(cfs::RaftConfig::default());
+    check_data_lease_read_budget(&window, DATA_READS);
+    assert_eq!(window.counter("client.data_reads_served"), DATA_READS);
+    // `net.data_calls_per_read` is 1: each read is one call, straight to
+    // the leader.
+    assert_eq!(
+        window.counter("net.calls{fabric=data,route=data.read}"),
+        DATA_READS
+    );
+}
+
+/// The forced-failure twin: with the lease off every data read passes a
+/// ReadIndex barrier, and the budget check must reject the window.
+#[test]
+fn data_lease_read_budget_fires_when_leases_are_off() {
+    let config = cfs::RaftConfig {
+        lease_ticks: 0,
+        ..cfs::RaftConfig::default()
+    };
+    let window = data_read_window(config);
+    assert_eq!(window.counter("data.quorum_reads"), DATA_READS);
+    let err = std::panic::catch_unwind(|| check_data_lease_read_budget(&window, DATA_READS))
+        .expect_err("quorum reads must fail the data lease read budget");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("data lease read budget regression"),
+        "unexpected panic message: {msg}"
+    );
+}
+
 // ----- workflow RPC table (§2.6, DESIGN §12) ------------------------------
 
 /// What one metadata workflow costs: client→meta calls per route, sync

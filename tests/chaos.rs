@@ -91,7 +91,7 @@ use std::sync::Arc;
 use cfs::{
     CfsError, Client, ClientOptions, Cluster, ClusterBuilder, ClusterConfig, DeliveryHook,
     DeliverySchedule, DeliveryVerdict, Dentry, DropCauses, ExtentId, FileHandle, InodeId,
-    MetaPartition, MetricsSnapshot, NodeId, PartitionId, RaftConfig,
+    MetaCommand, MetaPartition, MetricsSnapshot, NodeId, PartitionId, RaftConfig,
 };
 use cfs_sim::schedule::{ChaosStep, ClusterShape, FaultPlan, FaultStep, NodeRef, WorkloadStep};
 
@@ -298,6 +298,13 @@ struct Chaos {
     /// Directed link cuts currently installed. Healed individually — never
     /// via `heal_all`, which would also resurrect crashed nodes.
     cuts: Vec<(NodeId, NodeId)>,
+    /// Every inode a compensation record's fixups named (removed dentry
+    /// target or evicted inode), noted before each heartbeat's orphan
+    /// sweep executes and empties the records: the evidence invariant
+    /// (i)'s "fully compensated" arms require.
+    compensated: BTreeSet<InodeId>,
+    /// Uncertain truncates resolved through that arm.
+    compensated_truncates: usize,
     /// Every drop hook the schedule ever installed, kept so invariant (e)
     /// can total the drops the schedule actually fired.
     drop_hooks: Vec<Arc<DropEvery>>,
@@ -360,6 +367,8 @@ impl Chaos {
             crashed_data: None,
             killed_data: None,
             cuts: Vec::new(),
+            compensated: BTreeSet::new(),
+            compensated_truncates: 0,
             drop_hooks: Vec::new(),
             splits: 0,
             sabotage,
@@ -693,7 +702,7 @@ impl Chaos {
         //     planned range.
         if self.splits > 0 {
             for _ in 0..6 {
-                self.retry("heartbeat", || self.cluster.heartbeat());
+                self.heartbeat();
                 self.cluster.settle(200);
             }
         }
@@ -779,9 +788,9 @@ impl Chaos {
         // 9. Invariant (e): fault/metric reconciliation.
         self.check_net_reconciliation();
 
-        // 10. Invariant (e), metadata hot path: group-commit sub-entries
-        //     and leader-served reads reconcile exactly.
-        self.check_meta_hot_path_reconciliation();
+        // 10. Invariant (e), hot path: group-commit sub-entries and the
+        //     meta and data reads leaders served reconcile exactly.
+        self.check_hot_path_reconciliation();
 
         // 11. Invariant (e), read cache (DESIGN §13): block conservation —
         //     every block ever inserted is still resident, was evicted, or
@@ -816,7 +825,7 @@ impl Chaos {
             if report.orphan_intents.is_empty() {
                 break;
             }
-            self.retry("heartbeat", || self.cluster.heartbeat());
+            self.heartbeat();
             self.cluster.settle(200);
         }
         let report = self.retry("fsck", || self.client.fsck(false));
@@ -891,7 +900,7 @@ impl Chaos {
     /// clean again.
     fn run_repair(&mut self) {
         for _ in 0..cfs::DEAD_AFTER_MISSED {
-            self.retry("heartbeat", || self.cluster.heartbeat());
+            self.heartbeat();
             self.cluster.settle(200);
         }
         for _ in 0..8 {
@@ -902,7 +911,7 @@ impl Chaos {
             if clean {
                 return;
             }
-            self.retry("heartbeat", || self.cluster.heartbeat());
+            self.heartbeat();
             self.cluster.settle(300);
         }
         panic!(
@@ -952,6 +961,23 @@ impl Chaos {
             }
         }
         panic!("{what} failed after quiesce (seed {}): {last:?}", self.seed)
+    }
+
+    /// One heartbeat round, after noting every inode the compensation
+    /// records still name — the round's orphan sweep may execute them.
+    fn heartbeat(&mut self) {
+        for node in self.cluster.meta_nodes() {
+            for comp in node.compensations() {
+                for (_, cmd) in comp.fixups {
+                    if let MetaCommand::RemoveDentryIf { inode, .. }
+                    | MetaCommand::EvictIf { inode, .. } = cmd
+                    {
+                        self.compensated.insert(inode);
+                    }
+                }
+            }
+        }
+        self.retry("heartbeat", || self.cluster.heartbeat());
     }
 
     /// Lookup that only distinguishes present/absent; transient errors are
@@ -1020,6 +1046,23 @@ impl Chaos {
                             slot.state = FileState::Present;
                         }
                     }
+                }
+                FileState::UncertainTrunc { .. }
+                    if slot.unbarriered && self.lookup_settled(root, &nm).is_none() =>
+                {
+                    // Invariant (i), the "fully compensated" arm, as for
+                    // `Present` — but only with the evidence: a
+                    // compensation record named the file's inode.
+                    let ino = slot.handle.as_ref().map(FileHandle::ino);
+                    assert!(
+                        ino.is_some_and(|i| self.compensated.contains(&i)),
+                        "invariant (i): async-acked file {idx} ({ino:?}) vanished \
+                         after an uncertain truncate, but no compensation record \
+                         named its inode (seed {})",
+                        self.seed
+                    );
+                    self.compensated_truncates += 1;
+                    slot = FileSlot::new();
                 }
                 FileState::UncertainTrunc { cut } => {
                     // A truncate is atomic in the meta partition: after
@@ -1226,7 +1269,7 @@ impl Chaos {
         );
     }
 
-    fn check_meta_hot_path_reconciliation(&self) {
+    fn check_hot_path_reconciliation(&self) {
         let snap = self.cluster.metrics_snapshot();
         // Group commit: every command a replica applies is a decoded
         // sub-entry of a batch frame, and
@@ -1249,6 +1292,16 @@ impl Chaos {
             served_by_leaders, served_to_client,
             "invariant (e): leader-classified meta reads (lease + quorum) vs \
              reads the client saw served (seed {})",
+            self.seed
+        );
+        // Data reads: only a partition's Raft leader answers a `Read`, and
+        // it classifies the read as lease or quorum once it has the bytes
+        // — exactly the replies the client takes as served.
+        assert_eq!(
+            snap.counter("data.lease_reads") + snap.counter("data.quorum_reads"),
+            snap.counter("client.data_reads_served"),
+            "invariant (e): leader-classified data reads (lease + quorum) vs \
+             data reads the client accepted (seed {})",
             self.seed
         );
     }
@@ -1433,22 +1486,31 @@ fn invariant_tag(msg: &str) -> String {
     }
 }
 
-fn run_seed_inner(seed: u64, sabotage: bool) {
+/// Run one generated schedule; the failure message if it failed.
+fn seed_failure(seed: u64, sabotage: bool) -> Option<String> {
     let shape = ClusterShape::default();
     let plan = FaultPlan::generate(seed, shape, PLAN_LEN);
-    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+    panic::catch_unwind(AssertUnwindSafe(|| {
         let mut chaos = Chaos::new(seed, shape, sabotage);
         chaos.run(&plan);
-    }));
-    if let Err(payload) = result {
-        // The one-line repro: re-running with this seed regenerates the
-        // exact schedule (FaultPlan is a pure function of the seed).
-        let msg = panic_message(payload.as_ref());
-        panic!(
-            "CHAOS_SEED={seed} failed [{}] — replay with \
-             `CHAOS_SEED={seed} cargo test -q --test chaos chaos_replay_env_seed`: {msg}",
-            invariant_tag(&msg)
-        );
+    }))
+    .err()
+    .map(|payload| panic_message(payload.as_ref()))
+}
+
+/// The one-line repro: re-running with this seed regenerates the exact
+/// schedule (FaultPlan is a pure function of the seed).
+fn repro_line(seed: u64, msg: &str) -> String {
+    format!(
+        "CHAOS_SEED={seed} failed [{}] — replay with \
+         `CHAOS_SEED={seed} cargo test -q --test chaos chaos_replay_env_seed`",
+        invariant_tag(msg)
+    )
+}
+
+fn run_seed_inner(seed: u64, sabotage: bool) {
+    if let Some(msg) = seed_failure(seed, sabotage) {
+        panic!("{}: {msg}", repro_line(seed, &msg));
     }
 }
 
@@ -1831,15 +1893,47 @@ fn repro_line_names_the_failing_invariant() {
     assert_eq!(invariant_tag("cluster build exploded"), "harness");
 }
 
+/// Six nightly seeds (1070, 1100, 1125, 1200, 1366, 1460) that failed
+/// when a crash compensated an async-acked, unbarriered create while a
+/// truncate of the file failed. Each must pass, and the seeds must still
+/// reach `UncertainTrunc`'s "fully compensated" arm — which asserts that a
+/// compensation record named the file's inode.
+const COMPENSATED_TRUNCATE_SEEDS: [u64; 6] = [1070, 1100, 1125, 1200, 1366, 1460];
+
+#[test]
+fn compensated_truncate_seeds() {
+    if std::env::var("CHAOS_SEED").is_ok() {
+        return;
+    }
+    let mut compensated_truncates = 0;
+    for seed in COMPENSATED_TRUNCATE_SEEDS {
+        let shape = ClusterShape::default();
+        let mut chaos = Chaos::new(seed, shape, false);
+        chaos.run(&FaultPlan::generate(seed, shape, PLAN_LEN));
+        compensated_truncates += chaos.compensated_truncates;
+    }
+    assert!(
+        compensated_truncates > 0,
+        "no regression seed reaches the compensated arm of an uncertain truncate"
+    );
+}
+
 /// Wider sweep for nightly CI: `CHAOS_SEEDS=N` runs N extra seeds beyond
-/// the tier-1 batches. A no-op without the environment variable.
+/// the tier-1 batches — every one of them — and fails at the end with one
+/// repro line per failing seed. A no-op without the environment variable.
 #[test]
 fn chaos_extended_seeds() {
     if let Ok(n) = std::env::var("CHAOS_SEEDS") {
         let n: u64 = n.parse().expect("CHAOS_SEEDS must be a u64");
-        for seed in 0..n {
-            run_seed(1_000 + seed);
-        }
+        let failed: Vec<String> = (1_000..1_000 + n)
+            .filter_map(|seed| seed_failure(seed, false).map(|msg| repro_line(seed, &msg)))
+            .collect();
+        assert!(
+            failed.is_empty(),
+            "{} of {n} extended seeds failed:\n{}",
+            failed.len(),
+            failed.join("\n")
+        );
     }
 }
 

@@ -677,3 +677,48 @@ fn failed_small_write_leaves_nothing_behind() {
         }
     }
 }
+
+/// An acknowledged overwrite is what a fresh mount reads next — with no
+/// settle and no pump in between. The overwrite commits through the data
+/// partition's Raft group and is acked once the leader applied it; the
+/// followers learn of the commit only with the leader's next message, so
+/// the read must be served at the leader (§2.7.4).
+#[test]
+fn fresh_mount_reads_an_acknowledged_overwrite_at_once() {
+    let cluster = ClusterBuilder::new().build().unwrap();
+    cluster.create_volume("ow", 1, 1).unwrap();
+    let (pid, members) = cluster.data_nodes()[0].hosted_partitions()[0].clone();
+    // A cold mount tries the chain head first: make it a follower.
+    let leads = |id: NodeId| {
+        cluster
+            .data_nodes()
+            .iter()
+            .any(|n| n.id() == id && n.is_raft_leader_for(pid))
+    };
+    if leads(members[0]) {
+        cluster.faults().set_down(members[0], true);
+        assert!(cluster
+            .hub()
+            .pump_until(|| members[1..].iter().any(|&m| leads(m)), 10_000));
+        cluster.faults().set_down(members[0], false);
+        cluster.settle(10);
+    }
+    assert!(!leads(members[0]));
+
+    let writer = cluster.mount("ow").unwrap();
+    let root = writer.root();
+    writer.create(root, "big").unwrap();
+    let mut fh = writer.open(root, "big").unwrap();
+    writer.write(&mut fh, &vec![0x11u8; 1 << 20]).unwrap();
+    writer.fsync(&mut fh).unwrap();
+    let fresh = vec![0xEEu8; 4096];
+    writer.write_at(&mut fh, 512 << 10, &fresh).unwrap();
+
+    let reader = cluster.mount("ow").unwrap();
+    let rh = reader.open(root, "big").unwrap();
+    let got = reader.read_at(&rh, 512 << 10, fresh.len()).unwrap();
+    assert!(
+        got == fresh,
+        "a fresh mount read stale bytes after an acked overwrite"
+    );
+}
