@@ -59,6 +59,29 @@ fn extent_covering(extents: &[ExtentKey], offset: u64) -> Result<ExtentKey> {
         .ok_or_else(|| CfsError::Internal(format!("no extent covering offset {offset}")))
 }
 
+/// Append the file range `[lo, hi)` to `out`, copying from `pieces`
+/// (`(file offset, bytes)`, in file order, not overlapping); bytes no
+/// piece covers — a short reply, a gap between keys — read as zeros.
+pub(crate) fn extend_from_pieces(out: &mut Vec<u8>, pieces: &[(u64, Bytes)], lo: u64, hi: u64) {
+    let mut cur = lo;
+    let first = pieces.partition_point(|(at, b)| at + b.len() as u64 <= lo);
+    for (at, b) in &pieces[first..] {
+        if *at >= hi {
+            break;
+        }
+        if *at > cur {
+            out.resize(out.len() + (at - cur) as usize, 0);
+            cur = *at;
+        }
+        let piece_end = (at + b.len() as u64).min(hi);
+        if piece_end > cur {
+            out.extend_from_slice(&b[(cur - at) as usize..(piece_end - at) as usize]);
+            cur = piece_end;
+        }
+    }
+    out.resize(out.len() + (hi - cur) as usize, 0);
+}
+
 impl Client {
     /// Open `parent/name` for I/O. Forces the cached metadata to
     /// re-synchronize with the meta node (§2.4).
@@ -147,7 +170,7 @@ impl Client {
         extent: ExtentId,
         offset: u64,
         len: u64,
-    ) -> Result<Vec<u8>> {
+    ) -> Result<Bytes> {
         let resp = self.call_leader(partition, 1, || DataRequest::Read {
             partition,
             extent,
@@ -159,7 +182,7 @@ impl Client {
     }
 
     /// The bytes of a `Read` reply, counted as a served data read.
-    fn read_reply(&self, resp: DataResponse) -> Result<Vec<u8>> {
+    fn read_reply(&self, resp: DataResponse) -> Result<Bytes> {
         match resp {
             DataResponse::Data(d) => {
                 self.stats.data_reads_served.inc();
@@ -485,7 +508,7 @@ impl Client {
                 key.extent_offset + offset,
                 end - offset,
             )?;
-            return Ok(Some(piece));
+            return Ok(Some(Vec::from(piece)));
         }
         Ok(None)
     }
@@ -591,23 +614,29 @@ impl Client {
         self.read_at_direct(f, offset, len)
     }
 
-    /// Positioned read, bypassing the block cache: walks the cached
-    /// extent keys; requests are constructed entirely from the client
-    /// cache (§2.7.4). A range that spans several extents fans out in
-    /// parallel (window bounded by `pipeline_depth`) and reassembles into
-    /// the output buffer.
-    pub(crate) fn read_at_direct(
+    /// Positioned read at `offset < size`, bypassing the block cache: the
+    /// replies are copied once, in order, into the output.
+    fn read_at_direct(&self, f: &FileHandle, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let end = (offset + len as u64).min(f.size);
+        let pieces = self.read_pieces(f, offset, end)?;
+        let mut out = Vec::with_capacity((end - offset) as usize);
+        extend_from_pieces(&mut out, &pieces, offset, end);
+        Ok(out)
+    }
+
+    /// The replies covering `[offset, end)` (`end <= size`), as
+    /// `(file offset, bytes)` pieces in file order: walks the cached extent
+    /// keys; requests are constructed entirely from the client cache
+    /// (§2.7.4). A range that spans several extents fans out in parallel
+    /// (window bounded by `pipeline_depth`). A piece may be shorter than
+    /// its segment; [`extend_from_pieces`] reads what no piece covers as
+    /// zeros.
+    pub(crate) fn read_pieces(
         &self,
         f: &FileHandle,
         offset: u64,
-        len: usize,
-    ) -> Result<Vec<u8>> {
-        if offset >= f.size {
-            return Ok(Vec::new());
-        }
-        let end = (offset + len as u64).min(f.size);
-        let mut out = vec![0u8; (end - offset) as usize];
-
+        end: u64,
+    ) -> Result<Vec<(u64, Bytes)>> {
         // Binary-search the first covering key, then collect the segments.
         let start = f
             .extents
@@ -633,6 +662,7 @@ impl Client {
         } else {
             None
         };
+        let mut pieces = Vec::with_capacity(segments.len());
         for batch in segments.chunks(self.options.pipeline_depth as usize) {
             // Submit the whole batch, each segment to the head of its
             // partition's try order, then poll the completions: the batch
@@ -676,11 +706,10 @@ impl Client {
                         hi - lo,
                     )?,
                 };
-                let dst = (lo - offset) as usize;
-                out[dst..dst + piece.len()].copy_from_slice(&piece);
+                pieces.push((lo, piece));
             }
         }
-        Ok(out)
+        Ok(pieces)
     }
 
     /// Flush client state for this file to the meta node: push unsynced

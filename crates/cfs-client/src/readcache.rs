@@ -1,7 +1,10 @@
 //! Readahead extent cache over `read_at` (DESIGN §13).
 //!
 //! A per-mount, size-capped block cache keyed by `(inode, block index)`
-//! with blocks of `packet_size` bytes. Only *full* blocks are cached — a
+//! with blocks of `packet_size` bytes. A block is a `Bytes` slice of the
+//! reply it was fetched in, not a copy, unless the fetch span is larger
+//! than the cache: then its blocks are copied, so no cached block keeps a
+//! reply larger than the cache alive. Only *full* blocks are cached — a
 //! partial tail block would go stale the moment an append extends it, so
 //! it is always fetched. Each block is stamped with the inode generation
 //! known at fill time (mirroring the lookup cache's drift detection): a
@@ -23,17 +26,36 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use bytes::Bytes;
 use cfs_types::{InodeId, Result};
 
 use crate::client::{Client, READAHEAD_BLOCKS};
-use crate::file::FileHandle;
+use crate::file::{extend_from_pieces, FileHandle};
 
 /// One cached full block.
 #[derive(Debug)]
 pub(crate) struct CachedBlock {
     /// Inode generation known when the block was filled.
     pub generation: u64,
-    pub data: Vec<u8>,
+    /// A view of the reply the block was fetched in; it keeps that whole
+    /// reply alive, so FIFO eviction frees a reply with its last block.
+    pub data: Bytes,
+}
+
+/// The file range `[lo, hi)` as one buffer: a slice of the piece that holds
+/// it whole when `slice` allows it, else assembled once (it is copied, it
+/// straddles two pieces, or a short reply or a key gap leaves part of it to
+/// read as zeros).
+fn block_of(pieces: &[(u64, Bytes)], lo: u64, hi: u64, slice: bool) -> Bytes {
+    let i = pieces.partition_point(|(at, b)| at + b.len() as u64 <= lo);
+    if let Some((at, b)) = pieces.get(i).filter(|_| slice) {
+        if *at <= lo && at + b.len() as u64 >= hi {
+            return b.slice((lo - at) as usize..(hi - at) as usize);
+        }
+    }
+    let mut block = Vec::with_capacity((hi - lo) as usize);
+    extend_from_pieces(&mut block, pieces, lo, hi);
+    Bytes::from(block)
 }
 
 /// Per-mount read-cache state.
@@ -105,7 +127,9 @@ impl Client {
 
     /// `read_at` through the block cache. Demanded blocks are served from
     /// cache where possible; the missing span (plus sequential readahead)
-    /// is fetched with one direct read and its full blocks inserted.
+    /// is fetched with one direct read and its full blocks inserted as
+    /// slices of the replies. Each returned byte is copied once, in order,
+    /// into the output.
     pub(crate) fn read_at_cached(
         &self,
         f: &FileHandle,
@@ -122,49 +146,72 @@ impl Client {
         let generation = self.read_cache_generation(ino);
         let first = offset / bs;
         let last = (end - 1) / bs;
-        let mut out = vec![0u8; (end - offset) as usize];
 
-        // Probe every demanded block.
+        // Probe every demanded block; a hit is held as a view of the
+        // cached block.
+        let mut hits: Vec<Option<Bytes>> = Vec::with_capacity((last - first + 1) as usize);
         let mut missing: Vec<u64> = Vec::new();
         let sequential = {
             let mut rc = self.readcache.lock();
             for b in first..=last {
-                let fresh = match rc.blocks.get(&(ino, b)) {
-                    Some(cb) if cb.generation == generation => {
-                        let lo = (b * bs).max(offset);
-                        let hi = ((b + 1) * bs).min(end);
-                        let src = (lo - b * bs) as usize..(hi - b * bs) as usize;
-                        let dst = (lo - offset) as usize;
-                        out[dst..dst + src.len()].copy_from_slice(&cb.data[src]);
-                        true
-                    }
+                let hit = match rc.blocks.get(&(ino, b)) {
+                    Some(cb) if cb.generation == generation => Some(cb.data.clone()),
                     Some(_) => {
                         // Generation drift discovered lazily on probe.
                         rc.blocks.remove(&(ino, b));
                         rc.order.retain(|k| *k != (ino, b));
                         self.stats.readcache_invalidated.inc();
                         self.stats.readcache_resident.sub(1);
-                        false
+                        None
                     }
-                    None => false,
+                    None => None,
                 };
-                if fresh {
+                if hit.is_some() {
                     self.stats.readcache_hits.inc();
                 } else {
                     self.stats.readcache_misses.inc();
                     missing.push(b);
                 }
+                hits.push(hit);
             }
             let seq = first == 0 || rc.next_seq.get(&ino) == Some(&first);
             rc.next_seq.insert(ino, last + 1);
             seq
         };
-        if missing.is_empty() {
-            return Ok(out);
-        }
+        let pieces = if missing.is_empty() {
+            Vec::new()
+        } else {
+            self.fetch_span(f, &missing, sequential, generation)?
+        };
 
-        // Fetch span: first missing .. last missing, extended by readahead
-        // past the demand when the scan looks sequential.
+        let mut out = Vec::with_capacity((end - offset) as usize);
+        for (b, hit) in (first..=last).zip(&hits) {
+            let lo = (b * bs).max(offset);
+            let hi = ((b + 1) * bs).min(end);
+            match hit {
+                Some(data) => {
+                    out.extend_from_slice(&data[(lo - b * bs) as usize..(hi - b * bs) as usize])
+                }
+                None => extend_from_pieces(&mut out, &pieces, lo, hi),
+            }
+        }
+        Ok(out)
+    }
+
+    /// Fetch span: first missing .. last missing block, extended by
+    /// readahead past the demand when the scan looks sequential. Returns
+    /// the span's reply pieces after inserting its full blocks, evicting
+    /// FIFO at capacity.
+    fn fetch_span(
+        &self,
+        f: &FileHandle,
+        missing: &[u64],
+        sequential: bool,
+        generation: u64,
+    ) -> Result<Vec<(u64, Bytes)>> {
+        let bs = self.config.packet_size;
+        let size = f.size();
+        let ino = f.ino();
         let span_first = missing[0];
         let mut span_last = *missing.last().expect("nonempty");
         let max_block = (size - 1) / bs;
@@ -180,51 +227,84 @@ impl Client {
                 ra_blocks += 1;
             }
         }
-        let span_off = span_first * bs;
         let span_end = ((span_last + 1) * bs).min(size);
-        let piece = self.read_at_direct(f, span_off, (span_end - span_off) as usize)?;
+        let pieces = self.read_pieces(f, span_first * bs, span_end)?;
         self.stats.readcache_readahead.add(ra_blocks);
 
-        // Insert the span's full blocks, evicting FIFO at capacity.
-        {
-            let mut rc = self.readcache.lock();
-            let cap = self.options.read_cache_capacity;
-            for b in span_first..=span_last {
-                let lo = (b * bs - span_off) as usize;
-                let hi = (((b + 1) * bs).min(span_end) - span_off) as usize;
-                if hi - lo != bs as usize || rc.blocks.contains_key(&(ino, b)) {
-                    continue; // partial tail, or raced back in
-                }
-                while rc.blocks.len() >= cap {
-                    let Some(victim) = rc.order.pop_front() else {
-                        break;
-                    };
-                    if rc.blocks.remove(&victim).is_some() {
-                        self.stats.readcache_evicted.inc();
-                        self.stats.readcache_resident.sub(1);
-                    }
-                }
-                rc.blocks.insert(
-                    (ino, b),
-                    CachedBlock {
-                        generation,
-                        data: piece[lo..hi].to_vec(),
-                    },
-                );
-                rc.order.push_back((ino, b));
-                self.stats.readcache_inserted.inc();
-                self.stats.readcache_resident.add(1);
+        let mut rc = self.readcache.lock();
+        let cap = self.options.read_cache_capacity;
+        // Blocks slice their replies only when the span fits in the cache,
+        // so a reply a cached block keeps alive is at most the cache's size.
+        let slice = span_end - span_first * bs <= cap as u64 * bs;
+        for b in span_first..=span_last {
+            let (lo, hi) = (b * bs, (b + 1) * bs);
+            if hi > span_end || rc.blocks.contains_key(&(ino, b)) {
+                continue; // partial tail, or raced back in
             }
+            while rc.blocks.len() >= cap {
+                let Some(victim) = rc.order.pop_front() else {
+                    break;
+                };
+                if rc.blocks.remove(&victim).is_some() {
+                    self.stats.readcache_evicted.inc();
+                    self.stats.readcache_resident.sub(1);
+                }
+            }
+            rc.blocks.insert(
+                (ino, b),
+                CachedBlock {
+                    generation,
+                    data: block_of(&pieces, lo, hi, slice),
+                },
+            );
+            rc.order.push_back((ino, b));
+            self.stats.readcache_inserted.inc();
+            self.stats.readcache_resident.add(1);
         }
+        Ok(pieces)
+    }
+}
 
-        // Copy the demanded misses out of the fetched span.
-        for &b in &missing {
-            let lo = (b * bs).max(offset);
-            let hi = ((b + 1) * bs).min(end);
-            let src = (lo - span_off) as usize..(hi - span_off) as usize;
-            let dst = (lo - offset) as usize;
-            out[dst..dst + src.len()].copy_from_slice(&piece[src]);
-        }
-        Ok(out)
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pieces at file offsets 10..14 (short: its segment was 10..16) and
+    /// 20..28; 14..20 is covered by no piece.
+    fn pieces() -> Vec<(u64, Bytes)> {
+        vec![
+            (10, Bytes::from(vec![1u8, 2, 3, 4])),
+            (20, Bytes::from((20u8..28).collect::<Vec<_>>())),
+        ]
+    }
+
+    #[test]
+    fn uncovered_bytes_read_as_zeros() {
+        let mut out = vec![9u8];
+        extend_from_pieces(&mut out, &pieces(), 8, 24);
+        assert_eq!(out, [9, 0, 0, 1, 2, 3, 4, 0, 0, 0, 0, 0, 0, 20, 21, 22, 23]);
+        let mut tail = Vec::new();
+        extend_from_pieces(&mut tail, &pieces(), 26, 31);
+        assert_eq!(tail, [26, 27, 0, 0, 0]);
+        let mut none = Vec::new();
+        extend_from_pieces(&mut none, &[], 0, 3);
+        assert_eq!(none, [0, 0, 0]);
+    }
+
+    #[test]
+    fn a_block_inside_one_piece_is_a_slice_of_it_unless_copied() {
+        let p = pieces();
+        let block = block_of(&p, 22, 26, true);
+        assert_eq!(&block[..], &[22, 23, 24, 25]);
+        assert_eq!(block.as_ptr(), p[1].1[2..].as_ptr(), "no copy");
+        let copied = block_of(&p, 22, 26, false);
+        assert_eq!(copied, block);
+        assert_ne!(copied.as_ptr(), block.as_ptr(), "copied when told to");
+
+        // Straddling a gap, or past a short reply: assembled once.
+        let across = block_of(&p, 12, 22, true);
+        assert_eq!(&across[..], &[3, 4, 0, 0, 0, 0, 0, 0, 20, 21]);
+        let short = block_of(&p, 10, 16, true);
+        assert_eq!(&short[..], &[1, 2, 3, 4, 0, 0]);
     }
 }

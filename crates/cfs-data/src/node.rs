@@ -194,7 +194,8 @@ pub enum DataResponse {
     /// than the request's record vector after a mid-batch chain failure:
     /// the committed prefix (§2.2.5 semantics per sub-record).
     SmallBatch(Vec<SmallFileLocation>),
-    Data(Vec<u8>),
+    /// The bytes of a `Read`: the store's read buffer itself, not a copy.
+    Data(Bytes),
     Info(ExtentInfo),
     Report(Vec<PartitionStats>),
     /// Deletions executed by a background pass.
@@ -503,7 +504,7 @@ impl DataNode {
                     ReadPath::Lease => self.metrics.lease_reads.inc(),
                     ReadPath::Quorum => self.metrics.quorum_reads.inc(),
                 }
-                Ok(DataResponse::Data(data))
+                Ok(DataResponse::Data(Bytes::from(data)))
             }
             DataRequest::ExtentInfo { partition, extent } => {
                 let hosted = self.hosted(partition)?;

@@ -192,7 +192,7 @@ fn chain_append_replicates_to_all_and_commits() {
         .unwrap()
         .unwrap()
     {
-        DataResponse::Data(d) => assert_eq!(d, b"hello chain!"),
+        DataResponse::Data(d) => assert_eq!(&d[..], b"hello chain!"),
         other => panic!("unexpected {other:?}"),
     }
 }
@@ -289,7 +289,7 @@ fn partial_chain_failure_leaves_uncommitted_stale_tail() {
         .unwrap()
         .unwrap()
     {
-        DataResponse::Data(d) => assert_eq!(d, b"committed!"),
+        DataResponse::Data(d) => assert_eq!(&d[..], b"committed!"),
         other => panic!("unexpected {other:?}"),
     }
 
@@ -661,7 +661,7 @@ fn raft_overwrite_applies_on_all_replicas() {
         .unwrap()
         .unwrap()
     {
-        DataResponse::Data(d) => assert_eq!(d, b"OVERWRITTEN"),
+        DataResponse::Data(d) => assert_eq!(&d[..], b"OVERWRITTEN"),
         other => panic!("unexpected {other:?}"),
     }
 }
@@ -968,7 +968,7 @@ fn engine_backed_cluster_survives_whole_cluster_power_loss() {
         .unwrap()
         .unwrap()
     {
-        DataResponse::Data(d) => assert_eq!(d, b"DURable bytes"),
+        DataResponse::Data(d) => assert_eq!(&d[..], b"DURable bytes"),
         other => panic!("unexpected {other:?}"),
     }
     match c

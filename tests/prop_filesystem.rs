@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use cfs::{CfsError, ClusterBuilder, ClusterConfig, FileType};
+use cfs::{CfsError, ClientOptions, ClusterBuilder, ClusterConfig, FileType};
 
 #[derive(Debug, Clone)]
 enum FsOp {
@@ -64,6 +64,39 @@ fn punch_op_strategy() -> impl Strategy<Value = PunchOp> {
         3 => any::<u8>().prop_map(PunchOp::Unlink),
         2 => Just(PunchOp::Punch),
     ]
+}
+
+/// Ops for the read-assembly property: appends of random sizes with an
+/// fsync after each, so extent keys start mid-block and one read spans
+/// several replies; in-place overwrites, so a cached block that is a slice
+/// of a larger reply is invalidated; and read windows anywhere around EOF.
+#[derive(Debug, Clone)]
+enum ReadOp {
+    Append(u32),
+    /// Overwrite at `size * frac / 2^16`, possibly straddling EOF.
+    Overwrite(u16, u32),
+    /// Read at `(size + 4 KiB) * frac / 2^16`, possibly past EOF.
+    Read(u16, u32),
+}
+
+fn read_op_strategy() -> impl Strategy<Value = ReadOp> {
+    prop_oneof![
+        3 => (1u32..=300 * 1024).prop_map(ReadOp::Append),
+        1 => (any::<u16>(), 1u32..=200 * 1024).prop_map(|(f, n)| ReadOp::Overwrite(f, n)),
+        4 => (any::<u16>(), 1u32..=600 * 1024).prop_map(|(f, n)| ReadOp::Read(f, n)),
+    ]
+}
+
+/// Bytes of the `tag`-th write at file offset `at`: position- and
+/// write-dependent, so a misplaced or stale byte cannot match.
+fn tagged(tag: u32, at: usize, len: usize) -> Vec<u8> {
+    (at..at + len)
+        .map(|i| {
+            (i as u32)
+                .wrapping_mul(31)
+                .wrapping_add(tag.wrapping_mul(97)) as u8
+        })
+        .collect()
 }
 
 proptest! {
@@ -298,6 +331,65 @@ proptest! {
             let fh = client.open(root, name).unwrap();
             let got = client.read_at(&fh, 0, content.len() + 64).unwrap();
             prop_assert_eq!(&got, content, "{} corrupted after final drain", name);
+        }
+    }
+
+    /// Reads are assembled from reply pieces and cached as slices of them:
+    /// every window must equal the model through the writer's cached mount
+    /// (cold and again warm) and through a mount with the cache off.
+    #[test]
+    fn read_windows_match_model_cached_and_uncached(
+        ops in proptest::collection::vec(read_op_strategy(), 1..24)
+    ) {
+        let cluster = ClusterBuilder::new().build().unwrap();
+        cluster.create_volume("reads", 1, 4).unwrap();
+        let client = cluster.mount("reads").unwrap();
+        let uncached = cluster
+            .mount_with_options(
+                "reads",
+                ClientOptions { read_cache_capacity: 0, ..ClientOptions::default() },
+            )
+            .unwrap();
+        let root = client.root();
+        client.create(root, "f").unwrap();
+        let mut fh = client.open(root, "f").unwrap();
+        let mut model: Vec<u8> = Vec::new();
+
+        for (tag, op) in ops.iter().enumerate() {
+            let tag = tag as u32;
+            match *op {
+                ReadOp::Append(n) => {
+                    let data = tagged(tag, model.len(), n as usize);
+                    client.write_at(&mut fh, model.len() as u64, &data).unwrap();
+                    client.fsync(&mut fh).unwrap();
+                    model.extend_from_slice(&data);
+                }
+                ReadOp::Overwrite(frac, n) => {
+                    // Cache every full block first (slices of multi-block
+                    // replies), so the overwrite must invalidate some.
+                    let whole = client.read_at(&fh, 0, model.len()).unwrap();
+                    prop_assert!(whole == model, "whole-file read before overwrite");
+                    let at = ((model.len() as u64 * frac as u64) >> 16) as usize;
+                    let data = tagged(tag, at, n as usize);
+                    client.write_at(&mut fh, at as u64, &data).unwrap();
+                    client.fsync(&mut fh).unwrap();
+                    model.resize(model.len().max(at + data.len()), 0);
+                    model[at..at + data.len()].copy_from_slice(&data);
+                    let got = client.read_at(&fh, 0, model.len()).unwrap();
+                    prop_assert!(got == model, "cached read after overwrite at {} len {}", at, n);
+                }
+                ReadOp::Read(frac, n) => {
+                    let at = (((model.len() as u64 + 4096) * frac as u64) >> 16) as usize;
+                    let want = &model[at.min(model.len())..(at + n as usize).min(model.len())];
+                    for pass in ["first", "repeated"] {
+                        let got = client.read_at(&fh, at as u64, n as usize).unwrap();
+                        prop_assert!(got == want, "{} cached read at {} len {}", pass, at, n);
+                    }
+                    let ufh = uncached.open(root, "f").unwrap();
+                    let got = uncached.read_at(&ufh, at as u64, n as usize).unwrap();
+                    prop_assert!(got == want, "uncached read at {} len {}", at, n);
+                }
+            }
         }
     }
 }
