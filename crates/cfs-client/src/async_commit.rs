@@ -66,7 +66,10 @@ impl Client {
                 cmd,
                 ctx,
             },
-            None => MetaRequest::Write { partition, cmd },
+            None => MetaRequest::Write {
+                partition,
+                cmds: vec![cmd],
+            },
         }
     }
 

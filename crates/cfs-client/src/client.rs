@@ -651,16 +651,13 @@ impl Client {
     // Meta RPC with leader cache + retries
     // ------------------------------------------------------------------
 
-    /// Issue a meta RPC to the partition's leader; retries per §2.1.3.
-    /// Returns the value and — when the leader acked a `WriteAsync` from
-    /// its intent journal instead of committing it (DESIGN §12) — where
-    /// that intent lives, so the barrier can go back to the acking node.
-    pub(crate) fn meta_call(
+    /// Send one meta RPC to the partition's leader; retries per §2.1.3.
+    fn meta_answer(
         &self,
         partition: PartitionId,
         members: &[NodeId],
         req: MetaRequest,
-    ) -> Result<(MetaValue, Option<Acked>)> {
+    ) -> Result<(NodeId, MetaResponse)> {
         let is_read = matches!(req, MetaRequest::Read { .. });
         let group = Group::Meta(partition);
         let answer = self
@@ -684,8 +681,20 @@ impl Client {
         if is_read && !matches!(answer, Err(CfsError::RangeMoved { .. })) {
             self.stats.meta_reads_served.inc();
         }
-        match answer? {
-            (_, MetaResponse::Value(v)) => Ok((v, None)),
+        answer
+    }
+
+    /// Issue a meta RPC to the partition's leader; retries per §2.1.3.
+    /// Returns the value and — when the leader acked a `WriteAsync` from
+    /// its intent journal instead of committing it (DESIGN §12) — where
+    /// that intent lives, so the barrier can go back to the acking node.
+    pub(crate) fn meta_call(
+        &self,
+        partition: PartitionId,
+        members: &[NodeId],
+        req: MetaRequest,
+    ) -> Result<(MetaValue, Option<Acked>)> {
+        match self.meta_answer(partition, members, req)? {
             (node, MetaResponse::Acked { intent, value }) => Ok((
                 value,
                 Some(Acked {
@@ -694,19 +703,26 @@ impl Client {
                     intent,
                 }),
             )),
-            _ => Err(CfsError::Internal("unexpected meta response".into())),
+            (_, resp) => Ok((resp.into_value()?, None)),
         }
     }
 
-    /// Convenience: replicated write to a partition.
-    pub(crate) fn meta_write(
+    /// Replicated write of up to [`cfs_meta::MAX_WRITE_BATCH`] commands to
+    /// one partition in one request (one group-commit frame): a result per
+    /// command, in order.
+    pub(crate) fn meta_write_batch(
         &self,
         partition: PartitionId,
         members: &[NodeId],
-        cmd: MetaCommand,
-    ) -> Result<MetaValue> {
-        self.meta_call(partition, members, MetaRequest::Write { partition, cmd })
-            .map(|(v, _)| v)
+        cmds: Vec<MetaCommand>,
+    ) -> Result<Vec<Result<MetaValue>>> {
+        let n = cmds.len();
+        match self.meta_answer(partition, members, MetaRequest::Write { partition, cmds })? {
+            (_, MetaResponse::Values(vs)) if vs.len() == n => Ok(vs),
+            (_, other) => Err(CfsError::Internal(format!(
+                "unexpected meta response {other:?}"
+            ))),
+        }
     }
 
     /// Convenience: leader read from a partition.
@@ -754,7 +770,7 @@ impl Client {
     pub(crate) fn meta_write_at(&self, inode: InodeId, cmd: MetaCommand) -> Result<MetaValue> {
         self.meta_call_at(inode, |partition| MetaRequest::Write {
             partition,
-            cmd: cmd.clone(),
+            cmds: vec![cmd.clone()],
         })
         .map(|(v, _)| v)
     }

@@ -1,11 +1,12 @@
 //! Handle-based file I/O: the §2.7 read/write paths.
 
+use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 
 use bytes::Bytes;
 
-use cfs_data::{DataRequest, DataResponse};
-use cfs_meta::MetaCommand;
+use cfs_data::{DataRequest, DataResponse, DeleteTask};
+use cfs_meta::{MetaCommand, MAX_WRITE_BATCH};
 use cfs_types::crc::crc32;
 use cfs_types::{CfsError, ExtentId, ExtentKey, FileType, InodeId, NodeId, PartitionId, Result};
 
@@ -90,9 +91,13 @@ impl Client {
         self.open_inode(dentry.inode)
     }
 
-    /// Open a known inode for I/O.
+    /// Open a known inode for I/O. Close-to-open: this mount's cached
+    /// blocks of the inode are dropped, so the handle reads what another
+    /// mount acknowledged before the open; an already-open handle may
+    /// still serve cached blocks (DESIGN §13).
     pub fn open_inode(&self, ino: InodeId) -> Result<FileHandle> {
         let inode = self.stat(ino)?; // force cache sync
+        self.read_cache_invalidate_ino(ino);
         if inode.file_type == FileType::Dir {
             return Err(CfsError::IsADirectory(ino));
         }
@@ -761,65 +766,116 @@ impl Client {
         Ok(())
     }
 
-    /// Asynchronously delete a file's content (§2.7.3): queue extent
-    /// removals / hole punches on the owning data partitions.
+    /// Asynchronously delete file content (§2.7.3): one `QueueDeletes`
+    /// per owning data partition removes dedicated large-file extents
+    /// outright and punches shared small-file ranges and truncated tails.
     pub fn queue_extent_cleanup(&self, keys: &[ExtentKey]) {
+        let mut by_partition: BTreeMap<PartitionId, Vec<DeleteTask>> = BTreeMap::new();
         for key in keys {
-            let Ok(members) = self.data_partition_members(key.partition_id) else {
+            let task = if key.extent_offset == 0 && !self.config.is_small_file(key.size) {
+                // Dedicated large-file extent: remove it outright (§2.2.3).
+                DeleteTask::Extent(key.extent_id)
+            } else {
+                DeleteTask::Punch {
+                    extent: key.extent_id,
+                    offset: key.extent_offset,
+                    len: key.size,
+                }
+            };
+            by_partition.entry(key.partition_id).or_default().push(task);
+        }
+        for (partition, tasks) in by_partition {
+            let Ok(members) = self.data_partition_members(partition) else {
                 continue;
             };
-            if key.extent_offset == 0 && !self.config.is_small_file(key.size) {
-                // Dedicated large-file extent: remove it outright (§2.2.3).
-                let _ = self.fabrics.data.call(
-                    self.id,
-                    members[0],
-                    DataRequest::QueueDeleteExtent {
-                        partition: key.partition_id,
-                        extent: key.extent_id,
-                        replicas: members.clone(),
-                    },
-                );
-            } else {
-                // Shared small-file extent: punch the file's range.
-                let _ = self.fabrics.data.call(
-                    self.id,
-                    members[0],
-                    DataRequest::QueuePunch {
-                        partition: key.partition_id,
-                        extent: key.extent_id,
-                        offset: key.extent_offset,
-                        len: key.size,
-                        replicas: members.clone(),
-                    },
-                );
-            }
+            let _ = self.fabrics.data.call(
+                self.id,
+                members[0],
+                DataRequest::QueueDeletes {
+                    partition,
+                    tasks,
+                    replicas: members,
+                },
+            );
         }
     }
 
+    /// Evict `inodes` and queue their data for deletion: one batched
+    /// `Evict` write per owning meta partition, then
+    /// [`Self::queue_extent_cleanup`] over every evicted key. Inodes a
+    /// split moved (`RangeMoved`) are regrouped after a view refresh, as
+    /// [`Self::meta_call_at`] does for one.
+    pub(crate) fn evict_and_clean(&self, inodes: Vec<InodeId>) -> Reclaimed {
+        let mut out = Reclaimed::default();
+        let mut keys = Vec::new();
+        let mut pending = inodes;
+        for pass in 0..=MAX_RETRIES {
+            if pending.is_empty() {
+                break;
+            }
+            let refreshed = self.retry_pause(pass, "meta_route", |c| {
+                c.stats.view_refreshes.inc();
+                c.refresh_partition_table()
+            });
+            if refreshed.is_err() {
+                break;
+            }
+            // Partition order, so the batches go out in the same order on
+            // every run.
+            let mut groups: BTreeMap<PartitionId, (Vec<NodeId>, Vec<InodeId>)> = BTreeMap::new();
+            for inode in pending.drain(..) {
+                match self.meta_partition_of(inode) {
+                    Ok((p, members)) => groups
+                        .entry(p)
+                        .or_insert((members, Vec::new()))
+                        .1
+                        .push(inode),
+                    Err(_) => out.failed.push(inode),
+                }
+            }
+            for (partition, (members, ids)) in groups {
+                for chunk in ids.chunks(MAX_WRITE_BATCH) {
+                    let cmds = chunk.iter().map(|&inode| MetaCommand::Evict { inode });
+                    let results = match self.meta_write_batch(partition, &members, cmds.collect()) {
+                        Ok(results) => results,
+                        Err(_) => {
+                            out.failed.extend_from_slice(chunk);
+                            continue;
+                        }
+                    };
+                    for (&inode, r) in chunk.iter().zip(results) {
+                        match r {
+                            Ok(v) => {
+                                self.read_cache_invalidate_ino(inode);
+                                if let Ok(ino) = v.into_inode() {
+                                    keys.extend(ino.extents);
+                                }
+                                out.evicted += 1;
+                            }
+                            Err(CfsError::NotFound(_)) => out.gone += 1,
+                            Err(CfsError::RangeMoved { .. }) => pending.push(inode),
+                            Err(_) => out.failed.push(inode),
+                        }
+                    }
+                }
+            }
+        }
+        out.failed.append(&mut pending);
+        self.queue_extent_cleanup(&keys);
+        out
+    }
+
     /// Background deletion pass (§2.7.3): evict orphaned/marked inodes and
-    /// hand their extents to the data nodes, then run the data-side
-    /// deletion queues. Returns (inodes reclaimed, data tasks executed).
+    /// hand their extents to the data nodes ([`Self::evict_and_clean`]),
+    /// then run the data-side deletion queues. Returns (inodes reclaimed,
+    /// data tasks executed).
     pub fn process_deletions(&self) -> (usize, usize) {
         // Deferred async-unlink second halves materialize orphans; drain
         // them first so this pass can reclaim what they marked.
         let _ = self.drain_async_commits();
         let orphans = std::mem::take(&mut self.cache.lock().orphans);
-        let mut reclaimed = 0;
-        for inode in orphans {
-            // Route by inode id — a split may have moved the range since
-            // the orphan was recorded.
-            match self.meta_write_at(inode, MetaCommand::Evict { inode }) {
-                Ok(v) => {
-                    self.read_cache_invalidate_ino(inode);
-                    if let Ok(ino) = v.into_inode() {
-                        self.queue_extent_cleanup(&ino.extents);
-                    }
-                    reclaimed += 1;
-                }
-                Err(CfsError::NotFound(_)) => reclaimed += 1,
-                Err(_) => self.cache.lock().orphans.push(inode),
-            }
-        }
+        let done = self.evict_and_clean(orphans);
+        self.cache.lock().orphans.extend(done.failed);
         // Run the data-side queues on every partition we know about.
         let partitions: Vec<(PartitionId, Vec<NodeId>)> = {
             let cache = self.cache.lock();
@@ -841,8 +897,19 @@ impl Client {
                 }
             }
         }
-        (reclaimed, executed)
+        (done.evicted + done.gone, executed)
     }
+}
+
+/// What [`Client::evict_and_clean`] did with its inodes.
+#[derive(Debug, Default)]
+pub(crate) struct Reclaimed {
+    /// Evicted here; their data is queued for deletion.
+    pub evicted: usize,
+    /// Already gone (`NotFound`): someone else evicted them.
+    pub gone: usize,
+    /// Not evicted; left for a later pass.
+    pub failed: Vec<InodeId>,
 }
 
 impl FileHandle {

@@ -10,7 +10,7 @@
 use std::collections::HashSet;
 
 use cfs_master::{MasterRequest, MasterResponse, NodeKind};
-use cfs_meta::{MetaCommand, MetaRead, MetaRequest, MetaResponse};
+use cfs_meta::{MetaRead, MetaRequest, MetaResponse};
 use cfs_types::{CfsError, FileType, InodeId, NodeId, PartitionId, Result, ROOT_INODE};
 
 use crate::client::Client;
@@ -185,7 +185,7 @@ impl Client {
                 if !all_inode_ids.insert(ino.id) {
                     report.duplicate_inodes += 1;
                 }
-                inodes.push((*partition, ino));
+                inodes.push(ino);
                 report.inodes_scanned += 1;
             }
             let dents = self
@@ -215,31 +215,23 @@ impl Client {
         // Pass 3: orphans = inodes no dentry references, except the root
         // (reachable by definition) and live directories' implicit self
         // references. Mark-deleted inodes are reclaimable regardless.
-        for (partition, ino) in inodes {
-            let is_root = ino.id == ROOT_INODE;
-            let unreferenced = !referenced.contains(&ino.id);
-            let reclaimable = ino.flag.is_mark_deleted()
-                || (unreferenced && !is_root && (ino.file_type != FileType::Dir || ino.nlink <= 2));
-            if !reclaimable {
-                continue;
-            }
-            report.orphans_found += 1;
-            if reclaim {
-                let members = partitions
-                    .iter()
-                    .find(|(p, _)| *p == partition)
-                    .map(|(_, m)| m.clone())
-                    .unwrap_or_default();
-                // On failure the orphan is simply left for the next pass.
-                if let Ok(v) =
-                    self.meta_write(partition, &members, MetaCommand::Evict { inode: ino.id })
-                {
-                    if let Ok(evicted) = v.into_inode() {
-                        self.queue_extent_cleanup(&evicted.extents);
-                    }
-                    report.orphans_reclaimed += 1;
-                }
-            }
+        let orphans: Vec<InodeId> = inodes
+            .into_iter()
+            .filter(|ino| {
+                let is_root = ino.id == ROOT_INODE;
+                let unreferenced = !referenced.contains(&ino.id);
+                ino.flag.is_mark_deleted()
+                    || (unreferenced
+                        && !is_root
+                        && (ino.file_type != FileType::Dir || ino.nlink <= 2))
+            })
+            .map(|ino| ino.id)
+            .collect();
+        report.orphans_found = orphans.len() as u64;
+        if reclaim {
+            // The deletion pass's own routine; an orphan it could not
+            // evict is simply left for the next pass.
+            report.orphans_reclaimed = self.evict_and_clean(orphans).evicted as u64;
         }
         Ok(report)
     }

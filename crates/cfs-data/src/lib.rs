@@ -31,4 +31,4 @@ mod replica;
 pub use command::DataCommand;
 pub use metrics::{DataLatency, DataMetrics};
 pub use node::{DataNode, DataRequest, DataResponse, ExtentInfo};
-pub use replica::{DataPartitionReplica, PartitionStats};
+pub use replica::{DataPartitionReplica, DeleteTask, PartitionStats};

@@ -28,7 +28,7 @@ use cfs_types::{CfsError, ExtentId, NodeId, PartitionId, RaftGroupId, Result, Vo
 
 use crate::command::DataCommand;
 use crate::metrics::{DataLatency, DataMetrics};
-use crate::replica::{DataPartitionReplica, PartitionStats, ReplicaCf};
+use crate::replica::{DataPartitionReplica, DeleteTask, PartitionStats, ReplicaCf};
 
 /// Size/CRC/watermark facts about one extent on one replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,18 +109,12 @@ pub enum DataRequest {
         partition: PartitionId,
         extent: ExtentId,
     },
-    /// Queue a whole-extent delete (large file), chain-replicated.
-    QueueDeleteExtent {
+    /// Queue deletions (§2.7.3), chain-replicated: every hop forwards the
+    /// whole list first, then queues it with one write of its queue row.
+    /// The client sends one per data partition per cleanup.
+    QueueDeletes {
         partition: PartitionId,
-        extent: ExtentId,
-        replicas: Vec<NodeId>,
-    },
-    /// Queue a punch-hole delete (small file), chain-replicated.
-    QueuePunch {
-        partition: PartitionId,
-        extent: ExtentId,
-        offset: u64,
-        len: u64,
+        tasks: Vec<DeleteTask>,
         replicas: Vec<NodeId>,
     },
     /// Run the background deletion pass on one partition.
@@ -164,8 +158,7 @@ impl RpcRoute for DataRequest {
             DataRequest::Overwrite { .. } => "data.overwrite",
             DataRequest::Read { .. } => "data.read",
             DataRequest::ExtentInfo { .. } => "data.extent_info",
-            DataRequest::QueueDeleteExtent { .. } => "data.queue_delete_extent",
-            DataRequest::QueuePunch { .. } => "data.queue_punch",
+            DataRequest::QueueDeletes { .. } => "data.queue_deletes",
             DataRequest::ProcessDeletes { .. } => "data.process_deletes",
             DataRequest::SetReadOnly { .. } => "data.set_read_only",
             DataRequest::TruncateExtent { .. } => "data.truncate_extent",
@@ -522,42 +515,21 @@ impl DataNode {
             // A chain-replicated delete is queued here only once every
             // successor queued it: a lost forward leaves no replica
             // deleting alone, so the replicas stay byte-identical.
-            DataRequest::QueueDeleteExtent {
+            DataRequest::QueueDeletes {
                 partition,
-                extent,
+                tasks,
                 replicas,
             } => {
                 let hosted = self.hosted(partition)?;
                 self.forward_chain(
                     &replicas,
-                    DataRequest::QueueDeleteExtent {
+                    DataRequest::QueueDeletes {
                         partition,
-                        extent,
+                        tasks: tasks.clone(),
                         replicas: replicas.clone(),
                     },
                 )?;
-                hosted.replica.lock().queue_delete_extent(extent)?;
-                Ok(DataResponse::None)
-            }
-            DataRequest::QueuePunch {
-                partition,
-                extent,
-                offset,
-                len,
-                replicas,
-            } => {
-                let hosted = self.hosted(partition)?;
-                self.forward_chain(
-                    &replicas,
-                    DataRequest::QueuePunch {
-                        partition,
-                        extent,
-                        offset,
-                        len,
-                        replicas: replicas.clone(),
-                    },
-                )?;
-                hosted.replica.lock().queue_punch(extent, offset, len)?;
+                hosted.replica.lock().queue_deletes(&tasks)?;
                 Ok(DataResponse::None)
             }
             DataRequest::ProcessDeletes { partition } => {

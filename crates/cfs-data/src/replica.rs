@@ -80,9 +80,9 @@ impl ReplicaMeta {
 }
 
 /// A queued asynchronous deletion (§2.7.3): either a whole extent (large
-/// file) or a punched range (small file).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum DeleteTask {
+/// file) or a punched range (small file, or a truncated tail).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeleteTask {
     Extent(ExtentId),
     Punch {
         extent: ExtentId,
@@ -374,46 +374,62 @@ impl DataPartitionReplica {
     // Asynchronous deletion (§2.7.3)
     // ------------------------------------------------------------------
 
-    /// Queue a whole-extent deletion (large file).
-    pub fn queue_delete_extent(&mut self, extent: ExtentId) -> Result<()> {
-        self.delete_queue.push(DeleteTask::Extent(extent));
+    /// Queue deletions; the queue row is written once for all of them.
+    pub fn queue_deletes(&mut self, tasks: &[DeleteTask]) -> Result<()> {
+        self.delete_queue.extend_from_slice(tasks);
         self.persist_meta()
     }
 
-    /// Queue a punch-hole deletion (small file).
-    pub fn queue_punch(&mut self, extent: ExtentId, offset: u64, len: u64) -> Result<()> {
-        self.delete_queue.push(DeleteTask::Punch {
-            extent,
-            offset,
-            len,
-        });
-        self.persist_meta()
-    }
-
-    /// Process every queued deletion; returns how many were executed.
-    /// Errors on individual tasks are swallowed (a later fsck/scrub pass
-    /// handles them) so one bad task can't wedge the queue; failing to
-    /// persist the drained queue is reported.
+    /// Process every queued deletion; returns how many tasks were drained.
+    /// Punches are sorted by `(extent, offset)` and ranges that touch go
+    /// out as one punch-hole call (their lengths still sum to the bytes
+    /// punched); punches of an extent this drain deletes whole are
+    /// dropped. Errors are swallowed (a later fsck/scrub pass handles
+    /// them) so one bad task can't wedge the queue: a merged punch that
+    /// fails is retried range by range. Failing to persist the drained
+    /// queue is reported.
     pub fn process_delete_queue(&mut self) -> Result<usize> {
         let tasks = std::mem::take(&mut self.delete_queue);
         let n = tasks.len();
+        let mut whole = Vec::new();
+        let mut punches = Vec::new();
         for t in tasks {
             match t {
-                DeleteTask::Extent(e) => {
-                    let _ = self.store.delete_extent(e);
-                }
+                DeleteTask::Extent(e) => whole.push(e),
                 DeleteTask::Punch {
                     extent,
                     offset,
                     len,
-                } => {
-                    let _ = self.store.delete_small_file(SmallFileLocation {
-                        extent_id: extent,
-                        offset,
-                        len,
-                    });
+                } => punches.push(SmallFileLocation {
+                    extent_id: extent,
+                    offset,
+                    len,
+                }),
+            }
+        }
+        whole.sort_unstable();
+        whole.dedup();
+        punches.retain(|p| whole.binary_search(&p.extent_id).is_err());
+        punches.sort_unstable_by_key(|p| (p.extent_id, p.offset));
+        let mut i = 0;
+        while i < punches.len() {
+            let mut merged = punches[i];
+            let mut j = i + 1;
+            while punches.get(j).is_some_and(|p| {
+                p.extent_id == merged.extent_id && p.offset == merged.offset + merged.len
+            }) {
+                merged.len += punches[j].len;
+                j += 1;
+            }
+            if self.store.delete_small_file(merged).is_err() && j - i > 1 {
+                for &p in &punches[i..j] {
+                    let _ = self.store.delete_small_file(p);
                 }
             }
+            i = j;
+        }
+        for e in whole {
+            let _ = self.store.delete_extent(e);
         }
         self.persist_meta()?;
         Ok(n)
@@ -473,6 +489,14 @@ mod tests {
         (r, dir)
     }
 
+    fn punch(loc: SmallFileLocation) -> DeleteTask {
+        DeleteTask::Punch {
+            extent: loc.extent_id,
+            offset: loc.offset,
+            len: loc.len,
+        }
+    }
+
     /// Apply an append the way a chain hop does, with the packet's CRC.
     fn append(r: &mut DataPartitionReplica, e: ExtentId, offset: u64, data: &[u8]) -> Result<u64> {
         r.apply_append(e, offset, data, crc32(data))
@@ -509,7 +533,7 @@ mod tests {
         assert!(r.write_small_batch(&[b"x"]).is_err());
         // In-place modification and deletion still possible (§2.3.1).
         r.apply_overwrite(e, 0, b"mod").unwrap();
-        r.queue_delete_extent(e).unwrap();
+        r.queue_deletes(&[DeleteTask::Extent(e)]).unwrap();
         assert_eq!(r.process_delete_queue().unwrap(), 1);
     }
 
@@ -538,7 +562,7 @@ mod tests {
         let (mut r, _dir) = replica();
         let loc = r.write_small_batch(&[&[3u8; 8192]]).unwrap().0[0];
         let before = r.stats().store.physical_bytes;
-        r.queue_punch(loc.extent_id, loc.offset, loc.len).unwrap();
+        r.queue_deletes(&[punch(loc)]).unwrap();
         assert_eq!(r.pending_deletes(), 1);
         // Space not reclaimed until the background pass runs.
         assert_eq!(r.stats().store.physical_bytes, before);
@@ -550,11 +574,75 @@ mod tests {
     #[test]
     fn bad_delete_task_does_not_wedge_queue() {
         let (mut r, _dir) = replica();
-        r.queue_delete_extent(ExtentId(999)).unwrap(); // nonexistent
+        r.queue_deletes(&[DeleteTask::Extent(ExtentId(999))])
+            .unwrap(); // nonexistent
         let loc = r.write_small_batch(&[&[1u8; 4096]]).unwrap().0[0];
-        r.queue_punch(loc.extent_id, loc.offset, loc.len).unwrap();
+        r.queue_deletes(&[punch(loc)]).unwrap();
         assert_eq!(r.process_delete_queue().unwrap(), 2);
         assert_eq!(r.stats().store.punched_bytes, 4096);
+    }
+
+    /// A drain punches touching ranges in one call and skips punches of an
+    /// extent it deletes whole; the bytes punched are what they were one
+    /// punch per file, and a bad range does not take its neighbours down.
+    #[test]
+    fn drain_merges_touching_punches() {
+        let registry = cfs_obs::Registry::new();
+        let (mut r, _dir) = replica();
+        r.set_store_metrics(cfs_store::StoreMetrics::bind(&registry));
+        let records: Vec<Vec<u8>> = (1..=6u8).map(|i| vec![i; 1000 * i as usize]).collect();
+        let slices: Vec<&[u8]> = records.iter().map(|v| &v[..]).collect();
+        let locs = r.write_small_batch(&slices).unwrap().0;
+        assert!(locs.iter().all(|l| l.extent_id == locs[0].extent_id));
+        let big = r.allocate_extent().unwrap();
+        append(&mut r, big, 0, &[9u8; 8192]).unwrap();
+        // Files 0, 1, 2 and 4, 5 touch; 3 stays; queued out of order, plus
+        // a tail punch of an extent deleted whole in the same drain.
+        let tasks = [
+            punch(locs[5]),
+            punch(locs[1]),
+            DeleteTask::Punch {
+                extent: big,
+                offset: 4096,
+                len: 4096,
+            },
+            punch(locs[0]),
+            punch(locs[4]),
+            punch(locs[2]),
+            DeleteTask::Extent(big),
+        ];
+        r.queue_deletes(&tasks).unwrap();
+        assert_eq!(r.process_delete_queue().unwrap(), tasks.len());
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("store.punches"), 2, "two touching runs");
+        let punched: u64 = [0, 1, 2, 4, 5].iter().map(|&i| locs[i].len).sum();
+        assert_eq!(snap.counter("store.bytes_punched"), punched);
+        assert!(!r.has_extent(big));
+        assert_eq!(
+            r.read(locs[3].extent_id, locs[3].offset, 4000, false)
+                .unwrap(),
+            vec![4u8; 4000]
+        );
+        assert!(r
+            .read(locs[0].extent_id, locs[0].offset, 6000, false)
+            .unwrap()
+            .iter()
+            .all(|&b| b == 0));
+
+        // A range past the watermark fails alone: its touching neighbour
+        // is still punched.
+        let loc = r.write_small_batch(&[&[7u8; 512]]).unwrap().0[0];
+        let past = DeleteTask::Punch {
+            extent: loc.extent_id,
+            offset: loc.offset + loc.len,
+            len: 1 << 20,
+        };
+        r.queue_deletes(&[punch(loc), past]).unwrap();
+        assert_eq!(r.process_delete_queue().unwrap(), 2);
+        assert_eq!(
+            registry.snapshot().counter("store.bytes_punched"),
+            punched + 512
+        );
     }
 
     #[test]
@@ -575,8 +663,8 @@ mod tests {
             append(&mut r, e, 0, &[9u8; 300]).unwrap();
             r.commit(e, 300).unwrap();
             let loc = r.write_small_batch(&[&[5u8; 4096]]).unwrap().0[0];
-            r.queue_punch(loc.extent_id, loc.offset, loc.len).unwrap();
-            r.queue_delete_extent(ExtentId(999)).unwrap();
+            r.queue_deletes(&[punch(loc), DeleteTask::Extent(ExtentId(999))])
+                .unwrap();
             r.set_read_only(true).unwrap();
             (e, loc)
         };
@@ -600,7 +688,8 @@ mod tests {
         // extent leaves no watermark behind for a reused id to inherit.
         r.truncate(extent, 120).unwrap();
         r.commit(loc.extent_id, 4096).unwrap();
-        r.queue_delete_extent(loc.extent_id).unwrap();
+        r.queue_deletes(&[DeleteTask::Extent(loc.extent_id)])
+            .unwrap();
         assert_eq!(r.process_delete_queue().unwrap(), 1);
         drop(r);
         let mut r = DataPartitionReplica::restore(pid, open_engine(&dir)).unwrap();

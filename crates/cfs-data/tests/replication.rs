@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use cfs_data::{DataNode, DataRequest, DataResponse};
+use cfs_data::{DataNode, DataRequest, DataResponse, DeleteTask};
 use cfs_net::Network;
 use cfs_obs::Registry;
 use cfs_raft::{RaftConfig, RaftHost, RaftHub};
@@ -399,11 +399,13 @@ fn small_files_pack_and_replicate_identically() {
         .call(
             NodeId(99),
             leader,
-            DataRequest::QueuePunch {
+            DataRequest::QueueDeletes {
                 partition: p,
-                extent: locs[3].extent_id,
-                offset: locs[3].offset,
-                len: locs[3].len,
+                tasks: vec![DeleteTask::Punch {
+                    extent: locs[3].extent_id,
+                    offset: locs[3].offset,
+                    len: locs[3].len,
+                }],
                 replicas: members.clone(),
             },
         )
@@ -677,16 +679,18 @@ fn lost_delete_forward_queues_on_no_replica() {
 
     c.faults.set_link_cut(members[1], members[2], true);
     let deletes = [
-        DataRequest::QueuePunch {
+        DataRequest::QueueDeletes {
             partition: p,
-            extent: e,
-            offset: 0,
-            len: 4,
+            tasks: vec![DeleteTask::Punch {
+                extent: e,
+                offset: 0,
+                len: 4,
+            }],
             replicas: members.clone(),
         },
-        DataRequest::QueueDeleteExtent {
+        DataRequest::QueueDeletes {
             partition: p,
-            extent: e,
+            tasks: vec![DeleteTask::Extent(e)],
             replicas: members.clone(),
         },
     ];

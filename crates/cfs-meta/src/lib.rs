@@ -25,5 +25,5 @@ mod prop_tests;
 
 pub use command::{MetaCommand, MetaRead, MetaValue};
 pub use intent::{CompensationRecord, IntentContext, IntentRecord};
-pub use node::{MetaNode, MetaRequest, MetaResponse, PartitionInfo};
+pub use node::{MetaNode, MetaRequest, MetaResponse, PartitionInfo, MAX_WRITE_BATCH};
 pub use partition::{MetaPartition, MetaPartitionConfig};

@@ -62,10 +62,12 @@ pub enum MetaRequest {
         partition: PartitionId,
         read: MetaRead,
     },
-    /// Raft-replicated write.
+    /// Raft-replicated write of up to [`MAX_WRITE_BATCH`] commands to one
+    /// partition; they ride one group-commit frame. Answered with
+    /// [`MetaResponse::Values`], one result per command.
     Write {
         partition: PartitionId,
-        cmd: MetaCommand,
+        cmds: Vec<MetaCommand>,
     },
     /// Resource-manager task: host a replica of a new partition.
     CreatePartition {
@@ -127,6 +129,9 @@ impl RpcRoute for MetaRequest {
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetaResponse {
     Value(MetaValue),
+    /// A `Write`'s outcome per command, in request order: a domain error
+    /// or the range fence answers only its own command.
+    Values(Vec<Result<MetaValue>>),
     Created,
     Report(Vec<PartitionInfo>),
     /// Async write acked: durably journaled + speculatively applied.
@@ -144,6 +149,23 @@ pub enum MetaResponse {
     /// This node's unexecuted compensation records.
     Compensations(Vec<CompensationRecord>),
 }
+
+impl MetaResponse {
+    /// The one value of a read, a fallen-back async write, or a `Write`
+    /// of a single command.
+    pub fn into_value(self) -> Result<MetaValue> {
+        match self {
+            MetaResponse::Value(v) => Ok(v),
+            MetaResponse::Values(mut vs) if vs.len() == 1 => vs.pop().expect("one result"),
+            other => Err(CfsError::Internal(format!(
+                "expected one meta value, got {other:?}"
+            ))),
+        }
+    }
+}
+
+/// Most commands one `Write` request may carry.
+pub const MAX_WRITE_BATCH: usize = 1024;
 
 /// Hosted-partition registry column family: partition id → (encoded
 /// [`MetaPartitionConfig`], replica members). A node re-hosts exactly
@@ -306,21 +328,29 @@ impl Inner {
         })
     }
 
-    /// A write joins `partition`'s pipeline only at the group's leader and
-    /// only inside the partition's current range.
-    fn admit(&self, partition: PartitionId, cmd: &MetaCommand) -> Result<&RaftNode> {
+    /// A write joins `partition`'s pipeline only at the group's leader.
+    fn admit(&self, partition: PartitionId) -> Result<&RaftNode> {
         let not_found = || CfsError::NotFound(format!("{partition}"));
-        let p = self.partitions.get(&partition).ok_or_else(not_found)?;
+        if !self.partitions.contains_key(&partition) {
+            return Err(not_found());
+        }
         let g = self
             .multiraft
             .group(RaftGroupId(partition.raw()))
             .ok_or_else(not_found)?;
         g.require_leader()?;
+        Ok(g)
+    }
+
+    /// A write joins it only inside the partition's current range.
+    fn fence_write(&self, partition: PartitionId, cmd: &MetaCommand) -> Result<()> {
+        let Some(p) = self.partitions.get(&partition) else {
+            return Ok(());
+        };
         self.fence(
             partition,
             cmd.out_of_range(p.config().start, p.config().end),
-        )?;
-        Ok(g)
+        )
     }
 
     /// Drop every overlay whose leader term ended: its speculated suffix
@@ -496,8 +526,8 @@ impl MetaNode {
             MetaRequest::Read { partition, read } => {
                 self.read(partition, &read).map(MetaResponse::Value)
             }
-            MetaRequest::Write { partition, cmd } => {
-                self.write(partition, &cmd).map(MetaResponse::Value)
+            MetaRequest::Write { partition, cmds } => {
+                self.write_batch(partition, &cmds).map(MetaResponse::Values)
             }
             MetaRequest::CreatePartition { config, members } => {
                 self.create_partition(config, members)?;
@@ -580,28 +610,69 @@ impl MetaNode {
         inner.serve_read(partition, read, path)
     }
 
-    /// Raft-replicated write: the command joins the partition's
-    /// group-commit accumulator and resolves when its frame applies.
+    /// Raft-replicated write: a batch of one ([`Self::write_batch`]).
     pub fn write(&self, partition: PartitionId, cmd: &MetaCommand) -> Result<MetaValue> {
-        let ticket = self.enqueue_write(partition, cmd)?;
-        self.hub.pump_until(
-            || self.inner.lock().commits.is_resolved(ticket),
-            COMMIT_TIMEOUT_TICKS,
-        );
+        self.write_batch(partition, std::slice::from_ref(cmd))?
+            .pop()
+            .expect("one result per command")
+    }
+
+    /// Raft-replicated write of up to [`MAX_WRITE_BATCH`] commands to one
+    /// partition. They join the partition's group-commit accumulator
+    /// together, so they ride one frame, and the call pumps once until it
+    /// applies. Leadership, hosting, a timeout or a frame that failed to
+    /// commit answer the whole batch (retryable); a domain error or the
+    /// range fence answers only its own command.
+    pub fn write_batch(
+        &self,
+        partition: PartitionId,
+        cmds: &[MetaCommand],
+    ) -> Result<Vec<Result<MetaValue>>> {
+        if cmds.len() > MAX_WRITE_BATCH {
+            return Err(CfsError::InvalidArgument(format!(
+                "{} commands in one write, at most {MAX_WRITE_BATCH}",
+                cmds.len()
+            )));
+        }
+        let admitted = self.enqueue_writes(partition, cmds)?;
+        let tickets: Vec<u64> = admitted
+            .iter()
+            .filter_map(|a| a.as_ref().ok().copied())
+            .collect();
+        let resolved = |inner: &Inner| tickets.iter().all(|&t| inner.commits.is_resolved(t));
+        self.hub
+            .pump_until(|| resolved(&self.inner.lock()), COMMIT_TIMEOUT_TICKS);
         let mut inner = self.inner.lock();
-        if let Some(r) = inner.commits.take(ticket) {
-            return r;
+        if !resolved(&inner) {
+            // Withdraw the commands if they never made it into a frame, so
+            // a retry cannot apply them twice.
+            let mut withdrawn = false;
+            for &t in &tickets {
+                withdrawn |= inner.commits.abandon(Self::group_of(partition), t);
+            }
+            if withdrawn {
+                // The overlay already speculated on the withdrawn commands;
+                // it can no longer converge — discard it.
+                inner.overlays.remove(&partition);
+            }
+            return Err(CfsError::Timeout(format!(
+                "{partition}: group commit of {} commands",
+                tickets.len()
+            )));
         }
-        // Withdraw the command if it never made it into a frame, so a
-        // retry cannot apply it twice.
-        if inner.commits.abandon(Self::group_of(partition), ticket) {
-            // The overlay already speculated on the withdrawn command; it
-            // can no longer converge — discard it.
-            inner.overlays.remove(&partition);
+        let results: Vec<Result<MetaValue>> = admitted
+            .into_iter()
+            .map(|a| a.and_then(|t| inner.commits.take(t).expect("resolved above")))
+            .collect();
+        // A frame that could not commit fails every command in it with the
+        // same retryable error: the whole request is retried.
+        if let Some(Err(e)) = results
+            .iter()
+            .find(|r| matches!(r, Err(e) if e.is_retryable()))
+        {
+            return Err(e.clone());
         }
-        Err(CfsError::Timeout(format!(
-            "{partition}: group commit of ticket {ticket}"
-        )))
+        Ok(results)
     }
 
     /// Stage a write into the partition's group-commit accumulator without
@@ -610,17 +681,36 @@ impl MetaNode {
     /// budget tests use this to line up N writes in one frame
     /// deterministically; [`Self::write`] is the blocking wrapper.
     pub fn enqueue_write(&self, partition: PartitionId, cmd: &MetaCommand) -> Result<u64> {
-        let mut inner = self.inner.lock();
-        inner.admit(partition, cmd)?;
-        // Keep a live overlay exactly `replicated tree ⊕ queued prefix`:
-        // sync writes replay onto it in queue order too (result ignored —
-        // the replicated apply is what the ticket resolves with).
-        if let Some((_, overlay)) = inner.overlays.get_mut(&partition) {
-            let _ = cmd.apply(overlay);
-        }
-        Ok(inner
-            .commits
-            .enqueue(Self::group_of(partition), cmd.to_bytes()))
+        self.enqueue_writes(partition, std::slice::from_ref(cmd))?
+            .pop()
+            .expect("one ticket per command")
+    }
+
+    /// Stage `cmds` under one lock, so they join the same frame: a ticket
+    /// per command, or the range fence's error for one outside the
+    /// partition's range.
+    fn enqueue_writes(
+        &self,
+        partition: PartitionId,
+        cmds: &[MetaCommand],
+    ) -> Result<Vec<Result<u64>>> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        inner.admit(partition)?;
+        let stage = |cmd: &MetaCommand| {
+            inner.fence_write(partition, cmd)?;
+            // Keep a live overlay exactly `replicated tree ⊕ queued
+            // prefix`: sync writes replay onto it in queue order too
+            // (result ignored — the replicated apply is what the ticket
+            // resolves with).
+            if let Some((_, overlay)) = inner.overlays.get_mut(&partition) {
+                let _ = cmd.apply(overlay);
+            }
+            Ok(inner
+                .commits
+                .enqueue(Self::group_of(partition), cmd.to_bytes()))
+        };
+        Ok(cmds.iter().map(stage).collect())
     }
 
     /// Take the resolved result of an enqueued write, if its frame has
@@ -650,7 +740,8 @@ impl MetaNode {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let gid = Self::group_of(partition);
-        let g = inner.admit(partition, cmd)?;
+        let g = inner.admit(partition)?;
+        inner.fence_write(partition, cmd)?;
         let term = g.term();
         let caught_up = g.applied_index() == g.commit_index() && g.commit_index() == g.last_index();
 
@@ -1435,6 +1526,64 @@ mod tests {
         assert!(matches!(
             leader.take_write_result(t2).unwrap(),
             Err(CfsError::Exists(_))
+        ));
+    }
+
+    /// A batched write is one frame: one raft round for all of its
+    /// commands, a result per command in request order, and the range
+    /// fence and domain errors answer only their own command.
+    #[test]
+    fn write_batch_rides_one_frame_with_per_command_errors() {
+        let (hub, registry, nodes, _dirs) = registry_cluster(3);
+        let p = mk_partition(&hub, &nodes, 1);
+        let leader = leader_of(&nodes, p);
+        let create = |now_ns| MetaCommand::CreateInode {
+            file_type: FileType::File,
+            link_target: vec![],
+            now_ns,
+        };
+        let made = leader.write_batch(p, &[create(1), create(2)]).unwrap();
+        let ids: Vec<InodeId> = made
+            .into_iter()
+            .map(|r| r.unwrap().into_inode().unwrap().id)
+            .collect();
+        leader
+            .write(p, &MetaCommand::UpdateEnd { end: InodeId(100) })
+            .unwrap();
+        for _ in 0..200 {
+            hub.tick_and_pump();
+        }
+
+        let before = registry.snapshot();
+        let evict = |inode| MetaCommand::Evict { inode };
+        let results = leader
+            .write_batch(
+                p,
+                &[
+                    evict(ids[0]),
+                    evict(InodeId(5_000)),
+                    evict(InodeId(99)),
+                    evict(ids[1]),
+                ],
+            )
+            .unwrap();
+        assert_eq!(results.len(), 4);
+        assert_eq!(results[0].clone().unwrap().into_inode().unwrap().id, ids[0]);
+        assert!(matches!(results[1], Err(CfsError::RangeMoved { .. })));
+        assert!(matches!(results[2], Err(CfsError::NotFound(_))));
+        assert_eq!(results[3].clone().unwrap().into_inode().unwrap().id, ids[1]);
+        let diff = registry.snapshot().diff(&before);
+        assert_eq!(diff.counter("raft.proposals"), 1, "one frame, one round");
+
+        let too_many = vec![evict(ids[0]); MAX_WRITE_BATCH + 1];
+        assert!(matches!(
+            leader.write_batch(p, &too_many),
+            Err(CfsError::InvalidArgument(_))
+        ));
+        let follower = nodes.iter().find(|n| !n.is_leader_for(p)).unwrap();
+        assert!(matches!(
+            follower.write_batch(p, &[evict(ids[0])]),
+            Err(CfsError::NotLeader { .. })
         ));
     }
 

@@ -223,9 +223,11 @@ impl MetaPartition {
         Ok(ino)
     }
 
-    /// Truncate a file to `size`, returning the extent keys that fell
-    /// wholly beyond the new size (for data-subsystem cleanup). Bumps the
-    /// generation so stale client caches are detectable.
+    /// Truncate a file to `size`, returning the bytes cut off, as extent
+    /// keys, for data-subsystem cleanup: every key wholly beyond the new
+    /// size, and the tail of a key the cut falls inside (starting at the
+    /// cut, its `extent_offset` advanced by as much). Bumps the generation
+    /// so stale client caches are detectable.
     pub fn truncate(&mut self, id: InodeId, size: u64, now_ns: u64) -> Result<Vec<ExtentKey>> {
         let mut ino = self.get_inode(id)?;
         if ino.is_dir() {
@@ -238,9 +240,17 @@ impl MetaPartition {
                 removed.push(k);
             } else {
                 let mut k = k;
-                // Partially truncated piece: clamp its length.
+                // Partially truncated piece: clamp its length and hand
+                // back the tail.
                 if k.file_offset + k.size > size {
-                    k.size = size - k.file_offset;
+                    let head = size - k.file_offset;
+                    removed.push(ExtentKey {
+                        file_offset: size,
+                        extent_offset: k.extent_offset + head,
+                        size: k.size - head,
+                        ..k
+                    });
+                    k.size = head;
                 }
                 kept.push(k);
             }
@@ -558,9 +568,19 @@ mod tests {
         assert_eq!(ino.extents.len(), 4);
 
         // Truncate to 150: extents at 200,300 removed; extent at 100
-        // clamped to 50 bytes.
+        // clamped to 50 bytes, and its cut tail handed back with them.
         let removed = p.truncate(f.id, 150, 6).unwrap();
-        assert_eq!(removed.len(), 2);
+        assert_eq!(removed.len(), 3);
+        assert_eq!(
+            removed[0],
+            ExtentKey {
+                file_offset: 150,
+                extent_offset: 50,
+                size: 50,
+                ..keys[1]
+            }
+        );
+        assert_eq!(&removed[1..], &keys[2..]);
         let ino = p.get_inode(f.id).unwrap();
         assert_eq!(ino.size, 150);
         assert_eq!(ino.extents.len(), 2);

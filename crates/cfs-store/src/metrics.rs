@@ -26,6 +26,8 @@ pub struct StoreMetrics {
     pub bytes_overwritten: Counter,
     /// Bytes logically punched out by small-file deletions.
     pub bytes_punched: Counter,
+    /// Punch-hole calls those deletions made (one may cover many files).
+    pub punches: Counter,
     /// Live bytes reclaimed by whole-extent deletion.
     pub bytes_freed: Counter,
     /// Live bytes reclaimed by recovery truncation (§2.2.5 alignment).
@@ -48,6 +50,7 @@ impl StoreMetrics {
             bytes_written: registry.counter("store.bytes_written"),
             bytes_overwritten: registry.counter("store.bytes_overwritten"),
             bytes_punched: registry.counter("store.bytes_punched"),
+            punches: registry.counter("store.punches"),
             bytes_freed: registry.counter("store.bytes_freed"),
             bytes_truncated: registry.counter("store.bytes_truncated"),
             extents_created: registry.counter("store.extents_created"),

@@ -344,10 +344,11 @@ impl ExtentStore {
 
     /// Delete a small file by punching its range out of the shared extent
     /// (§2.2.3). Asynchronous in the real system; the data partition layer
-    /// queues these.
+    /// queues these, and punches neighbouring files' ranges in one call.
     pub fn delete_small_file(&mut self, loc: SmallFileLocation) -> Result<()> {
         self.extent_mut(loc.extent_id)?
             .punch_hole(loc.offset, loc.len)?;
+        self.metrics.punches.inc();
         self.metrics.bytes_punched.add(loc.len);
         self.metrics.live_bytes.sub(loc.len as i64);
         self.persist_extent_meta(loc.extent_id)?;

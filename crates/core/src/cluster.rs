@@ -457,13 +457,9 @@ impl Cluster {
                     // sweep re-emits it until a heartbeat reports the new
                     // range (split reconciliation).
                     for &m in members {
-                        let req = MetaRequest::Write {
-                            partition: *partition,
-                            cmd: cfs_meta::MetaCommand::UpdateEnd { end: *end },
-                        };
-                        match self.fabrics.meta.call(NodeId(0), m, req) {
-                            Ok(Ok(_)) => break,
-                            Ok(Err(_)) | Err(_) => continue,
+                        let cmd = cfs_meta::MetaCommand::UpdateEnd { end: *end };
+                        if self.meta_write_on(m, *partition, cmd).is_ok() {
+                            break;
                         }
                     }
                 }
@@ -696,20 +692,14 @@ impl Cluster {
         let (pid, members) = root_partition;
         let mut created = false;
         for &m in &members {
-            let req = MetaRequest::Write {
-                partition: pid,
-                cmd: cfs_meta::MetaCommand::CreateInode {
-                    file_type: FileType::Dir,
-                    link_target: vec![],
-                    now_ns: 0,
-                },
+            let cmd = cfs_meta::MetaCommand::CreateInode {
+                file_type: FileType::Dir,
+                link_target: vec![],
+                now_ns: 0,
             };
-            match self.fabrics.meta.call(NodeId(0), m, req) {
-                Ok(Ok(_)) => {
-                    created = true;
-                    break;
-                }
-                _ => continue,
+            if self.meta_write_on(m, pid, cmd).is_ok() {
+                created = true;
+                break;
             }
         }
         if !created {
@@ -937,18 +927,29 @@ impl Cluster {
             return true;
         };
         for &m in &members {
-            let req = MetaRequest::Write {
-                partition,
-                cmd: cmd.clone(),
-            };
-            match self.fabrics.meta.call(NodeId(0), m, req) {
-                Ok(Ok(_)) => return true,
+            match self.meta_write_on(m, partition, cmd.clone()) {
+                Ok(_) => return true,
                 // The target vanished on its own — the rollback is moot.
-                Ok(Err(CfsError::NotFound(_))) => return true,
-                Ok(Err(_)) | Err(_) => continue,
+                Err(CfsError::NotFound(_)) => return true,
+                Err(_) => continue,
             }
         }
         false
+    }
+
+    /// One replicated meta command sent to member `m` as the control
+    /// plane; fabric, node and command errors all come back as `Err`.
+    fn meta_write_on(
+        &self,
+        m: NodeId,
+        partition: PartitionId,
+        cmd: cfs_meta::MetaCommand,
+    ) -> Result<cfs_meta::MetaValue> {
+        let req = MetaRequest::Write {
+            partition,
+            cmds: vec![cmd],
+        };
+        self.fabrics.meta.call(NodeId(0), m, req)??.into_value()
     }
 
     /// Capacity expansion (§2.3.1): add a fresh meta node. No data moves;

@@ -1921,3 +1921,146 @@ fn ceph_baseline_config_is_pinned_to_the_paper() {
     assert_eq!(fast.ssd_read_ns, hw.ssd_read_ns);
     assert_eq!(fast.ssd_fsync_ns, hw.ssd_fsync_ns);
 }
+
+// ---------------------------------------------------------------------
+// Deletion drain budget (§2.7.3)
+// ---------------------------------------------------------------------
+
+const DRAIN_FILES: u64 = 64;
+
+/// The deletion-drain budget over one `process_deletions` window: one
+/// raft round per meta partition holding orphans (its evicts ride one
+/// batched write), one `QueueDeletes` from the client per data partition
+/// with cleanup (each hop forwards it once more down the chain), and at
+/// most one punch-hole call per punched extent on each replica (touching
+/// ranges merge).
+fn check_delete_drain_budget(
+    window: &MetricsSnapshot,
+    meta_partitions: u64,
+    data_partitions: u64,
+    extents: u64,
+) {
+    let rounds = window.counter("raft.proposals");
+    assert!(
+        rounds == meta_partitions,
+        "delete drain budget regression: {rounds} raft rounds to evict the \
+         orphans of {meta_partitions} meta partitions, expected exactly \
+         {meta_partitions}"
+    );
+    let calls = window.counter("net.calls{fabric=data,route=data.queue_deletes}");
+    let from_client = calls.saturating_sub(window.counter("data.chain_forwards"));
+    assert!(
+        from_client == data_partitions,
+        "delete drain budget regression: {from_client} data.queue_deletes \
+         requests from the client, expected exactly {data_partitions} (one \
+         per data partition with cleanup)"
+    );
+    let punches = window.counter("store.punches");
+    assert!(
+        punches <= extents * REPLICAS,
+        "delete drain budget regression: {punches} punch calls for \
+         {extents} punched extents on {REPLICAS} replicas"
+    );
+}
+
+#[test]
+fn delete_drain_budget() {
+    let cluster = ClusterBuilder::new().build().unwrap();
+    cluster.create_volume("drain", 2, 4).unwrap();
+    cluster.settle(200);
+    let client = cluster.mount("drain").unwrap();
+    let root = client.root();
+    let mut inodes = Vec::new();
+    let mut keys = Vec::new();
+    for i in 0..DRAIN_FILES {
+        let name = format!("d{i}");
+        let ino = client.create(root, &name).unwrap().id;
+        let mut fh = client.open(root, &name).unwrap();
+        client.write(&mut fh, &vec![i as u8; 3000]).unwrap();
+        client.close(&mut fh).unwrap();
+        keys.extend(client.stat(ino).unwrap().extents);
+        inodes.push(ino);
+    }
+    for i in 0..DRAIN_FILES {
+        client.unlink(root, &format!("d{i}")).unwrap();
+    }
+
+    // Which meta partition owns each orphan, from the leaders' ranges.
+    let mut ranges = std::collections::BTreeMap::new();
+    for n in cluster.meta_nodes() {
+        if let Ok(MetaResponse::Report(infos)) = n.handle(MetaRequest::Report) {
+            for info in infos.into_iter().filter(|i| i.is_leader) {
+                ranges.insert(info.partition_id, (info.start, info.end));
+            }
+        }
+    }
+    let meta_partitions: std::collections::BTreeSet<PartitionId> = inodes
+        .iter()
+        .map(|&ino| {
+            *ranges
+                .iter()
+                .find(|(_, (start, end))| *start <= ino && ino <= *end)
+                .expect("an owning partition")
+                .0
+        })
+        .collect();
+    assert_eq!(meta_partitions.len(), 2, "the orphans span both partitions");
+    let data_partitions: std::collections::BTreeSet<PartitionId> =
+        keys.iter().map(|k| k.partition_id).collect();
+    let extents: std::collections::BTreeSet<(PartitionId, ExtentId)> =
+        keys.iter().map(|k| (k.partition_id, k.extent_id)).collect();
+
+    let before = cluster.metrics_snapshot();
+    assert_eq!(client.process_deletions().0, DRAIN_FILES as usize);
+    let window = cluster.metrics_snapshot().diff(&before);
+    check_delete_drain_budget(
+        &window,
+        meta_partitions.len() as u64,
+        data_partitions.len() as u64,
+        extents.len() as u64,
+    );
+    assert_eq!(
+        window.counter("store.bytes_punched"),
+        DRAIN_FILES * 3000 * REPLICAS,
+        "every file's bytes punched on every replica"
+    );
+}
+
+#[test]
+fn delete_drain_budget_check_rejects_perturbed_counters() {
+    // An evict per orphan — one raft round per inode — must trip it.
+    let registry = cfs::Registry::new();
+    registry.counter("raft.proposals").add(DRAIN_FILES);
+    registry
+        .counter("net.calls{fabric=data,route=data.queue_deletes}")
+        .add(4 * REPLICAS);
+    registry
+        .counter("data.chain_forwards")
+        .add(4 * (REPLICAS - 1));
+    let snap = registry.snapshot();
+    let err = std::panic::catch_unwind(|| check_delete_drain_budget(&snap, 2, 4, 4))
+        .expect_err("one proposal per evicted inode must fail the budget");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("raft rounds"),
+        "unexpected panic message: {msg}"
+    );
+
+    // A queue request per file, even with batched evicts, must trip it.
+    let registry = cfs::Registry::new();
+    registry.counter("raft.proposals").add(2);
+    registry
+        .counter("net.calls{fabric=data,route=data.queue_deletes}")
+        .add(DRAIN_FILES * REPLICAS);
+    registry
+        .counter("data.chain_forwards")
+        .add(DRAIN_FILES * (REPLICAS - 1));
+    let snap = registry.snapshot();
+    let err = std::panic::catch_unwind(|| check_delete_drain_budget(&snap, 2, 4, 4))
+        .expect_err("one queue request per file must fail the budget");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("data.queue_deletes requests"),
+        "unexpected panic message: {msg}"
+    );
+}

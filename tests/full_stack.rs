@@ -722,3 +722,62 @@ fn fresh_mount_reads_an_acknowledged_overwrite_at_once() {
         "a fresh mount read stale bytes after an acked overwrite"
     );
 }
+
+/// A truncate whose cut falls inside an extent key reclaims the cut tail
+/// of that key too: every byte past the new size is punched on every
+/// replica by the next deletion pass, and the kept head reads back as
+/// written.
+#[test]
+fn truncate_punches_the_cut_tail_of_the_key_it_falls_inside() {
+    const LEN: u64 = 256 << 10;
+    const CUT: u64 = 1_317;
+    let cluster = ClusterBuilder::new().build().unwrap();
+    cluster.create_volume("trunc", 1, 1).unwrap();
+    let client = cluster.mount("trunc").unwrap();
+    let root = client.root();
+    client.create(root, "f").unwrap();
+    let mut fh = client.open(root, "f").unwrap();
+    let body: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+    client.write(&mut fh, &body).unwrap();
+    client.fsync(&mut fh).unwrap();
+
+    let before = cluster.metrics_snapshot();
+    client.truncate_file(&mut fh, CUT).unwrap();
+    client.process_deletions();
+    let window = cluster.metrics_snapshot().diff(&before);
+    assert_eq!(window.counter("store.bytes_punched"), 3 * (LEN - CUT));
+
+    let rh = client.open(root, "f").unwrap();
+    assert!(
+        client.read_at(&rh, 0, LEN as usize).unwrap() == body[..CUT as usize],
+        "the kept head changed"
+    );
+}
+
+/// Close-to-open: a fresh `open` on a mount that cached a file's blocks
+/// reads what another mount overwrote and `fsync`ed before it.
+#[test]
+fn reopen_reads_another_mounts_acknowledged_overwrite() {
+    let cluster = ClusterBuilder::new().build().unwrap();
+    cluster.create_volume("cto", 1, 1).unwrap();
+    let writer = cluster.mount("cto").unwrap();
+    let root = writer.root();
+    writer.create(root, "f").unwrap();
+    let mut wh = writer.open(root, "f").unwrap();
+    writer.write(&mut wh, &vec![1u8; 512 << 10]).unwrap();
+    writer.fsync(&mut wh).unwrap();
+
+    let reader = cluster.mount("cto").unwrap();
+    let rh = reader.open(root, "f").unwrap();
+    assert!(reader.read_at(&rh, 0, 4096).unwrap() == [1u8; 4096]);
+
+    writer.write_at(&mut wh, 0, &[2u8; 4096]).unwrap();
+    writer.fsync(&mut wh).unwrap();
+    cluster.settle(64);
+
+    let reopened = reader.open(root, "f").unwrap();
+    assert!(
+        reader.read_at(&reopened, 0, 4096).unwrap() == [2u8; 4096],
+        "a fresh open served this mount's stale cached block"
+    );
+}
