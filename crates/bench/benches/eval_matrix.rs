@@ -11,8 +11,8 @@
 //! `cfs::Cluster` with every replication/consensus/cache code path
 //! engaged — and double as the coalescing and read-cache ablations: the
 //! layer-churn scenario must show ≥2x fewer data-fabric rounds per op
-//! with coalescing on, and the read storm must serve readahead blocks
-//! from the cache instead of the fabric.
+//! with coalescing on, and the warmed read-storm epochs must serve from
+//! the cache instead of the fabric.
 //!
 //! Output:
 //!  * `BENCH_eval.json` (override: `BENCH_EVAL_JSON_PATH`) — the full
@@ -218,10 +218,8 @@ fn layer_churn(coalesce: bool) -> ScenarioRun {
 
 /// AI-training read storm: a shared dataset written once, then epoch
 /// after epoch of whole-file sequential scans from the trainer. Doubles
-/// as the read-cache ablation: readahead blocks must be served by the
-/// client block cache, not the data fabric. Each epoch re-opens every
-/// shard, and an open drops the shard's cached blocks (close-to-open), so
-/// the hits come from readahead within an epoch, not from the last one.
+/// as the read-cache ablation: warmed epochs must be served by the
+/// client block cache, not the data fabric.
 fn read_storm(read_cache: bool) -> ScenarioRun {
     let (cluster, client) = scenario_cluster(false, read_cache);
     let root = client.root();
@@ -386,7 +384,7 @@ fn main() {
         s.save_snapshot(&snap_dir);
     }
 
-    println!("\nconclusion: coalescing cuts layer-churn fabric rounds/op {saved:.2}x; the");
+    println!("\nconclusion: coalescing cuts layer-churn fabric rounds/op {saved:.2}x; the warmed");
     println!(
         "read storm serves {warm_hits} block hits from the client cache ({} vs {} fabric rounds).",
         storm_on.data_rounds, storm_off.data_rounds

@@ -1,6 +1,6 @@
 //! Mounting, caches, routing and retries.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -11,7 +11,9 @@ use crate::async_commit::Acked;
 use crate::route::Group;
 use cfs_data::{DataRequest, DataResponse};
 use cfs_master::{DataPartitionMeta, MasterRequest, MasterResponse, MetaPartitionMeta};
-use cfs_meta::{IntentContext, MetaCommand, MetaRead, MetaRequest, MetaResponse, MetaValue};
+use cfs_meta::{
+    IntentContext, MetaCommand, MetaRead, MetaRequest, MetaResponse, MetaValue, MAX_WRITE_BATCH,
+};
 use cfs_net::Network;
 use cfs_obs::{Counter, Gauge, Registry, RequestId, Span};
 use cfs_types::{
@@ -707,24 +709,6 @@ impl Client {
         }
     }
 
-    /// Replicated write of up to [`cfs_meta::MAX_WRITE_BATCH`] commands to
-    /// one partition in one request (one group-commit frame): a result per
-    /// command, in order.
-    pub(crate) fn meta_write_batch(
-        &self,
-        partition: PartitionId,
-        members: &[NodeId],
-        cmds: Vec<MetaCommand>,
-    ) -> Result<Vec<Result<MetaValue>>> {
-        let n = cmds.len();
-        match self.meta_answer(partition, members, MetaRequest::Write { partition, cmds })? {
-            (_, MetaResponse::Values(vs)) if vs.len() == n => Ok(vs),
-            (_, other) => Err(CfsError::Internal(format!(
-                "unexpected meta response {other:?}"
-            ))),
-        }
-    }
-
     /// Convenience: leader read from a partition.
     pub(crate) fn meta_read(
         &self,
@@ -736,43 +720,115 @@ impl Client {
             .map(|(v, _)| v)
     }
 
-    /// Inode-routed meta call: derive the owning partition from the cached
-    /// view, call it, and on [`CfsError::RangeMoved`] (the dual-serve
-    /// fence: a split cut the range after we cached the view) refresh the
-    /// partition table and re-route by inode. This is the split-handoff
-    /// loop of §2.4 — a lookup racing a split lands on whichever half owns
-    /// the inode *now*, never the frozen half.
+    /// The split-handoff loop of §2.4, for any number of inode-routed
+    /// items: each goes to the partition that owns its inode in the cached
+    /// view, and `send` gets each partition's items in one call (in
+    /// partition order, so requests go out the same way on every run),
+    /// answering one result per item in order. An item answered
+    /// [`CfsError::RangeMoved`] (the dual-serve fence: a split cut the
+    /// range after we cached the view) is re-routed after a view refresh,
+    /// so it lands on whichever half owns its inode *now*, never the
+    /// frozen half. Results come back in input order.
+    fn meta_route_by_inode<T: Clone, V>(
+        &self,
+        items: &[(InodeId, T)],
+        mut send: impl FnMut(PartitionId, &[NodeId], Vec<T>) -> Vec<Result<V>>,
+    ) -> Vec<Result<V>> {
+        let mut out: Vec<Option<Result<V>>> = items.iter().map(|_| None).collect();
+        let mut pending: Vec<usize> = (0..items.len()).collect();
+        for pass in 0..=MAX_RETRIES {
+            if pending.is_empty() {
+                break;
+            }
+            if let Err(e) = self.retry_pause(pass, "meta_route", |c| {
+                c.stats.view_refreshes.inc();
+                c.refresh_partition_table()
+            }) {
+                for i in pending.drain(..) {
+                    out[i] = Some(Err(e.clone()));
+                }
+                break;
+            }
+            let mut groups: BTreeMap<PartitionId, (Vec<NodeId>, Vec<usize>)> = BTreeMap::new();
+            for i in pending.drain(..) {
+                match self.meta_partition_of(items[i].0) {
+                    Ok((p, members)) => groups.entry(p).or_insert((members, Vec::new())).1.push(i),
+                    Err(e) => out[i] = Some(Err(e)),
+                }
+            }
+            for (partition, (members, idx)) in groups {
+                let batch = idx.iter().map(|&i| items[i].1.clone()).collect();
+                let mut results = send(partition, &members, batch).into_iter();
+                for i in idx {
+                    match results.next() {
+                        Some(Err(CfsError::RangeMoved { .. })) => pending.push(i),
+                        Some(r) => out[i] = Some(r),
+                        None => {
+                            out[i] = Some(Err(CfsError::Internal(format!(
+                                "{partition}: fewer results than items"
+                            ))))
+                        }
+                    }
+                }
+            }
+        }
+        for i in pending {
+            out[i] = Some(Err(CfsError::RetriesExhausted {
+                op: format!("meta_call_at({})", items[i].0),
+                attempts: MAX_RETRIES + 1,
+            }));
+        }
+        out.into_iter().flatten().collect()
+    }
+
+    /// One inode-routed meta call (see [`Self::meta_route_by_inode`]).
     pub(crate) fn meta_call_at(
         &self,
         inode: InodeId,
         mut req: impl FnMut(PartitionId) -> MetaRequest,
     ) -> Result<(MetaValue, Option<Acked>)> {
-        let mut last_err = CfsError::NotFound(format!("no meta partition for {inode}"));
-        for pass in 0..=MAX_RETRIES {
-            self.retry_pause(pass, "meta_route", |c| {
-                c.stats.view_refreshes.inc();
-                c.refresh_partition_table()
-            })?;
-            let (partition, members) = self.meta_partition_of(inode)?;
-            match self.meta_call(partition, &members, req(partition)) {
-                Err(e @ CfsError::RangeMoved { .. }) => last_err = e,
-                other => return other,
-            }
-        }
-        Err(CfsError::RetriesExhausted {
-            op: format!("meta_call_at({inode})"),
-            attempts: MAX_RETRIES + 1,
-        }
-        .max_specific(last_err))
+        let mut answer = self.meta_route_by_inode(&[(inode, ())], |partition, members, _| {
+            vec![self.meta_call(partition, members, req(partition))]
+        });
+        answer.pop().expect("one result per item")
     }
 
-    /// Inode-routed replicated write (see [`Self::meta_call_at`]).
-    pub(crate) fn meta_write_at(&self, inode: InodeId, cmd: MetaCommand) -> Result<MetaValue> {
-        self.meta_call_at(inode, |partition| MetaRequest::Write {
-            partition,
-            cmds: vec![cmd.clone()],
+    /// Inode-routed replicated writes: each owning partition gets its
+    /// commands in requests of up to [`cfs_meta::MAX_WRITE_BATCH`], one
+    /// group-commit frame each (see [`Self::meta_route_by_inode`]). A
+    /// result per command, in order; an error that answered a whole
+    /// request answers each of its commands.
+    pub(crate) fn meta_write_many(
+        &self,
+        writes: &[(InodeId, MetaCommand)],
+    ) -> Vec<Result<MetaValue>> {
+        self.meta_route_by_inode(writes, |partition, members, cmds| {
+            let mut results = Vec::with_capacity(cmds.len());
+            for chunk in cmds.chunks(MAX_WRITE_BATCH) {
+                let n = chunk.len();
+                let req = MetaRequest::Write {
+                    partition,
+                    cmds: chunk.to_vec(),
+                };
+                match self.meta_answer(partition, members, req) {
+                    Ok((_, MetaResponse::Values(vs))) if vs.len() == n => results.extend(vs),
+                    Ok((_, other)) => results.extend((0..n).map(|_| {
+                        Err(CfsError::Internal(format!(
+                            "unexpected meta response {other:?}"
+                        )))
+                    })),
+                    Err(e) => results.extend((0..n).map(|_| Err(e.clone()))),
+                }
+            }
+            results
         })
-        .map(|(v, _)| v)
+    }
+
+    /// One inode-routed replicated write (see [`Self::meta_write_many`]).
+    pub(crate) fn meta_write_at(&self, inode: InodeId, cmd: MetaCommand) -> Result<MetaValue> {
+        self.meta_write_many(&[(inode, cmd)])
+            .pop()
+            .expect("one result per item")
     }
 
     /// Inode-routed leader read (see [`Self::meta_call_at`]).

@@ -6,7 +6,7 @@ use std::ops::ControlFlow;
 use bytes::Bytes;
 
 use cfs_data::{DataRequest, DataResponse, DeleteTask};
-use cfs_meta::{MetaCommand, MAX_WRITE_BATCH};
+use cfs_meta::MetaCommand;
 use cfs_types::crc::crc32;
 use cfs_types::{CfsError, ExtentId, ExtentKey, FileType, InodeId, NodeId, PartitionId, Result};
 
@@ -31,6 +31,10 @@ pub struct FileHandle {
     pending_keys: Vec<ExtentKey>,
     /// Packets appended since the last meta sync.
     packets_since_sync: u32,
+    /// An in-place overwrite landed since the last meta sync; the next
+    /// one records it (moves the inode's mtime) even without new keys, so
+    /// another mount's `open` sees the file changed (close-to-open).
+    overwritten: bool,
 }
 
 /// Append `key` to `keys`, merging with the last entry when the two are
@@ -91,13 +95,18 @@ impl Client {
         self.open_inode(dentry.inode)
     }
 
-    /// Open a known inode for I/O. Close-to-open: this mount's cached
-    /// blocks of the inode are dropped, so the handle reads what another
-    /// mount acknowledged before the open; an already-open handle may
-    /// still serve cached blocks (DESIGN §13).
+    /// Open a known inode for I/O. Close-to-open: when the inode's mtime
+    /// moved since this mount last saw it (another mount's fsync or close
+    /// recorded an overwrite or an append), this mount's cached blocks of
+    /// it are dropped, so the handle reads what was acknowledged before
+    /// the open; an already-open handle may still serve cached blocks
+    /// (DESIGN §13).
     pub fn open_inode(&self, ino: InodeId) -> Result<FileHandle> {
+        let seen = self.cached_inode(ino).map(|i| i.mtime_ns);
         let inode = self.stat(ino)?; // force cache sync
-        self.read_cache_invalidate_ino(ino);
+        if seen != Some(inode.mtime_ns) {
+            self.read_cache_invalidate_ino(ino);
+        }
         if inode.file_type == FileType::Dir {
             return Err(CfsError::IsADirectory(ino));
         }
@@ -109,6 +118,7 @@ impl Client {
             append_target: None,
             pending_keys: Vec::new(),
             packets_since_sync: 0,
+            overwritten: false,
         })
     }
 
@@ -239,6 +249,7 @@ impl Client {
         }
         let overwrite_len = ((f.size - offset).min(data.len() as u64)) as usize;
         if overwrite_len > 0 {
+            f.overwritten = true;
             self.overwrite_range(f, offset, data.slice(..overwrite_len))?;
         }
         if overwrite_len < data.len() {
@@ -438,14 +449,19 @@ impl Client {
     }
 
     /// Push every unsynced extent key to the meta node (§2.7.1 step 8).
+    /// A handle that overwrote in place syncs even without new keys: the
+    /// sync moves the inode's mtime, which `open` checks.
     fn flush_meta(&self, f: &mut FileHandle) -> Result<()> {
         f.packets_since_sync = 0;
-        if f.pending_keys.is_empty() {
+        if f.pending_keys.is_empty() && !f.overwritten {
             return Ok(());
         }
         let keys = std::mem::take(&mut f.pending_keys);
         match self.sync_extents(f.ino, &keys, f.size) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                f.overwritten = false;
+                Ok(())
+            }
             Err(e) => {
                 // Keep the keys for a later flush (fsync/close retries).
                 f.pending_keys = keys;
@@ -801,66 +817,32 @@ impl Client {
     }
 
     /// Evict `inodes` and queue their data for deletion: one batched
-    /// `Evict` write per owning meta partition, then
-    /// [`Self::queue_extent_cleanup`] over every evicted key. Inodes a
-    /// split moved (`RangeMoved`) are regrouped after a view refresh, as
-    /// [`Self::meta_call_at`] does for one.
+    /// `Evict` write per owning meta partition ([`Self::meta_write_many`]),
+    /// then [`Self::queue_extent_cleanup`] over every evicted key.
     pub(crate) fn evict_and_clean(&self, inodes: Vec<InodeId>) -> Reclaimed {
+        let evicts: Vec<(InodeId, MetaCommand)> = inodes
+            .into_iter()
+            .map(|inode| (inode, MetaCommand::Evict { inode }))
+            .collect();
         let mut out = Reclaimed::default();
         let mut keys = Vec::new();
-        let mut pending = inodes;
-        for pass in 0..=MAX_RETRIES {
-            if pending.is_empty() {
-                break;
-            }
-            let refreshed = self.retry_pause(pass, "meta_route", |c| {
-                c.stats.view_refreshes.inc();
-                c.refresh_partition_table()
-            });
-            if refreshed.is_err() {
-                break;
-            }
-            // Partition order, so the batches go out in the same order on
-            // every run.
-            let mut groups: BTreeMap<PartitionId, (Vec<NodeId>, Vec<InodeId>)> = BTreeMap::new();
-            for inode in pending.drain(..) {
-                match self.meta_partition_of(inode) {
-                    Ok((p, members)) => groups
-                        .entry(p)
-                        .or_insert((members, Vec::new()))
-                        .1
-                        .push(inode),
-                    Err(_) => out.failed.push(inode),
-                }
-            }
-            for (partition, (members, ids)) in groups {
-                for chunk in ids.chunks(MAX_WRITE_BATCH) {
-                    let cmds = chunk.iter().map(|&inode| MetaCommand::Evict { inode });
-                    let results = match self.meta_write_batch(partition, &members, cmds.collect()) {
-                        Ok(results) => results,
-                        Err(_) => {
-                            out.failed.extend_from_slice(chunk);
-                            continue;
-                        }
-                    };
-                    for (&inode, r) in chunk.iter().zip(results) {
-                        match r {
-                            Ok(v) => {
-                                self.read_cache_invalidate_ino(inode);
-                                if let Ok(ino) = v.into_inode() {
-                                    keys.extend(ino.extents);
-                                }
-                                out.evicted += 1;
-                            }
-                            Err(CfsError::NotFound(_)) => out.gone += 1,
-                            Err(CfsError::RangeMoved { .. }) => pending.push(inode),
-                            Err(_) => out.failed.push(inode),
-                        }
+        for ((inode, _), r) in evicts.iter().zip(self.meta_write_many(&evicts)) {
+            match r {
+                Ok(v) => {
+                    self.read_cache_invalidate_ino(*inode);
+                    if let Ok(ino) = v.into_inode() {
+                        keys.extend(ino.extents);
                     }
+                    out.evicted += 1;
                 }
+                // NotFound from the meta node: someone else evicted it.
+                // An inode no partition in the view owns is kept instead.
+                Err(CfsError::NotFound(_)) if self.meta_partition_of(*inode).is_ok() => {
+                    out.gone += 1
+                }
+                Err(_) => out.failed.push(*inode),
             }
         }
-        out.failed.append(&mut pending);
         self.queue_extent_cleanup(&keys);
         out
     }

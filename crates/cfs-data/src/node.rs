@@ -915,16 +915,22 @@ impl DataNode {
     /// the survivors: every chain-acked byte is present on all of them, so
     /// the minimum never cuts committed data, and `commit` never regresses.
     /// One `ExtentInfo` per (extent, peer) serves both steps.
+    ///
+    /// The leader first drains its own delete queue, so the bytes it
+    /// re-ships are the punched ones: a replacement never saw the queued
+    /// deletes, and a lagging peer's punch past its watermark failed, yet
+    /// both end byte-identical to the replicas that punch later.
     fn recover_partition(&self, partition: PartitionId, survivors: &[NodeId]) -> Result<usize> {
         let hosted = self.hosted(partition)?;
         let (extents, members) = {
-            let r = hosted.replica.lock();
+            let mut r = hosted.replica.lock();
             if r.pb_leader() != self.id {
                 return Err(CfsError::NotLeader {
                     partition,
                     hint: Some(r.pb_leader()),
                 });
             }
+            r.process_delete_queue()?;
             (r.extent_ids(), r.members().to_vec())
         };
         self.metrics.recoveries.inc();

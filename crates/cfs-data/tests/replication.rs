@@ -354,6 +354,84 @@ fn recovery_reships_missing_committed_bytes() {
     assert_eq!(i.crc, extent_info(&c, p, leader, e).crc);
 }
 
+/// A replica that missed a queued punch (its own attempt failed past its
+/// watermark, as on a lagging replica; a replacement never saw the queue)
+/// ends byte-identical to the others once recovery re-ships: the leader
+/// drains its delete queue first, so it ships the punched bytes.
+#[test]
+fn recovery_reships_punched_bytes_of_a_queued_punch() {
+    let c = cluster(3);
+    let (p, members) = mk_partition(&c, 1);
+    let leader = members[0];
+    let e = create_extent(&c, p, leader);
+    append(&c, p, e, 0, &[7u8; 4096], &members).unwrap();
+    c.net
+        .call(
+            NodeId(99),
+            leader,
+            DataRequest::QueueDeletes {
+                partition: p,
+                tasks: vec![DeleteTask::Punch {
+                    extent: e,
+                    offset: 1000,
+                    len: 2000,
+                }],
+                replicas: members.clone(),
+            },
+        )
+        .unwrap()
+        .unwrap();
+    let lagging = members[2];
+    c.net
+        .call(
+            NodeId(99),
+            lagging,
+            DataRequest::TruncateExtent {
+                partition: p,
+                extent: e,
+                size: 500,
+            },
+        )
+        .unwrap()
+        .unwrap();
+    c.net
+        .call(
+            NodeId(99),
+            lagging,
+            DataRequest::ProcessDeletes { partition: p },
+        )
+        .unwrap()
+        .unwrap();
+
+    c.net
+        .call(
+            NodeId(99),
+            leader,
+            DataRequest::Recover {
+                partition: p,
+                survivors: vec![],
+            },
+        )
+        .unwrap()
+        .unwrap();
+    for &m in &members {
+        c.net
+            .call(NodeId(99), m, DataRequest::ProcessDeletes { partition: p })
+            .unwrap()
+            .unwrap();
+    }
+    let want = extent_info(&c, p, leader, e);
+    assert_eq!(want.size, 4096);
+    for &m in &members[1..] {
+        let got = extent_info(&c, p, m, e);
+        assert_eq!(
+            (got.size, got.crc),
+            (want.size, want.crc),
+            "replica {m} differs from the leader after recovery"
+        );
+    }
+}
+
 #[test]
 fn small_files_pack_and_replicate_identically() {
     let c = cluster(3);

@@ -218,7 +218,10 @@ impl MetaPartition {
         }
         ino.extents.extend_from_slice(extents);
         ino.size = ino.size.max(new_size);
-        ino.mtime_ns = now_ns;
+        // Every sync moves the mtime, even with another mount's clock
+        // behind this inode's: that is how an `open` elsewhere sees the
+        // file changed.
+        ino.mtime_ns = now_ns.max(ino.mtime_ns + 1);
         self.inode_tree.insert(id, ino.clone());
         Ok(ino)
     }

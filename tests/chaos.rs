@@ -467,11 +467,9 @@ impl Chaos {
                 };
                 let cut = slot.base.len() * keep_num as usize / 16;
                 // Truncate queues best-effort punches/deletes for the cut
-                // bytes — whole keys past the cut and the tail of the key
-                // it falls inside; exempt their extents from strict
-                // replica alignment.
+                // extents; exempt them from strict replica alignment.
                 for k in h.extents() {
-                    if k.file_offset + k.size > cut as u64 {
+                    if k.file_offset >= cut as u64 {
                         self.exempt.insert((k.partition_id, k.extent_id));
                     }
                 }

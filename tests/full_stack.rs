@@ -770,6 +770,15 @@ fn reopen_reads_another_mounts_acknowledged_overwrite() {
     let reader = cluster.mount("cto").unwrap();
     let rh = reader.open(root, "f").unwrap();
     assert!(reader.read_at(&rh, 0, 4096).unwrap() == [1u8; 4096]);
+    // A reopen of an unchanged file keeps its cached blocks.
+    let hits = reader.data_path_stats().readcache_hits;
+    let again = reader.open(root, "f").unwrap();
+    assert!(reader.read_at(&again, 0, 4096).unwrap() == [1u8; 4096]);
+    assert_eq!(
+        reader.data_path_stats().readcache_hits,
+        hits + 1,
+        "a reopen of an unchanged file dropped its cached block"
+    );
 
     writer.write_at(&mut wh, 0, &[2u8; 4096]).unwrap();
     writer.fsync(&mut wh).unwrap();
