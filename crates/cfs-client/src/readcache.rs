@@ -10,11 +10,14 @@
 //! known at fill time (mirroring the lookup cache's drift detection): a
 //! probe under a different generation drops the entry and refetches.
 //!
-//! On a demand miss during a sequential scan, the fetch span is extended
-//! by up to `READAHEAD_BLOCKS` full blocks past the demanded range and
-//! issued as ONE direct read — the span rides the read path's existing
-//! submit/wait fanout, so readahead shares the fabric round instead of
-//! costing extra blocking waits.
+//! A read is sequential when it starts at offset 0 or exactly where this
+//! mount's previous read of the inode ended. A sequential miss fetches its
+//! missing blocks whole and extends the span by up to `READAHEAD_BLOCKS`
+//! full blocks past them, issued as ONE direct read — the span rides the
+//! read path's existing submit/wait fanout, so readahead shares the fabric
+//! round instead of costing extra blocking waits. Any other miss fetches
+//! only the demanded bytes of its missing blocks. Either way, every full
+//! block lying wholly inside the fetched span is inserted.
 //!
 //! Invalidation: truncate and overwrite drop the affected inode's blocks,
 //! unlink/evict drop via `uncache_inode`, generation drift drops on probe
@@ -64,8 +67,8 @@ pub(crate) struct ReadCacheState {
     pub blocks: HashMap<(InodeId, u64), CachedBlock>,
     /// FIFO eviction order; removal paths prune their keys eagerly.
     pub order: VecDeque<(InodeId, u64)>,
-    /// Next block a purely sequential reader of each inode would demand
-    /// (readahead triggers only on sequential access).
+    /// Byte offset where this mount's previous read of each inode ended: a
+    /// read starting there is sequential (readahead triggers only then).
     pub next_seq: HashMap<InodeId, u64>,
 }
 
@@ -126,10 +129,10 @@ impl Client {
     }
 
     /// `read_at` through the block cache. Demanded blocks are served from
-    /// cache where possible; the missing span (plus sequential readahead)
-    /// is fetched with one direct read and its full blocks inserted as
-    /// slices of the replies. Each returned byte is copied once, in order,
-    /// into the output.
+    /// cache where possible; the missing span (demand-sized, or whole
+    /// blocks plus readahead when sequential) is fetched with one direct
+    /// read and its full blocks inserted as slices of the replies. Each
+    /// returned byte is copied once, in order, into the output.
     pub(crate) fn read_at_cached(
         &self,
         f: &FileHandle,
@@ -174,14 +177,14 @@ impl Client {
                 }
                 hits.push(hit);
             }
-            let seq = first == 0 || rc.next_seq.get(&ino) == Some(&first);
-            rc.next_seq.insert(ino, last + 1);
+            let seq = offset == 0 || rc.next_seq.get(&ino) == Some(&offset);
+            rc.next_seq.insert(ino, end);
             seq
         };
         let pieces = if missing.is_empty() {
             Vec::new()
         } else {
-            self.fetch_span(f, &missing, sequential, generation)?
+            self.fetch_span(f, &missing, (offset, end), sequential, generation)?
         };
 
         let mut out = Vec::with_capacity((end - offset) as usize);
@@ -198,14 +201,17 @@ impl Client {
         Ok(out)
     }
 
-    /// Fetch span: first missing .. last missing block, extended by
-    /// readahead past the demand when the scan looks sequential. Returns
-    /// the span's reply pieces after inserting its full blocks, evicting
-    /// FIFO at capacity.
+    /// Fetch the span of a read's missing blocks. A sequential read
+    /// fetches them whole, extended by readahead past the demand; any other
+    /// read fetches only their demanded bytes,
+    /// `[max(offset, first·bs), min(end, (last+1)·bs))`. Inserts every full
+    /// block lying wholly inside the span, evicting FIFO at capacity, and
+    /// returns the span's reply pieces.
     fn fetch_span(
         &self,
         f: &FileHandle,
         missing: &[u64],
+        (offset, end): (u64, u64),
         sequential: bool,
         generation: u64,
     ) -> Result<Vec<(u64, Bytes)>> {
@@ -216,7 +222,7 @@ impl Client {
         let mut span_last = *missing.last().expect("nonempty");
         let max_block = (size - 1) / bs;
         let mut ra_blocks = 0u64;
-        if sequential {
+        let (span_lo, span_hi) = if sequential {
             let rc = self.readcache.lock();
             let limit = max_block.min(span_last.saturating_add(READAHEAD_BLOCKS));
             for b in span_last + 1..=limit {
@@ -226,20 +232,24 @@ impl Client {
                 span_last = b;
                 ra_blocks += 1;
             }
-        }
-        let span_end = ((span_last + 1) * bs).min(size);
-        let pieces = self.read_pieces(f, span_first * bs, span_end)?;
+            (span_first * bs, ((span_last + 1) * bs).min(size))
+        } else {
+            (
+                (span_first * bs).max(offset),
+                ((span_last + 1) * bs).min(end),
+            )
+        };
+        let pieces = self.read_pieces(f, span_lo, span_hi)?;
         self.stats.readcache_readahead.add(ra_blocks);
 
         let mut rc = self.readcache.lock();
         let cap = self.options.read_cache_capacity;
         // Blocks slice their replies only when the span fits in the cache,
         // so a reply a cached block keeps alive is at most the cache's size.
-        let slice = span_end - span_first * bs <= cap as u64 * bs;
-        for b in span_first..=span_last {
-            let (lo, hi) = (b * bs, (b + 1) * bs);
-            if hi > span_end || rc.blocks.contains_key(&(ino, b)) {
-                continue; // partial tail, or raced back in
+        let slice = span_hi - span_lo <= cap as u64 * bs;
+        for b in span_lo.div_ceil(bs)..span_hi / bs {
+            if rc.blocks.contains_key(&(ino, b)) {
+                continue; // a hit inside the span, or raced back in
             }
             while rc.blocks.len() >= cap {
                 let Some(victim) = rc.order.pop_front() else {
@@ -254,7 +264,7 @@ impl Client {
                 (ino, b),
                 CachedBlock {
                     generation,
-                    data: block_of(&pieces, lo, hi, slice),
+                    data: block_of(&pieces, b * bs, (b + 1) * bs, slice),
                 },
             );
             rc.order.push_back((ino, b));

@@ -24,6 +24,9 @@ pub struct StoreMetrics {
     pub bytes_written: Counter,
     /// In-place overwrite payload bytes (never change live space).
     pub bytes_overwritten: Counter,
+    /// Bytes returned by extent reads (the read amplification of a client
+    /// is this over the bytes it returned).
+    pub bytes_read: Counter,
     /// Bytes logically punched out by small-file deletions.
     pub bytes_punched: Counter,
     /// Punch-hole calls those deletions made (one may cover many files).
@@ -49,6 +52,7 @@ impl StoreMetrics {
         StoreMetrics {
             bytes_written: registry.counter("store.bytes_written"),
             bytes_overwritten: registry.counter("store.bytes_overwritten"),
+            bytes_read: registry.counter("store.bytes_read"),
             bytes_punched: registry.counter("store.bytes_punched"),
             punches: registry.counter("store.punches"),
             bytes_freed: registry.counter("store.bytes_freed"),

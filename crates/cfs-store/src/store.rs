@@ -232,7 +232,9 @@ impl ExtentStore {
 
     /// Read from an extent.
     pub fn read(&self, id: ExtentId, offset: u64, len: usize) -> Result<Vec<u8>> {
-        self.extent(id)?.read(offset, len)
+        let data = self.extent(id)?.read(offset, len)?;
+        self.metrics.bytes_read.add(data.len() as u64);
+        Ok(data)
     }
 
     /// Read committed bytes only: the range is clamped to the committed
@@ -665,7 +667,8 @@ mod tests {
     }
 
     /// Overwrites and whole-extent deletes keep the *general* ledger
-    /// balanced: written - punched - freed - truncated == live.
+    /// balanced: written - punched - freed - truncated == live. A read
+    /// counts the bytes it returned, not the bytes it asked for.
     #[test]
     fn general_ledger_balances_across_extent_lifecycle() {
         let registry = Registry::new();
@@ -674,6 +677,7 @@ mod tests {
         let e = st.create_extent().unwrap();
         st.append(e, 0, &[1u8; 4096]).unwrap();
         st.overwrite(e, 100, &[2u8; 50]).unwrap();
+        st.read(e, 4000, 500).unwrap(); // clamped to the watermark
         st.truncate_extent(e, 1024).unwrap();
         let f = st.create_extent().unwrap();
         st.append(f, 0, &[3u8; 2048]).unwrap();
@@ -686,6 +690,7 @@ mod tests {
         assert_eq!(live, s.gauge("store.live_bytes").unwrap().value);
         assert_eq!(live, 1024);
         assert_eq!(s.counter("store.bytes_overwritten"), 50);
+        assert_eq!(s.counter("store.bytes_read"), 96);
         assert_eq!(s.counter("store.extents_created"), 2);
     }
 

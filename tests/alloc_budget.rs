@@ -18,7 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use cfs::{Client, ClientOptions, ClusterBuilder, FileHandle};
+use cfs::{ClientOptions, Cluster, ClusterBuilder, FileHandle};
 
 struct Counting;
 
@@ -63,6 +63,9 @@ const KIB: usize = 1024;
 const MIB: usize = 1024 * KIB;
 /// Allowed overhead over the payload bytes a read must allocate.
 const SLACK: f64 = 1.05;
+/// Allowed bookkeeping of one small read (its request, route and reply
+/// framing), over the payload bytes.
+const REQUEST_BYTES: f64 = 1024.0;
 
 /// `f`'s value, with the allocations and bytes made while it runs.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
@@ -76,11 +79,9 @@ fn live() -> u64 {
     BYTES.load(Relaxed) - FREED.load(Relaxed)
 }
 
-/// Bytes the block cache fetched so far: every missed or read-ahead block
-/// is fetched whole (the files here are block-aligned).
-fn fetched(client: &Client, block: u64) -> u64 {
-    let s = client.data_path_stats();
-    (s.readcache_misses + s.readcache_readahead) * block
+/// Bytes the data nodes' extent stores returned so far.
+fn fetched(cluster: &Cluster) -> u64 {
+    cluster.metrics_snapshot().counter("store.bytes_read")
 }
 
 fn payload(len: usize) -> Vec<u8> {
@@ -105,6 +106,7 @@ fn read_path_allocates_what_it_fetches_and_returns() {
     // options, readahead included).
     let cold = cluster.mount("alloc").unwrap();
     let rfh: FileHandle = cold.open(cold.root(), "seq").unwrap();
+    let before = fetched(&cluster);
     let (same, allocs, bytes) = counted(|| {
         content
             .chunks(MIB)
@@ -112,9 +114,9 @@ fn read_path_allocates_what_it_fetches_and_returns() {
             .all(|(i, want)| cold.read_at(&rfh, (i * MIB) as u64, MIB).unwrap() == want)
     });
     assert!(same, "sequential scan reads back what was written");
-    let fetched_bytes = fetched(&cold, block);
+    let fetched_bytes = fetched(&cluster) - before;
     let returned = content.len() as u64;
-    assert_eq!(fetched_bytes, returned, "each block is fetched once");
+    assert_eq!(fetched_bytes, returned, "each byte is fetched once");
     let budget = SLACK * (fetched_bytes + returned) as f64;
     println!(
         "cold 16 x 1 MiB scan: {allocs} allocations, {bytes} B \
@@ -128,16 +130,16 @@ fn read_path_allocates_what_it_fetches_and_returns() {
 
     // Bound 2: one 4 KiB read that misses the cache. A first read warms
     // the mount's routes; the measured one lands far from it, so it is
-    // not sequential and fetches exactly its block.
+    // not sequential and fetches exactly its 4 KiB.
     let rand = cluster.mount("alloc").unwrap();
     let rfh = rand.open(rand.root(), "seq").unwrap();
     rand.read_at(&rfh, 0, 4 * KIB).unwrap();
     let at = 9 * MIB + 5 * KIB;
-    let before = fetched(&rand, block);
+    let before = fetched(&cluster);
     let (got, allocs, bytes) = counted(|| rand.read_at(&rfh, at as u64, 4 * KIB).unwrap());
     assert_eq!(got, &content[at..at + 4 * KIB]);
-    assert_eq!(fetched(&rand, block) - before, block, "one block fetched");
-    let budget = SLACK * (block as usize + 4 * KIB) as f64;
+    assert_eq!(fetched(&cluster) - before, 4 * KIB as u64, "4 KiB fetched");
+    let budget = SLACK * (4 * KIB + 4 * KIB) as f64 + REQUEST_BYTES;
     println!("4 KiB cache-miss read: {allocs} allocations, {bytes} B (budget {budget:.0} B)");
     assert!(
         bytes as f64 <= budget,
@@ -146,8 +148,8 @@ fn read_path_allocates_what_it_fetches_and_returns() {
 
     // Bound 3: a read larger than the cache leaves no more than the cache's
     // capacity behind, however large its replies (here a 2.5 MiB span: 16
-    // demanded blocks and 4 read ahead). A warm-up read first caches the
-    // routes and one block far away; its eviction only lowers the figure.
+    // demanded blocks and 4 read ahead). A warm-up 4 KiB read far away
+    // first caches the routes; it covers no full block, so it caches none.
     let cap = 8;
     let small = cluster
         .mount_with_options(

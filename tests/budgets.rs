@@ -1875,6 +1875,155 @@ fn warmed_read_budget_check_rejects_perturbed_counters() {
     );
 }
 
+const RAND_READS: u64 = 256;
+const RAND_READ_LEN: u64 = 4096;
+
+/// The random-read fetch budget (DESIGN §13): a read that neither starts
+/// at offset 0 nor continues the previous read fetches exactly the bytes
+/// it demands, in one data read, and caches nothing (it covers no full
+/// block).
+fn check_random_read_fetch_budget(window: &MetricsSnapshot, reads: u64, len: u64) {
+    let fetched = window.counter("store.bytes_read");
+    assert!(
+        fetched == reads * len,
+        "random-read fetch budget regression: the stores returned {fetched} B \
+         for {reads} reads of {len} B, expected exactly {}",
+        reads * len
+    );
+    let calls = window.counter("net.calls{fabric=data,route=data.read}");
+    assert!(
+        calls == reads,
+        "random-read fetch budget regression: {calls} data reads for {reads} \
+         cache misses, expected exactly {reads}"
+    );
+    let inserted = window.counter("client.readcache.inserted");
+    assert!(
+        inserted == 0,
+        "random-read fetch budget regression: {inserted} blocks cached by \
+         reads that cover no full block, expected 0"
+    );
+}
+
+/// `n` seeded (splitmix64), `len`-aligned read offsets below `size`: none
+/// is 0 and none starts where the previous read ended.
+fn random_read_offsets(seed: u64, n: u64, size: u64, len: u64) -> Vec<u64> {
+    let mut state = seed;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut out: Vec<u64> = Vec::new();
+    while (out.len() as u64) < n {
+        let at = next() % (size / len) * len;
+        if at != 0 && out.last().map(|p| p + len) != Some(at) {
+            out.push(at);
+        }
+    }
+    out
+}
+
+#[test]
+fn random_read_fetch_budget() {
+    let cluster = ClusterBuilder::new().build().unwrap();
+    cluster.create_volume("budget", 1, 4).unwrap();
+    let block = cluster.config().packet_size;
+    let size = READ_BLOCKS * block;
+    let body: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+    let writer = cluster.mount("budget").unwrap();
+    let root = writer.root();
+    writer.create(root, "f").unwrap();
+    let mut fh = writer.open(root, "f").unwrap();
+    writer.write(&mut fh, &body).unwrap();
+    writer.close(&mut fh).unwrap();
+
+    // A cold mount whose cache holds half the file.
+    let reader = cluster
+        .mount_with_options(
+            "budget",
+            ClientOptions {
+                read_cache_capacity: READ_BLOCKS as usize / 2,
+                ..ClientOptions::default()
+            },
+        )
+        .unwrap();
+    let rfh = reader.open(root, "f").unwrap();
+    let offsets = random_read_offsets(1, RAND_READS, size, RAND_READ_LEN);
+    let before = cluster.metrics_snapshot();
+    for &at in &offsets {
+        let (lo, hi) = (at as usize, (at + RAND_READ_LEN) as usize);
+        assert_eq!(
+            reader.read_at(&rfh, at, RAND_READ_LEN as usize).unwrap(),
+            &body[lo..hi]
+        );
+    }
+    let window = cluster.metrics_snapshot().diff(&before);
+    check_random_read_fetch_budget(&window, RAND_READS, RAND_READ_LEN);
+
+    // A sequential scan from 0 in 1 MiB steps still reads ahead in whole
+    // blocks, and fetches each byte of the file once.
+    let step = 1 << 20;
+    let before = cluster.metrics_snapshot();
+    for at in (0..size).step_by(step) {
+        let (lo, hi) = (at as usize, (at as usize + step).min(body.len()));
+        assert_eq!(reader.read_at(&rfh, at, step).unwrap(), &body[lo..hi]);
+    }
+    let scan = cluster.metrics_snapshot().diff(&before);
+    assert_eq!(
+        scan.counter("store.bytes_read"),
+        size,
+        "the sequential scan fetches each byte once"
+    );
+    assert!(scan.counter("client.readcache.readahead") > 0);
+}
+
+#[test]
+fn random_read_fetch_budget_check_rejects_block_fetches() {
+    // A miss rounded out to its whole 128 KiB block (and cached) must trip
+    // the budget even when it costs one data read per miss.
+    let block = 128 * 1024;
+    let registry = cfs::Registry::new();
+    registry.counter("store.bytes_read").add(RAND_READS * block);
+    registry
+        .counter("net.calls{fabric=data,route=data.read}")
+        .add(RAND_READS);
+    registry
+        .counter("client.readcache.inserted")
+        .add(RAND_READS);
+    let snap = registry.snapshot();
+    let err = std::panic::catch_unwind(|| {
+        check_random_read_fetch_budget(&snap, RAND_READS, RAND_READ_LEN)
+    })
+    .expect_err("block-sized fetches must fail the budget");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("the stores returned 33554432 B"),
+        "unexpected panic message: {msg}"
+    );
+
+    // A miss that fetches its bytes but still caches a block must trip it.
+    let registry = cfs::Registry::new();
+    registry
+        .counter("store.bytes_read")
+        .add(RAND_READS * RAND_READ_LEN);
+    registry
+        .counter("net.calls{fabric=data,route=data.read}")
+        .add(RAND_READS);
+    registry.counter("client.readcache.inserted").add(1);
+    let snap = registry.snapshot();
+    let err = std::panic::catch_unwind(|| {
+        check_random_read_fetch_budget(&snap, RAND_READS, RAND_READ_LEN)
+    })
+    .expect_err("a cached block must fail the budget");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("blocks cached"),
+        "unexpected panic message: {msg}"
+    );
+}
+
 #[test]
 fn ceph_baseline_config_is_pinned_to_the_paper() {
     // The evaluation matrix (BENCH_eval.json) compares CFS against the

@@ -69,7 +69,9 @@ fn punch_op_strategy() -> impl Strategy<Value = PunchOp> {
 /// Ops for the read-assembly property: appends of random sizes with an
 /// fsync after each, so extent keys start mid-block and one read spans
 /// several replies; in-place overwrites, so a cached block that is a slice
-/// of a larger reply is invalidated; and read windows anywhere around EOF.
+/// of a larger reply is invalidated; read windows anywhere around EOF,
+/// which fetch only what they demand; and reads that continue the previous
+/// one, usually mid-block, which read ahead in whole blocks.
 #[derive(Debug, Clone)]
 enum ReadOp {
     Append(u32),
@@ -77,6 +79,8 @@ enum ReadOp {
     Overwrite(u16, u32),
     /// Read at `(size + 4 KiB) * frac / 2^16`, possibly past EOF.
     Read(u16, u32),
+    /// Read `n` bytes from where the previous read ended.
+    Continue(u32),
 }
 
 fn read_op_strategy() -> impl Strategy<Value = ReadOp> {
@@ -84,6 +88,7 @@ fn read_op_strategy() -> impl Strategy<Value = ReadOp> {
         3 => (1u32..=300 * 1024).prop_map(ReadOp::Append),
         1 => (any::<u16>(), 1u32..=200 * 1024).prop_map(|(f, n)| ReadOp::Overwrite(f, n)),
         4 => (any::<u16>(), 1u32..=600 * 1024).prop_map(|(f, n)| ReadOp::Read(f, n)),
+        3 => (1u32..=300 * 1024).prop_map(ReadOp::Continue),
     ]
 }
 
@@ -354,6 +359,8 @@ proptest! {
         client.create(root, "f").unwrap();
         let mut fh = client.open(root, "f").unwrap();
         let mut model: Vec<u8> = Vec::new();
+        // Where the cached mount's previous read of the file ended.
+        let mut prev_end = 0usize;
 
         for (tag, op) in ops.iter().enumerate() {
             let tag = tag as u32;
@@ -377,13 +384,22 @@ proptest! {
                     model[at..at + data.len()].copy_from_slice(&data);
                     let got = client.read_at(&fh, 0, model.len()).unwrap();
                     prop_assert!(got == model, "cached read after overwrite at {} len {}", at, n);
+                    prev_end = model.len();
                 }
-                ReadOp::Read(frac, n) => {
-                    let at = (((model.len() as u64 + 4096) * frac as u64) >> 16) as usize;
+                ReadOp::Read(_, n) | ReadOp::Continue(n) => {
+                    let at = match *op {
+                        ReadOp::Read(frac, _) => {
+                            (((model.len() as u64 + 4096) * frac as u64) >> 16) as usize
+                        }
+                        _ => prev_end,
+                    };
                     let want = &model[at.min(model.len())..(at + n as usize).min(model.len())];
                     for pass in ["first", "repeated"] {
                         let got = client.read_at(&fh, at as u64, n as usize).unwrap();
                         prop_assert!(got == want, "{} cached read at {} len {}", pass, at, n);
+                    }
+                    if at < model.len() {
+                        prev_end = at + want.len();
                     }
                     let ufh = uncached.open(root, "f").unwrap();
                     let got = uncached.read_at(&ufh, at as u64, n as usize).unwrap();
